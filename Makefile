@@ -1,9 +1,9 @@
 # Developer entry points. `make ci` is what a gate should run: static
 # lock-hazard lint (go vet + a clalint self-run over the repo itself),
 # gofmt cleanliness, build, race-enabled tests, a fuzz smoke pass over
-# every fuzz target, the streaming-vs-in-memory differential, the
-# serving-path golden smoke, and one pass of the headline benchmark
-# (benchtime=1x — for real numbers use `make bench`).
+# every fuzz target, the reference-oracle matrix, the serving-path
+# golden smoke, and the benchmark's short smoke test (for real numbers
+# use `make bench`).
 
 GO ?= go
 
@@ -12,7 +12,7 @@ GO ?= go
 # seed corpus.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check bench bench-smoke bench-stream instr-smoke docs-check guide ci
+.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check bench bench-smoke instr-smoke docs-check guide ci
 
 all: ci
 
@@ -49,11 +49,13 @@ fuzz-smoke:
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzLint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzHazard -fuzztime $(FUZZTIME)
 
-# Differential oracle: AnalyzeStream over segmented + spilled traces
-# must be bit-identical to the in-memory analyzer, under the race
-# detector.
+# Reference oracle: the analysis of segmented, spilled and in-memory
+# (TraceSource) traces must be bit-identical to the test-only reference
+# transcription of the paper's algorithm (internal/core/reference_test.go)
+# at every segmentation, parallelism, window and spill setting, under
+# the race detector.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference' -count=1 -v
 
 # Serving-path smoke: spin up the analysis server in-process, POST the
 # checked-in synth workload and byte-diff the JSON report against its
@@ -77,19 +79,11 @@ hazard-smoke:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# One iteration of the headline benchmarks — catches crashes and gross
-# regressions without tying up CI.
+# The benchmark's short smoke test (bench/ is its own module): every
+# workload at a tiny size with its output checks, minus clrt_pool's go
+# builds — catches crashes and broken checks without tying up CI.
 bench-smoke:
-	$(GO) test -run=xxx -bench='BenchmarkAnalyzeLargeTrace|BenchmarkAnalyzeStream2M' -benchtime=1x -benchmem .
-
-# Re-record the streaming-throughput benchmark: runs
-# BenchmarkAnalyzeStream2M (stream + in-memory) COUNT times and emits
-# the BENCH_PR8.json record from the parsed output (best run per
-# sub-benchmark), so the quoted numbers are reproducible rather than
-# hand-typed. Takes ~COUNT x 2 minutes on the reference 1-core vCPU.
-bench-stream:
-	./scripts/bench_stream_json.sh > BENCH_PR8.json
-	@cat BENCH_PR8.json
+	$(GO) -C bench test -short ./...
 
 # End-to-end instrumenter smoke: instrument examples/instr (an
 # ordinary sync+chan program with a planted hot lock), run the copy,
@@ -108,9 +102,10 @@ docs-check:
 guide:
 	./scripts/guide.sh gen
 
-# Stable numbers for the benchmarks quoted in README/BENCH_PR*.json.
+# The benchmark declared in BENCHMARK.json: every workload, end to end
+# and per layer (bench/README.md covers the single-workload and compare
+# modes).
 bench:
-	$(GO) test -run=xxx -bench='BenchmarkAnalyzeLargeTrace|BenchmarkAnalyzeReuse|BenchmarkMergeVsSort|BenchmarkRunAllParallel' -benchtime=30x -benchmem .
-	$(GO) test -run=xxx -bench=BenchmarkAnalyzeStream2M -benchtime=2x -benchmem .
+	bash bench/run.sh -seed 1
 
 ci: lint fmt-check build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check

@@ -8,10 +8,10 @@ import (
 )
 
 // Unified analysis entry point: one Analyze for every way a trace can
-// arrive. The source decides the pipeline — in-memory traces run the
-// indexed analysis, segmented traces run the three-pass bounded-memory
-// analysis — and the options apply uniformly, so the CLIs, the serving
-// layer and library callers share a single code path.
+// arrive. Every source runs the same three passes — in-memory traces
+// are validated, then viewed as fixed-size in-memory segments — and
+// the options apply uniformly, so the CLIs, the serving layer and
+// library callers share a single code path.
 //
 //	an, err := critlock.Analyze(critlock.TraceSource(tr))
 //	an, err := critlock.Analyze(critlock.SegmentDirSource("segs/"),
@@ -50,11 +50,13 @@ var (
 	ErrNeedsRawEvents = core.ErrNeedsRawEvents
 )
 
-// TraceSource analyzes an in-memory trace with the indexed pipeline.
+// TraceSource analyzes an in-memory trace. The trace is validated
+// first, and the analysis keeps its events, so every event-replay
+// operation works on the result.
 func TraceSource(tr *Trace) AnalysisSource { return core.TraceSource(tr) }
 
-// SegmentsSource analyzes an already-open segmented trace with the
-// bounded-memory streaming pipeline.
+// SegmentsSource analyzes an already-open segmented trace in bounded
+// memory.
 func SegmentsSource(src SegmentReader) AnalysisSource { return core.StreamSource(src) }
 
 // SegmentDirSource analyzes the segmented trace directory at dir,
@@ -66,20 +68,20 @@ func SegmentDirSource(dir string) AnalysisSource { return segmentDirSource{dir} 
 
 type segmentDirSource struct{ dir string }
 
-func (s segmentDirSource) Run(a *core.Analyzer, cfg core.Config) (*core.Analysis, error) {
+func (s segmentDirSource) Run(cfg core.Config) (*core.Analysis, error) {
 	r, err := segment.OpenWith(s.dir, segment.ReadOptions{NoMmap: cfg.NoMmap})
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return core.StreamSource(r).Run(a, cfg)
+	return core.StreamSource(r).Run(cfg)
 }
 
 // Option tunes one Analyze call.
 type Option func(*core.Config)
 
-// WithOptions replaces the analysis options wholesale (clipping,
-// validation, workers). Observers already attached via WithObserver or
+// WithOptions replaces the analysis options wholesale (clipping and
+// observers). Observers already attached via WithObserver or
 // WithProgress are preserved; apply WithOptions first when combining.
 func WithOptions(opts AnalyzeOptions) Option {
 	return func(c *core.Config) {
@@ -97,45 +99,29 @@ func WithClipHold(on bool) Option {
 	return func(c *core.Config) { c.ClipHold = on }
 }
 
-// WithValidation toggles structural trace validation before in-memory
-// analysis (the default is on; the streaming pipeline enforces its
-// invariants in-pass instead).
-func WithValidation(on bool) Option {
-	return func(c *core.Config) { c.Validate = on }
-}
-
-// WithWindow sets the streaming backward walk's window: how many
-// decoded segments stay resident at once (0 = default). In-memory
-// analyses ignore it.
+// WithWindow sets the backward walk's window: how many decoded
+// segments stay resident at once (0 = default).
 func WithWindow(segments int) Option {
 	return func(c *core.Config) { c.CacheSegments = segments }
 }
 
-// WithWorkers caps the parallel metric pass's worker count (0 =
-// GOMAXPROCS). Results are identical at any setting; serving layers
-// use it to budget CPU across concurrent analyses.
-func WithWorkers(n int) Option {
-	return func(c *core.Config) { c.Workers = n }
-}
-
-// WithTmpDir hosts the streaming waker-annotation spill file
-// ("" = os.TempDir). In-memory analyses ignore it.
+// WithTmpDir hosts the waker-annotation spill file
+// ("" = os.TempDir).
 func WithTmpDir(dir string) Option {
 	return func(c *core.Config) { c.TmpDir = dir }
 }
 
-// WithComposition retains per-thread hold intervals during streaming
-// analysis so Analysis.Composition works (in-memory analyses always
-// retain them).
+// WithComposition retains per-thread hold intervals so
+// Analysis.Composition works (TraceSource always retains them).
 func WithComposition(on bool) Option {
 	return func(c *core.Config) { c.Composition = on }
 }
 
-// WithParallelSegments runs streaming passes 1 and 3 over disjoint
-// segment ranges on up to n goroutines, merged deterministically (0 or
-// 1 = sequential). Results are bit-identical at any setting; the
-// source must support concurrent segment loads (segment directories
-// do). In-memory analyses ignore it.
+// WithParallelSegments runs passes 1 and 3 over disjoint segment
+// ranges on up to n goroutines, merged deterministically (0 or 1 =
+// sequential). Results are bit-identical at any setting; the source
+// must support concurrent segment loads (segment directories and
+// in-memory traces do).
 func WithParallelSegments(n int) Option {
 	return func(c *core.Config) { c.ParallelSegments = n }
 }
@@ -148,10 +134,10 @@ func WithMmap(on bool) Option {
 	return func(c *core.Config) { c.NoMmap = !on }
 }
 
-// WithAnnotationBudget caps the memory the streaming analysis spends
-// keeping waker annotations resident (9 bytes per event); runs over
-// budget spill them to a temp file as before. 0 = the default budget,
-// negative = always spill. In-memory analyses ignore it.
+// WithAnnotationBudget caps the memory the analysis spends keeping
+// waker annotations resident (9 bytes per event); runs over budget
+// spill them to a temp file. 0 = the default budget, negative = always
+// spill.
 func WithAnnotationBudget(bytes int64) Option {
 	return func(c *core.Config) { c.AnnotationBudget = bytes }
 }
@@ -169,8 +155,7 @@ func WithProgress(fn func(Progress)) Option {
 }
 
 // Analyze runs critical lock analysis on src with default options
-// (clipped hold accounting, validation on for in-memory traces),
-// adjusted by opts. It is the package's one entry point: the former
+// (clipped hold accounting), adjusted by opts. It is the package's one entry point: the former
 // AnalyzeWithOptions(tr, opts) is Analyze(TraceSource(tr),
 // WithOptions(opts)), and the former AnalyzeStream(src, ...) is
 // Analyze(SegmentsSource(src), ...).

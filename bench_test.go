@@ -185,27 +185,6 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeReuse measures Analyze through a reused Analyzer —
-// index and scratch storage amortized across runs — against the
-// pooled package-level entry point benchmarked by
-// BenchmarkAnalyzeLargeTrace.
-func BenchmarkAnalyzeReuse(b *testing.B) {
-	tr := largeTrace(200_000)
-	a := core.NewAnalyzer()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(tr.Events)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an, err := a.Analyze(tr, core.Options{ClipHold: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if an.CP.Length == 0 {
-			b.Fatal("empty critical path")
-		}
-	}
-}
-
 func BenchmarkAnalyzeLargeTrace(b *testing.B) {
 	tr := largeTrace(200_000)
 	b.ReportAllocs()
@@ -222,13 +201,13 @@ func BenchmarkAnalyzeLargeTrace(b *testing.B) {
 	b.SetBytes(int64(len(tr.Events)))
 }
 
-// BenchmarkAnalyzeStream2M drives the full streaming pipeline over a
+// BenchmarkAnalyzeStream2M drives the analysis pipeline over a
 // 2M-event segmented trace: segment decode, forward annotation pass,
-// windowed backward walk, forward metric pass. The in-memory analyzer
-// runs the same trace for comparison. The streaming side's working set
-// is bounded by the walk window plus the critical-path output — its
-// allocs/op stay flat as the trace grows, where the in-memory side's
-// scale with it (the index alone is several arrays of n).
+// windowed backward walk, forward metric pass. The inmemory
+// sub-benchmark runs the same passes over the event slice through
+// TraceSource (validation, in-memory segments, composition retained)
+// for comparison. The segmented side's working set is bounded by the
+// walk window plus the critical-path output.
 func BenchmarkAnalyzeStream2M(b *testing.B) {
 	tr := largeTrace(2_000_000)
 	dir := b.TempDir()

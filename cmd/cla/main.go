@@ -45,7 +45,6 @@ func run(args []string) error {
 		gantt      = fs.Bool("gantt", false, "print the execution timeline")
 		csvOut     = fs.Bool("csv", false, "emit the lock table as CSV instead of text")
 		noClip     = fs.Bool("noclip", false, "credit full hold time to on-path invocations (ablation)")
-		noCheck    = fs.Bool("novalidate", false, "skip trace validation")
 		windows    = fs.Int("windows", 0, "split the run into N windows and show per-window criticality")
 		lockOrder  = fs.Bool("lockorder", false, "print the lock acquisition-order graph and deadlock cycles")
 		hazards    = fs.Bool("hazards", false, "predict dynamic hazards: feasible deadlocks (cross-thread lock-order cycles), lost signals, guard inconsistencies")
@@ -133,8 +132,7 @@ func run(args []string) error {
 		}
 
 		an, err = critlock.Analyze(critlock.TraceSource(tr),
-			critlock.WithClipHold(!*noClip),
-			critlock.WithValidation(!*noCheck))
+			critlock.WithClipHold(!*noClip))
 		if err != nil {
 			return fmt.Errorf("analyzing: %w", err)
 		}

@@ -61,7 +61,7 @@ func TestAnalyzeBinaryTrace(t *testing.T) {
 	if err := run([]string{"-csv", bin}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-noclip", "-novalidate", bin}); err != nil {
+	if err := run([]string{"-noclip", bin}); err != nil {
 		t.Fatal(err)
 	}
 }

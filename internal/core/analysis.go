@@ -36,13 +36,6 @@ type Options struct {
 	// full hold time — the coarser accounting some prior tools use;
 	// kept as an ablation knob (experiment "ablation-clipping").
 	ClipHold bool
-	// Validate runs trace.Validate before analyzing and fails on
-	// malformed traces. Analyses of traces from unknown provenance
-	// should keep this on.
-	Validate bool
-	// Workers caps the parallel metric pass's worker count; 0 means
-	// GOMAXPROCS. Results are identical at any worker count.
-	Workers int
 	// Observer, when non-nil, receives self-instrumentation callbacks:
 	// per-phase timings and cumulative Progress snapshots. Observation
 	// never changes analysis results.
@@ -50,8 +43,8 @@ type Options struct {
 }
 
 // DefaultOptions returns the recommended options: clipped hold
-// accounting with validation enabled.
-func DefaultOptions() Options { return Options{ClipHold: true, Validate: true} }
+// accounting.
+func DefaultOptions() Options { return Options{ClipHold: true} }
 
 // Analysis is the result of critical lock analysis on one trace.
 type Analysis struct {
@@ -321,14 +314,10 @@ type Totals struct {
 	TotalChanWait    trace.Time
 }
 
-// Analyze runs critical lock analysis with the given options. Internal
-// index storage is recycled through a pool of Analyzers, so repeated
-// calls (sweeps, what-if loops) are allocation-lean; hold an Analyzer
-// directly for explicit reuse control.
+// Analyze runs critical lock analysis on an in-memory trace with the
+// given options: AnalyzeSource(TraceSource(tr), ...).
 func Analyze(tr *trace.Trace, opts Options) (*Analysis, error) {
-	a := analyzerPool.Get().(*Analyzer)
-	defer analyzerPool.Put(a)
-	return a.Analyze(tr, opts)
+	return AnalyzeSource(TraceSource(tr), Config{Options: opts})
 }
 
 // AnalyzeDefault runs Analyze with DefaultOptions.

@@ -9,9 +9,9 @@ import (
 	"critlock/internal/trace"
 )
 
-// Annotations: the streaming stand-in for the in-memory index's
-// posInThread/waker/blocked arrays, stored as two per-event planes with
-// different lifetimes:
+// Annotations: pass 1's per-event output — each event's same-thread
+// predecessor, waker and blocked flag — stored as two per-event planes
+// with different lifetimes:
 //
 //   - links — prev (int32 LE, previous event on the same thread or -1)
 //     and waker (int32 LE or -1), 8 bytes per event. Only the backward
@@ -197,48 +197,28 @@ func (a *annStore) patchPrev(idx int32, prev int32) error {
 	return nil
 }
 
-// readLinks returns the link records [first, first+count). Whole-segment
-// ranges — the only ranges the walk requests — come straight out of the
-// resident shard with no copy in memory mode; buf is reused otherwise.
-func (a *annStore) readLinks(first, count int, buf []byte) ([]byte, error) {
+// readLinks returns segment s's link records. In memory mode they come
+// straight out of the resident shard with no copy; buf is reused
+// otherwise.
+func (a *annStore) readLinks(s int, buf []byte) ([]byte, error) {
 	if a.inMemory() {
-		s := a.segOf(int32(first))
-		if a.firsts[s] == first && a.counts[s] == count {
-			return a.links[s], nil
-		}
-		// Unaligned range (defensive; no current caller): copy out.
-		buf = sizeBuf(buf, count*annLinkSize)
-		for i := 0; i < count; i++ {
-			s := a.segOf(int32(first + i))
-			off := (first + i - a.firsts[s]) * annLinkSize
-			copy(buf[i*annLinkSize:], a.links[s][off:off+annLinkSize])
-		}
-		return buf, nil
+		return a.links[s], nil
 	}
-	buf = sizeBuf(buf, count*annLinkSize)
-	if _, err := a.f.ReadAt(buf, int64(first)*annLinkSize); err != nil {
+	buf = sizeBuf(buf, a.counts[s]*annLinkSize)
+	if _, err := a.f.ReadAt(buf, int64(a.firsts[s])*annLinkSize); err != nil {
 		return nil, fmt.Errorf("core: reading annotations: %w", err)
 	}
 	return buf, nil
 }
 
-// readFlags returns the flag bytes [first, first+count), with the same
-// zero-copy fast path as readLinks.
-func (a *annStore) readFlags(first, count int, buf []byte) ([]byte, error) {
+// readFlags returns segment s's flag bytes, with the same zero-copy
+// memory mode as readLinks.
+func (a *annStore) readFlags(s int, buf []byte) ([]byte, error) {
 	if a.inMemory() {
-		s := a.segOf(int32(first))
-		if a.firsts[s] == first && a.counts[s] == count {
-			return a.flags[s], nil
-		}
-		buf = sizeBuf(buf, count)
-		for i := 0; i < count; i++ {
-			s := a.segOf(int32(first + i))
-			buf[i] = a.flags[s][first+i-a.firsts[s]]
-		}
-		return buf, nil
+		return a.flags[s], nil
 	}
-	buf = sizeBuf(buf, count)
-	if _, err := a.f.ReadAt(buf, int64(a.n)*annLinkSize+int64(first)); err != nil {
+	buf = sizeBuf(buf, a.counts[s])
+	if _, err := a.f.ReadAt(buf, int64(a.n)*annLinkSize+int64(a.firsts[s])); err != nil {
 		return nil, fmt.Errorf("core: reading annotations: %w", err)
 	}
 	return buf, nil

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 
-	"critlock/internal/par"
 	"critlock/internal/trace"
 )
 
@@ -17,7 +15,7 @@ type lockAcc struct {
 	holdByThread []trace.Time
 }
 
-// merge folds src (accumulated over a disjoint set of threads) into a.
+// merge folds src (accumulated over a disjoint segment range) into a.
 func (a *lockAcc) merge(src *lockAcc) {
 	d, s := &a.stats, &src.stats
 	d.Critical = d.Critical || s.Critical
@@ -43,7 +41,7 @@ func (a *lockAcc) merge(src *lockAcc) {
 	}
 }
 
-// mergeChan folds src (accumulated over a disjoint set of threads)
+// mergeChan folds src (accumulated over a disjoint segment range)
 // into dst; every quantity is an integer sum or maximum.
 func mergeChan(dst, src *ChanStats) {
 	dst.Sends += src.Sends
@@ -60,7 +58,7 @@ func mergeChan(dst, src *ChanStats) {
 
 // lockSink is one accumulation domain: the serial pass uses a single
 // sink; the parallel pass gives each worker its own and merges them in
-// chunk order afterwards, so results are bit-identical either way (all
+// range order afterwards, so results are bit-identical either way (all
 // merged quantities are integer sums, maxima or bools).
 type lockSink struct {
 	nThreads int
@@ -104,109 +102,13 @@ func (s *lockSink) chanOf(ch trace.ObjID, name string) *ChanStats {
 	return c
 }
 
-// metricsParallelMin is the invocation count below which the parallel
-// metric pass is not worth its goroutine and merge overhead.
-const metricsParallelMin = 4096
-
-// metricsWorkersOverride forces the worker count (test hook; 0 = off).
-var metricsWorkersOverride int
-
-func metricsWorkers(nInvocations, nThreads, capWorkers int) int {
-	if metricsWorkersOverride > 0 {
-		return metricsWorkersOverride
-	}
-	if capWorkers > 0 {
-		// An explicit Options.Workers cap overrides the size heuristic:
-		// the caller is budgeting CPU (a serving layer running analyses
-		// concurrently), and results are worker-count independent.
-		return capWorkers
-	}
-	if nThreads < 2 || nInvocations < metricsParallelMin {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// computeMetrics fills Analysis.Locks, Analysis.Threads and
-// Analysis.Totals from the walked critical path. The per-thread
-// accumulation (blocking-time accounting, per-lock sums, critical-path
-// clipping) runs on a bounded worker group when the trace is large
-// enough to pay for it; the output is independent of the worker count.
-func computeMetrics(an *Analysis, idx *index, opts Options) {
-	tr := an.Trace
-	nThreads := len(tr.Threads)
-
-	an.Threads = make([]ThreadStats, nThreads)
-	for tid := 0; tid < nThreads; tid++ {
-		ts := &an.Threads[tid]
-		ts.Thread = trace.ThreadID(tid)
-		ts.Name = tr.Threads[tid].Name
-		if si := idx.startIdx[tid]; si >= 0 {
-			ts.Start = tr.Events[si].T
-		}
-		if ei := idx.exitIdx[tid]; ei >= 0 {
-			ts.End = tr.Events[ei].T
-		} else {
-			ts.End = tr.End()
-		}
-		ts.Lifetime = ts.End - ts.Start
-	}
-
-	// Critical-path pieces per thread, for clipping — packed (From, To)
-	// pairs rather than indices into CP.Pieces, so the clip sweep scans
-	// a dense 16-byte stride with no pointer chase; sorted by time in
-	// the per-thread pass below.
-	clipsByThread := make([][]interval, nThreads)
-	clipCounts := make([]int, nThreads)
-	for pi := range an.CP.Pieces {
-		clipCounts[an.CP.Pieces[pi].Thread]++
-	}
-	for tid, n := range clipCounts {
-		if n > 0 {
-			clipsByThread[tid] = make([]interval, 0, n)
-		}
-	}
-	for pi := range an.CP.Pieces {
-		p := &an.CP.Pieces[pi]
-		clipsByThread[p.Thread] = append(clipsByThread[p.Thread], interval{p.From, p.To})
-		an.Threads[p.Thread].TimeOnCP += p.Dur()
-	}
-
-	// Per-thread accumulation, chunked across workers. Each worker
-	// owns a disjoint thread range: ThreadStats and holdsByThread are
-	// indexed by tid (no sharing), per-lock sums go to the worker's
-	// private sink and merge below.
-	an.holdsByThread = make([][]interval, nThreads)
-	an.hotByLock = map[trace.ObjID][]interval{}
-	nObjs := len(tr.Objects)
-	workers := metricsWorkers(len(idx.invocations), nThreads, opts.Workers)
-	sinks := make([]*lockSink, min(workers, nThreads))
-	par.Chunks(nThreads, workers, func(chunk, lo, hi int) {
-		sink := newLockSink(nThreads, nObjs)
-		sinks[chunk] = sink
-		for tid := lo; tid < hi; tid++ {
-			accumulateThread(an, idx, opts, tid, clipsByThread[tid], sink)
-		}
-	})
-
-	// Merge the workers' sinks in chunk (= thread) order.
-	merged := newLockSink(nThreads, nObjs)
-	if len(sinks) > 0 && sinks[0] != nil {
-		merged = sinks[0]
-	}
-	for _, sink := range sinks[1:] {
-		foldSink(merged, sink)
-	}
-	finalizeMetrics(an, merged, len(tr.Events))
-}
-
 // finalizeMetrics turns the merged accumulation sink into the
 // analysis's Locks, Totals and hot-interval index: it registers unused
 // mutexes, sums totals, merges per-lock on-path intervals and computes
-// the derived percentages. Shared by the in-memory and streaming
+// the derived percentages. Shared by the sequential and parallel
 // passes — every merged input is an integer sum/maximum/bool and every
 // float is computed here exactly once, which is what makes the two
-// passes bit-identical.
+// bit-identical.
 func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
 	tr := an.Trace
 	nThreads := len(tr.Threads)
@@ -318,89 +220,6 @@ func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
 	sortChans(an.Chans)
 }
 
-// accumulateThread runs the full per-thread metric pass for tid:
-// blocking-time accounting, per-lock accumulation into sink, and
-// critical-path clipping of the thread's invocations. It writes only
-// tid-indexed analysis state and the sink, so disjoint thread ranges
-// accumulate concurrently.
-func accumulateThread(an *Analysis, idx *index, opts Options, tid int, clips []interval, sink *lockSink) {
-	tr := an.Trace
-	evs := idx.thrEvents[tid]
-	ts := &an.Threads[tid]
-
-	// Blocking-time accounting (barrier, cond, join waits). Condition
-	// waits are matched begin→end because the backend may emit
-	// mutex-reacquisition events between them.
-	var condBegin map[trace.ObjID]trace.Time
-	for pos, gi := range evs {
-		e := tr.Events[gi]
-		if pos == 0 {
-			continue
-		}
-		switch e.Kind {
-		case trace.EvBarrierDepart:
-			if e.Arg == 0 {
-				ts.BarrierWait += e.T - tr.Events[evs[pos-1]].T
-			}
-		case trace.EvCondWaitBegin:
-			if condBegin == nil {
-				condBegin = map[trace.ObjID]trace.Time{}
-			}
-			condBegin[e.Obj] = e.T
-		case trace.EvCondWaitEnd:
-			if begin, ok := condBegin[e.Obj]; ok {
-				ts.CondWait += e.T - begin
-				delete(condBegin, e.Obj)
-			}
-		case trace.EvChanSend:
-			cs := sink.chanOf(e.Obj, tr.ObjName(e.Obj))
-			cs.Sends++
-			if e.Arg&trace.ChanArgBlocked != 0 {
-				w := e.T - tr.Events[evs[pos-1]].T
-				cs.BlockedSends++
-				cs.SendWait += w
-				if w > cs.MaxWait {
-					cs.MaxWait = w
-				}
-				ts.ChanWait += w
-			}
-		case trace.EvChanRecv:
-			cs := sink.chanOf(e.Obj, tr.ObjName(e.Obj))
-			cs.Recvs++
-			if e.Arg&trace.ChanArgBlocked != 0 {
-				w := e.T - tr.Events[evs[pos-1]].T
-				cs.BlockedRecvs++
-				cs.RecvWait += w
-				if w > cs.MaxWait {
-					cs.MaxWait = w
-				}
-				ts.ChanWait += w
-			}
-		case trace.EvChanClose:
-			sink.chanOf(e.Obj, tr.ObjName(e.Obj)).Closes++
-		case trace.EvJoinEnd:
-			if idx.blocked[gi] {
-				ts.JoinWait += e.T - tr.Events[evs[pos-1]].T
-			}
-		}
-	}
-
-	sortClipIndex(clips)
-
-	// Clip invocations against critical-path pieces with a two-pointer
-	// sweep (invocations are in obtain order per thread).
-	invs := idx.invsByThread[tid]
-	if len(invs) > 0 {
-		an.holdsByThread[tid] = make([]interval, 0, len(invs))
-	}
-	cursor := 0
-	for _, pi := range invs {
-		inv := &idx.invocations[pi]
-		an.holdsByThread[tid] = append(an.holdsByThread[tid], interval{inv.obtT, inv.relT})
-		accumulateInvocation(sink, ts, inv, tr.ObjName(inv.lock), opts, clips, &cursor)
-	}
-}
-
 // sortClipIndex time-orders one thread's clip index by piece start.
 // The comparator consults only From, exactly like the []Piece sort it
 // replaced, so the resulting clip order is unchanged (ties keep their
@@ -436,7 +255,7 @@ func sortClipIndex(clips []interval) {
 // its thread's stats, clipping the hold interval against the thread's
 // time-sorted critical-path clip index (indices into cp) via the
 // caller's advancing cursor. Invocations of a thread must arrive in
-// obtain order. Shared by the in-memory and streaming metric passes.
+// obtain order. Shared by the sequential and parallel metric passes.
 func accumulateInvocation(sink *lockSink, ts *ThreadStats, inv *invocation, name string, opts Options, clips []interval, cursor *int) {
 	a := sink.accOf(inv.lock, name)
 	st := &a.stats

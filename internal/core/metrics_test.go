@@ -81,11 +81,11 @@ func TestClippingAblation(t *testing.T) {
 	b.Exit(100, c)
 	tr := b.Trace()
 
-	clipped, err := Analyze(tr, Options{ClipHold: true, Validate: true})
+	clipped, err := Analyze(tr, Options{ClipHold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Analyze(tr, Options{ClipHold: false, Validate: true})
+	full, err := Analyze(tr, Options{ClipHold: false})
 	if err != nil {
 		t.Fatal(err)
 	}

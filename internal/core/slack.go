@@ -44,7 +44,7 @@ type LockSlack struct {
 func (a *Analysis) Slack() *SlackAnalysis {
 	tr := a.Trace
 	n := len(tr.Events)
-	idx, err := buildIndex(tr)
+	prev, waker, blocked, err := annotate(tr)
 	if err != nil || n == 0 {
 		return &SlackAnalysis{}
 	}
@@ -58,17 +58,25 @@ func (a *Analysis) Slack() *SlackAnalysis {
 	// Sinks: each thread's exit event may be as late as the program's
 	// completion time.
 	endT := int64(tr.End())
-	for tid := range idx.exitIdx {
-		if ei := idx.exitIdx[tid]; ei >= 0 {
-			late[ei] = endT
+	for i, e := range tr.Events {
+		if e.Kind == trace.EvThreadExit {
+			late[i] = endT
 		}
 	}
 
-	// wakes[i] lists events woken by event i (inverted waker map).
+	// wakes[i] lists events woken by event i (inverted waker map);
+	// next[i] is the event following i on its thread, or -1.
 	wakes := make([][]int32, n)
+	next := make([]int32, n)
+	for i := range next {
+		next[i] = -1
+	}
 	for i := 0; i < n; i++ {
-		if w := idx.waker[i]; w >= 0 {
+		if w := waker[i]; w >= 0 {
 			wakes[w] = append(wakes[w], int32(i))
+		}
+		if p := prev[i]; p >= 0 {
+			next[p] = int32(i)
 		}
 	}
 
@@ -79,12 +87,9 @@ func (a *Analysis) Slack() *SlackAnalysis {
 		// Intra-thread successor: the executed interval between the
 		// two events has fixed duration, so e can slip exactly as much
 		// as its successor can.
-		pos := idx.posInThread[i]
-		seq := idx.thrEvents[e.Thread]
-		if int(pos)+1 < len(seq) {
-			succ := seq[pos+1]
+		if succ := next[i]; succ >= 0 {
 			d := int64(tr.Events[succ].T - e.T)
-			if idx.blocked[succ] && idx.waker[succ] >= 0 {
+			if blocked[succ] && waker[succ] >= 0 {
 				// The interval before an attributed unblock event is
 				// wait: it absorbs slippage, so the edge only orders
 				// (weight 0) — the successor's timing is bound by its
@@ -92,7 +97,7 @@ func (a *Analysis) Slack() *SlackAnalysis {
 				d = 0
 			}
 			if late[succ] != inf {
-				late[i] = min64(late[i], late[succ]-d)
+				late[i] = min(late[i], late[succ]-d)
 			}
 		}
 		// Cross-thread wake edges: the woken event cannot happen
@@ -100,7 +105,7 @@ func (a *Analysis) Slack() *SlackAnalysis {
 		// time (the edge itself has zero duration).
 		for _, w := range wakes[i] {
 			if late[w] != inf {
-				late[i] = min64(late[i], late[w])
+				late[i] = min(late[i], late[w])
 			}
 		}
 		if late[i] == inf {
@@ -164,9 +169,35 @@ func (sa *SlackAnalysis) NearCritical(eps trace.Time) []LockSlack {
 	return out
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// annotate runs pass 1's waker resolution over an in-memory trace and
+// unpacks its annotations: per event, the preceding event on its
+// thread (-1 if none), the waker (-1 if none), and whether the interval
+// before it was spent blocked.
+func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) {
+	src := memSegments{tr}
+	n := src.NumEvents()
+	ann, err := newAnnStore(src, n, "", 0)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return b
+	defer ann.remove()
+	if _, err := streamPass1(src, tr, ann, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	prev, waker, blocked = make([]int32, n), make([]int32, n), make([]bool, n)
+	var lk, fl []byte
+	for s := 0; s < src.NumSegments(); s++ {
+		if lk, err = ann.readLinks(s, lk); err != nil {
+			return nil, nil, nil, err
+		}
+		if fl, err = ann.readFlags(s, fl); err != nil {
+			return nil, nil, nil, err
+		}
+		first, _ := src.SegmentBounds(s)
+		for k := range fl {
+			prev[first+k], waker[first+k] = getAnnLink(lk[k*annLinkSize:])
+			blocked[first+k] = fl[k]&annBlocked != 0
+		}
+	}
+	return prev, waker, blocked, nil
 }

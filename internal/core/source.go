@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"critlock/internal/obs"
@@ -10,40 +11,37 @@ import (
 
 // ErrNeedsRawEvents marks an operation that replays the raw event
 // stream (Gantt timelines, lock-order graphs, the online predictor)
-// applied to a streamed analysis, which keeps only the registration
-// skeleton. Re-run the operation on a full in-memory trace.
+// applied to the analysis of a segmented trace, which keeps only the
+// registration skeleton. Re-run the operation on a full in-memory trace.
 var ErrNeedsRawEvents = errors.New("needs raw events (streamed analysis keeps only the trace skeleton)")
 
 // HasEvents reports whether the analysis retained the raw event
-// stream. Streamed analyses hold only the skeleton, so event-replay
-// consumers (timeline renderers, lock-order graphs) must check this —
-// or propagate ErrNeedsRawEvents.
+// stream. Analyses of segmented traces hold only the skeleton, so
+// event-replay consumers (timeline renderers, lock-order graphs) must
+// check this — or propagate ErrNeedsRawEvents.
 func (a *Analysis) HasEvents() bool {
 	return a.Trace != nil && len(a.Trace.Events) > 0
 }
 
-// Config is the unified analysis configuration: the Options both
-// pipelines share plus the streaming-only knobs. The zero value means
-// unclipped holds and no validation; start from DefaultConfig for the
-// recommended defaults.
+// Config is the analysis configuration: the Options every analysis
+// takes plus the pipeline's tuning knobs. The zero value means
+// unclipped holds; start from DefaultConfig for the recommended
+// defaults.
 type Config struct {
 	Options
-	// CacheSegments is the streaming backward walk's window: how many
-	// decoded segments stay resident at once (0 = default, minimum 1).
-	// Ignored by the in-memory pipeline.
+	// CacheSegments is the backward walk's window: how many decoded
+	// segments stay resident at once (0 = default, minimum 1).
 	CacheSegments int
-	// TmpDir hosts the streaming waker-annotation spill file
-	// ("" = os.TempDir). Ignored by the in-memory pipeline.
+	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
 	TmpDir string
-	// Composition retains per-thread hold intervals during streaming
-	// analysis so Analysis.Composition works; it costs O(invocations)
-	// memory, so it is off by default there. The in-memory pipeline
-	// always retains them.
+	// Composition retains per-thread hold intervals so
+	// Analysis.Composition works; it costs O(invocations) memory, so it
+	// is off by default for segmented traces. TraceSource always
+	// retains them.
 	Composition bool
-	// ParallelSegments runs streaming passes 1 and 3 over disjoint
-	// segment ranges on up to this many goroutines, merged
-	// deterministically (0 or 1 = sequential). Results are
-	// bit-identical at any setting. Ignored by the in-memory pipeline.
+	// ParallelSegments runs passes 1 and 3 over disjoint segment ranges
+	// on up to this many goroutines, merged deterministically (0 or 1 =
+	// sequential). Results are bit-identical at any setting.
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Consulted by sources that open segment
@@ -53,63 +51,104 @@ type Config struct {
 	// AnnotationBudget caps the resident waker-annotation shards
 	// (9 bytes per event); a run over budget spills them to a TmpDir
 	// temp file instead. 0 = DefaultAnnotationBudget, negative =
-	// always spill. Ignored by the in-memory pipeline.
+	// always spill.
 	AnnotationBudget int64
 }
 
 // DefaultConfig returns the recommended configuration: clipped hold
-// accounting with validation enabled.
+// accounting.
 func DefaultConfig() Config { return Config{Options: DefaultOptions()} }
 
-// Source is where the unified Analyze entry point reads a trace from:
-// an in-memory event array, an open segmented-trace reader, or any
-// other provider that knows which pipeline fits it. The two built-in
-// constructors are TraceSource and StreamSource; callers with custom
-// acquisition (open a directory lazily, download first) implement Run
-// and delegate to one of them.
+// Source is where AnalyzeSource reads a trace from: an in-memory event
+// array, an open segmented-trace reader, or any other provider. The two
+// built-in constructors are TraceSource and StreamSource; callers with
+// custom acquisition (open a directory lazily, download first)
+// implement Run and delegate to one of them.
 type Source interface {
-	// Run executes the analysis pipeline appropriate for this source
-	// on a, which retains reusable scratch storage across calls.
-	Run(a *Analyzer, cfg Config) (*Analysis, error)
+	// Run executes the analysis over this source.
+	Run(cfg Config) (*Analysis, error)
 }
+
+// memSegmentEvents is the segment size TraceSource views an in-memory
+// trace in. Small segments keep the walk window and each pass's decoded
+// columns small; larger ones raised peak memory without saving time.
+const memSegmentEvents = 4096
 
 // traceSource analyzes an in-memory trace.
 type traceSource struct{ tr *trace.Trace }
 
-// TraceSource adapts an in-memory trace: Analyze runs the indexed
-// pipeline (index → walk → metrics) over the event array.
+// TraceSource adapts an in-memory trace: Analyze validates it, then runs
+// the segment passes over its events viewed as fixed-size in-memory
+// segments, with Composition on. Analysis.Trace is tr itself, so
+// event-replay operations (timelines, lock-order graphs, slack) work.
 func TraceSource(tr *trace.Trace) Source { return traceSource{tr} }
 
-func (s traceSource) Run(a *Analyzer, cfg Config) (*Analysis, error) {
-	return a.analyzeTrace(s.tr, cfg)
+func (s traceSource) Run(cfg Config) (*Analysis, error) {
+	if s.tr == nil || len(s.tr.Events) == 0 {
+		return nil, trace.ErrEmptyTrace
+	}
+	h := newObsHook(cfg.Observer, len(s.tr.Events))
+	start := h.phaseStart("validate")
+	if err := trace.Validate(s.tr); err != nil {
+		return nil, fmt.Errorf("core: invalid trace: %w", err)
+	}
+	h.phaseDone("validate", start, int64(len(s.tr.Events)))
+	cfg.Composition = true
+	return AnalyzeStream(memSegments{s.tr}, cfg)
+}
+
+// memSegments presents an in-memory trace as consecutive
+// memSegmentEvents-event segments. Loads copy straight out of the
+// event slice — nothing is encoded — and are safe from concurrent
+// goroutines. The trace serves as its own skeleton: the passes read
+// only its threads, objects and metadata.
+type memSegments struct{ tr *trace.Trace }
+
+func (m memSegments) Skeleton() *trace.Trace { return m.tr }
+func (m memSegments) NumEvents() int         { return len(m.tr.Events) }
+
+func (m memSegments) NumSegments() int {
+	return (len(m.tr.Events) + memSegmentEvents - 1) / memSegmentEvents
+}
+
+func (m memSegments) SegmentBounds(i int) (first, count int) {
+	first = i * memSegmentEvents
+	return first, min(memSegmentEvents, len(m.tr.Events)-first)
+}
+
+func (m memSegments) events(i int) []trace.Event {
+	first, count := m.SegmentBounds(i)
+	return m.tr.Events[first : first+count]
+}
+
+func (m memSegments) LoadSegment(i int, buf []trace.Event) ([]trace.Event, error) {
+	return append(buf[:0], m.events(i)...), nil
+}
+
+func (m memSegments) LoadColumns(i int, cols *trace.Columns) (int64, error) {
+	evs := m.events(i)
+	cols.Reset(len(evs))
+	cols.AppendEvents(evs)
+	return 0, nil
 }
 
 // streamSource analyzes a segmented trace in bounded memory.
 type streamSource struct{ src SegmentSource }
 
 // StreamSource adapts a segmented trace (an open segment.Reader, a
-// spiller's result, or any SegmentSource): Analyze runs the
-// three-pass bounded-memory pipeline.
+// spiller's result, or any SegmentSource): Analyze runs the passes
+// straight over its segments.
 func StreamSource(src SegmentSource) Source { return streamSource{src} }
 
-func (s streamSource) Run(a *Analyzer, cfg Config) (*Analysis, error) {
-	return a.analyzeStream(s.src, cfg)
+func (s streamSource) Run(cfg Config) (*Analysis, error) {
+	return AnalyzeStream(s.src, cfg)
 }
 
-// AnalyzeSource is the unified entry point both pipelines share: every
-// consumer — the facade, the CLIs, the serving layer — dispatches
-// through it, so options and instrumentation behave identically
-// everywhere. Internal storage is recycled through the analyzer pool.
+// AnalyzeSource is the unified entry point: every consumer — the
+// facade, the CLIs, the serving layer — dispatches through it, so
+// options and instrumentation behave identically everywhere.
 func AnalyzeSource(src Source, cfg Config) (*Analysis, error) {
-	a := analyzerPool.Get().(*Analyzer)
-	defer analyzerPool.Put(a)
-	return a.AnalyzeSource(src, cfg)
-}
-
-// AnalyzeSource is the Analyzer form of the package-level
-// AnalyzeSource, for pipelines holding an Analyzer for reuse.
-func (a *Analyzer) AnalyzeSource(src Source, cfg Config) (*Analysis, error) {
-	return src.Run(a, cfg)
+	return src.Run(cfg)
 }
 
 // obsHook adapts an obs.Observer for the analysis hot path: nil-safe

@@ -8,13 +8,14 @@ import (
 	"critlock/internal/trace"
 )
 
-// SegmentSource is the streaming analyzer's view of a segmented trace
-// (implemented by segment.Reader): the registration skeleton plus
-// random access to whole decoded segments. Segments partition the
-// canonically ordered event sequence into contiguous runs.
+// SegmentSource is the analyzer's view of a segmented trace
+// (implemented by segment.Reader, and by TraceSource's in-memory
+// segments): the registration skeleton plus random access to whole
+// decoded segments. Segments partition the canonically ordered event
+// sequence into contiguous runs.
 type SegmentSource interface {
-	// Skeleton returns threads, objects and metadata with a nil event
-	// slice.
+	// Skeleton returns threads, objects and metadata. Its event slice
+	// is not read; segment readers leave it nil.
 	Skeleton() *trace.Trace
 	// NumEvents is the total event count.
 	NumEvents() int
@@ -28,7 +29,7 @@ type SegmentSource interface {
 }
 
 // ColumnSource is a SegmentSource that can decode segments straight
-// into a columnar layout — the streaming passes' fast path (no
+// into a columnar layout — the passes' fast path (no
 // per-event struct materialization; segment.Reader batch-decodes from
 // the mapped file). LoadColumns resets cols and reports the encoded
 // body bytes consumed (0 if unknown). Distinct segments must be
@@ -44,15 +45,17 @@ type ColumnSource interface {
 const DefaultCacheSegments = 4
 
 // AnalyzeStream runs critical lock analysis over a segmented trace in
-// bounded memory. The result is bit-identical to Analyze on the same
-// events (Analysis.Trace holds the skeleton rather than the events,
-// and holdsByThread is only populated with cfg.Composition).
+// bounded memory. It is the one analysis pipeline: in-memory traces
+// run it too, viewed as fixed-size segments (TraceSource).
+// Analysis.Trace holds the source's skeleton, and holdsByThread is only
+// populated with cfg.Composition.
 //
-// Options.Validate is not consulted: whole-trace validation would
-// defeat the memory bound, and the streaming passes already enforce
-// the invariants the analysis depends on (canonical ordering and
-// checksums in the segment reader, thread ranges and
-// acquire/obtain/release pairing in the passes).
+// The passes do not run trace.Validate: whole-trace validation would
+// defeat the memory bound, and the passes already enforce the
+// invariants the analysis depends on (canonical ordering and checksums
+// in the segment reader; thread ranges, lock and channel object ranges
+// and acquire/obtain/release pairing in the passes). TraceSource
+// validates before it streams.
 //
 // Three passes, per the paper's structure:
 //
@@ -69,21 +72,6 @@ const DefaultCacheSegments = 4
 // segment ranges concurrently and merge deterministically; the result
 // is bit-identical at any setting.
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
-	return NewAnalyzer().AnalyzeStream(src, cfg)
-}
-
-// AnalyzeStream is the Analyzer form of the package-level
-// AnalyzeStream. The streaming passes keep no event-count-sized state,
-// so unlike Analyze there is no retained storage to reuse; the method
-// exists so pipelines can drive both modes through one Analyzer.
-func (a *Analyzer) AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
-	return a.analyzeStream(src, cfg)
-}
-
-// analyzeStream is the bounded-memory pipeline behind StreamSource:
-// pass1 (waker annotation) → walk → pass3 (metrics), with per-phase
-// observation.
-func (a *Analyzer) analyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	n := src.NumEvents()
 	if n == 0 {
 		return nil, trace.ErrEmptyTrace
@@ -179,8 +167,15 @@ type barEpisode struct {
 	departs          int
 	// pending are blocked departs seen before the episode completed
 	// (with equal timestamps a depart can sort before the last
-	// arrive, exactly why the in-memory pass defers them too).
+	// arrive).
 	pending []pendingDepart
+}
+
+// pendingDepart is a blocked barrier depart awaiting its episode's
+// last arrive.
+type pendingDepart struct {
+	idx    int32
+	thread trace.ThreadID
 }
 
 // barStream is the per-barrier streaming state: live episodes plus the
@@ -217,8 +212,8 @@ func (q *intQueue) pop() (int, bool) {
 	return v, true
 }
 
-// condStream mirrors the in-memory per-cond state: FIFO of blocked
-// waiters plus resolved wakers.
+// condStream is the per-cond state: FIFO of blocked waiters plus
+// resolved wakers.
 type condStream struct {
 	waiting []trace.ThreadID
 	wakerOf map[trace.ThreadID]int32
@@ -229,6 +224,103 @@ type annPatch struct {
 	idx   int32
 	waker int32
 }
+
+// chanPairing resolves channel wakers for one channel by FIFO pairing
+// of completion events. Both backends stamp a blocked operation's
+// completion after the waker's own event (waker first, wakee second at
+// the same instant), so every waker is already in the past when the
+// blocked completion is scanned and resolution needs no deferred
+// patches:
+//
+//   - value receive #r is delivered by send #r (the value it takes,
+//     whether handed off directly or drained from the buffer);
+//   - send #s on a capacity-C channel is admitted by receive #(s-C),
+//     the receive that freed its buffer slot (for C = 0, the
+//     rendezvous partner #s itself);
+//   - a receive carrying ChanArgClosed consumed no send: its waker is
+//     the close event.
+//
+// Completed pairings are pruned as the counters advance, so live state
+// is O(outstanding operations), never O(trace).
+type chanPairing struct {
+	capacity int
+	// sendIdx[s-sendBase] is the event index of send completion #s;
+	// entries below recvs are consumed and pruned.
+	sendIdx  []int32
+	sendBase int
+	sends    int
+	// recvIdx[r-recvBase] is the event index of value receive #r;
+	// entries below sends-capacity can no longer admit a sender.
+	recvIdx   []int32
+	recvBase  int
+	recvs     int
+	lastClose int32
+}
+
+func newChanPairing(capacity int) *chanPairing {
+	if capacity < 0 {
+		capacity = 0
+	}
+	return &chanPairing{capacity: capacity, lastClose: -1}
+}
+
+func (cs *chanPairing) sendAt(s int) int32 {
+	if s < cs.sendBase || s >= cs.sends {
+		return -1
+	}
+	return cs.sendIdx[s-cs.sendBase]
+}
+
+func (cs *chanPairing) recvAt(r int) int32 {
+	if r < cs.recvBase || r >= cs.recvs {
+		return -1
+	}
+	return cs.recvIdx[r-cs.recvBase]
+}
+
+// send records send completion #sends at event index i and returns the
+// waker for blocked sends (or -1).
+func (cs *chanPairing) send(i int32, blocked bool) int32 {
+	waker := int32(-1)
+	if blocked {
+		waker = cs.recvAt(cs.sends - cs.capacity)
+	}
+	cs.sendIdx = append(cs.sendIdx, i)
+	cs.sends++
+	// Receives numbered below sends-capacity can no longer be anyone's
+	// waker; drop them from the front.
+	for cs.recvBase < cs.sends-cs.capacity && len(cs.recvIdx) > 0 {
+		cs.recvIdx = cs.recvIdx[1:]
+		cs.recvBase++
+	}
+	return waker
+}
+
+// recv records a receive completion at event index i and returns the
+// waker for blocked receives (or -1). Closed receives consumed no send
+// and advance no counter.
+func (cs *chanPairing) recv(i int32, blocked, closed bool) int32 {
+	if closed {
+		if blocked {
+			return cs.lastClose
+		}
+		return -1
+	}
+	waker := int32(-1)
+	if blocked {
+		waker = cs.sendAt(cs.recvs)
+	}
+	cs.recvIdx = append(cs.recvIdx, i)
+	cs.recvs++
+	// Sends numbered below recvs are paired; drop them from the front.
+	for cs.sendBase < cs.recvs && len(cs.sendIdx) > 0 {
+		cs.sendIdx = cs.sendIdx[1:]
+		cs.sendBase++
+	}
+	return waker
+}
+
+func (cs *chanPairing) close(i int32) { cs.lastClose = i }
 
 // pass1Sync is the sequential waker state machine for every
 // synchronization kind whose resolution needs global order: thread
@@ -396,7 +488,7 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 					rec.waker = epi.lastArrive
 				}
 			} else {
-				epi.pending = append(epi.pending, pendingDepart{idx: i, obj: obj, thread: thread, episode: ep})
+				epi.pending = append(epi.pending, pendingDepart{idx: i, thread: thread})
 			}
 		}
 		if epi != nil && bs.parties > 0 && epi.arrives >= bs.parties &&
@@ -472,8 +564,8 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 }
 
 // finish resolves barrier episodes that never completed (truncated
-// traces, zero-party barriers): their last arrive so far is the waker,
-// as in the in-memory post-pass. Returns all deferred patches.
+// traces, zero-party barriers): their last arrive so far is the waker.
+// Returns all deferred patches.
 func (m *pass1Sync) finish() []annPatch {
 	for _, bs := range m.barriers {
 		for _, epi := range bs.episodes {
@@ -485,6 +577,19 @@ func (m *pass1Sync) finish() []annPatch {
 		}
 	}
 	return m.patches
+}
+
+// indexesObj reports whether the passes index per-object state by an
+// event of this kind's object — lock and channel events — so pass 1
+// must range-check it: segment input arrives unvalidated, and the
+// decoder accepts any object ID, NoObj included.
+func indexesObj(kind trace.EventKind) bool {
+	switch kind {
+	case trace.EvLockAcquire, trace.EvLockObtain, trace.EvLockRelease,
+		trace.EvChanSend, trace.EvChanRecv, trace.EvChanClose:
+		return true
+	}
+	return false
 }
 
 // isSyncKind reports whether kind routes through pass1Sync. Lock
@@ -536,6 +641,10 @@ func streamPass1(src ColumnSource, skel *trace.Trace, ann *annStore, h *obsHook)
 			if th < 0 || int(th) >= nThreads {
 				return nil, fmt.Errorf("core: event %d references thread %d out of range", i, th)
 			}
+			kind := trace.EventKind(cKind[k])
+			if obj := cObj[k]; uint32(obj) >= uint32(len(lastRelease)) && indexesObj(kind) {
+				return nil, fmt.Errorf("core: event %d: %s references object %d out of range", i, kind, obj)
+			}
 			t := cT[k]
 			if i == 0 {
 				p1.firstT = t
@@ -544,18 +653,14 @@ func streamPass1(src ColumnSource, skel *trace.Trace, ann *annStore, h *obsHook)
 			rec := annRec{prev: lastOfThread[th], waker: -1}
 			lastOfThread[th] = i
 
-			switch kind := trace.EventKind(cKind[k]); kind {
+			switch kind {
 			case trace.EvLockObtain:
 				if cArg[k]&trace.LockArgContended != 0 {
 					rec.flags |= annBlocked
-					if obj := cObj[k]; obj >= 0 && int(obj) < len(lastRelease) {
-						rec.waker = lastRelease[obj]
-					}
+					rec.waker = lastRelease[cObj[k]]
 				}
 			case trace.EvLockRelease:
-				if obj := cObj[k]; obj >= 0 && int(obj) < len(lastRelease) {
-					lastRelease[obj] = i
-				}
+				lastRelease[cObj[k]] = i
 			default:
 				if isSyncKind(kind) {
 					sync.step(i, kind, trace.ThreadID(th), trace.ObjID(cObj[k]), cArg[k], t, cSeq[k], &rec)
@@ -662,11 +767,11 @@ func (l *segLoader) window(i int32) (*segWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	links, err := l.ann.readLinks(first, count, reuse.links)
+	links, err := l.ann.readLinks(seg, reuse.links)
 	if err != nil {
 		return nil, err
 	}
-	flags, err := l.ann.readFlags(first, count, reuse.flags)
+	flags, err := l.ann.readFlags(seg, reuse.flags)
 	if err != nil {
 		return nil, err
 	}
@@ -742,12 +847,25 @@ func (r *revChunks[T]) forward() []T {
 	return out
 }
 
-// streamWalk is the backward critical-path walk (paper Fig. 2) over
-// windowed segments. It mirrors walk() step for step — anchor choice,
-// the condition-wait re-acquisition special case, piece emission — but
-// reads events and waker edges through the loader instead of in-memory
-// arrays. The differential oracle in the test suite holds the two
-// implementations identical.
+// streamWalk is the backward critical-path traversal of the paper's
+// Fig. 2 over windowed segments:
+//
+//	seg  = find_the_last_segment();
+//	stop = find_the_first_segment();
+//	while (seg != stop) {
+//	    if (segment_blocked_in_the_beginning(seg))
+//	        seg = find_the_segment_released_me(seg);
+//	    else
+//	        seg = find_the_previous_segment(seg);
+//	}
+//
+// Events stand in for segment boundaries: the "segment" ending at event
+// e is the interval [prev(e).T, e.T] on e's thread. If e is an unblock
+// event (contended obtain, barrier depart of a non-last arriver, cond
+// wait end, blocked join end, blocked channel operation, thread start),
+// that interval was idle and the walk jumps to the waker pass 1
+// resolved; otherwise the interval is recorded as a critical-path piece
+// and the walk steps back on the same thread.
 func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	// Anchor: the exit event of the last-finishing thread; fall back
 	// to the globally last event for truncated traces.
@@ -780,6 +898,10 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	var jumps revChunks[Jump]
 
 	cur := anchor
+	// Each iteration either jumps (always followed by a non-jump step,
+	// since waker events are never unblock events) or consumes one
+	// per-thread predecessor, so 2·n+2 bounds any terminating walk; the
+	// guard turns a cycle in malformed input into an error, not a hang.
 	maxSteps := 2*n + 2
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
@@ -913,6 +1035,43 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	return cp, nil
 }
 
+// jumpKindOf maps an unblock event to its dependency category.
+func jumpKindOf(k trace.EventKind) JumpKind {
+	switch k {
+	case trace.EvLockObtain:
+		return JumpLock
+	case trace.EvBarrierDepart:
+		return JumpBarrier
+	case trace.EvCondWaitEnd:
+		return JumpCond
+	case trace.EvJoinEnd:
+		return JumpJoin
+	case trace.EvThreadStart:
+		return JumpStart
+	case trace.EvChanSend, trace.EvChanRecv:
+		return JumpChan
+	}
+	return 0
+}
+
+// invocation is one critical section: acquire/obtain/release event
+// indices plus derived timing.
+type invocation struct {
+	lock       trace.ObjID
+	thread     trace.ThreadID
+	acquireIdx int32
+	obtainIdx  int32
+	releaseIdx int32 // -1 if the trace ends mid-hold
+	acqT       trace.Time
+	obtT       trace.Time
+	relT       trace.Time
+	contended  bool
+	shared     bool
+}
+
+func (inv *invocation) wait() trace.Time { return inv.obtT - inv.acqT }
+func (inv *invocation) hold() trace.Time { return inv.relT - inv.obtT }
+
 // streamThread is pass 3's per-thread state: the previous event's
 // timestamp, matched cond-wait begins, the FIFO of in-flight lock
 // invocations (acquire order) and the thread's critical-path clip
@@ -1014,7 +1173,7 @@ func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []strea
 
 	// Critical-path pieces per thread, packed as (From, To) pairs and
 	// sorted by time for clipping — the same construction and sort the
-	// in-memory pass uses, so tie orders match exactly.
+	// parallel pass uses, so tie orders match exactly.
 	threads := make([]streamThread, nThreads)
 	counts := make([]int, nThreads)
 	for pi := range an.CP.Pieces {
@@ -1038,8 +1197,7 @@ func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []strea
 
 // streamPass3 is the forward metric pass: per-thread blocking-time
 // accounting and per-lock accumulation, delivering each thread's
-// invocations in acquire order (identical to the in-memory
-// invsByThread order) as their critical sections close.
+// invocations in acquire order as their critical sections close.
 func streamPass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, h *obsHook) error {
 	nThreads := len(skel.Threads)
 	threads := initStreamThreads(an, skel, p1)
@@ -1062,12 +1220,12 @@ func streamPass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Re
 	var flagsBuf []byte
 	i := int32(0)
 	for s := 0; s < src.NumSegments(); s++ {
-		first, count := src.SegmentBounds(s)
 		bytes, err := src.LoadColumns(s, &cols)
 		if err != nil {
 			return err
 		}
-		flagsBuf, err = ann.readFlags(first, count, flagsBuf)
+		count := cols.Len()
+		flagsBuf, err = ann.readFlags(s, flagsBuf)
 		if err != nil {
 			return err
 		}
@@ -1080,9 +1238,8 @@ func streamPass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Re
 			obj := trace.ObjID(cObj[k])
 			arg := cArg[k]
 
-			// Blocking-time accounting skips each thread's first event
-			// (as the in-memory pass does: there is no preceding
-			// interval to account).
+			// Blocking-time accounting skips each thread's first event:
+			// there is no preceding interval to account.
 			if st.seen {
 				ts := &an.Threads[tid]
 				switch kind {
@@ -1165,8 +1322,8 @@ func streamPass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Re
 				inv.releaseIdx = i
 				inv.relT = t
 				st.open.del(obj)
-				// Deliver the closed prefix of the queue — acquire
-				// order, matching the in-memory pass.
+				// Deliver the closed prefix of the queue, in acquire
+				// order.
 				for st.head < len(st.pend) && st.pend[st.head].releaseIdx >= 0 {
 					if st.pend[st.head].obtainIdx >= 0 {
 						deliver(tid, &st.pend[st.head])
@@ -1184,8 +1341,8 @@ func streamPass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Re
 	}
 
 	// End of trace: invocations still open get the trace's end as
-	// their release (as the in-memory pass does), then deliver the
-	// rest of every queue in acquire order.
+	// their release, then deliver the rest of every queue in acquire
+	// order.
 	for tid := range threads {
 		st := &threads[tid]
 		for k := st.head; k < len(st.pend); k++ {

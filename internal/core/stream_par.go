@@ -108,6 +108,11 @@ func streamPass1Par(src ColumnSource, skel *trace.Trace, ann *annStore, workers 
 					r.err = fmt.Errorf("core: event %d references thread %d out of range", gi, th)
 					return
 				}
+				kind := trace.EventKind(cKind[k])
+				if obj := cObj[k]; uint32(obj) >= uint32(nObjs) && indexesObj(kind) {
+					r.err = fmt.Errorf("core: event %d: %s references object %d out of range", gi, kind, obj)
+					return
+				}
 				t := cT[k]
 				if !r.hasEvents {
 					r.firstT = t
@@ -120,22 +125,18 @@ func streamPass1Par(src ColumnSource, skel *trace.Trace, ann *annStore, workers 
 				}
 				r.lastOfThread[th] = gi
 
-				switch kind := trace.EventKind(cKind[k]); kind {
+				switch kind {
 				case trace.EvLockObtain:
 					if cArg[k]&trace.LockArgContended != 0 {
 						rec.flags |= annBlocked
-						if obj := cObj[k]; obj >= 0 && int(obj) < nObjs {
-							if lr := r.lastRelease[obj]; lr >= 0 {
-								rec.waker = lr
-							} else {
-								r.boundary = append(r.boundary, boundaryObtain{idx: gi, obj: trace.ObjID(obj)})
-							}
+						if lr := r.lastRelease[cObj[k]]; lr >= 0 {
+							rec.waker = lr
+						} else {
+							r.boundary = append(r.boundary, boundaryObtain{idx: gi, obj: trace.ObjID(cObj[k])})
 						}
 					}
 				case trace.EvLockRelease:
-					if obj := cObj[k]; obj >= 0 && int(obj) < nObjs {
-						r.lastRelease[obj] = gi
-					}
+					r.lastRelease[cObj[k]] = gi
 				default:
 					if isSyncKind(kind) {
 						r.sync = append(r.sync, syncEv{
@@ -368,7 +369,7 @@ func streamPass3Par(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass
 				r.err = err
 				return
 			}
-			flagsBuf, err = ann.readFlags(first, count, flagsBuf)
+			flagsBuf, err = ann.readFlags(s, flagsBuf)
 			if err != nil {
 				r.err = err
 				return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"critlock/internal/core"
@@ -48,8 +49,8 @@ func segmented(t *testing.T, tr *trace.Trace, segEvents, frameEvents int, noMmap
 	return r
 }
 
-// requireIdentical asserts that the streaming analysis matches the
-// in-memory one on every exported result.
+// requireIdentical asserts that the pipeline's analysis (str) matches
+// the reference (mem) on every exported result.
 func requireIdentical(t *testing.T, mem, str *core.Analysis, composition bool) {
 	t.Helper()
 	if !reflect.DeepEqual(mem.CP, str.CP) {
@@ -106,11 +107,12 @@ func requireIdentical(t *testing.T, mem, str *core.Analysis, composition bool) {
 	}
 }
 
-// TestAnalyzeStreamMatchesInMemory is the differential oracle for the
-// tentpole invariant: AnalyzeStream over segments is bit-identical to
-// Analyze over the same events, across workloads, seeds, segment
-// sizes (including the pathological 1-event segments), walk-window
-// sizes, pass parallelism, mmap on/off and annotation spill mode.
+// TestAnalyzeStreamMatchesInMemory is the oracle for the pipeline: the
+// analysis of a segmented trace, and of the same trace in memory
+// through TraceSource, is bit-identical to the in-memory reference
+// (reference_test.go) across workloads, seeds, segment sizes (including
+// the pathological 1-event segments), walk-window sizes, pass
+// parallelism, mmap on/off and annotation spill mode.
 func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 	type cfg struct {
 		workload string
@@ -125,8 +127,8 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 		{"tsp", 6, 2},
 		{"waternsq", 8, 1},
 		{"uts", 6, 1},
-		// Channel workloads: send/recv/select wakers must stream
-		// identically to the in-memory index.
+		// Channel workloads: send/recv/select wakers must match the
+		// reference's channel pairing.
 		{"pipeline", 4, 1},
 		{"pipeline", 6, 2},
 		{"fanin", 4, 1},
@@ -137,10 +139,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 		t.Run(c.workload+"/"+string(rune('0'+c.threads))+"t", func(t *testing.T) {
 			t.Parallel()
 			tr := simTrace(t, c.workload, c.threads, c.seed)
-			mem, err := core.Analyze(tr, core.DefaultOptions())
-			if err != nil {
-				t.Fatalf("Analyze: %v", err)
-			}
+			mem := core.ReferenceAnalysis(tr, core.DefaultOptions())
 			n := len(tr.Events)
 
 			segSizes := []int{n/7 + 1, 64}
@@ -148,11 +147,11 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				// Small traces earn the pathological shapes.
 				segSizes = append(segSizes, 7, 1)
 			}
-			check := func(r *segment.Reader, cfg core.Config, label string) {
+			check := func(src core.Source, cfg core.Config, label string) {
 				t.Helper()
-				str, err := core.AnalyzeStream(r, cfg)
+				str, err := core.AnalyzeSource(src, cfg)
 				if err != nil {
-					t.Fatalf("AnalyzeStream(%s): %v", label, err)
+					t.Fatalf("AnalyzeSource(%s): %v", label, err)
 				}
 				requireIdentical(t, mem, str, true)
 				if t.Failed() {
@@ -163,7 +162,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				for _, noMmap := range []bool{false, true} {
 					r := segmented(t, tr, segEvents, 16, noMmap)
 					for _, par := range []int{1, 2, 8} {
-						check(r, core.Config{
+						check(core.StreamSource(r), core.Config{
 							Options:          core.DefaultOptions(),
 							CacheSegments:    2,
 							Composition:      true,
@@ -172,25 +171,32 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 					}
 				}
 			}
+			// TraceSource views the same events as in-memory segments;
+			// it must land on the same result through every knob.
+			mt := core.TraceSource(tr)
+			for _, par := range []int{1, 2, 8} {
+				check(mt, core.Config{Options: core.DefaultOptions(), ParallelSegments: par},
+					fmt.Sprintf("trace par=%d", par))
+			}
 			// Walk-window sweep (the backward walk is sequential at
 			// any parallelism; vary its residency separately).
-			r := segmented(t, tr, segSizes[0], 16, false)
+			r := core.StreamSource(segmented(t, tr, segSizes[0], 16, false))
 			for _, window := range []int{1, 2, 4} {
-				check(r, core.Config{
-					Options:       core.DefaultOptions(),
-					CacheSegments: window,
-					Composition:   true,
-				}, fmt.Sprintf("window=%d", window))
+				cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: window, Composition: true}
+				check(r, cfg, fmt.Sprintf("window=%d", window))
+				check(mt, cfg, fmt.Sprintf("trace window=%d", window))
 			}
 			// Spill mode: a negative annotation budget forces the
 			// temp-file path, sequential and parallel.
 			for _, par := range []int{1, 8} {
-				check(r, core.Config{
+				cfg := core.Config{
 					Options:          core.DefaultOptions(),
 					Composition:      true,
 					ParallelSegments: par,
 					AnnotationBudget: -1,
-				}, fmt.Sprintf("spill par=%d", par))
+				}
+				check(r, cfg, fmt.Sprintf("spill par=%d", par))
+				check(mt, cfg, fmt.Sprintf("trace spill par=%d", par))
 			}
 		})
 	}
@@ -198,8 +204,8 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 
 // TestAnalyzeStreamSpilledCollector exercises the full spill path: the
 // collector spills per-thread runs to disk mid-run, the spiller merges
-// them into segments, and the streaming analysis of the result matches
-// the in-memory analysis of an identical unspilled run.
+// them into segments, and the analysis of the result matches the
+// reference analysis of an identical unspilled run.
 func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	spec, err := workloads.Get("radiosity")
 	if err != nil {
@@ -207,16 +213,13 @@ func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	}
 	params := workloads.Params{Threads: 8, Seed: 7, Scale: 0.25}
 
-	// Reference: plain run, in-memory analysis.
+	// Reference: plain run, reference analysis.
 	rt := sim.New(sim.Config{Contexts: 8, Seed: 7})
 	tr, _, err := workloads.Run(rt, spec, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := core.Analyze(tr, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := core.ReferenceAnalysis(tr, core.DefaultOptions())
 
 	// Same run again, with an aggressive spill threshold.
 	dir := filepath.Join(t.TempDir(), "spill")
@@ -265,3 +268,121 @@ func TestAnalyzeStreamEmpty(t *testing.T) {
 type emptySource struct{ *segment.Reader }
 
 func (emptySource) NumEvents() int { return 0 }
+
+// TestTraceSourceSegmentBoundaries runs TraceSource on a trace longer
+// than three of its in-memory segments and not a multiple of their
+// size, so every pass crosses segment boundaries and ends on a partial
+// segment, at several pass parallelisms and with both hold accountings.
+func TestTraceSourceSegmentBoundaries(t *testing.T) {
+	const memSegment = 4096
+	tr := simTrace(t, "uts", 6, 1)
+	if n := len(tr.Events); n <= 3*memSegment || n%memSegment == 0 {
+		t.Fatalf("trace has %d events; want more than %d and not a multiple of %d", n, 3*memSegment, memSegment)
+	}
+	for _, clip := range []bool{true, false} {
+		opts := core.Options{ClipHold: clip}
+		ref := core.ReferenceAnalysis(tr, opts)
+		for _, par := range []int{1, 2, 8} {
+			an, err := core.AnalyzeSource(core.TraceSource(tr), core.Config{Options: opts, ParallelSegments: par})
+			if err != nil {
+				t.Fatalf("clip=%t par=%d: %v", clip, par, err)
+			}
+			if an.Trace != tr {
+				t.Fatalf("clip=%t par=%d: Analysis.Trace is not the analyzed trace", clip, par)
+			}
+			requireIdentical(t, ref, an, true)
+			if t.Failed() {
+				t.Fatalf("divergence at clip=%t par=%d", clip, par)
+			}
+		}
+	}
+}
+
+// chanHandoffTrace puts a blocked buffered send and a blocked receive
+// of a closed channel on the critical path, which the sim workloads do
+// not: main's second send on the one-slot channel c waits for worker
+// w1's first receive, main later closes done, and worker w2 — blocked
+// receiving from done — finishes last.
+func chanHandoffTrace() *trace.Trace {
+	b := trace.NewBuilder()
+	main := b.Thread("main", trace.NoThread)
+	w1 := b.Thread("w1", main)
+	w2 := b.Thread("w2", main)
+	c := b.Chan("c", 1)
+	done := b.Chan("done", 0)
+	op := func(begin, end trace.Time, th trace.ThreadID, kind trace.EventKind, ch trace.ObjID, arg int64) {
+		b.Event(begin, th, kind-1, ch, 0) // the matching begin event
+		b.Event(end, th, kind, ch, arg)
+	}
+	// Emission order breaks timestamp ties: each waker is emitted before
+	// the completion it releases.
+	b.Start(0, main).Start(0, w1).Start(1, w2)
+	op(2, 2, main, trace.EvChanSend, c, 0)
+	op(10, 10, w1, trace.EvChanRecv, c, 0)
+	op(3, 10, main, trace.EvChanSend, c, trace.ChanArgBlocked)
+	op(11, 11, w1, trace.EvChanRecv, c, 0)
+	b.Exit(12, w1)
+	b.Event(40, main, trace.EvChanClose, done, 0)
+	op(3, 40, w2, trace.EvChanRecv, done, trace.ChanArgBlocked|trace.ChanArgClosed)
+	b.Join(main, w1, 41, 41)
+	b.Exit(50, main)
+	b.Exit(100, w2)
+	return b.Trace()
+}
+
+// TestChanHandoffMatchesReference runs the hand-built channel trace,
+// whole and in tiny segments, against the reference.
+func TestChanHandoffMatchesReference(t *testing.T) {
+	tr := chanHandoffTrace()
+	ref := core.ReferenceAnalysis(tr, core.DefaultOptions())
+	chanJumps := 0
+	for _, j := range ref.CP.JumpLog {
+		if j.Kind == core.JumpChan {
+			chanJumps++
+		}
+	}
+	if chanJumps != 2 {
+		t.Fatalf("reference path takes %d channel jumps, want 2: %+v", chanJumps, ref.CP.JumpLog)
+	}
+	check := func(src core.Source, label string) {
+		t.Helper()
+		an, err := core.AnalyzeSource(src, core.Config{Options: core.DefaultOptions(), Composition: true})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireIdentical(t, ref, an, true)
+	}
+	check(core.TraceSource(tr), "trace")
+	for _, seg := range []int{1, 7} {
+		check(core.StreamSource(segmented(t, tr, seg, 4, false)), fmt.Sprintf("seg=%d", seg))
+	}
+}
+
+// TestAnalyzeStreamRejectsUnknownObjects: segment input is not
+// validated, and segment files accept lock and channel events naming an
+// object past the skeleton's table, so pass 1 must fail such a trace
+// with an error, sequential or parallel, instead of letting pass 3
+// index its per-object state out of range.
+func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
+	for name, emit := range map[string]func(b *trace.Builder, th trace.ThreadID){
+		"lock": func(b *trace.Builder, th trace.ThreadID) { b.CS(th, 99, 1, 2, 3) },
+		"chan": func(b *trace.Builder, th trace.ThreadID) {
+			b.Event(1, th, trace.EvChanSendBegin, 99, 0)
+			b.Event(2, th, trace.EvChanSend, 99, 0)
+			b.Event(3, th, trace.EvChanClose, 99, 0)
+		},
+	} {
+		b := trace.NewBuilder()
+		main := b.Thread("main", trace.NoThread)
+		b.Start(0, main)
+		emit(b, main)
+		b.Exit(4, main)
+		r := segmented(t, b.Trace(), 1, 1, false)
+		for _, par := range []int{1, 2} {
+			_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
+			if err == nil || !strings.Contains(err.Error(), "references object 99") {
+				t.Errorf("%s, par=%d: err = %v, want an out-of-range object error", name, par, err)
+			}
+		}
+	}
+}

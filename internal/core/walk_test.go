@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -413,6 +414,16 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestAnalyzerRejectsEmpty: TraceSource rejects nil and empty traces
+// with ErrEmptyTrace before any pass runs.
+func TestAnalyzerRejectsEmpty(t *testing.T) {
+	for _, tr := range []*trace.Trace{nil, {}} {
+		if _, err := AnalyzeSource(TraceSource(tr), DefaultConfig()); err != trace.ErrEmptyTrace {
+			t.Errorf("TraceSource(%v) = %v, want ErrEmptyTrace", tr, err)
+		}
+	}
+}
+
 func TestAnalyzeRejectsInvalid(t *testing.T) {
 	b := trace.NewBuilder()
 	main := b.Thread("main", trace.NoThread)
@@ -420,13 +431,15 @@ func TestAnalyzeRejectsInvalid(t *testing.T) {
 	b.Start(0, main)
 	b.Event(1, main, trace.EvLockRelease, m, 0)
 	b.Exit(2, main)
-	if _, err := AnalyzeDefault(b.Trace()); err == nil {
-		t.Error("Analyze accepted invalid trace with Validate on")
+	_, err := AnalyzeDefault(b.Trace())
+	var verr *trace.ValidationError
+	if !errors.As(err, &verr) {
+		t.Errorf("Analyze(invalid) = %v, want a *trace.ValidationError", err)
 	}
-	// With validation off the analyzer must still not panic (release
-	// without hold is an indexing error).
-	if _, err := Analyze(b.Trace(), Options{ClipHold: true}); err == nil {
-		t.Error("Analyze(no-validate) accepted unpaired release")
+	// The passes themselves, which segmented traces reach without
+	// validation, must still reject it rather than panic.
+	if _, err := AnalyzeStream(memSegments{b.Trace()}, DefaultConfig()); err == nil {
+		t.Error("AnalyzeStream accepted unpaired release")
 	}
 }
 

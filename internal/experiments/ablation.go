@@ -102,11 +102,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			clipped, err := core.Analyze(tr, core.Options{ClipHold: true, Validate: true})
+			clipped, err := core.Analyze(tr, core.Options{ClipHold: true})
 			if err != nil {
 				return nil, err
 			}
-			full, err := core.Analyze(tr, core.Options{ClipHold: false, Validate: true})
+			full, err := core.Analyze(tr, core.Options{ClipHold: false})
 			if err != nil {
 				return nil, err
 			}
@@ -126,11 +126,11 @@ func init() {
 			// walked (the path leaves the thread at an inner blocked
 			// obtain), and the two accountings diverge.
 			ntr := nestedHoldTrace()
-			nClipped, err := core.Analyze(ntr, core.Options{ClipHold: true, Validate: true})
+			nClipped, err := core.Analyze(ntr, core.Options{ClipHold: true})
 			if err != nil {
 				return nil, err
 			}
-			nFull, err := core.Analyze(ntr, core.Options{ClipHold: false, Validate: true})
+			nFull, err := core.Analyze(ntr, core.Options{ClipHold: false})
 			if err != nil {
 				return nil, err
 			}

@@ -9,22 +9,22 @@ import (
 // cumulative over the run, not deltas; the analyzer emits a snapshot
 // at every phase boundary and after every scanned segment.
 type Progress struct {
-	// Phase names the pipeline stage currently executing: "validate",
-	// "index", "walk" and "metrics" for the in-memory pipeline;
-	// "pass1", "walk" and "pass3" for the three streaming passes.
+	// Phase names the pipeline stage currently executing: "pass1",
+	// "walk" and "pass3" for the three analysis passes, preceded by
+	// "validate" for in-memory traces.
 	Phase string `json:"phase"`
 	// Events is the number of events processed so far.
 	Events int64 `json:"events"`
 	// TotalEvents is the run's total event count (0 if unknown).
 	TotalEvents int64 `json:"total_events"`
-	// Segments is the number of segment loads so far (0 for the
-	// in-memory pipeline).
+	// Segments is the number of segment loads so far (in-memory
+	// traces count their fixed-size in-memory segments).
 	Segments int64 `json:"segments"`
 	// BytesSpilled is the number of bytes written to spill storage
 	// (annotation temp file, collector run files).
 	BytesSpilled int64 `json:"bytes_spilled"`
 	// BytesRead is the number of encoded segment-body bytes decoded so
-	// far (0 for the in-memory pipeline and for sources that do not
+	// far (0 for in-memory traces and for sources that do not
 	// report sizes). Per-pass throughput derives from its growth.
 	BytesRead int64 `json:"bytes_read"`
 }

@@ -23,8 +23,10 @@ type Export struct {
 	// Source describes where the events came from ("trace" for body
 	// uploads, "segments:<dir>" for segment directories).
 	Source string `json:"source"`
-	// Streamed reports whether the bounded-memory pipeline ran (the
-	// report then has no event-replay sections).
+	// Streamed reports whether the input was a segmented trace (a
+	// segment directory rather than an in-memory trace); the analysis
+	// then keeps only the trace skeleton, so the report has no
+	// event-replay sections.
 	Streamed bool `json:"streamed"`
 
 	Summary  ExportSummary      `json:"summary"`

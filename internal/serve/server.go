@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -49,10 +48,6 @@ type Options struct {
 	// MaxConcurrent bounds simultaneously running analyses; further
 	// requests wait for a slot (or their timeout). 0 = 4.
 	MaxConcurrent int
-	// Workers caps each analysis's parallel metric pass. 0 divides
-	// GOMAXPROCS evenly across MaxConcurrent slots (minimum 1), so a
-	// fully loaded server does not oversubscribe the CPU.
-	Workers int
 	// MaxUploadBytes caps an uploaded trace body. 0 = 256 MiB.
 	MaxUploadBytes int64
 	// Timeout bounds one analyze request, queueing included. 0 = 60s.
@@ -80,12 +75,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 4
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0) / o.MaxConcurrent
-		if o.Workers < 1 {
-			o.Workers = 1
-		}
 	}
 	if o.MaxUploadBytes <= 0 {
 		o.MaxUploadBytes = 256 << 20
@@ -178,7 +167,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, trace.ErrTruncated), errors.Is(err, trace.ErrChecksum),
-		errors.Is(err, trace.ErrEmptyTrace):
+		errors.Is(err, trace.ErrEmptyTrace), errors.As(err, new(*trace.ValidationError)):
 		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
@@ -202,7 +191,6 @@ type analyzeParams struct {
 	annBudget   int64
 	composition bool
 	clip        bool
-	validate    bool
 	// hazards runs the dynamic hazard pass and attaches its report
 	// (set by the /v1/hazards endpoint, not a query knob).
 	hazards bool
@@ -218,7 +206,6 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 		mmap:      !defaults.NoMmap,
 		annBudget: defaults.AnnotationBudget,
 		clip:      true,
-		validate:  true,
 	}
 	if f := q.Get("format"); f != "" {
 		switch f {
@@ -267,7 +254,7 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 		p.annBudget = n
 	}
 	for name, dst := range map[string]*bool{
-		"composition": &p.composition, "clip": &p.clip, "validate": &p.validate,
+		"composition": &p.composition, "clip": &p.clip,
 	} {
 		if err := boolParam(name, dst); err != nil {
 			return p, err
@@ -277,8 +264,8 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 }
 
 // fingerprint folds the options that change analysis output into the
-// cache key (window and validate do not alter results, but window is
-// included so operators can compare runs; validate is excluded).
+// cache key; the performance knobs (window, par, mmap, annbudget) do
+// not alter results and are excluded.
 func (p analyzeParams) fingerprint() string {
 	fp := fmt.Sprintf("clip=%t composition=%t", p.clip, p.composition)
 	if p.hazards {
@@ -443,8 +430,6 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 	cfg := core.Config{
 		Options: core.Options{
 			ClipHold: params.clip,
-			Validate: params.validate,
-			Workers:  s.opts.Workers,
 			Observer: obs.Combine(s.ins.Run(), tracked),
 		},
 		CacheSegments:    params.window,
@@ -484,9 +469,9 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 // their file mappings.
 type closingSource struct{ rdr *segment.Reader }
 
-func (c closingSource) Run(a *core.Analyzer, cfg core.Config) (*core.Analysis, error) {
+func (c closingSource) Run(cfg core.Config) (*core.Analysis, error) {
 	defer c.rdr.Close()
-	return core.StreamSource(c.rdr).Run(a, cfg)
+	return core.StreamSource(c.rdr).Run(cfg)
 }
 
 // cached returns the report for id, or nil.

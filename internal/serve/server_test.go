@@ -13,6 +13,7 @@ import (
 	"critlock"
 	"critlock/internal/segment"
 	"critlock/internal/serve"
+	"critlock/internal/trace"
 )
 
 // microTrace builds the deterministic micro-benchmark trace every test
@@ -350,5 +351,67 @@ func TestReportCacheEviction(t *testing.T) {
 	}
 	if status, _ := get(t, ts, "/v1/reports/"+second.ID); status != http.StatusOK {
 		t.Errorf("latest report not served: %d", status)
+	}
+}
+
+// TestMalformedUploadsRejected: binary uploads that decode but break the
+// trace's structure — events swapped between threads or retyped — must
+// get 422 and leave the server up. Uploads always validate, so a
+// ?validate=0 query is ignored rather than letting such a trace reach
+// the passes.
+func TestMalformedUploadsRejected(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	sim := critlock.NewSimulator(critlock.SimConfig{Contexts: 8, Seed: 1})
+	tr, _, err := critlock.RunWorkload(sim, "pipeline", critlock.WorkloadParams{Threads: 4, Seed: 1})
+	if err != nil {
+		t.Fatalf("running pipeline: %v", err)
+	}
+	mutants := map[string]func(evs []critlock.Event){
+		"swap threads": func(evs []critlock.Event) {
+			for i := 1; i < len(evs); i++ {
+				if evs[i].Thread != evs[i-1].Thread {
+					evs[i].Thread, evs[i-1].Thread = evs[i-1].Thread, evs[i].Thread
+					return
+				}
+			}
+		},
+		"swap events": func(evs []critlock.Event) {
+			mid := len(evs) / 2
+			evs[mid].Kind, evs[mid+1].Kind = evs[mid+1].Kind, evs[mid].Kind
+			evs[mid].Thread, evs[mid+1].Thread = evs[mid+1].Thread, evs[mid].Thread
+		},
+		"retype recv": func(evs []critlock.Event) {
+			for i := range evs {
+				if evs[i].Kind == trace.EvChanRecv {
+					evs[i].Kind = trace.EvChanSend
+					return
+				}
+			}
+		},
+		"retype create as send": func(evs []critlock.Event) {
+			for i := range evs {
+				if evs[i].Kind == trace.EvThreadCreate {
+					evs[i].Kind = trace.EvChanSend
+					return
+				}
+			}
+		},
+		"retype last event": func(evs []critlock.Event) {
+			evs[len(evs)-1].Kind = trace.EvLockRelease
+		},
+	}
+	for name, mutate := range mutants {
+		mut := *tr
+		mut.Events = append([]critlock.Event(nil), tr.Events...)
+		mutate(mut.Events)
+		if critlock.ValidateTrace(&mut) == nil {
+			t.Fatalf("%s: mutant still validates", name)
+		}
+		if status, raw := post(t, ts, "?validate=0", traceBytes(t, &mut)); status != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422\n%s", name, status, raw)
+		}
+	}
+	if status, raw := get(t, ts, "/healthz"); status != http.StatusOK || string(raw) != "ok\n" {
+		t.Errorf("/healthz after malformed uploads = %d %q", status, raw)
 	}
 }
