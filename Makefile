@@ -12,7 +12,7 @@ GO ?= go
 # seed corpus.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check bench bench-smoke instr-smoke docs-check guide ci
+.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check bench bench-compare bench-smoke instr-smoke docs-check guide ci
 
 all: ci
 
@@ -107,5 +107,11 @@ guide:
 # modes).
 bench:
 	bash bench/run.sh -seed 1
+
+# Interleaved before/after runs of one workload against an earlier
+# commit, judged by the benchmark's bounds (scripts/bench_compare.sh;
+# W, PAIRS, BASE and SEED select the runs). Too slow for ci.
+bench-compare:
+	W="$(W)" PAIRS="$(PAIRS)" BASE="$(BASE)" SEED="$(SEED)" bash scripts/bench_compare.sh
 
 ci: lint fmt-check build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check

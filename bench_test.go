@@ -323,20 +323,29 @@ func BenchmarkTraceCodecBinaryWrite(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
+// BenchmarkTraceCodecBinaryRead decodes a small trace and one the size
+// of the benchmark's 2M-event stored traces, whose event slice alone
+// is 80 MB.
 func BenchmarkTraceCodecBinaryRead(b *testing.B) {
-	tr := largeTrace(50_000)
-	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.ReadBinary(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []struct {
+		name   string
+		events int
+	}{{"events=50k", 50_000}, {"events=2M", 2_000_000}} {
+		b.Run(n.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := trace.WriteBinary(&buf, largeTrace(n.events)); err != nil {
+				b.Fatal(err)
+			}
+			raw := buf.Bytes()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.ReadBinary(bytes.NewReader(raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

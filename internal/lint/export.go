@@ -129,7 +129,7 @@ func LoadDynamic(path string) (*report.Export, error) {
 			return nil, fmt.Errorf("parse %s: %w", path, err)
 		}
 	} else {
-		tr, err = trace.ReadBinary(bytes.NewReader(data))
+		tr, err = trace.DecodeBinary(data)
 		if err != nil {
 			return nil, fmt.Errorf("read %s: %w", path, err)
 		}

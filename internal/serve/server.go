@@ -342,7 +342,7 @@ func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyz
 			err = nil // analyze the durable prefix, as cla does
 		}
 	default:
-		tr, err = trace.ReadBinary(bytes.NewReader(body))
+		tr, err = trace.DecodeBinary(body)
 	}
 	if err != nil {
 		// An undecodable upload is the client's problem, not ours.

@@ -3,10 +3,10 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 )
 
 // Binary trace format.
@@ -35,10 +35,6 @@ const (
 	binaryMagic   = "CLTR"
 	binaryVersion = 1
 )
-
-// maxDecodeCount caps decoded collection sizes to defend against
-// corrupt or hostile inputs claiming absurd lengths.
-const maxDecodeCount = 1 << 30
 
 // WriteBinary encodes tr to w in the binary trace format.
 func WriteBinary(w io.Writer, tr *Trace) error {
@@ -87,136 +83,239 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a trace written by WriteBinary.
+// ReadBinary decodes a trace written by WriteBinary. It reads r to the
+// end — a regular *os.File into one buffer sized from Stat, any other
+// reader through io.ReadAll — and decodes the bytes with DecodeBinary.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	return DecodeBinary(data)
+}
+
+// readAll reads r to EOF. A regular file is read into a buffer of its
+// Stat size plus one byte, so EOF arrives without regrowing it.
+func readAll(r io.Reader) ([]byte, error) {
+	f, ok := r.(*os.File)
+	if !ok {
+		return io.ReadAll(r)
+	}
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, 0, fi.Size()+1)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) { // the file grew since Stat
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
+// binaryChunk is the number of event records DecodeBinary hands
+// Columns.AppendFrame at a time. Decode speed is flat from 4K to 64K
+// records, but the scratch columns (33 bytes a record) add to the
+// peak heap of every small upload a server decodes, so they stay at
+// 4K records, about 135 KB.
+const binaryChunk = 1 << 12
+
+// Minimum encoded sizes of the binary format's records. A header
+// count is checked against the bytes left before anything is
+// allocated from it, so a hostile count cannot claim more memory than
+// its input could fill.
+const (
+	minMetaBytes   = 2 // empty key and value
+	minThreadBytes = 2 // empty name, one-byte creator
+	minObjectBytes = 3 // kind, empty name, one-byte parties
+	minEventBytes  = 6 // every varint field in one byte
+)
+
+// DecodeBinary decodes a trace written by WriteBinary from data, which
+// it does not retain. The event section runs through the same batch
+// decoder as segment frames (Columns.AppendFrame), binaryChunk records
+// at a time; the decoder checks thread IDs against the thread table and
+// strict (T, Seq) order as it materializes the events. Bytes after the
+// last event are ignored.
+func DecodeBinary(data []byte) (*Trace, error) {
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("trace: reading magic: %w", ErrTruncated)
+	}
+	if magic := data[:len(binaryMagic)]; string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	version, err := binary.ReadUvarint(br)
+	d := binDecoder{data: data, pos: len(binaryMagic)}
+	version, err := d.uvarint("version")
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", err)
+		return nil, err
 	}
 	if version != binaryVersion {
 		return nil, fmt.Errorf("trace: unsupported version %d", version)
 	}
 
-	tr := &Trace{Meta: make(map[string]string)}
-
-	nMeta, err := readCount(br, "meta")
+	nMeta, err := d.count("meta", minMetaBytes)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nMeta; i++ {
-		k, err := readString(br)
+	tr := &Trace{Meta: make(map[string]string)}
+	for i := 0; i < nMeta; i++ {
+		k, err := d.string("meta key")
 		if err != nil {
-			return nil, fmt.Errorf("trace: meta key: %w", err)
+			return nil, err
 		}
-		v, err := readString(br)
+		v, err := d.string("meta value")
 		if err != nil {
-			return nil, fmt.Errorf("trace: meta value: %w", err)
+			return nil, err
 		}
 		tr.Meta[k] = v
 	}
 
-	nThreads, err := readCount(br, "threads")
+	nThreads, err := d.count("threads", minThreadBytes)
 	if err != nil {
 		return nil, err
 	}
-	tr.Threads = make([]ThreadInfo, 0, min(nThreads, 1<<16))
-	for i := uint64(0); i < nThreads; i++ {
-		name, err := readString(br)
+	tr.Threads = make([]ThreadInfo, nThreads)
+	for i := range tr.Threads {
+		name, err := d.string("thread name")
 		if err != nil {
-			return nil, fmt.Errorf("trace: thread name: %w", err)
+			return nil, err
 		}
-		creator, err := binary.ReadVarint(br)
+		creator, err := d.varint("thread creator")
 		if err != nil {
-			return nil, fmt.Errorf("trace: thread creator: %w", err)
+			return nil, err
 		}
-		tr.Threads = append(tr.Threads, ThreadInfo{ID: ThreadID(i), Name: name, Creator: ThreadID(creator)})
+		tr.Threads[i] = ThreadInfo{ID: ThreadID(i), Name: name, Creator: ThreadID(creator)}
 	}
 
-	nObjects, err := readCount(br, "objects")
+	nObjects, err := d.count("objects", minObjectBytes)
 	if err != nil {
 		return nil, err
 	}
-	tr.Objects = make([]ObjectInfo, 0, min(nObjects, 1<<16))
-	for i := uint64(0); i < nObjects; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: object kind: %w", err)
+	tr.Objects = make([]ObjectInfo, nObjects)
+	for i := range tr.Objects {
+		if d.pos >= len(d.data) {
+			return nil, fmt.Errorf("trace: object kind: %w", ErrTruncated)
 		}
-		name, err := readString(br)
+		kind := ObjKind(d.data[d.pos])
+		d.pos++
+		name, err := d.string("object name")
 		if err != nil {
-			return nil, fmt.Errorf("trace: object name: %w", err)
+			return nil, err
 		}
-		parties, err := binary.ReadUvarint(br)
+		parties, err := d.uvarint("object parties")
 		if err != nil {
-			return nil, fmt.Errorf("trace: object parties: %w", err)
+			return nil, err
 		}
 		if parties > math.MaxInt32 {
 			return nil, fmt.Errorf("trace: object parties %d out of range", parties)
 		}
-		tr.Objects = append(tr.Objects, ObjectInfo{ID: ObjID(i), Kind: ObjKind(kind), Name: name, Parties: int(parties)})
+		tr.Objects[i] = ObjectInfo{ID: ObjID(i), Kind: kind, Name: name, Parties: int(parties)}
 	}
 
-	nEvents, err := readCount(br, "events")
+	nEvents, err := d.count("events", minEventBytes)
 	if err != nil {
 		return nil, err
 	}
-	tr.Events = make([]Event, 0, min(nEvents, 1<<20))
-	var prevT Time
-	var prevSeq uint64
-	for i := uint64(0); i < nEvents; i++ {
-		dt, err := binary.ReadVarint(br)
+	tr.Events = make([]Event, nEvents)
+	var cols Columns
+	var prev Event // the delta chain runs across chunks
+	for start := 0; start < nEvents; start += binaryChunk {
+		cols.Reset(min(binaryChunk, nEvents-start))
+		evs := tr.Events[start:min(start+binaryChunk, nEvents)]
+		used, err := cols.AppendFrame(d.data[d.pos:], len(evs))
 		if err != nil {
-			return nil, fmt.Errorf("trace: event %d time: %w", i, err)
+			return nil, fmt.Errorf("%w (event %d)", err, start+cols.Len())
 		}
-		dseq, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d seq: %w", i, err)
+		d.pos += used
+		// AppendFrame sums each chunk's deltas from zero; rebase them
+		// onto the last event of the previous chunk.
+		baseT, baseSeq := prev.T, prev.Seq
+		for j := range evs {
+			e := Event{
+				T:      baseT + cols.T[j],
+				Seq:    baseSeq + cols.Seq[j],
+				Thread: ThreadID(cols.Thread[j]),
+				Kind:   EventKind(cols.Kind[j]),
+				Obj:    ObjID(cols.Obj[j]),
+				Arg:    cols.Arg[j],
+			}
+			if int(e.Thread) >= nThreads {
+				return nil, fmt.Errorf("trace: event %d: thread %d out of range", start+j, e.Thread)
+			}
+			if start+j > 0 && (e.T < prev.T || (e.T == prev.T && e.Seq <= prev.Seq)) {
+				return nil, fmt.Errorf("trace: event %d out of order", start+j)
+			}
+			evs[j] = e
+			prev = e
 		}
-		thread, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d thread: %w", i, err)
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d kind: %w", i, err)
-		}
-		obj, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d obj: %w", i, err)
-		}
-		arg, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d arg: %w", i, err)
-		}
-		if !EventKind(kind).Valid() {
-			return nil, fmt.Errorf("trace: event %d: invalid kind %d", i, kind)
-		}
-		if thread >= nThreads {
-			return nil, fmt.Errorf("trace: event %d: thread %d out of range", i, thread)
-		}
-		e := Event{
-			T:      prevT + Time(dt),
-			Seq:    prevSeq + dseq,
-			Thread: ThreadID(thread),
-			Kind:   EventKind(kind),
-			Obj:    ObjID(obj),
-			Arg:    arg,
-		}
-		if i > 0 && (e.T < prevT || (e.T == prevT && e.Seq <= prevSeq)) {
-			return nil, fmt.Errorf("trace: event %d out of order", i)
-		}
-		prevT, prevSeq = e.T, e.Seq
-		tr.Events = append(tr.Events, e)
 	}
 	return tr, nil
+}
+
+// binDecoder reads the header records of the binary format from an
+// in-memory buffer. Each read names what it reads in its error.
+type binDecoder struct {
+	data []byte
+	pos  int
+}
+
+func (d *binDecoder) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(d.data[d.pos:])
+	if n <= 0 {
+		return 0, varintError(what, n)
+	}
+	d.pos += n
+	return v, nil
+}
+
+func (d *binDecoder) varint(what string) (int64, error) {
+	v, n := binary.Varint(d.data[d.pos:])
+	if n <= 0 {
+		return 0, varintError(what, n)
+	}
+	d.pos += n
+	return v, nil
+}
+
+func varintError(what string, n int) error {
+	if n == 0 {
+		return fmt.Errorf("trace: %s: %w", what, ErrTruncated)
+	}
+	return fmt.Errorf("trace: %s: varint overflows 64 bits", what)
+}
+
+func (d *binDecoder) string(what string) (string, error) {
+	n, err := d.uvarint(what)
+	if err != nil {
+		return "", err
+	}
+	if n > uint64(len(d.data)-d.pos) {
+		return "", fmt.Errorf("trace: %s: %w", what, ErrTruncated)
+	}
+	s := string(d.data[d.pos : d.pos+int(n)])
+	d.pos += int(n)
+	return s, nil
+}
+
+// count reads a record count and rejects it when the bytes left could
+// not hold that many records of at least minSize bytes each.
+func (d *binDecoder) count(what string, minSize int) (int, error) {
+	n, err := d.uvarint(what + " count")
+	if err != nil {
+		return 0, err
+	}
+	if left := len(d.data) - d.pos; n > uint64(left/minSize) {
+		return 0, fmt.Errorf("trace: %s count %d exceeds the %d bytes left", what, n, left)
+	}
+	return int(n), nil
 }
 
 // AppendEvent appends the event-record encoding of e — the same varint
@@ -239,48 +338,39 @@ func AppendEvent(dst []byte, e, prev Event) []byte {
 // IDs but does not know the trace's thread table; callers that do must
 // range-check Thread themselves.
 func DecodeEvent(buf []byte, prev Event) (Event, int, error) {
-	pos := 0
-	next := func() (int64, error) {
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, errShortEvent
-		}
-		pos += n
-		return v, nil
+	// Unsigned reads with the zigzag undone by hand: binary.Uvarint
+	// inlines, binary.Varint does not.
+	dt, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return Event{}, 0, errShortEvent
 	}
-	nextU := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, errShortEvent
-		}
-		pos += n
-		return v, nil
+	pos := n
+	dseq, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return Event{}, 0, errShortEvent
 	}
-	dt, err := next()
-	if err != nil {
-		return Event{}, 0, err
+	pos += n
+	thread, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return Event{}, 0, errShortEvent
 	}
-	dseq, err := nextU()
-	if err != nil {
-		return Event{}, 0, err
-	}
-	thread, err := nextU()
-	if err != nil {
-		return Event{}, 0, err
-	}
+	pos += n
 	if pos >= len(buf) {
 		return Event{}, 0, errShortEvent
 	}
 	kind := EventKind(buf[pos])
 	pos++
-	obj, err := next()
-	if err != nil {
-		return Event{}, 0, err
+	uobj, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return Event{}, 0, errShortEvent
 	}
-	arg, err := next()
-	if err != nil {
-		return Event{}, 0, err
+	pos += n
+	uarg, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return Event{}, 0, errShortEvent
 	}
+	pos += n
+	obj, arg := unzigzag(uobj), unzigzag(uarg)
 	if !kind.Valid() {
 		return Event{}, 0, fmt.Errorf("trace: invalid event kind %d", kind)
 	}
@@ -291,7 +381,7 @@ func DecodeEvent(buf []byte, prev Event) (Event, int, error) {
 		return Event{}, 0, fmt.Errorf("trace: event obj %d out of range", obj)
 	}
 	e := Event{
-		T:      prev.T + Time(dt),
+		T:      prev.T + Time(unzigzag(dt)),
 		Seq:    prev.Seq + dseq,
 		Thread: ThreadID(thread),
 		Kind:   kind,
@@ -301,28 +391,14 @@ func DecodeEvent(buf []byte, prev Event) (Event, int, error) {
 	return e, pos, nil
 }
 
-var errShortEvent = fmt.Errorf("trace: %w event record", ErrTruncated)
+// unzigzag undoes the zigzag mapping of binary.PutVarint.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-var errStringTooLong = errors.New("trace: string too long")
+var errShortEvent = fmt.Errorf("trace: %w event record", ErrTruncated)
 
 func writeString(w *bufio.Writer, s string) {
 	writeUvarint(w, uint64(len(s)))
 	w.WriteString(s)
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", errStringTooLong
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
@@ -337,17 +413,6 @@ func writeVarint(w *bufio.Writer, v int64) {
 	w.Write(buf[:n])
 }
 
-func readCount(r *bufio.Reader, what string) (uint64, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("trace: reading %s count: %w", what, err)
-	}
-	if n > maxDecodeCount {
-		return 0, fmt.Errorf("trace: %s count %d too large", what, n)
-	}
-	return n, nil
-}
-
 func sortedKeys(m map[string]string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -359,11 +424,4 @@ func sortedKeys(m map[string]string) []string {
 		}
 	}
 	return keys
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Columns is a struct-of-arrays view of an event run. The streaming
@@ -117,7 +116,8 @@ const fastMask = 0x0000_8080_0080_8080
 // chain resets at the frame start — appends them to the columns, and
 // returns the number of bytes consumed. Validation matches DecodeEvent:
 // invalid kinds and out-of-range thread/obj IDs are rejected, and a
-// record that runs past buf reports ErrTruncated.
+// record that runs past buf reports ErrTruncated. On error the columns
+// keep the records decoded before the failing one, so Len locates it.
 //
 // The hot path notices that nearly all records encode every varint
 // field in a single byte (small deltas, small IDs): one 8-byte load and
@@ -205,76 +205,23 @@ func (c *Columns) AppendFrame(buf []byte, count int) (int, error) {
 				continue
 			}
 		}
-		// General path: retract to the decoded prefix, append one
-		// record the slow way, then restore the frame's length.
-		c.setLen(base + n)
-		m, err := c.appendSlow(b, prevT, prevSeq)
+		// General path: any field may span several varint bytes, or
+		// the record sits within 8 bytes of the end of the frame,
+		// where the 8-byte load cannot reach.
+		e, m, err := DecodeEvent(b, Event{T: prevT, Seq: prevSeq})
 		if err != nil {
+			c.setLen(base + n)
 			return 0, err
 		}
+		prevT, prevSeq = e.T, e.Seq
+		T[n] = e.T
+		Seq[n] = e.Seq
+		Th[n] = int32(e.Thread)
+		K[n] = uint8(e.Kind)
+		O[n] = int32(e.Obj)
+		A[n] = e.Arg
 		b = b[m:]
-		prevT = c.T[base+n]
-		prevSeq = c.Seq[base+n]
-		c.setLen(base + count)
 		n++
 	}
 	return len(buf) - len(b), nil
-}
-
-// appendSlow decodes one record the general way: any field may span
-// multiple varint bytes, or the record may sit within 8 bytes of the
-// end of the frame (where the 8-byte fast-path load cannot reach).
-func (c *Columns) appendSlow(buf []byte, prevT Time, prevSeq uint64) (int, error) {
-	pos := 0
-	next := func() (int64, error) {
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, errShortEvent
-		}
-		pos += n
-		return v, nil
-	}
-	dt, err := next()
-	if err != nil {
-		return 0, err
-	}
-	dseq, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return 0, errShortEvent
-	}
-	pos += n
-	thread, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return 0, errShortEvent
-	}
-	pos += n
-	if pos >= len(buf) {
-		return 0, errShortEvent
-	}
-	kind := buf[pos]
-	pos++
-	obj, err := next()
-	if err != nil {
-		return 0, err
-	}
-	arg, err := next()
-	if err != nil {
-		return 0, err
-	}
-	if !EventKind(kind).Valid() {
-		return 0, fmt.Errorf("trace: invalid event kind %d", kind)
-	}
-	if thread > math.MaxInt32 {
-		return 0, fmt.Errorf("trace: event thread %d out of range", thread)
-	}
-	if obj < int64(NoObj) || obj > math.MaxInt32 {
-		return 0, fmt.Errorf("trace: event obj %d out of range", obj)
-	}
-	c.T = append(c.T, prevT+Time(dt))
-	c.Seq = append(c.Seq, prevSeq+dseq)
-	c.Thread = append(c.Thread, int32(thread))
-	c.Kind = append(c.Kind, kind)
-	c.Obj = append(c.Obj, int32(obj))
-	c.Arg = append(c.Arg, arg)
-	return pos, nil
 }

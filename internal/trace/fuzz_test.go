@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
-// FuzzReadBinary: arbitrary bytes must never panic the decoder, and
-// anything it accepts must re-encode and decode to the same trace.
+// FuzzReadBinary: arbitrary bytes must never panic the decoder;
+// DecodeBinary and ReadBinary must agree on every input; and anything
+// they accept must re-encode and decode to the same trace.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid encoding and a few mutations.
 	var buf bytes.Buffer
@@ -25,7 +28,11 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		tr, err := DecodeBinary(data)
+		tr2, err2 := ReadBinary(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(tr, tr2) {
+			t.Fatalf("DecodeBinary and ReadBinary disagree: %v vs %v", err, err2)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -33,13 +40,12 @@ func FuzzReadBinary(f *testing.F) {
 		if err := WriteBinary(&out, tr); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
-		tr2, err := ReadBinary(bytes.NewReader(out.Bytes()))
+		tr3, err := DecodeBinary(out.Bytes())
 		if err != nil {
 			t.Fatalf("re-decode of re-encode failed: %v", err)
 		}
-		if len(tr2.Events) != len(tr.Events) || len(tr2.Threads) != len(tr.Threads) {
-			t.Fatalf("round trip changed shape: %d/%d events, %d/%d threads",
-				len(tr.Events), len(tr2.Events), len(tr.Threads), len(tr2.Threads))
+		if !reflect.DeepEqual(tr3, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", tr3, tr)
 		}
 	})
 }

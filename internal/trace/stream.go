@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -280,4 +281,21 @@ var ErrTruncatedStream = fmt.Errorf("stream %w (no end record)", ErrTruncated)
 func partialStream(tr *Trace, cause error) (*Trace, error) {
 	SortEvents(tr.Events)
 	return tr, fmt.Errorf("trace: %w (last record cut: %v)", ErrTruncatedStream, cause)
+}
+
+var errStringTooLong = errors.New("trace: string too long")
+
+func readString(r *bufio.Reader) (string, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return "", err
+	}
+	if n > 1<<20 {
+		return "", errStringTooLong
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
 }

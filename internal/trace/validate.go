@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ValidationError aggregates all problems found in a trace.
@@ -61,22 +62,24 @@ func (v *validator) errf(format string, args ...any) {
 	}
 }
 
+// Per-(thread, object) state bits. An object has one kind, so the
+// mutex, barrier, cond and channel bits never meet on one key.
+const (
+	stHeld       uint8 = 1 << iota // mutex held, between obtain and release
+	stHeldShared                   // ...in shared (reader) mode
+	stAcquiring                    // mutex between acquire and obtain
+	stInBarrier                    // barrier between arrive and depart
+	stInCondWait                   // cond between wait-begin and wait-end
+	stSending                      // chan between send-begin and send
+	stReceiving                    // chan between recv-begin and recv
+)
+
 type threadState struct {
 	started bool
 	exited  bool
-	// held maps mutex → hold mode (LockArgShared bit) while the
-	// thread holds it.
-	held map[ObjID]int64
-	// pendingAcquire maps mutex → true between acquire and obtain.
-	pendingAcquire map[ObjID]bool
-	// inBarrier maps barrier → true between arrive and depart.
-	inBarrier map[ObjID]bool
-	// inCondWait maps cond → true between wait-begin and wait-end.
-	inCondWait map[ObjID]bool
-	// pendingSend/pendingRecv map chan → true between a channel op's
-	// begin and its completion.
-	pendingSend map[ObjID]bool
-	pendingRecv map[ObjID]bool
+	// objs holds the nonzero state bits of each object the thread is
+	// in the middle of using.
+	objs map[ObjID]uint8
 	// inSelect is true between a select event and the completion of
 	// its chosen case (a select resolved by default leaves it set; the
 	// next select-chosen completion still needs a fresh select event,
@@ -84,18 +87,34 @@ type threadState struct {
 	inSelect bool
 }
 
-func (v *validator) run(tr *Trace) {
-	states := make([]threadState, len(tr.Threads))
-	for i := range states {
-		states[i] = threadState{
-			held:           make(map[ObjID]int64),
-			pendingAcquire: make(map[ObjID]bool),
-			inBarrier:      make(map[ObjID]bool),
-			inCondWait:     make(map[ObjID]bool),
-			pendingSend:    make(map[ObjID]bool),
-			pendingRecv:    make(map[ObjID]bool),
+// update replaces obj's state bits, dropping the entry once none are
+// left.
+func (st *threadState) update(obj ObjID, bits uint8) {
+	if bits == 0 {
+		delete(st.objs, obj)
+		return
+	}
+	if st.objs == nil {
+		st.objs = make(map[ObjID]uint8)
+	}
+	st.objs[obj] = bits
+}
+
+// with lists the objects that have bit set, in ID order, so problems
+// about leftover state read the same on every run.
+func (st *threadState) with(bit uint8) []ObjID {
+	var ids []ObjID
+	for id, bits := range st.objs {
+		if bits&bit != 0 {
+			ids = append(ids, id)
 		}
 	}
+	slices.Sort(ids)
+	return ids
+}
+
+func (v *validator) run(tr *Trace) {
+	states := make([]threadState, len(tr.Threads))
 	closedChans := make(map[ObjID]bool)
 
 	objKind := func(id ObjID) (ObjKind, bool) {
@@ -142,7 +161,7 @@ func (v *validator) run(tr *Trace) {
 			}
 		case EvThreadExit:
 			st.exited = true
-			for m := range st.held {
+			for _, m := range st.with(stHeld) {
 				v.errf("event %d: thread %d exits holding mutex %q", i, e.Thread, tr.ObjName(m))
 			}
 		case EvThreadCreate, EvJoinBegin, EvJoinEnd:
@@ -156,29 +175,32 @@ func (v *validator) run(tr *Trace) {
 				v.errf("event %d: %s on non-mutex object %d", i, e.Kind, e.Obj)
 				continue
 			}
+			bits := st.objs[e.Obj]
+			shared := uint8(0)
+			if e.Arg&LockArgShared != 0 {
+				shared = stHeldShared
+			}
 			switch e.Kind {
 			case EvLockAcquire:
-				if st.pendingAcquire[e.Obj] {
+				if bits&stAcquiring != 0 {
 					v.errf("event %d: thread %d double-acquire of %q", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				if _, holds := st.held[e.Obj]; holds {
+				if bits&stHeld != 0 {
 					v.errf("event %d: thread %d recursive acquire of %q", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				st.pendingAcquire[e.Obj] = true
+				st.update(e.Obj, bits|stAcquiring)
 			case EvLockObtain:
-				if !st.pendingAcquire[e.Obj] {
+				if bits&stAcquiring == 0 {
 					v.errf("event %d: thread %d obtain of %q without acquire", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				delete(st.pendingAcquire, e.Obj)
-				st.held[e.Obj] = e.Arg & LockArgShared
+				st.update(e.Obj, bits&^(stAcquiring|stHeldShared)|stHeld|shared)
 			case EvLockRelease:
-				mode, holds := st.held[e.Obj]
-				if !holds {
+				if bits&stHeld == 0 {
 					v.errf("event %d: thread %d releases %q it does not hold", i, e.Thread, tr.ObjName(e.Obj))
-				} else if mode != e.Arg&LockArgShared {
+				} else if bits&stHeldShared != shared {
 					v.errf("event %d: thread %d releases %q in the wrong mode", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				delete(st.held, e.Obj)
+				st.update(e.Obj, bits&^(stHeld|stHeldShared))
 			}
 		case EvBarrierArrive, EvBarrierDepart:
 			kind, ok := objKind(e.Obj)
@@ -186,16 +208,17 @@ func (v *validator) run(tr *Trace) {
 				v.errf("event %d: %s on non-barrier object %d", i, e.Kind, e.Obj)
 				continue
 			}
+			bits := st.objs[e.Obj]
 			if e.Kind == EvBarrierArrive {
-				if st.inBarrier[e.Obj] {
+				if bits&stInBarrier != 0 {
 					v.errf("event %d: thread %d re-arrives at barrier %q", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				st.inBarrier[e.Obj] = true
+				st.update(e.Obj, bits|stInBarrier)
 			} else {
-				if !st.inBarrier[e.Obj] {
+				if bits&stInBarrier == 0 {
 					v.errf("event %d: thread %d departs barrier %q without arriving", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				delete(st.inBarrier, e.Obj)
+				st.update(e.Obj, bits&^stInBarrier)
 			}
 		case EvCondWaitBegin, EvCondWaitEnd, EvCondSignal, EvCondBroadcast:
 			kind, ok := objKind(e.Obj)
@@ -203,17 +226,17 @@ func (v *validator) run(tr *Trace) {
 				v.errf("event %d: %s on non-cond object %d", i, e.Kind, e.Obj)
 				continue
 			}
-			switch e.Kind {
+			switch bits := st.objs[e.Obj]; e.Kind {
 			case EvCondWaitBegin:
-				if st.inCondWait[e.Obj] {
+				if bits&stInCondWait != 0 {
 					v.errf("event %d: thread %d nested cond-wait on %q", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				st.inCondWait[e.Obj] = true
+				st.update(e.Obj, bits|stInCondWait)
 			case EvCondWaitEnd:
-				if !st.inCondWait[e.Obj] {
+				if bits&stInCondWait == 0 {
 					v.errf("event %d: thread %d cond-wait-end on %q without begin", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				delete(st.inCondWait, e.Obj)
+				st.update(e.Obj, bits&^stInCondWait)
 			}
 		case EvChanSendBegin, EvChanSend, EvChanRecvBegin, EvChanRecv, EvChanClose:
 			kind, ok := objKind(e.Obj)
@@ -221,12 +244,12 @@ func (v *validator) run(tr *Trace) {
 				v.errf("event %d: %s on non-chan object %d", i, e.Kind, e.Obj)
 				continue
 			}
-			switch e.Kind {
+			switch bits := st.objs[e.Obj]; e.Kind {
 			case EvChanSendBegin:
-				if st.pendingSend[e.Obj] {
+				if bits&stSending != 0 {
 					v.errf("event %d: thread %d nested send on %q", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				st.pendingSend[e.Obj] = true
+				st.update(e.Obj, bits|stSending)
 			case EvChanSend:
 				if e.Arg&ChanArgSelect != 0 {
 					if !st.inSelect {
@@ -234,16 +257,16 @@ func (v *validator) run(tr *Trace) {
 					}
 					st.inSelect = false
 				} else {
-					if !st.pendingSend[e.Obj] {
+					if bits&stSending == 0 {
 						v.errf("event %d: thread %d send on %q without begin", i, e.Thread, tr.ObjName(e.Obj))
 					}
-					delete(st.pendingSend, e.Obj)
+					st.update(e.Obj, bits&^stSending)
 				}
 			case EvChanRecvBegin:
-				if st.pendingRecv[e.Obj] {
+				if bits&stReceiving != 0 {
 					v.errf("event %d: thread %d nested recv on %q", i, e.Thread, tr.ObjName(e.Obj))
 				}
-				st.pendingRecv[e.Obj] = true
+				st.update(e.Obj, bits|stReceiving)
 			case EvChanRecv:
 				if e.Arg&ChanArgSelect != 0 {
 					if !st.inSelect {
@@ -251,10 +274,10 @@ func (v *validator) run(tr *Trace) {
 					}
 					st.inSelect = false
 				} else {
-					if !st.pendingRecv[e.Obj] {
+					if bits&stReceiving == 0 {
 						v.errf("event %d: thread %d recv on %q without begin", i, e.Thread, tr.ObjName(e.Obj))
 					}
-					delete(st.pendingRecv, e.Obj)
+					st.update(e.Obj, bits&^stReceiving)
 				}
 			case EvChanClose:
 				if closedChans[e.Obj] {
@@ -280,13 +303,13 @@ func (v *validator) run(tr *Trace) {
 		if st.started && !st.exited {
 			v.errf("thread %d started but never exited", id)
 		}
-		for m := range st.pendingAcquire {
+		for _, m := range st.with(stAcquiring) {
 			v.errf("thread %d has unresolved acquire of %q", id, tr.ObjName(m))
 		}
-		for c := range st.pendingSend {
+		for _, c := range st.with(stSending) {
 			v.errf("thread %d has unresolved send on %q", id, tr.ObjName(c))
 		}
-		for c := range st.pendingRecv {
+		for _, c := range st.with(stReceiving) {
 			v.errf("thread %d has unresolved recv on %q", id, tr.ObjName(c))
 		}
 	}

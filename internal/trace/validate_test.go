@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -228,5 +231,76 @@ func TestSharedEventAccessors(t *testing.T) {
 	e = Event{Kind: EvBarrierArrive, Arg: LockArgShared}
 	if e.Shared() {
 		t.Error("non-lock event reported shared")
+	}
+}
+
+// TestValidateProblemsDeterministic: leftover per-thread state is
+// reported in object-ID order (held mutexes at exit; then unresolved
+// acquires, sends and receives), so one trace always yields the same
+// ValidationError text.
+func TestValidateProblemsDeterministic(t *testing.T) {
+	b := NewBuilder()
+	t0 := b.Thread("t0", NoThread)
+	t1 := b.Thread("t1", t0)
+	var ms, cs []ObjID
+	for i := 0; i < 4; i++ {
+		ms = append(ms, b.Mutex(fmt.Sprintf("m%d", i)))
+		cs = append(cs, b.Chan(fmt.Sprintf("c%d", i), 0))
+	}
+	b.Start(0, t0)
+	b.Start(0, t1)
+	// t0 takes the mutexes in reverse ID order and exits holding them.
+	for i := len(ms) - 1; i >= 0; i-- {
+		b.Event(1, t0, EvLockAcquire, ms[i], 0)
+		b.Event(1, t0, EvLockObtain, ms[i], 0)
+	}
+	b.Exit(10, t0)
+	// t1 leaves acquires, sends and receives unresolved.
+	for i := len(ms) - 1; i >= 0; i-- {
+		b.Event(2, t1, EvLockAcquire, ms[i], 0)
+		b.Event(3, t1, EvChanSendBegin, cs[i], 0)
+		b.Event(4, t1, EvChanRecvBegin, cs[i], 0)
+	}
+	b.Exit(10, t1)
+	tr := b.Trace()
+
+	want := []string{
+		`event 23: thread 0 exits holding mutex "m0"`,
+		`event 23: thread 0 exits holding mutex "m1"`,
+		`event 23: thread 0 exits holding mutex "m2"`,
+		`event 23: thread 0 exits holding mutex "m3"`,
+		`thread 1 has unresolved acquire of "m0"`,
+		`thread 1 has unresolved acquire of "m1"`,
+		`thread 1 has unresolved acquire of "m2"`,
+		`thread 1 has unresolved acquire of "m3"`,
+		`thread 1 has unresolved send on "c0"`,
+		`thread 1 has unresolved send on "c1"`,
+		`thread 1 has unresolved send on "c2"`,
+		`thread 1 has unresolved send on "c3"`,
+		`thread 1 has unresolved recv on "c0"`,
+		`thread 1 has unresolved recv on "c1"`,
+		`thread 1 has unresolved recv on "c2"`,
+		`thread 1 has unresolved recv on "c3"`,
+	}
+	seen := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		err := Validate(tr)
+		var ve *ValidationError
+		if !errors.As(err, &ve) {
+			t.Fatalf("Validate = %v, want *ValidationError", err)
+		}
+		seen[err.Error()] = true
+		var got []string
+		for _, p := range ve.Problems {
+			if strings.Contains(p, "exits holding") || strings.Contains(p, "unresolved") {
+				got = append(got, p)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: leftover-state problems\n got %q\nwant %q", i, got, want)
+		}
+	}
+	if len(seen) != 1 {
+		t.Errorf("50 runs gave %d distinct error strings: %v", len(seen), seen)
 	}
 }
