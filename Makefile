@@ -52,10 +52,11 @@ fuzz-smoke:
 # Reference oracle: the analysis of segmented, spilled and in-memory
 # (TraceSource) traces must be bit-identical to the test-only reference
 # transcription of the paper's algorithm (internal/core/reference_test.go)
-# at every segmentation, parallelism, window and spill setting, under
-# the race detector.
+# at every segmentation, parallelism, window and spill setting, and a
+# malformed lock event must fail with the same error at any parallelism,
+# under the race detector.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors' -count=1 -v
 
 # Serving-path smoke: spin up the analysis server in-process, POST the
 # checked-in synth workload and byte-diff the JSON report against its

@@ -159,8 +159,8 @@ func (a *annStore) segOf(idx int32) int {
 }
 
 // patch overwrites the waker and flags of record idx (its prev is
-// never patched by the sequential pass). Only valid after the owning
-// shard was committed.
+// patched only by patchPrev). Only valid after the owning shard was
+// committed.
 func (a *annStore) patch(idx int32, waker int32, flags byte) error {
 	if a.inMemory() {
 		s := a.segOf(idx)
@@ -181,7 +181,7 @@ func (a *annStore) patch(idx int32, waker int32, flags byte) error {
 }
 
 // patchPrev overwrites the prev link of record idx — the cross-range
-// stitch the parallel pass applies at merge time.
+// stitch pass 1's merge applies.
 func (a *annStore) patchPrev(idx int32, prev int32) error {
 	if a.inMemory() {
 		s := a.segOf(idx)

@@ -56,10 +56,10 @@ func mergeChan(dst, src *ChanStats) {
 	}
 }
 
-// lockSink is one accumulation domain: the serial pass uses a single
-// sink; the parallel pass gives each worker its own and merges them in
-// range order afterwards, so results are bit-identical either way (all
-// merged quantities are integer sums, maxima or bools).
+// lockSink is one accumulation domain: pass 3 gives each segment range
+// its own and folds the later ranges' into the head range's in range
+// order, so results are bit-identical at any range count (all merged
+// quantities are integer sums, maxima or bools).
 type lockSink struct {
 	nThreads int
 	// Object IDs are dense (0..nObjs), so the per-object accumulators
@@ -105,10 +105,9 @@ func (s *lockSink) chanOf(ch trace.ObjID, name string) *ChanStats {
 // finalizeMetrics turns the merged accumulation sink into the
 // analysis's Locks, Totals and hot-interval index: it registers unused
 // mutexes, sums totals, merges per-lock on-path intervals and computes
-// the derived percentages. Shared by the sequential and parallel
-// passes — every merged input is an integer sum/maximum/bool and every
-// float is computed here exactly once, which is what makes the two
-// bit-identical.
+// the derived percentages. Every merged input is an integer
+// sum/maximum/bool and every float is computed here exactly once,
+// which is what makes the result bit-identical at any range count.
 func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
 	tr := an.Trace
 	nThreads := len(tr.Threads)
@@ -255,7 +254,8 @@ func sortClipIndex(clips []interval) {
 // its thread's stats, clipping the hold interval against the thread's
 // time-sorted critical-path clip index (indices into cp) via the
 // caller's advancing cursor. Invocations of a thread must arrive in
-// obtain order. Shared by the sequential and parallel metric passes.
+// obtain order. Pass 3's ranges and its merge replay all deliver
+// through it.
 func accumulateInvocation(sink *lockSink, ts *ThreadStats, inv *invocation, name string, opts Options, clips []interval, cursor *int) {
 	a := sink.accOf(inv.lock, name)
 	st := &a.stats

@@ -39,9 +39,11 @@ type Config struct {
 	// is off by default for segmented traces. TraceSource always
 	// retains them.
 	Composition bool
-	// ParallelSegments runs passes 1 and 3 over disjoint segment ranges
-	// on up to this many goroutines, merged deterministically (0 or 1 =
-	// sequential). Results are bit-identical at any setting.
+	// ParallelSegments splits passes 1 and 3 into up to this many
+	// contiguous segment ranges scanned on their own goroutines (0 or
+	// 1 = one range, the plain forward scan). The head range resolves
+	// everything inline and the rest merge deterministically behind it,
+	// so results are bit-identical at any setting.
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Consulted by sources that open segment
@@ -198,7 +200,8 @@ func (h *obsHook) phaseDone(name string, start time.Time, events int64) {
 
 // scanned records one segment load of n events (bytes encoded body
 // bytes, 0 if unknown) and emits a snapshot. Must be called from one
-// goroutine; parallel passes accumulate locally and report through
+// goroutine at a time: a pass's head range reports each segment as it
+// goes, and the later ranges accumulate locally and report through
 // scannedBulk after their barrier.
 func (h *obsHook) scanned(n int, bytes int64) {
 	if h == nil {
@@ -210,8 +213,8 @@ func (h *obsHook) scanned(n int, bytes int64) {
 	h.o.OnProgress(h.p)
 }
 
-// scannedBulk folds a parallel pass's totals into the snapshot in one
-// step — workers must not touch the hook concurrently.
+// scannedBulk folds the later ranges' totals into the snapshot in one
+// step — they must not touch the hook concurrently.
 func (h *obsHook) scannedBulk(segments int, events int64, bytes int64) {
 	if h == nil {
 		return

@@ -68,9 +68,11 @@ const DefaultCacheSegments = 4
 //  3. forward again — TYPE 1/TYPE 2 metric accumulation, streaming
 //     invocations per thread in acquire order against the walked path.
 //
-// With cfg.ParallelSegments > 1, passes 1 and 3 run over disjoint
-// segment ranges concurrently and merge deterministically; the result
-// is bit-identical at any setting.
+// Passes 1 and 3 split the segments into cfg.ParallelSegments
+// contiguous ranges (stream_par.go). The head range resolves
+// everything inline; ranges after it relay what depends on earlier
+// ranges to a merge that replays it in order. One range is the plain
+// forward scan, and the result is bit-identical at any setting.
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	n := src.NumEvents()
 	if n == 0 {
@@ -82,13 +84,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	if cfg.CacheSegments <= 0 {
 		cfg.CacheSegments = DefaultCacheSegments
 	}
-	workers := cfg.ParallelSegments
-	if workers > src.NumSegments() {
-		workers = src.NumSegments()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(cfg.ParallelSegments, src.NumSegments()))
 	skel := src.Skeleton()
 	cs := asColumnSource(src)
 	h := newObsHook(cfg.Observer, n)
@@ -100,12 +96,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	defer ann.remove()
 
 	start := h.phaseStart("pass1")
-	var p1 *pass1Result
-	if workers > 1 {
-		p1, err = streamPass1Par(cs, skel, ann, workers, h)
-	} else {
-		p1, err = streamPass1(cs, skel, ann, h)
-	}
+	p1, err := pass1(cs, skel, ann, workers, h)
 	if err != nil {
 		return nil, err
 	}
@@ -122,12 +113,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 
 	start = h.phaseStart("pass3")
 	an := &Analysis{Trace: skel, CP: *cp}
-	if workers > 1 {
-		err = streamPass3Par(cs, skel, ann, p1, an, cfg, workers, h)
-	} else {
-		err = streamPass3(cs, skel, ann, p1, an, cfg, h)
-	}
-	if err != nil {
+	if err := pass3(cs, skel, ann, p1, an, cfg, workers, h); err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass3", start, int64(n))
@@ -322,29 +308,23 @@ func (cs *chanPairing) recv(i int32, blocked, closed bool) int32 {
 
 func (cs *chanPairing) close(i int32) { cs.lastClose = i }
 
-// pass1Sync is the sequential waker state machine for every
-// synchronization kind whose resolution needs global order: thread
-// lifecycle, barriers, conds, channels and joins. The sequential pass
-// feeds it every event inline; the parallel pass replays only the
-// (rare) sync events through it at merge time, in global order, so
-// both produce identical wakers and patches. Lock release→obtain
-// wakers are NOT handled here — they are the per-range case the
-// parallel workers resolve locally (see streamPass1Par).
+// pass1Sync is the waker state machine for every synchronization kind
+// whose resolution needs global order: thread lifecycle, barriers,
+// conds, channels and joins. Pass 1's head range steps it inline; the
+// merge then replays the (rare) sync events the later ranges relayed,
+// in global order, so it steps every sync event in trace order at any
+// range count. Lock release→obtain wakers are NOT handled here — every range
+// resolves them locally (see pass1).
 type pass1Sync struct {
 	skel         *trace.Trace
 	p1           *pass1Result
 	createIdx    []int32
 	pendingStart []int32
 	joinBeginT   []trace.Time
-	// exit tracking lives here (not in p1) for the parallel pass: a
-	// JoinEnd's waker must consult only exits that precede it, and in
-	// the parallel pass p1.exitIdx is filled by workers out of order.
-	exitIdx  []int32
-	exitT    []trace.Time
-	barriers map[trace.ObjID]*barStream
-	conds    map[trace.ObjID]*condStream
-	chans    map[trace.ObjID]*chanPairing
-	patches  []annPatch
+	barriers     map[trace.ObjID]*barStream
+	conds        map[trace.ObjID]*condStream
+	chans        map[trace.ObjID]*chanPairing
+	patches      []annPatch
 }
 
 func newPass1Sync(skel *trace.Trace, p1 *pass1Result) *pass1Sync {
@@ -355,8 +335,6 @@ func newPass1Sync(skel *trace.Trace, p1 *pass1Result) *pass1Sync {
 		createIdx:    make([]int32, nThreads),
 		pendingStart: make([]int32, nThreads),
 		joinBeginT:   make([]trace.Time, nThreads),
-		exitIdx:      make([]int32, nThreads),
-		exitT:        make([]trace.Time, nThreads),
 		barriers:     map[trace.ObjID]*barStream{},
 		conds:        map[trace.ObjID]*condStream{},
 		chans:        map[trace.ObjID]*chanPairing{},
@@ -364,7 +342,6 @@ func newPass1Sync(skel *trace.Trace, p1 *pass1Result) *pass1Sync {
 	for tid := 0; tid < nThreads; tid++ {
 		m.createIdx[tid] = -1
 		m.pendingStart[tid] = -1
-		m.exitIdx[tid] = -1
 	}
 	return m
 }
@@ -420,8 +397,6 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 		m.p1.exitIdx[thread] = i
 		m.p1.exitT[thread] = t
 		m.p1.exitSeq[thread] = seq
-		m.exitIdx[thread] = i
-		m.exitT[thread] = t
 
 	case trace.EvThreadCreate:
 		child := trace.ThreadID(arg)
@@ -555,10 +530,10 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 
 	case trace.EvJoinEnd:
 		target := trace.ThreadID(arg)
-		if int(target) >= 0 && int(target) < len(m.exitIdx) && m.exitIdx[target] >= 0 &&
-			m.exitT[target] > m.joinBeginT[thread] {
+		if int(target) >= 0 && int(target) < len(m.p1.exitIdx) && m.p1.exitIdx[target] >= 0 &&
+			m.p1.exitT[target] > m.joinBeginT[thread] {
 			rec.flags |= annBlocked
-			rec.waker = m.exitIdx[target]
+			rec.waker = m.p1.exitIdx[target]
 		}
 	}
 }
@@ -594,7 +569,7 @@ func indexesObj(kind trace.EventKind) bool {
 
 // isSyncKind reports whether kind routes through pass1Sync. Lock
 // events are excluded: obtain wakers resolve against lastRelease
-// per-range in the parallel pass.
+// within each range.
 func isSyncKind(kind trace.EventKind) bool {
 	switch kind {
 	case trace.EvThreadStart, trace.EvThreadExit, trace.EvThreadCreate,
@@ -605,91 +580,6 @@ func isSyncKind(kind trace.EventKind) bool {
 		return true
 	}
 	return false
-}
-
-// streamPass1 is the forward waker-resolution pass: one annotation
-// record per event written to per-segment shards, deferred
-// resolutions applied as patches. Its working set is O(threads +
-// objects + open barrier episodes + waiting cond threads + one
-// decoded segment) — independent of trace length.
-func streamPass1(src ColumnSource, skel *trace.Trace, ann *annStore, h *obsHook) (*pass1Result, error) {
-	nThreads := len(skel.Threads)
-	p1 := newPass1Result(nThreads)
-	sync := newPass1Sync(skel, p1)
-	lastOfThread := make([]int32, nThreads)
-	for tid := 0; tid < nThreads; tid++ {
-		lastOfThread[tid] = -1
-	}
-	lastRelease := make([]int32, len(skel.Objects))
-	for i := range lastRelease {
-		lastRelease[i] = -1
-	}
-
-	var cols trace.Columns
-	var lkScratch, flScratch []byte
-	i := int32(0)
-	for s := 0; s < src.NumSegments(); s++ {
-		bytes, err := src.LoadColumns(s, &cols)
-		if err != nil {
-			return nil, err
-		}
-		count := cols.Len()
-		lk, fl := ann.shard(s, lkScratch, flScratch)
-		cT, cSeq, cTh, cKind, cObj, cArg := cols.T, cols.Seq, cols.Thread, cols.Kind, cols.Obj, cols.Arg
-		for k := 0; k < count; k++ {
-			th := cTh[k]
-			if th < 0 || int(th) >= nThreads {
-				return nil, fmt.Errorf("core: event %d references thread %d out of range", i, th)
-			}
-			kind := trace.EventKind(cKind[k])
-			if obj := cObj[k]; uint32(obj) >= uint32(len(lastRelease)) && indexesObj(kind) {
-				return nil, fmt.Errorf("core: event %d: %s references object %d out of range", i, kind, obj)
-			}
-			t := cT[k]
-			if i == 0 {
-				p1.firstT = t
-			}
-			p1.lastT = t
-			rec := annRec{prev: lastOfThread[th], waker: -1}
-			lastOfThread[th] = i
-
-			switch kind {
-			case trace.EvLockObtain:
-				if cArg[k]&trace.LockArgContended != 0 {
-					rec.flags |= annBlocked
-					rec.waker = lastRelease[cObj[k]]
-				}
-			case trace.EvLockRelease:
-				lastRelease[cObj[k]] = i
-			default:
-				if isSyncKind(kind) {
-					sync.step(i, kind, trace.ThreadID(th), trace.ObjID(cObj[k]), cArg[k], t, cSeq[k], &rec)
-				}
-			}
-
-			putAnnLink(lk[k*annLinkSize:], rec.prev, rec.waker)
-			fl[k] = rec.flags
-			i++
-		}
-		spilled, err := ann.commit(s, lk, fl)
-		if err != nil {
-			return nil, err
-		}
-		if !ann.inMemory() {
-			lkScratch, flScratch = lk, fl
-		}
-		if spilled > 0 {
-			h.spilled(spilled)
-		}
-		h.scanned(count, bytes)
-	}
-
-	for _, p := range sync.finish() {
-		if err := ann.patch(p.idx, p.waker, annBlocked); err != nil {
-			return nil, err
-		}
-	}
-	return p1, nil
 }
 
 // segLoader serves random event/annotation lookups for the backward
@@ -1073,13 +963,13 @@ func (inv *invocation) wait() trace.Time { return inv.obtT - inv.acqT }
 func (inv *invocation) hold() trace.Time { return inv.relT - inv.obtT }
 
 // streamThread is pass 3's per-thread state: the previous event's
-// timestamp, matched cond-wait begins, the FIFO of in-flight lock
-// invocations (acquire order) and the thread's critical-path clip
-// cursor. Everything is O(in-flight), not O(history).
+// timestamp, cond-wait begins, the FIFO of in-flight lock invocations
+// (acquire order) and the thread's critical-path clip cursor.
+// Everything is O(in-flight), not O(history).
 type streamThread struct {
 	seen      bool
 	prevT     trace.Time
-	condBegin map[trace.ObjID]trace.Time
+	condBegin map[trace.ObjID]condMark
 	pend      []invocation
 	head      int
 	base      int        // absolute queue position of pend[0]
@@ -1151,8 +1041,8 @@ func (st *streamThread) compact() {
 }
 
 // initStreamThreads fills the analysis's ThreadStats from pass 1 and
-// builds the per-thread clip index from the walked path — shared by
-// the sequential and parallel metric passes.
+// builds the per-thread clip index from the walked path. The result is
+// pass 3's head-range state; later ranges share its clip index.
 func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []streamThread {
 	nThreads := len(skel.Threads)
 	an.Threads = make([]ThreadStats, nThreads)
@@ -1172,8 +1062,7 @@ func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []strea
 	}
 
 	// Critical-path pieces per thread, packed as (From, To) pairs and
-	// sorted by time for clipping — the same construction and sort the
-	// parallel pass uses, so tie orders match exactly.
+	// sorted by time for clipping.
 	threads := make([]streamThread, nThreads)
 	counts := make([]int, nThreads)
 	for pi := range an.CP.Pieces {
@@ -1193,170 +1082,4 @@ func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []strea
 		sortClipIndex(threads[tid].clips)
 	}
 	return threads
-}
-
-// streamPass3 is the forward metric pass: per-thread blocking-time
-// accounting and per-lock accumulation, delivering each thread's
-// invocations in acquire order as their critical sections close.
-func streamPass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, h *obsHook) error {
-	nThreads := len(skel.Threads)
-	threads := initStreamThreads(an, skel, p1)
-
-	an.hotByLock = map[trace.ObjID][]interval{}
-	if cfg.Composition {
-		an.holdsByThread = make([][]interval, nThreads)
-	}
-	sink := newLockSink(nThreads, len(skel.Objects))
-
-	deliver := func(tid int, inv *invocation) {
-		if cfg.Composition {
-			an.holdsByThread[tid] = append(an.holdsByThread[tid], interval{inv.obtT, inv.relT})
-		}
-		st := &threads[tid]
-		accumulateInvocation(sink, &an.Threads[tid], inv, skel.ObjName(inv.lock), cfg.Options, st.clips, &st.cursor)
-	}
-
-	var cols trace.Columns
-	var flagsBuf []byte
-	i := int32(0)
-	for s := 0; s < src.NumSegments(); s++ {
-		bytes, err := src.LoadColumns(s, &cols)
-		if err != nil {
-			return err
-		}
-		count := cols.Len()
-		flagsBuf, err = ann.readFlags(s, flagsBuf)
-		if err != nil {
-			return err
-		}
-		cT, cTh, cKind, cObj, cArg := cols.T, cols.Thread, cols.Kind, cols.Obj, cols.Arg
-		for k := 0; k < count; k++ {
-			tid := int(cTh[k])
-			st := &threads[tid]
-			kind := trace.EventKind(cKind[k])
-			t := cT[k]
-			obj := trace.ObjID(cObj[k])
-			arg := cArg[k]
-
-			// Blocking-time accounting skips each thread's first event:
-			// there is no preceding interval to account.
-			if st.seen {
-				ts := &an.Threads[tid]
-				switch kind {
-				case trace.EvBarrierDepart:
-					if arg == 0 {
-						ts.BarrierWait += t - st.prevT
-					}
-				case trace.EvCondWaitBegin:
-					if st.condBegin == nil {
-						st.condBegin = map[trace.ObjID]trace.Time{}
-					}
-					st.condBegin[obj] = t
-				case trace.EvCondWaitEnd:
-					if begin, ok := st.condBegin[obj]; ok {
-						ts.CondWait += t - begin
-						delete(st.condBegin, obj)
-					}
-				case trace.EvChanSend:
-					cs := sink.chanOf(obj, skel.ObjName(obj))
-					cs.Sends++
-					if arg&trace.ChanArgBlocked != 0 {
-						w := t - st.prevT
-						cs.BlockedSends++
-						cs.SendWait += w
-						if w > cs.MaxWait {
-							cs.MaxWait = w
-						}
-						ts.ChanWait += w
-					}
-				case trace.EvChanRecv:
-					cs := sink.chanOf(obj, skel.ObjName(obj))
-					cs.Recvs++
-					if arg&trace.ChanArgBlocked != 0 {
-						w := t - st.prevT
-						cs.BlockedRecvs++
-						cs.RecvWait += w
-						if w > cs.MaxWait {
-							cs.MaxWait = w
-						}
-						ts.ChanWait += w
-					}
-				case trace.EvChanClose:
-					sink.chanOf(obj, skel.ObjName(obj)).Closes++
-				case trace.EvJoinEnd:
-					if flagsBuf[k]&annBlocked != 0 {
-						ts.JoinWait += t - st.prevT
-					}
-				}
-			} else {
-				st.seen = true
-			}
-			st.prevT = t
-
-			switch kind {
-			case trace.EvLockAcquire:
-				pos := st.push(invocation{
-					lock: obj, thread: trace.ThreadID(tid),
-					acquireIdx: i, obtainIdx: -1, releaseIdx: -1,
-					acqT: t,
-				})
-				st.open.set(obj, pos)
-
-			case trace.EvLockObtain:
-				pos, ok := st.open.get(obj)
-				if !ok {
-					return fmt.Errorf("core: event %d: obtain of %q without acquire", i, skel.ObjName(obj))
-				}
-				inv := st.at(pos)
-				inv.obtainIdx = i
-				inv.obtT = t
-				inv.contended = arg&trace.LockArgContended != 0
-				inv.shared = arg&trace.LockArgShared != 0
-
-			case trace.EvLockRelease:
-				pos, ok := st.open.get(obj)
-				if !ok {
-					return fmt.Errorf("core: event %d: release of %q without hold", i, skel.ObjName(obj))
-				}
-				inv := st.at(pos)
-				inv.releaseIdx = i
-				inv.relT = t
-				st.open.del(obj)
-				// Deliver the closed prefix of the queue, in acquire
-				// order.
-				for st.head < len(st.pend) && st.pend[st.head].releaseIdx >= 0 {
-					if st.pend[st.head].obtainIdx >= 0 {
-						deliver(tid, &st.pend[st.head])
-					}
-					st.head++
-				}
-				st.compact()
-			}
-			i++
-		}
-		h.scanned(count, bytes)
-		// Pass 3 is the last annotation consumer; shed each segment's
-		// shard as soon as it is behind us.
-		ann.release(s)
-	}
-
-	// End of trace: invocations still open get the trace's end as
-	// their release, then deliver the rest of every queue in acquire
-	// order.
-	for tid := range threads {
-		st := &threads[tid]
-		for k := st.head; k < len(st.pend); k++ {
-			inv := &st.pend[k]
-			if inv.obtainIdx < 0 {
-				continue // acquire without obtain (truncated); skip
-			}
-			if inv.releaseIdx < 0 {
-				inv.relT = p1.lastT
-			}
-			deliver(tid, inv)
-		}
-	}
-
-	finalizeMetrics(an, sink, src.NumEvents())
-	return nil
 }

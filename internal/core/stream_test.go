@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -382,6 +383,77 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 			_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
 			if err == nil || !strings.Contains(err.Error(), "references object 99") {
 				t.Errorf("%s, par=%d: err = %v, want an out-of-range object error", name, par, err)
+			}
+		}
+	}
+}
+
+// TestLockErrorsAtAnyParallelism: pass 3 rejects an
+// unpaired release, an unpaired obtain and an obtain with no acquire
+// with the same error at every worker count, whether the bad event lies
+// in the head range, which fails on the spot, or past it, where the
+// merge's replay of the relayed event fails.
+func TestLockErrorsAtAnyParallelism(t *testing.T) {
+	const pad = 64 // padding critical sections, three events each
+	cases := []struct {
+		name string
+		// prefix emits the events before the bad one from time at and
+		// returns the next free time.
+		prefix  func(b *trace.Builder, th trace.ThreadID, l trace.ObjID, at trace.Time) trace.Time
+		badKind trace.EventKind
+		want    string
+	}{
+		{"unpaired release", func(b *trace.Builder, th trace.ThreadID, l trace.ObjID, at trace.Time) trace.Time {
+			b.CS(th, l, at, at+1, at+2)
+			return at + 3
+		}, trace.EvLockRelease, `release of "L" without hold`},
+		{"unpaired obtain", func(b *trace.Builder, th trace.ThreadID, l trace.ObjID, at trace.Time) trace.Time {
+			b.CS(th, l, at, at+1, at+2)
+			return at + 3
+		}, trace.EvLockObtain, `obtain of "L" without acquire`},
+		{"obtain without acquire", func(_ *trace.Builder, _ trace.ThreadID, _ trace.ObjID, at trace.Time) trace.Time {
+			return at
+		}, trace.EvLockObtain, `obtain of "L" without acquire`},
+	}
+	for _, c := range cases {
+		for _, inHead := range []bool{true, false} {
+			b := trace.NewBuilder()
+			main := b.Thread("main", trace.NoThread)
+			l, p := b.Mutex("L"), b.Mutex("P")
+			b.Start(0, main)
+			at := c.prefix(b, main, l, 1)
+			padding := func() {
+				for i := 0; i < pad; i++ {
+					b.CS(main, p, at, at+1, at+2)
+					at += 3
+				}
+			}
+			if !inHead {
+				padding()
+			}
+			badT := at
+			b.Event(badT, main, c.badKind, l, 0)
+			at++
+			if inHead {
+				padding()
+			}
+			b.Exit(at, main)
+			tr := b.Trace()
+			n := len(tr.Events)
+			bad := slices.IndexFunc(tr.Events, func(e trace.Event) bool { return e.T == badT })
+			// One-event segments: the head range at 8 workers is the
+			// first n/8 events, and past it at 2 workers starts at
+			// ceil(n/2).
+			if inHead && bad >= n/8 || !inHead && bad < (n+1)/2 {
+				t.Fatalf("%s: bad event %d of %d is not where the case needs it", c.name, bad, n)
+			}
+			want := fmt.Sprintf("core: event %d: %s", bad, c.want)
+			r := segmented(t, tr, 1, 1, false)
+			for _, par := range []int{1, 2, 8} {
+				_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
+				if err == nil || err.Error() != want {
+					t.Errorf("%s (head=%t), par=%d: err = %v, want %q", c.name, inHead, par, err, want)
+				}
 			}
 		}
 	}

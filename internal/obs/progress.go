@@ -11,7 +11,8 @@ import (
 type Progress struct {
 	// Phase names the pipeline stage currently executing: "pass1",
 	// "walk" and "pass3" for the three analysis passes, preceded by
-	// "validate" for in-memory traces.
+	// "validate" for in-memory traces and followed by "hazard" when
+	// clasrv runs the dynamic hazard pass.
 	Phase string `json:"phase"`
 	// Events is the number of events processed so far.
 	Events int64 `json:"events"`

@@ -350,19 +350,16 @@ func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyz
 			fmt.Sprintf("decoding %s trace: %v", params.format, err)}
 	}
 
-	an, err := s.run(ctx, id, "trace", core.TraceSource(tr), params)
+	var hazards func() (*hazard.Report, error)
+	if params.hazards {
+		hazards = func() (*hazard.Report, error) { return hazardResult(hazard.FromTrace(tr)) }
+	}
+	an, hz, err := s.run(ctx, id, "trace", core.TraceSource(tr), params, hazards)
 	if err != nil {
 		return nil, err
 	}
 	rep := buildReport(id, "trace", false, an)
-	if params.hazards {
-		hz, err := hazard.FromTrace(tr)
-		if err != nil {
-			return nil, &httpError{http.StatusUnprocessableEntity,
-				fmt.Sprintf("hazard analysis: %v", err)}
-		}
-		rep.Hazards = hz
-	}
+	rep.Hazards = hz
 	return s.store(rep), nil
 }
 
@@ -384,39 +381,50 @@ func (s *Server) analyzeSegdir(ctx context.Context, params analyzeParams) (*Repo
 	if err != nil {
 		return nil, fmt.Errorf("opening %s: %w", params.segdir, err)
 	}
+	var hazards func() (*hazard.Report, error)
+	if params.hazards {
+		hazards = func() (*hazard.Report, error) {
+			// The analysis source closed its reader; the hazard pass
+			// streams the directory again on a fresh one
+			// (segment-range parallel).
+			hrdr, err := segment.OpenWith(params.segdir, segment.ReadOptions{NoMmap: !params.mmap})
+			if err != nil {
+				return nil, fmt.Errorf("reopening %s: %w", params.segdir, err)
+			}
+			defer hrdr.Close()
+			return hazardResult(hazard.FromSegments(hrdr, params.par))
+		}
+	}
 	// closingSource releases the reader's mappings when the analysis
 	// goroutine finishes, even if the request deadline abandoned it.
-	an, err := s.run(ctx, id, source, closingSource{rdr}, params)
+	an, hz, err := s.run(ctx, id, source, closingSource{rdr}, params, hazards)
 	if err != nil {
 		return nil, err
 	}
 	rep := buildReport(id, source, true, an)
-	if params.hazards {
-		// The analysis source closed its reader; the hazard pass streams
-		// the directory again on a fresh one (segment-range parallel).
-		hrdr, err := segment.OpenWith(params.segdir, segment.ReadOptions{NoMmap: !params.mmap})
-		if err != nil {
-			return nil, fmt.Errorf("reopening %s: %w", params.segdir, err)
-		}
-		hz, err := hazard.FromSegments(hrdr, params.par)
-		hrdr.Close()
-		if err != nil {
-			return nil, &httpError{http.StatusUnprocessableEntity,
-				fmt.Sprintf("hazard analysis: %v", err)}
-		}
-		rep.Hazards = hz
-	}
+	rep.Hazards = hz
 	return s.store(rep), nil
 }
 
-// run executes one analysis under the concurrency budget, the request
-// deadline and full observation (shared instruments + progress
-// tracker).
-func (s *Server) run(ctx context.Context, id, source string, src core.Source, params analyzeParams) (*core.Analysis, error) {
+// hazardResult passes a hazard report through and turns a hazard pass
+// failure into a 422.
+func hazardResult(hz *hazard.Report, err error) (*hazard.Report, error) {
+	if err != nil {
+		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("hazard analysis: %v", err)}
+	}
+	return hz, nil
+}
+
+// run executes one analysis, then the hazard pass when hazards is
+// non-nil, under the concurrency budget, the request deadline and full
+// observation (shared instruments + progress tracker). The hazard pass
+// reports to the run's observer as the "hazard" phase.
+func (s *Server) run(ctx context.Context, id, source string, src core.Source, params analyzeParams,
+	hazards func() (*hazard.Report, error)) (*core.Analysis, *hazard.Report, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, httpErrorf(http.StatusServiceUnavailable, "timed out waiting for an analysis slot")
+		return nil, nil, httpErrorf(http.StatusServiceUnavailable, "timed out waiting for an analysis slot")
 	}
 
 	tracked := s.tracker.Start(id, source)
@@ -447,20 +455,29 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 	// /debug/progress honest.
 	type result struct {
 		an  *core.Analysis
+		hz  *hazard.Report
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
 		an, err := core.AnalyzeSource(src, cfg)
-		ch <- result{an, err}
+		var hz *hazard.Report
+		if err == nil && hazards != nil {
+			start := time.Now()
+			cfg.Observer.PhaseStart("hazard")
+			if hz, err = hazards(); err == nil {
+				cfg.Observer.PhaseDone("hazard", time.Since(start))
+			}
+		}
+		ch <- result{an, hz, err}
 	}()
 	select {
 	case res := <-ch:
 		cleanup()
-		return res.an, res.err
+		return res.an, res.hz, res.err
 	case <-ctx.Done():
 		go func() { <-ch; cleanup() }()
-		return nil, httpErrorf(http.StatusGatewayTimeout, "analysis exceeded the %s request budget", s.opts.Timeout)
+		return nil, nil, httpErrorf(http.StatusGatewayTimeout, "analysis exceeded the %s request budget", s.opts.Timeout)
 	}
 }
 

@@ -337,6 +337,43 @@ func TestHazardsEndpoint(t *testing.T) {
 	}
 }
 
+// TestHazardPhaseObserved: the hazard pass runs inside the analysis
+// slot and reports to the run's observer, so /metrics counts one
+// "hazard" phase after one /v1/hazards POST and none after a plain
+// /v1/analyze.
+func TestHazardPhaseObserved(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	body := traceBytes(t, microTrace(t))
+	metrics := func() string {
+		t.Helper()
+		status, raw := get(t, ts, "/metrics")
+		if status != http.StatusOK {
+			t.Fatalf("GET /metrics = %d", status)
+		}
+		return string(raw)
+	}
+
+	if status, raw := post(t, ts, "", body); status != http.StatusOK {
+		t.Fatalf("POST /v1/analyze = %d\n%s", status, raw)
+	}
+	if m := metrics(); strings.Contains(m, `phase="hazard"`) {
+		t.Errorf("/metrics has a hazard phase after /v1/analyze only")
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/hazards", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/hazards = %d\n%s", resp.StatusCode, raw)
+	}
+	if want := `critlock_phase_seconds_count{phase="hazard"} 1`; !strings.Contains(metrics(), want) {
+		t.Errorf("/metrics missing %q after one /v1/hazards POST", want)
+	}
+}
+
 func TestReportCacheEviction(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{CacheReports: 1})
 	body := traceBytes(t, microTrace(t))
