@@ -38,13 +38,15 @@ lint:
 
 # Short mutation run of every fuzz target: the segment frame/footer
 # decoders and manifest reader (hostile bytes must error, never panic),
-# the trace codec, and trace.Validate. Go allows one fuzz target per
+# the trace codecs and the encoding-sniffing trace.Decode, and
+# trace.Validate. Go allows one fuzz target per
 # `go test -fuzz` invocation, so they run back to back.
 fuzz-smoke:
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecode$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzValidate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzLint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzHazard -fuzztime $(FUZZTIME)

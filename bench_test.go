@@ -31,7 +31,7 @@ import (
 // benchExperiment runs one registered experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, err := experiments.Get(id)
+	e, err := experiments.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -481,25 +481,4 @@ func BenchmarkWindowsAnalysis(b *testing.B) {
 			b.Fatal("bad windows")
 		}
 	}
-}
-
-func BenchmarkStreamWrite(b *testing.B) {
-	tr := largeTrace(50_000)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		sw, err := trace.NewStreamWriter(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range tr.Events {
-			sw.Event(e)
-		}
-		if err := sw.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
 }

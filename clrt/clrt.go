@@ -67,8 +67,8 @@ var foreignWarn sync.Once
 
 // goid parses the calling goroutine's id out of its stack header
 // ("goroutine N [running]:"). There is no supported API for this; the
-// parse is the standard trick and costs about a microsecond, which is
-// acceptable next to the mutex and channel work being traced.
+// parse is the standard trick and costs several microseconds per call
+// (3.4–6.6 µs measured with go1.24 on a shared 2-vCPU x86-64 VM).
 func goid() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)

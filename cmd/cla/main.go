@@ -1,20 +1,18 @@
 // Command cla is the offline analysis module: it reads a trace file
-// (binary .cltr or JSON) produced by clasim or by an instrumented
-// program and prints the critical lock analysis report — the role of
-// the paper's post-processing analysis module (Fig. 3).
+// (binary .cltr or JSON, told apart by their first bytes) produced by
+// clasim or by an instrumented program and prints the critical lock
+// analysis report — the role of the paper's post-processing analysis
+// module (Fig. 3).
 //
 //	cla trace.cltr
-//	cla -json trace.json
 //	cla -top 0 -threadstats -gantt trace.cltr
 //	cla -csv trace.cltr            # lock table as CSV
 //	cla -segdir segs/              # stream a segmented trace, bounded memory
 //	cla -hazards trace.cltr        # predict feasible deadlocks and lost signals
 //	cla -jsonreport analysis.json trace.cltr   # JSON analysis for clalint -report
-//	cla -stream -segdir segs/ trace.cltr   # convert a trace into segments
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,8 +36,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("cla", flag.ContinueOnError)
 	var (
-		jsonIn     = fs.Bool("json", false, "input is JSON instead of binary")
-		streamIn   = fs.Bool("stream", false, "input is the incremental stream format (tolerates truncation)")
 		top        = fs.Int("top", 10, "locks to list (0 = all)")
 		thr        = fs.Bool("threadstats", false, "print per-thread statistics")
 		gantt      = fs.Bool("gantt", false, "print the execution timeline")
@@ -100,25 +96,11 @@ func run(args []string) error {
 			return fmt.Errorf("expected exactly one trace file argument (or -segdir DIR alone)")
 		}
 		path := fs.Arg(0)
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-
-		switch {
-		case *streamIn:
-			tr, err = trace.ReadStream(f)
-			if err != nil && errors.Is(err, trace.ErrTruncatedStream) && len(tr.Events) > 0 {
-				fmt.Fprintf(os.Stderr, "cla: warning: %v — analyzing the durable prefix (%d events)\n", err, len(tr.Events))
-				err = nil
-			}
-		case *jsonIn:
-			tr, err = trace.ReadJSON(f)
-		default:
-			tr, err = trace.ReadBinary(f)
-		}
-		if err != nil {
+		if tr, err = trace.Decode(data); err != nil {
 			return fmt.Errorf("reading %s: %w", path, err)
 		}
 

@@ -3,9 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"critlock"
+	"critlock/internal/report"
 )
 
 // writeTestTrace simulates a tiny run and stores it in both formats.
@@ -67,14 +70,43 @@ func TestAnalyzeBinaryTrace(t *testing.T) {
 }
 
 func TestAnalyzeJSONTrace(t *testing.T) {
-	_, js := writeTestTrace(t)
-	if err := run([]string{"-json", js}); err != nil {
+	bin, js := writeTestTrace(t)
+	dir := t.TempDir()
+	fromBin, fromJSON := filepath.Join(dir, "bin.json"), filepath.Join(dir, "js.json")
+	if err := run([]string{"-jsonreport", fromBin, bin}); err != nil {
 		t.Fatal(err)
 	}
-	// Binary parser must reject the JSON file.
-	if err := run([]string{js}); err == nil {
-		t.Error("JSON file accepted as binary")
+	if err := run([]string{"-jsonreport", fromJSON, js}); err != nil {
+		t.Fatalf("JSON file not analyzed without a flag: %v", err)
 	}
+	a, b := readExport(t, fromBin), readExport(t, fromJSON)
+	a.Source, b.Source = "", ""
+	if !reflect.DeepEqual(a, b) {
+		t.Error("JSON trace analyzed differently from the binary one")
+	}
+
+	garbage := filepath.Join(dir, "garbage.cltr")
+	if err := os.WriteFile(garbage, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{garbage})
+	if err == nil || !strings.Contains(err.Error(), "binary trace") || !strings.Contains(err.Error(), "JSON trace") {
+		t.Errorf("garbage input: error %v, want one naming both accepted encodings", err)
+	}
+}
+
+func readExport(t *testing.T, path string) *report.Export {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := report.ReadExport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func TestErrors(t *testing.T) {

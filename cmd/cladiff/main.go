@@ -7,6 +7,8 @@
 //	clasim -w radiosity -threads 24 -o before.cltr
 //	clasim -w radiosity -threads 24 -twolock -o after.cltr
 //	cladiff before.cltr after.cltr
+//
+// Each trace may be binary or JSON; the two need not match.
 package main
 
 import (
@@ -29,8 +31,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("cladiff", flag.ContinueOnError)
 	var (
-		jsonIn = fs.Bool("json", false, "inputs are JSON instead of binary")
-		top    = fs.Int("top", 12, "lock movements to list (0 = all)")
+		top = fs.Int("top", 12, "lock movements to list (0 = all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -41,17 +42,11 @@ func run(args []string) error {
 	}
 
 	load := func(path string) (*core.Analysis, trace.Time, error) {
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, 0, err
 		}
-		defer f.Close()
-		var tr *trace.Trace
-		if *jsonIn {
-			tr, err = trace.ReadJSON(f)
-		} else {
-			tr, err = trace.ReadBinary(f)
-		}
+		tr, err := trace.Decode(data)
 		if err != nil {
 			return nil, 0, fmt.Errorf("reading %s: %w", path, err)
 		}

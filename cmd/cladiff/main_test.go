@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"critlock"
@@ -46,6 +47,62 @@ func TestDiffPair(t *testing.T) {
 	}
 }
 
+// TestDiffMixedEncodings: each input's encoding is detected from its
+// bytes, so a binary trace diffs against a JSON one exactly as against
+// its binary twin.
+func TestDiffMixedEncodings(t *testing.T) {
+	before, after := writePair(t)
+	in, err := os.Open(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := critlock.ReadTrace(in)
+	in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterJSON := filepath.Join(t.TempDir(), "after.json")
+	f, err := os.Create(afterJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := critlock.WriteTraceJSON(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	binary := stdoutOf(t, before, after)
+	if !strings.Contains(binary, "speedup:") {
+		t.Fatalf("cladiff printed no comparison:\n%s", binary)
+	}
+	mixed := stdoutOf(t, before, afterJSON)
+	if want := strings.ReplaceAll(binary, after, afterJSON); mixed != want {
+		t.Errorf("binary-vs-JSON diff differs from binary-vs-binary:\n%s\nwant:\n%s", mixed, want)
+	}
+}
+
+// stdoutOf runs cladiff on args and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("cladiff %v: %v", args, err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestDiffErrors(t *testing.T) {
 	before, _ := writePair(t)
 	if err := run([]string{before}); err == nil {
@@ -54,7 +111,11 @@ func TestDiffErrors(t *testing.T) {
 	if err := run([]string{before, "/missing.cltr"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run([]string{"-json", before, before}); err == nil {
-		t.Error("binary file accepted as JSON")
+	garbage := filepath.Join(t.TempDir(), "garbage.json")
+	if err := os.WriteFile(garbage, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{before, garbage}); err == nil {
+		t.Error("garbage input accepted")
 	}
 }

@@ -33,7 +33,6 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("clagen", flag.ContinueOnError)
-	jsonIn := fs.Bool("json", false, "input trace is JSON instead of binary")
 	segdir := cliflags.SegDir(fs)
 	parSeg := cliflags.Par(fs)
 	mmap := cliflags.Mmap(fs)
@@ -60,18 +59,11 @@ func run(args []string, out *os.File) error {
 			fs.Usage()
 			return fmt.Errorf("expected exactly one trace file argument (or -segdir DIR)")
 		}
-		f, err := os.Open(fs.Arg(0))
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-
-		var tr *trace.Trace
-		if *jsonIn {
-			tr, err = trace.ReadJSON(f)
-		} else {
-			tr, err = trace.ReadBinary(f)
-		}
+		tr, err := trace.Decode(data)
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", fs.Arg(0), err)
 		}

@@ -53,6 +53,51 @@ func TestGenerateModel(t *testing.T) {
 	}
 }
 
+// TestGenerateFromJSON: a JSON trace is recognized from its bytes and
+// yields the same model as its binary twin.
+func TestGenerateFromJSON(t *testing.T) {
+	bin := writeMicroTrace(t)
+	in, err := os.Open(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := critlock.ReadTrace(in)
+	in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	js := filepath.Join(dir, "micro.json")
+	f, err := os.Create(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := critlock.WriteTraceJSON(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	model := func(path string) string {
+		t.Helper()
+		out, err := os.Create(filepath.Join(dir, filepath.Base(path)+".model"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		if err := run([]string{path}, out); err != nil {
+			t.Fatalf("clagen %s: %v", path, err)
+		}
+		data, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if a, b := model(bin), model(js); a != b {
+		t.Errorf("model from JSON differs from model from binary:\n%s\nvs\n%s", b, a)
+	}
+}
+
 func TestGenerateErrors(t *testing.T) {
 	if err := run(nil, os.Stdout); err == nil {
 		t.Error("missing argument accepted")

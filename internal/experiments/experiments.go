@@ -138,11 +138,6 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
 
-// Get finds an experiment by ID.
-//
-// Deprecated: use ByID; Get is kept as an alias for older callers.
-func Get(id string) (Experiment, error) { return ByID(id) }
-
 // closestID returns the registered ID nearest to id by edit distance,
 // or "" when nothing is plausibly close. Distance ties go to the
 // candidate sharing the longest prefix with the typo (then the

@@ -30,11 +30,11 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	if _, err := Get("fig9"); err != nil {
+	if _, err := ByID("fig9"); err != nil {
 		t.Error(err)
 	}
-	if _, err := Get("bogus"); err == nil {
-		t.Error("Get(bogus) succeeded")
+	if _, err := ByID("bogus"); err == nil {
+		t.Error("ByID(bogus) succeeded")
 	}
 }
 
@@ -86,7 +86,7 @@ func TestFig1TraceGolden(t *testing.T) {
 // TestFig6ShapeHolds: the identification result must hold (not just
 // run) — CP Time picks L2, Wait Time picks L1, optimizing L2 wins.
 func TestFig6ShapeHolds(t *testing.T) {
-	e, err := Get("fig6")
+	e, err := ByID("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -113,26 +112,17 @@ func LoadDynamic(path string) (*report.Export, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tr *trace.Trace
-	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-		// JSON: an analysis report has a "summary" object, a JSON trace
-		// has "events" — disambiguate before committing to a decoder.
-		var probe map[string]json.RawMessage
-		if err := json.Unmarshal(data, &probe); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", path, err)
-		}
+	// An analysis report is a JSON object with a "summary" key; divert
+	// it before decoding the file as a binary or JSON trace.
+	var probe map[string]json.RawMessage
+	if json.Unmarshal(data, &probe) == nil {
 		if _, ok := probe["summary"]; ok {
 			return LoadReport(path)
 		}
-		tr, err = trace.ReadJSON(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", path, err)
-		}
-	} else {
-		tr, err = trace.DecodeBinary(data)
-		if err != nil {
-			return nil, fmt.Errorf("read %s: %w", path, err)
-		}
+	}
+	tr, err := trace.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("read %s: %w", path, err)
 	}
 	an, err := core.AnalyzeSource(core.TraceSource(tr), core.Config{Options: core.DefaultOptions()})
 	if err != nil {

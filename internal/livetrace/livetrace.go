@@ -74,10 +74,6 @@ func New(cfg Config) *Runtime {
 // SetMeta implements harness.Runtime.
 func (rt *Runtime) SetMeta(key, value string) { rt.col.SetMeta(key, value) }
 
-// SetSink attaches a streaming trace writer so long recordings spill
-// to disk incrementally; attach before Run and Close after it.
-func (rt *Runtime) SetSink(sw *trace.StreamWriter) error { return rt.col.SetSink(sw) }
-
 // Collector exposes the runtime's trace collector so callers can
 // configure spilling (trace.Collector.SetSpill) or finish a spilled
 // run through segment.Spiller.Finish.

@@ -1,6 +1,6 @@
 // Package serve is the analysis-as-a-service layer: an HTTP server
-// that ingests traces (request bodies in any of the trace formats, or
-// server-local segment directories), runs critical lock analysis
+// that ingests traces (binary or JSON request bodies, or server-local
+// segment directories), runs critical lock analysis
 // under a concurrency budget, caches reports by content hash, and
 // exposes its own behavior through internal/obs — Prometheus-text
 // /metrics with per-phase histograms, /debug/progress with live run
@@ -8,7 +8,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/analyze          analyze the request body (?format=binary|json|stream)
+//	POST /v1/analyze          analyze the request body (binary or JSON, detected from its bytes)
 //	POST /v1/analyze?segdir=D analyze a server-local segment directory
 //	POST /v1/hazards          analyze + dynamic hazard prediction (same inputs/knobs)
 //	GET  /v1/reports          list cached report IDs
@@ -19,7 +19,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -183,7 +182,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // analyzeParams are the per-request knobs, parsed from the query.
 type analyzeParams struct {
-	format      string // binary | json | stream (body uploads)
 	segdir      string // server-local segment directory
 	window      int
 	par         int
@@ -199,21 +197,12 @@ type analyzeParams struct {
 func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 	q := r.URL.Query()
 	p := analyzeParams{
-		format:    "binary",
 		segdir:    q.Get("segdir"),
 		window:    defaults.Window,
 		par:       defaults.ParallelSegments,
 		mmap:      !defaults.NoMmap,
 		annBudget: defaults.AnnotationBudget,
 		clip:      true,
-	}
-	if f := q.Get("format"); f != "" {
-		switch f {
-		case "binary", "json", "stream":
-			p.format = f
-		default:
-			return p, httpErrorf(http.StatusBadRequest, "unknown format %q (want binary, json or stream)", f)
-		}
 	}
 	boolParam := func(name string, dst *bool) error {
 		if v := q.Get(name); v != "" {
@@ -332,22 +321,10 @@ func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyz
 		return rep, nil
 	}
 
-	var tr *trace.Trace
-	switch params.format {
-	case "json":
-		tr, err = trace.ReadJSON(bytes.NewReader(body))
-	case "stream":
-		tr, err = trace.ReadStream(bytes.NewReader(body))
-		if err != nil && errors.Is(err, trace.ErrTruncatedStream) && tr != nil && len(tr.Events) > 0 {
-			err = nil // analyze the durable prefix, as cla does
-		}
-	default:
-		tr, err = trace.DecodeBinary(body)
-	}
+	tr, err := trace.Decode(body)
 	if err != nil {
 		// An undecodable upload is the client's problem, not ours.
-		return nil, &httpError{http.StatusUnprocessableEntity,
-			fmt.Sprintf("decoding %s trace: %v", params.format, err)}
+		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("decoding trace: %v", err)}
 	}
 
 	var hazards func() (*hazard.Report, error)

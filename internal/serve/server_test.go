@@ -3,11 +3,13 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"critlock"
@@ -244,8 +246,10 @@ func TestErrorPaths(t *testing.T) {
 	if status, _ := post(t, ts, "", nil); status != http.StatusBadRequest {
 		t.Errorf("empty body = %d, want 400", status)
 	}
-	if status, _ := post(t, ts, "?format=xml", []byte("x")); status != http.StatusBadRequest {
-		t.Errorf("bad format = %d, want 400", status)
+	// ?format= is an ignored key: the body's bytes decide, and a
+	// stream-format header is no trace.
+	if status, _ := post(t, ts, "?format=stream", []byte("CLTS\x01")); status != http.StatusUnprocessableEntity {
+		t.Errorf("CLTS-magic body = %d, want 422", status)
 	}
 	if status, _ := post(t, ts, "?window=-1", []byte("x")); status != http.StatusBadRequest {
 		t.Errorf("bad window = %d, want 400", status)
@@ -267,6 +271,134 @@ func TestErrorPaths(t *testing.T) {
 	body := traceBytes(t, microTrace(t))
 	if status, _ := post(t, ts, "", body[:len(body)-7]); status != http.StatusUnprocessableEntity {
 		t.Errorf("truncated trace = %d, want 422", status)
+	}
+	if status, _ := post(t, ts, "", []byte("CL")); status != http.StatusUnprocessableEntity {
+		t.Errorf("trace cut inside the magic = %d, want 422", status)
+	}
+}
+
+// TestUnknownEncodingRejected: a body that is neither a binary nor a
+// JSON trace — a retired stream-format header, or plain garbage — gets
+// 422 on both analysis endpoints, with an error naming the two
+// encodings the server accepts.
+func TestUnknownEncodingRejected(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	for name, body := range map[string][]byte{
+		"CLTS magic": []byte("CLTS\x01\x05"),
+		"garbage":    []byte("not a trace"),
+	} {
+		for _, endpoint := range []string{"/v1/analyze", "/v1/hazards"} {
+			resp, err := http.Post(ts.URL+endpoint, "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var msg struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&msg)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: decoding error body: %v", name, endpoint, err)
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s %s = %d, want 422", name, endpoint, resp.StatusCode)
+			}
+			if !strings.Contains(msg.Error, "binary trace") || !strings.Contains(msg.Error, "JSON trace") {
+				t.Errorf("%s %s: error %q does not name both accepted encodings", name, endpoint, msg.Error)
+			}
+		}
+	}
+}
+
+// TestUploadEncodingsAgree: a JSON upload is recognized from its bytes
+// and analyzes like the binary upload of the same trace. ?format= is an
+// ignored key: a JSON body sent with ?format=json keeps its cache ID,
+// and a binary body sent with ?format=stream is still read as binary.
+func TestUploadEncodingsAgree(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	tr := microTrace(t)
+	var js bytes.Buffer
+	if err := critlock.WriteTraceJSON(&js, tr); err != nil {
+		t.Fatal(err)
+	}
+	report := func(query string, body []byte) serve.Report {
+		t.Helper()
+		status, raw := post(t, ts, query, body)
+		if status != http.StatusOK {
+			t.Fatalf("POST %q = %d\n%s", query, status, raw)
+		}
+		return decodeReport(t, raw)
+	}
+	fromBinary := report("", traceBytes(t, tr))
+	fromJSON := report("", js.Bytes())
+	if flagged := report("?format=json", js.Bytes()); flagged.ID != fromJSON.ID {
+		t.Errorf("?format=json changed the cache ID: %s vs %s", flagged.ID, fromJSON.ID)
+	}
+	if ignored := report("?format=stream", traceBytes(t, tr)); ignored.ID != fromBinary.ID {
+		t.Errorf("?format=stream changed the cache ID: %s vs %s", ignored.ID, fromBinary.ID)
+	}
+	fromJSON.ID = fromBinary.ID
+	if !reflect.DeepEqual(fromBinary, fromJSON) {
+		t.Errorf("JSON upload analyzed differently from the binary one")
+	}
+}
+
+// TestAdmissionBound: rounds of MaxConcurrent+1 concurrent /v1/hazards
+// uploads of distinct traces all complete with 200, and the server's
+// gauge of analyses holding a slot, polled throughout, never exceeds
+// MaxConcurrent.
+func TestAdmissionBound(t *testing.T) {
+	const maxConcurrent, rounds = 1, 3
+	srv, ts := newTestServer(t, serve.Options{MaxConcurrent: maxConcurrent})
+	// One trace of ~86K events: long enough an analysis for the poll to
+	// see, made distinct per upload by a meta key so none is a cache
+	// hit.
+	sim := critlock.NewSimulator(critlock.SimConfig{Contexts: 24, Seed: 1})
+	tr, _, err := critlock.RunWorkload(sim, "uts", critlock.WorkloadParams{Threads: 24, Seed: 1})
+	if err != nil {
+		t.Fatalf("running uts: %v", err)
+	}
+
+	stop := make(chan struct{})
+	peak := make(chan int64)
+	go func() {
+		var most int64
+		for {
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				most = max(most, srv.Registry().Snapshot()["critlock_server_active_analyses"].(int64))
+			}
+		}
+	}()
+	for round := range rounds {
+		var wg sync.WaitGroup
+		for i := range maxConcurrent + 1 {
+			tr.Meta["upload"] = fmt.Sprint(round, "/", i)
+			body := traceBytes(t, tr)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/hazards", "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("round %d upload %d = %d, want 200", round, i, resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	close(stop)
+	switch observed := <-peak; {
+	case observed > maxConcurrent:
+		t.Errorf("peak analyses in flight = %d, want at most MaxConcurrent = %d", observed, maxConcurrent)
+	case observed == 0:
+		t.Error("the active-analyses gauge never showed a run in flight")
 	}
 }
 

@@ -100,9 +100,6 @@ func New(cfg Config) *Sim {
 // SetMeta implements harness.Runtime.
 func (s *Sim) SetMeta(key, value string) { s.col.SetMeta(key, value) }
 
-// SetSink attaches a streaming trace writer; attach before Run.
-func (s *Sim) SetSink(sw *trace.StreamWriter) error { return s.col.SetSink(sw) }
-
 // Collector exposes the simulator's trace collector so callers can
 // configure spilling (trace.Collector.SetSpill) or finish a spilled
 // run through segment.Spiller.Finish.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -509,55 +508,6 @@ func TestRandDeterministicPerThread(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vals, vals2) {
 		t.Error("same seed produced different random streams")
-	}
-}
-
-// TestStreamingSink: a simulator with an attached stream sink writes a
-// stream equivalent to the batch trace.
-func TestStreamingSink(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := trace.NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Contexts: 4, Seed: 2})
-	if err := s.SetSink(sw); err != nil {
-		t.Fatal(err)
-	}
-	m := s.NewMutex("m")
-	batch, _, err := s.Run(func(p harness.Proc) {
-		k := p.Go("w", func(q harness.Proc) {
-			q.Lock(m)
-			q.Compute(100)
-			q.Unlock(m)
-		})
-		p.Lock(m)
-		p.Compute(50)
-		p.Unlock(m)
-		p.Join(k)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := trace.ReadStream(&buf)
-	if err != nil {
-		t.Fatalf("ReadStream: %v", err)
-	}
-	if len(streamed.Events) != len(batch.Events) {
-		t.Fatalf("stream has %d events, batch %d", len(streamed.Events), len(batch.Events))
-	}
-	if err := trace.Validate(streamed); err != nil {
-		t.Fatalf("streamed trace invalid: %v", err)
-	}
-	an, err := core.AnalyzeDefault(streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.Lock("m") == nil {
-		t.Error("lock missing from streamed analysis")
 	}
 }
 

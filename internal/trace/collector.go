@@ -23,7 +23,6 @@ type Collector struct {
 	objects []ObjectInfo
 	buffers []*ThreadBuffer
 	meta    map[string]string
-	sink    atomic.Pointer[StreamWriter]
 	spill   atomic.Pointer[spillConfig]
 }
 
@@ -92,35 +91,6 @@ func (c *Collector) SetMeta(key, value string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.meta[key] = value
-	if sink := c.sink.Load(); sink != nil {
-		sink.Meta(key, value)
-	}
-}
-
-// SetSink attaches a streaming writer: registrations and metadata
-// recorded so far are replayed to it, and everything from now on is
-// forwarded as it happens. Attach before the run starts — events
-// already buffered are not replayed. Close the sink after Finish.
-func (c *Collector) SetSink(sw *StreamWriter) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink.Store(sw)
-	for k, v := range c.meta {
-		if err := sw.Meta(k, v); err != nil {
-			return err
-		}
-	}
-	for _, th := range c.threads {
-		if err := sw.Thread(th.Name, th.Creator); err != nil {
-			return err
-		}
-	}
-	for _, o := range c.objects {
-		if err := sw.Object(o.Kind, o.Name, o.Parties); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RegisterThread allocates a ThreadID and its event buffer. creator is
@@ -135,9 +105,6 @@ func (c *Collector) RegisterThread(name string, creator ThreadID) *ThreadBuffer 
 	c.threads = append(c.threads, ThreadInfo{ID: id, Name: name, Creator: creator})
 	buf := &ThreadBuffer{collector: c, thread: id}
 	c.buffers = append(c.buffers, buf)
-	if sink := c.sink.Load(); sink != nil {
-		sink.Thread(name, creator)
-	}
 	return buf
 }
 
@@ -150,9 +117,6 @@ func (c *Collector) RegisterObject(kind ObjKind, name string, parties int) ObjID
 		name = fmt.Sprintf("%s-%d", kind, id)
 	}
 	c.objects = append(c.objects, ObjectInfo{ID: id, Kind: kind, Name: name, Parties: parties})
-	if sink := c.sink.Load(); sink != nil {
-		sink.Object(kind, name, parties)
-	}
 	return id
 }
 
@@ -212,24 +176,19 @@ type ThreadBuffer struct {
 // Thread returns the owning thread's ID.
 func (b *ThreadBuffer) Thread() ThreadID { return b.thread }
 
-// Emit appends an event, stamping thread and sequence number, and
-// forwards it to the streaming sink if one is attached. With a spill
-// sink attached, a buffer reaching the threshold is flushed as one run
-// and cleared while still under the buffer lock, so Finish snapshots
-// never see half-spilled state.
+// Emit appends an event, stamping thread and sequence number. With a
+// spill sink attached, a buffer reaching the threshold is flushed as
+// one run and cleared while still under the buffer lock, so Finish
+// snapshots never see half-spilled state.
 func (b *ThreadBuffer) Emit(t Time, kind EventKind, obj ObjID, arg int64) {
 	seq := b.collector.seq.Add(1)
-	e := Event{T: t, Seq: seq, Thread: b.thread, Kind: kind, Obj: obj, Arg: arg}
 	b.mu.Lock()
-	b.events = append(b.events, e)
+	b.events = append(b.events, Event{T: t, Seq: seq, Thread: b.thread, Kind: kind, Obj: obj, Arg: arg})
 	if cfg := b.collector.spill.Load(); cfg != nil && len(b.events) >= cfg.threshold {
 		cfg.sink.SpillRun(b.thread, b.events) // errors latch in the sink
 		b.events = b.events[:0]
 	}
 	b.mu.Unlock()
-	if sink := b.collector.sink.Load(); sink != nil {
-		sink.Event(e)
-	}
 }
 
 func (b *ThreadBuffer) len() int {

@@ -14,8 +14,8 @@ import "errors"
 var (
 	// ErrTruncated marks input that ends before the format says it
 	// should: short event records, segment files cut mid-frame,
-	// manifests missing their tail. ErrTruncatedStream (a stream with
-	// no end record) wraps it too.
+	// manifests missing their tail, and input to Decode that ends
+	// inside the binary magic.
 	ErrTruncated = errors.New("truncated")
 
 	// ErrChecksum marks a CRC mismatch: the bytes were all there but

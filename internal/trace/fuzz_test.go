@@ -50,6 +50,42 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
+// FuzzDecode: whatever the bytes, Decode ends in a trace or an error,
+// never a panic, and a trace it accepts in either encoding survives a
+// binary round trip unchanged.
+func FuzzDecode(f *testing.F) {
+	var bin, js bytes.Buffer
+	if err := WriteBinary(&bin, buildSampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteJSON(&js, buildSampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bin.Bytes())
+	f.Add(js.Bytes())
+	f.Add([]byte("CLTS\x01\x02\x04main\x01"))
+	f.Add([]byte(" \t\r\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, tr); err != nil {
+			t.Fatalf("binary encode of a decoded trace failed: %v", err)
+		}
+		tr2, err := Decode(out.Bytes())
+		if err != nil {
+			t.Fatalf("re-decode of the binary encoding failed: %v", err)
+		}
+		if !reflect.DeepEqual(tr2, tr) {
+			t.Fatalf("binary round trip changed the trace:\n got %+v\nwant %+v", tr2, tr)
+		}
+	})
+}
+
 // FuzzDecodeEvent: arbitrary bytes must never panic the per-event
 // decoder, and whatever it accepts must re-encode to bytes that decode
 // to the same event (the round-trip segment files depend on).

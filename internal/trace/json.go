@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // jsonTrace is the JSON wire form of a Trace. The JSON codec is meant
@@ -75,7 +76,11 @@ func WriteJSON(w io.Writer, tr *Trace) error {
 	return enc.Encode(jt)
 }
 
-// ReadJSON decodes a trace written by WriteJSON.
+// ReadJSON decodes a trace written by WriteJSON. It accepts exactly
+// the traces the binary encoding can carry, so a trace decodes the
+// same from either: thread and object IDs are their positions, object
+// parties fit the binary range, and events name a registered thread
+// and an object ID of at least NoObj, in strict (T, Seq) order.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var jt jsonTrace
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
@@ -91,6 +96,9 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		tr.Meta = make(map[string]string)
 	}
 	for i, th := range jt.Threads {
+		if th.ID != ThreadID(i) {
+			return nil, fmt.Errorf("trace: thread %d has id %d", i, th.ID)
+		}
 		tr.Threads[i] = ThreadInfo{ID: th.ID, Name: th.Name, Creator: th.Creator}
 	}
 	for i, o := range jt.Objects {
@@ -98,14 +106,32 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: object %d: unknown kind %q", i, o.Kind)
 		}
+		if o.ID != ObjID(i) {
+			return nil, fmt.Errorf("trace: object %d has id %d", i, o.ID)
+		}
+		if o.Parties < 0 || o.Parties > math.MaxInt32 {
+			return nil, fmt.Errorf("trace: object %d: parties %d out of range", i, o.Parties)
+		}
 		tr.Objects[i] = ObjectInfo{ID: o.ID, Kind: kind, Name: o.Name, Parties: o.Parties}
 	}
-	for i, e := range jt.Events {
-		kind, ok := kindByName[e.Kind]
+	var prev Event
+	for i, je := range jt.Events {
+		kind, ok := kindByName[je.Kind]
 		if !ok {
-			return nil, fmt.Errorf("trace: event %d: unknown kind %q", i, e.Kind)
+			return nil, fmt.Errorf("trace: event %d: unknown kind %q", i, je.Kind)
 		}
-		tr.Events[i] = Event{T: e.T, Seq: e.Seq, Thread: e.Thread, Kind: kind, Obj: e.Obj, Arg: e.Arg}
+		e := Event{T: je.T, Seq: je.Seq, Thread: je.Thread, Kind: kind, Obj: je.Obj, Arg: je.Arg}
+		if e.Thread < 0 || int(e.Thread) >= len(tr.Threads) {
+			return nil, fmt.Errorf("trace: event %d: thread %d out of range", i, e.Thread)
+		}
+		if e.Obj < NoObj {
+			return nil, fmt.Errorf("trace: event %d: obj %d out of range", i, e.Obj)
+		}
+		if i > 0 && (e.T < prev.T || (e.T == prev.T && e.Seq <= prev.Seq)) {
+			return nil, fmt.Errorf("trace: event %d out of order", i)
+		}
+		tr.Events[i] = e
+		prev = e
 	}
 	return tr, nil
 }

@@ -5,8 +5,9 @@ import "slices"
 // Canonical event ordering.
 //
 // Every trace finalization path (Collector.Finish, Builder.Trace,
-// ReadStream) must order events identically, or the same execution
-// would analyze differently depending on how its trace was produced.
+// segment.Spiller.Finish) must order events identically, or the same
+// execution would analyze differently depending on how its trace was
+// produced.
 // The canonical order is (T, Seq, Thread):
 //
 //   - T first: the analysis walks time.
