@@ -1,9 +1,9 @@
 # Developer entry points. `make ci` is what a gate should run: static
 # lock-hazard lint (go vet + a clalint self-run over the repo itself),
-# gofmt cleanliness, build, race-enabled tests, a fuzz smoke pass over
-# every fuzz target, the reference-oracle matrix, the serving-path
-# golden smoke, and the benchmark's short smoke test (for real numbers
-# use `make bench`).
+# gofmt cleanliness, build, arm64/386 cross-builds, race-enabled tests,
+# a fuzz smoke pass over every fuzz target, the reference-oracle
+# matrix, the serving-path golden smoke, and the benchmark's short
+# smoke test (for real numbers use `make bench`).
 
 GO ?= go
 
@@ -12,7 +12,7 @@ GO ?= go
 # seed corpus.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check bench bench-compare bench-smoke instr-smoke docs-check guide ci
+.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check cross-build bench bench-compare bench-smoke instr-smoke docs-check guide ci
 
 all: ci
 
@@ -27,6 +27,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Cross-build for architectures CI cannot run: clrt's goroutine-id
+# lookup has an amd64 assembly stub, and the parse-only fallback the
+# other architectures get (clrt/goid_other.go) must keep compiling and
+# vetting.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./clrt
 
 # Static lock-hazard analysis: go vet plus a clalint self-run over the
 # whole tree (testdata corpora are pruned by the pattern walker). The
@@ -117,4 +126,4 @@ bench:
 bench-compare:
 	W="$(W)" PAIRS="$(PAIRS)" BASE="$(BASE)" SEED="$(SEED)" bash scripts/bench_compare.sh
 
-ci: lint fmt-check build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check
+ci: lint fmt-check build cross-build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check

@@ -19,7 +19,12 @@
 // strategy. The current thread's execution context is resolved through
 // a goroutine-id registry (the GoChan tracer technique): clrt.Go
 // registers the child goroutine before its body runs, and every
-// primitive looks the calling goroutine up on entry.
+// primitive looks the calling goroutine up on entry. On amd64 the id
+// is one load from the runtime's g, at an offset checked against the
+// runtime.Stack header at package init; where that check fails (an
+// unknown Go version, another architecture) the lookup parses the
+// stack header instead, slower but equally exact. The trace's
+// clrt.goid meta key records which lookup ran ("g" or "stack").
 //
 // Output is controlled by environment variables, read when the
 // instrumented main returns (or clrt.Exit runs):
@@ -65,25 +70,6 @@ var procs sync.Map
 
 var foreignWarn sync.Once
 
-// goid parses the calling goroutine's id out of its stack header
-// ("goroutine N [running]:"). There is no supported API for this; the
-// parse is the standard trick and costs several microseconds per call
-// (3.4–6.6 µs measured with go1.24 on a shared 2-vCPU x86-64 VM).
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = "goroutine "
-	s := buf[len(prefix):n]
-	var id int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
-
 // ensureRuntimeLocked creates the process-wide live runtime on first
 // touch. Callers hold st.mu.
 func ensureRuntimeLocked() *livetrace.Runtime {
@@ -91,6 +77,7 @@ func ensureRuntimeLocked() *livetrace.Runtime {
 		seed, _ := strconv.ParseInt(os.Getenv("CRITLOCK_SEED"), 10, 64)
 		st.rt = livetrace.New(livetrace.Config{Seed: seed})
 		st.rt.SetMeta("instrumenter", "clainstr")
+		st.rt.SetMeta("clrt.goid", goidPath())
 		if len(os.Args) > 0 {
 			st.rt.SetMeta("program", os.Args[0])
 		}

@@ -15,7 +15,7 @@ import (
 // capture runs body as an instrumented main (bootstrap root, run,
 // End) and returns the validated recorded trace. It mirrors what Main
 // does minus the file output.
-func capture(t *testing.T, body func()) *trace.Trace {
+func capture(t testing.TB, body func()) *trace.Trace {
 	t.Helper()
 	resetForTest()
 	t.Cleanup(resetForTest)
@@ -304,63 +304,70 @@ func TestEmbeddedAndPointerMutex(t *testing.T) {
 }
 
 func TestMainWritesTrace(t *testing.T) {
-	resetForTest()
-	t.Cleanup(resetForTest)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "t.cltr")
-	t.Setenv("CRITLOCK_OUT", out)
-	t.Setenv("CRITLOCK_QUIET", "1")
+	forEachGoidPath(t, func(t *testing.T, path string) {
+		resetForTest()
+		t.Cleanup(resetForTest)
+		dir := t.TempDir()
+		out := filepath.Join(dir, "t.cltr")
+		t.Setenv("CRITLOCK_OUT", out)
+		t.Setenv("CRITLOCK_QUIET", "1")
 
-	var mu Mutex
-	mu.SetName("main.mu")
-	Main(func() {
-		var wg WaitGroup
-		wg.Add(1)
-		Go("w", func() {
-			defer wg.Done()
-			mu.Lock()
-			spin(time.Microsecond)
-			mu.Unlock()
+		var mu Mutex
+		mu.SetName("main.mu")
+		Main(func() {
+			var wg WaitGroup
+			wg.Add(1)
+			Go("w", func() {
+				defer wg.Done()
+				mu.Lock()
+				spin(time.Microsecond)
+				mu.Unlock()
+			})
+			wg.Wait()
 		})
-		wg.Wait()
-	})
 
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatalf("trace not written: %v", err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadBinary(f)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if err := trace.Validate(tr); err != nil {
-		t.Fatalf("trace invalid: %v", err)
-	}
-	an := analyze(t, tr)
-	if lockByName(an, "main.mu") == nil {
-		t.Error("main.mu missing from analysis of written trace")
-	}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatalf("trace not written: %v", err)
+		}
+		defer f.Close()
+		tr, err := trace.ReadBinary(f)
+		if err != nil {
+			t.Fatalf("ReadBinary: %v", err)
+		}
+		if err := trace.Validate(tr); err != nil {
+			t.Fatalf("trace invalid: %v", err)
+		}
+		if got := tr.Meta["clrt.goid"]; got != path {
+			t.Errorf("meta clrt.goid = %q, want %q", got, path)
+		}
+		an := analyze(t, tr)
+		if lockByName(an, "main.mu") == nil {
+			t.Error("main.mu missing from analysis of written trace")
+		}
+	})
 }
 
 func TestForeignGoroutineAdopted(t *testing.T) {
-	var mu Mutex
-	mu.SetName("adopt.mu")
-	tr := capture(t, func() {
-		mu.Lock()
-		mu.Unlock()
-		var wg sync.WaitGroup // raw goroutine, as un-instrumented library code would spawn
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	forEachGoidPath(t, func(t *testing.T, _ string) {
+		var mu Mutex
+		mu.SetName("adopt.mu")
+		tr := capture(t, func() {
 			mu.Lock()
 			mu.Unlock()
-		}()
-		wg.Wait()
+			var wg sync.WaitGroup // raw goroutine, as un-instrumented library code would spawn
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mu.Lock()
+				mu.Unlock()
+			}()
+			wg.Wait()
+		})
+		an := analyze(t, tr)
+		ls := lockByName(an, "adopt.mu")
+		if ls == nil || ls.TotalInvocations != 2 {
+			t.Fatalf("adopted goroutine's acquisition lost: %+v", ls)
+		}
 	})
-	an := analyze(t, tr)
-	ls := lockByName(an, "adopt.mu")
-	if ls == nil || ls.TotalInvocations != 2 {
-		t.Fatalf("adopted goroutine's acquisition lost: %+v", ls)
-	}
 }

@@ -163,8 +163,9 @@ func (c *Collector) Finish() *Trace {
 }
 
 // ThreadBuffer is the per-thread event sink. It must only be used from
-// the owning thread (the backends guarantee this), so appends are
-// lock-free; the sequence number comes from one shared atomic.
+// the owning thread (the backends guarantee this). Appends take the
+// buffer's own mutex, which only Finish snapshots and spills contend
+// for; the sequence number comes from one shared atomic.
 type ThreadBuffer struct {
 	collector *Collector
 	thread    ThreadID
