@@ -82,9 +82,10 @@ serve-smoke:
 # workloads must light up (with the cross-thread witness), every clean
 # workload must report zero hazards, and the streaming pass must be
 # bit-identical to the in-memory one at every tested segmentation and
-# worker count.
+# worker count. The planted reports match testdata/reports.golden byte
+# for byte, and the fold stays under its allocations-per-event bounds.
 hazard-smoke:
-	$(GO) test ./internal/hazard -run 'TestDeadlockProne|TestLostSignalPlanted|TestCleanWorkloadsNoHazards|TestStreamMatchesInMemory' -count=1 -v
+	$(GO) test ./internal/hazard -run 'TestDeadlockProne|TestLostSignalPlanted|TestCleanWorkloadsNoHazards|TestStreamMatchesInMemory|TestReportsGolden|TestFromSegmentsAllocs' -count=1 -v
 	$(GO) test ./internal/lint -run TestCrossReferenceHazards -count=1
 
 # Gofmt cleanliness — the build stays formatter-neutral.

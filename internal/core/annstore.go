@@ -259,8 +259,8 @@ func (a columnAdapter) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 	return 0, nil
 }
 
-// asColumnSource returns src's columnar view, wrapping it if needed.
-func asColumnSource(src SegmentSource) ColumnSource {
+// AsColumnSource returns src's columnar view, wrapping it if needed.
+func AsColumnSource(src SegmentSource) ColumnSource {
 	if cs, ok := src.(ColumnSource); ok {
 		return cs
 	}

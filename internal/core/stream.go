@@ -35,7 +35,7 @@ type SegmentSource interface {
 // body bytes consumed (0 if unknown). Distinct segments must be
 // loadable from distinct goroutines concurrently.
 //
-// Plain SegmentSources are adapted automatically (asColumnSource).
+// Plain SegmentSources are adapted automatically (AsColumnSource).
 type ColumnSource interface {
 	SegmentSource
 	LoadColumns(i int, cols *trace.Columns) (int64, error)
@@ -86,7 +86,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	}
 	workers := max(1, min(cfg.ParallelSegments, src.NumSegments()))
 	skel := src.Skeleton()
-	cs := asColumnSource(src)
+	cs := AsColumnSource(src)
 	h := newObsHook(cfg.Observer, n)
 
 	ann, err := newAnnStore(src, n, cfg.TmpDir, cfg.AnnotationBudget)

@@ -1,15 +1,21 @@
 package hazard
 
 import (
+	"bytes"
+	"encoding/json"
+	"path/filepath"
 	"testing"
 
+	"critlock/internal/segment"
 	"critlock/internal/trace"
 )
 
 // FuzzHazard feeds adversarial event soups — wrong kinds, out-of-range
 // threads and objects, unpaired waits, sends without receivers —
 // through the full hazard pass. Malformed sequences must error, never
-// panic; sequences that survive must produce a finite report.
+// panic. A sequence FromTrace accepts and the segment writer stores
+// must get a byte-identical report from FromSegments at one and two
+// workers: the columnar fold against the in-memory one.
 func FuzzHazard(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), false)
 	f.Add(int64(42), uint8(7), uint8(2), true)
@@ -54,8 +60,37 @@ func FuzzHazard(f *testing.F) {
 			})
 		}
 		r, err := FromTrace(tr) // must not panic
-		if err == nil && r == nil {
+		if err != nil {
+			return
+		}
+		if r == nil {
 			t.Fatal("nil report without error")
+		}
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "segs")
+		if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 64}); err != nil {
+			return
+		}
+		rdr, err := segment.Open(dir)
+		if err != nil {
+			t.Fatalf("reopening a trace the writer accepted: %v", err)
+		}
+		defer rdr.Close()
+		for _, workers := range []int{1, 2} {
+			got, err := FromSegments(rdr, workers)
+			if err != nil {
+				t.Fatalf("workers=%d: FromTrace accepted the trace, FromSegments: %v", workers, err)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, want) {
+				t.Fatalf("workers=%d: streaming report differs from in-memory\n got: %s\nwant: %s", workers, gotJSON, want)
+			}
 		}
 	})
 }

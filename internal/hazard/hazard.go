@@ -32,9 +32,13 @@
 //
 // The pass is a single forward sweep over the canonically ordered
 // event sequence and runs identically over an in-memory trace
-// (FromTrace) and a segmented one (FromSegments); the streaming form
-// decodes segments on parallel workers and folds them in order, so the
-// report is bit-identical at any worker count.
+// (FromTrace) and a segmented one (FromSegments). The streaming form
+// batch-decodes each segment into reused columns and steps the events
+// straight from them, in segment order, so the report is bit-identical
+// at any worker count. The sweep allocates only for state that grows
+// with the trace's threads and objects and for what it reports: hold
+// labels and witness stacks are rendered when a witness is first
+// recorded, not per event.
 package hazard
 
 import (
@@ -99,7 +103,8 @@ type Witness struct {
 	Held []string `json:"held"`
 	// CrossThread marks an edge whose outer hold belongs to another
 	// thread; Owner/OwnerName identify it and Via names the wakeup
-	// chain (e.g. "chan gate hand-off").
+	// chain: "chan X hand-off", "chan X slot", "chan X close" or
+	// "cond X wakeup".
 	CrossThread bool           `json:"cross_thread,omitempty"`
 	Owner       trace.ThreadID `json:"owner,omitempty"`
 	OwnerName   string         `json:"owner_name,omitempty"`

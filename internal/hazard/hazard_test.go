@@ -452,3 +452,119 @@ func TestMalformedInputs(t *testing.T) {
 		t.Error("unsorted events accepted")
 	}
 }
+
+// deadInheritedHoldTrace builds the trace of the Held bugfix: w
+// inherits A from s1 via cv1, then B from s2 via cv2; s1 releases A,
+// then w obtains C. With ownD, w first obtains its own lock D (while A
+// is still live), so the C obtain has an own hold as well.
+func deadInheritedHoldTrace(ownD bool) *trace.Trace {
+	b := trace.NewBuilder()
+	w := b.Thread("w", trace.NoThread)
+	s1 := b.Thread("s1", w)
+	s2 := b.Thread("s2", w)
+	m := b.Mutex("m")
+	la := b.Mutex("A")
+	lb := b.Mutex("B")
+	lc := b.Mutex("C")
+	ld := b.Mutex("D")
+	cv1 := b.Cond("cv1")
+	cv2 := b.Cond("cv2")
+	b.Start(0, w)
+	b.Start(0, s1)
+	b.Start(0, s2)
+	b.CS(w, m, 1, 1, 2)
+	b.Event(2, w, trace.EvCondWaitBegin, cv1, int64(m))
+	b.Event(3, s1, trace.EvLockAcquire, la, 0)
+	b.Event(3, s1, trace.EvLockObtain, la, 0)
+	b.Event(4, s1, trace.EvCondSignal, cv1, 0)
+	b.Event(5, w, trace.EvLockAcquire, m, 0)
+	b.Event(5, w, trace.EvLockObtain, m, trace.LockArgContended)
+	b.Event(5, w, trace.EvCondWaitEnd, cv1, int64(m))
+	b.Event(6, w, trace.EvLockRelease, m, 0)
+	b.CS(w, m, 7, 7, 8)
+	b.Event(8, w, trace.EvCondWaitBegin, cv2, int64(m))
+	b.Event(9, s2, trace.EvLockAcquire, lb, 0)
+	b.Event(9, s2, trace.EvLockObtain, lb, 0)
+	b.Event(10, s2, trace.EvCondSignal, cv2, 0)
+	b.Event(11, w, trace.EvLockAcquire, m, 0)
+	b.Event(11, w, trace.EvLockObtain, m, trace.LockArgContended)
+	b.Event(11, w, trace.EvCondWaitEnd, cv2, int64(m))
+	b.Event(12, w, trace.EvLockRelease, m, 0)
+	if ownD {
+		b.Event(13, w, trace.EvLockAcquire, ld, 0)
+		b.Event(13, w, trace.EvLockObtain, ld, 0)
+	}
+	b.Event(14, s1, trace.EvLockRelease, la, 0)
+	b.Event(15, w, trace.EvLockAcquire, lc, 0)
+	b.Event(15, w, trace.EvLockObtain, lc, 0)
+	b.Event(16, w, trace.EvLockRelease, lc, 0)
+	if ownD {
+		b.Event(17, w, trace.EvLockRelease, ld, 0)
+	}
+	b.Event(18, s2, trace.EvLockRelease, lb, 0)
+	b.Exit(20, w)
+	b.Exit(20, s1)
+	b.Exit(20, s2)
+	return b.Trace()
+}
+
+func edgeTo(r *Report, from, to string) *Edge {
+	for i := range r.Edges {
+		if r.Edges[i].From == from && r.Edges[i].To == to {
+			return &r.Edges[i]
+		}
+	}
+	return nil
+}
+
+// TestWitnessHeldAfterDeadInheritedHold: once an inherited hold's
+// owner has released it, a later obtain's witness lists neither that
+// hold nor any other entry twice.
+func TestWitnessHeldAfterDeadInheritedHold(t *testing.T) {
+	tr := deadInheritedHoldTrace(false)
+	if err := trace.Validate(tr); err != nil {
+		t.Fatal(err)
+	}
+	r, err := FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := edgeTo(r, "B", "C")
+	if bc == nil || bc.CrossWitness == nil {
+		t.Fatalf("missing cross-thread B->C edge; edges = %+v", r.Edges)
+	}
+	want := []string{"B (held by s2, via cond cv2 wakeup)"}
+	if got := bc.CrossWitness.Held; strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Errorf("B->C witness Held = %q, want %q", got, want)
+	}
+	if e := edgeTo(r, "A", "C"); e != nil {
+		t.Errorf("A was released before the C obtain, yet A->C = %+v", e)
+	}
+}
+
+// TestWitnessHeldAfterDeadInheritedHoldOwnLock: the same with an own
+// hold, whose edge is emitted first — the released A must not appear.
+func TestWitnessHeldAfterDeadInheritedHoldOwnLock(t *testing.T) {
+	tr := deadInheritedHoldTrace(true)
+	if err := trace.Validate(tr); err != nil {
+		t.Fatal(err)
+	}
+	r, err := FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"D", "B (held by s2, via cond cv2 wakeup)"}
+	for _, from := range []string{"D", "B"} {
+		e := edgeTo(r, from, "C")
+		if e == nil {
+			t.Fatalf("missing %s->C edge; edges = %+v", from, r.Edges)
+		}
+		wit := e.Witness
+		if e.CrossWitness != nil {
+			wit = *e.CrossWitness
+		}
+		if got := wit.Held; strings.Join(got, ";") != strings.Join(want, ";") {
+			t.Errorf("%s->C witness Held = %q, want %q", from, got, want)
+		}
+	}
+}

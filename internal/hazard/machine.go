@@ -23,6 +23,24 @@ type heldLock struct {
 	shared bool
 }
 
+// viaKind names the wakeup that carried a hold across threads.
+type viaKind uint8
+
+const (
+	viaNone viaKind = iota
+	viaWakeup
+	viaHandoff
+	viaSlot
+	viaClose
+)
+
+// via is a wakeup chain kept as (kind, object) and rendered only when a
+// witness or a Held list shows it.
+type via struct {
+	kind viaKind
+	obj  trace.ObjID
+}
+
 // inhHold is a lock held by another thread whose critical section
 // extended into this one via a wakeup chain.
 type inhHold struct {
@@ -30,7 +48,7 @@ type inhHold struct {
 	owner trace.ThreadID
 	acq   uint64
 	t     trace.Time // owner's obtain time
-	via   string     // wakeup chain that carried the hold across
+	via   via        // wakeup chain that carried the hold across
 }
 
 type threadState struct {
@@ -39,12 +57,64 @@ type threadState struct {
 	exited    bool
 }
 
-// condMachine mirrors core/index.go's condState (FIFO waiters, Signal
-// pops the front, Broadcast wakes all, spurious wakeups tolerated),
-// but carries hold snapshots instead of waker indices, plus the
-// lost-signal and guard bookkeeping.
+// queue is a FIFO that keeps its backing array: a pop advances head,
+// and a push into a full array slides the live entries down once at
+// least half of it is popped, instead of reallocating.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+// at returns the i-th live entry.
+func (q *queue[T]) at(i int) T { return q.buf[q.head+i] }
+
+func (q *queue[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *queue[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.reset()
+	}
+	return v
+}
+
+// removeAt drops the i-th live entry, keeping the others in order.
+func (q *queue[T]) removeAt(i int) {
+	j := q.head + i
+	copy(q.buf[j:], q.buf[j+1:])
+	var zero T
+	q.buf[len(q.buf)-1] = zero
+	q.buf = q.buf[:len(q.buf)-1]
+	if q.head == len(q.buf) {
+		q.reset()
+	}
+}
+
+func (q *queue[T]) reset() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+	q.head = 0
+}
+
+// condMachine mirrors core/stream.go's condStream (FIFO waiters,
+// Signal pops the front, Broadcast wakes all, spurious wakeups
+// tolerated), but carries hold snapshots instead of waker indices,
+// plus the lost-signal and guard bookkeeping.
 type condMachine struct {
-	waiting []trace.ThreadID
+	waiting queue[trace.ThreadID]
 	wakerOf map[trace.ThreadID][]inhHold
 	ever    map[trace.ThreadID]bool
 	// cands are signal/broadcast events that looked lost when they
@@ -63,7 +133,7 @@ type chanOp struct {
 	snap   []inhHold
 }
 
-// chanMachine mirrors core/index.go's chanPairing FIFO counting: value
+// chanMachine mirrors core/stream.go's chanPairing FIFO counting: value
 // recv #r consumes send #r, a blocked send #s was admitted by recv
 // #(s-capacity), a closed recv is ordered after the close. At a
 // rendezvous the simulator may emit the recv completion *before* the
@@ -73,13 +143,13 @@ type chanMachine struct {
 	capacity int
 	// sendQ holds the completed sends not yet consumed by a recv —
 	// exactly the undelivered values at end of trace.
-	sendQ []chanOp
+	sendQ queue[chanOp]
 	// owed holds receivers whose matching send completion is still in
 	// flight at the same instant.
-	owed []trace.ThreadID
+	owed queue[trace.ThreadID]
 	// recvQ holds value-recv sites recv #recvBase.., pruned to what
 	// future blocked sends can still reference.
-	recvQ    []chanOp
+	recvQ    queue[chanOp]
 	recvBase int
 	sends    int
 	closed   bool
@@ -107,9 +177,11 @@ type edgeAgg struct {
 }
 
 type machine struct {
-	tr      *trace.Trace
-	acqSeq  uint64
-	threads map[trace.ThreadID]*threadState
+	tr     *trace.Trace
+	acqSeq uint64
+	// threads is indexed by ThreadID; step rejects out-of-range threads
+	// before any state is touched.
+	threads []threadState
 	edges   map[edgeKey]*edgeAgg
 	conds   map[trace.ObjID]*condMachine
 	chans   map[trace.ObjID]*chanMachine
@@ -121,21 +193,12 @@ type machine struct {
 func newMachine(tr *trace.Trace) *machine {
 	return &machine{
 		tr:      tr,
-		threads: make(map[trace.ThreadID]*threadState),
+		threads: make([]threadState, len(tr.Threads)),
 		edges:   make(map[edgeKey]*edgeAgg),
 		conds:   make(map[trace.ObjID]*condMachine),
 		chans:   make(map[trace.ObjID]*chanMachine),
 		guards:  make(map[trace.ObjID]*guardState),
 	}
-}
-
-func (m *machine) thread(id trace.ThreadID) *threadState {
-	ts := m.threads[id]
-	if ts == nil {
-		ts = &threadState{}
-		m.threads[id] = ts
-	}
-	return ts
 }
 
 func (m *machine) cond(id trace.ObjID) *condMachine {
@@ -145,6 +208,15 @@ func (m *machine) cond(id trace.ObjID) *condMachine {
 		m.conds[id] = c
 	}
 	return c
+}
+
+// pruneRecvs drops the recv sites no future blocked send can
+// reference: send #s only looks back at recv #(s-capacity).
+func (c *chanMachine) pruneRecvs() {
+	for c.recvBase < c.sends-c.capacity && c.recvQ.len() > 0 {
+		c.recvQ.pop()
+		c.recvBase++
+	}
 }
 
 func (m *machine) chanOf(id trace.ObjID) *chanMachine {
@@ -162,6 +234,20 @@ func (m *machine) chanOf(id trace.ObjID) *chanMachine {
 
 func (m *machine) objName(id trace.ObjID) string { return m.tr.ObjName(id) }
 
+func (m *machine) viaLabel(v via) string {
+	switch v.kind {
+	case viaWakeup:
+		return "cond " + m.objName(v.obj) + " wakeup"
+	case viaHandoff:
+		return "chan " + m.objName(v.obj) + " hand-off"
+	case viaSlot:
+		return "chan " + m.objName(v.obj) + " slot"
+	case viaClose:
+		return "chan " + m.objName(v.obj) + " close"
+	}
+	return ""
+}
+
 func (m *machine) threadName(id trace.ThreadID) string {
 	if int(id) >= 0 && int(id) < len(m.tr.Threads) {
 		return m.tr.Threads[id].Name
@@ -173,10 +259,7 @@ func (m *machine) threadName(id trace.ThreadID) string {
 // acquisition on its own stack: the cross-thread extension ends the
 // moment the owner releases.
 func (m *machine) liveInh(ih inhHold) bool {
-	ts := m.threads[ih.owner]
-	if ts == nil {
-		return false
-	}
+	ts := &m.threads[ih.owner]
 	for i := range ts.held {
 		if ts.held[i].acq == ih.acq {
 			return true
@@ -188,14 +271,14 @@ func (m *machine) liveInh(ih inhHold) bool {
 // snapshot captures the holds a waker passes into the thread it wakes:
 // its own stack plus any still-live holds it itself inherited
 // (transitive waker chains keep their original owner and via).
-func (m *machine) snapshot(t trace.ThreadID, via string) []inhHold {
-	ts := m.threads[t]
-	if ts == nil || (len(ts.held) == 0 && len(ts.inherited) == 0) {
+func (m *machine) snapshot(t trace.ThreadID, v via) []inhHold {
+	ts := &m.threads[t]
+	if len(ts.held) == 0 && len(ts.inherited) == 0 {
 		return nil
 	}
 	out := make([]inhHold, 0, len(ts.held)+len(ts.inherited))
 	for _, h := range ts.held {
-		out = append(out, inhHold{obj: h.obj, owner: t, acq: h.acq, t: h.t, via: via})
+		out = append(out, inhHold{obj: h.obj, owner: t, acq: h.acq, t: h.t, via: v})
 	}
 	for _, ih := range ts.inherited {
 		if m.liveInh(ih) {
@@ -211,7 +294,7 @@ func (m *machine) inheritInto(t trace.ThreadID, snap []inhHold) {
 	if len(snap) == 0 {
 		return
 	}
-	ts := m.thread(t)
+	ts := &m.threads[t]
 	for _, ih := range snap {
 		if ih.owner == t || !m.liveInh(ih) {
 			continue
@@ -242,13 +325,15 @@ func (m *machine) heldNames(ts *threadState) []string {
 		out = append(out, n)
 	}
 	for _, ih := range ts.inherited {
-		out = append(out, fmt.Sprintf("%s (held by %s, via %s)",
-			m.objName(ih.obj), m.threadName(ih.owner), ih.via))
+		out = append(out, m.objName(ih.obj)+" (held by "+m.threadName(ih.owner)+", via "+m.viaLabel(ih.via)+")")
 	}
 	return out
 }
 
-func (m *machine) addEdge(from trace.ObjID, e *trace.Event, held []string, cross bool, outer inhHold) {
+// addEdge counts one realization of from→e.Obj. held is the obtain's
+// rendered acquisition stack, built on the first edge that needs a
+// witness and shared by the obtain's later ones.
+func (m *machine) addEdge(from trace.ObjID, e *trace.Event, ts *threadState, held *[]string, cross bool, outer inhHold) {
 	k := edgeKey{from, e.Obj}
 	agg := m.edges[k]
 	if agg == nil {
@@ -260,18 +345,21 @@ func (m *machine) addEdge(from trace.ObjID, e *trace.Event, held []string, cross
 		agg.crossCount++
 	}
 	if agg.witness == nil || (cross && agg.crossWitness == nil) {
+		if *held == nil {
+			*held = m.heldNames(ts)
+		}
 		w := &Witness{
 			Thread:     e.Thread,
 			ThreadName: m.threadName(e.Thread),
 			OuterT:     outer.t,
 			InnerT:     e.T,
-			Held:       held,
+			Held:       *held,
 		}
 		if cross {
 			w.CrossThread = true
 			w.Owner = outer.owner
 			w.OwnerName = m.threadName(outer.owner)
-			w.Via = outer.via
+			w.Via = m.viaLabel(outer.via)
 		}
 		if agg.witness == nil {
 			agg.witness = w
@@ -283,8 +371,9 @@ func (m *machine) addEdge(from trace.ObjID, e *trace.Event, held []string, cross
 }
 
 // guardOp folds one chan/barrier operation into its guard state.
+// The lock set is copied out only for the (at most two) witness sites.
 func (m *machine) guardOp(obj trace.ObjID, kind, op string, e *trace.Event) {
-	ts := m.thread(e.Thread)
+	ts := &m.threads[e.Thread]
 	if len(ts.held) == 0 {
 		return
 	}
@@ -293,33 +382,38 @@ func (m *machine) guardOp(obj trace.ObjID, kind, op string, e *trace.Event) {
 		g = &guardState{kind: kind}
 		m.guards[obj] = g
 	}
-	set := make([]trace.ObjID, 0, len(ts.held))
-	for _, h := range ts.held {
-		set = append(set, h.obj)
-	}
-	site := func() *GuardSite {
-		return &GuardSite{
-			Op:         op,
-			Thread:     e.Thread,
-			ThreadName: m.threadName(e.Thread),
-			T:          e.T,
-			Held:       objNames(m.tr, set),
-		}
-	}
 	if g.nonEmpty == nil {
-		g.nonEmpty = site()
-		g.nonEmptySet = set
+		g.nonEmptySet = ownSet(ts.held)
+		g.nonEmpty = m.guardSite(op, e, g.nonEmptySet)
 		return
 	}
-	if g.conflict == nil && e.Thread != g.nonEmpty.Thread && disjoint(set, g.nonEmptySet) {
-		g.conflict = site()
+	if g.conflict == nil && e.Thread != g.nonEmpty.Thread && disjoint(ts.held, g.nonEmptySet) {
+		g.conflict = m.guardSite(op, e, ownSet(ts.held))
 	}
 }
 
-func disjoint(a, b []trace.ObjID) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
+func (m *machine) guardSite(op string, e *trace.Event, set []trace.ObjID) *GuardSite {
+	return &GuardSite{
+		Op:         op,
+		Thread:     e.Thread,
+		ThreadName: m.threadName(e.Thread),
+		T:          e.T,
+		Held:       objNames(m.tr, set),
+	}
+}
+
+func ownSet(held []heldLock) []trace.ObjID {
+	set := make([]trace.ObjID, len(held))
+	for i, h := range held {
+		set[i] = h.obj
+	}
+	return set
+}
+
+func disjoint(held []heldLock, set []trace.ObjID) bool {
+	for _, h := range held {
+		for _, y := range set {
+			if h.obj == y {
 				return false
 			}
 		}
@@ -346,7 +440,7 @@ func (m *machine) step(e *trace.Event) error {
 	if e.T < m.prevT {
 		return fmt.Errorf("hazard: event %d: time %d before predecessor %d (trace not in canonical order)", m.n, e.T, m.prevT)
 	}
-	if int(e.Thread) < 0 || int(e.Thread) >= len(m.tr.Threads) {
+	if int(e.Thread) < 0 || int(e.Thread) >= len(m.threads) {
 		return fmt.Errorf("hazard: event %d: thread %d out of range", m.n, e.Thread)
 	}
 	m.prevT = e.T
@@ -354,35 +448,29 @@ func (m *machine) step(e *trace.Event) error {
 
 	switch e.Kind {
 	case trace.EvLockObtain:
-		ts := m.thread(e.Thread)
+		ts := &m.threads[e.Thread]
+		// Dead inherited holds are compacted away first, so a witness's
+		// Held stack lists each live hold once and no released one.
+		live := ts.inherited[:0]
+		for _, ih := range ts.inherited {
+			if m.liveInh(ih) {
+				live = append(live, ih)
+			}
+		}
+		ts.inherited = live
 		var held []string
 		// Intra-thread edges from every own hold.
 		for _, h := range ts.held {
-			if h.obj == e.Obj {
-				continue
+			if h.obj != e.Obj {
+				m.addEdge(h.obj, e, ts, &held, false, inhHold{obj: h.obj, owner: e.Thread, acq: h.acq, t: h.t})
 			}
-			if held == nil {
-				held = m.heldNames(ts)
-			}
-			m.addEdge(h.obj, e, held, false, inhHold{obj: h.obj, owner: e.Thread, acq: h.acq, t: h.t})
 		}
-		// Cross-thread edges from live inherited holds; dead ones are
-		// compacted away here.
-		live := ts.inherited[:0]
+		// Cross-thread edges from live inherited holds.
 		for _, ih := range ts.inherited {
-			if !m.liveInh(ih) {
-				continue
+			if ih.obj != e.Obj {
+				m.addEdge(ih.obj, e, ts, &held, true, ih)
 			}
-			live = append(live, ih)
-			if ih.obj == e.Obj {
-				continue
-			}
-			if held == nil {
-				held = m.heldNames(ts)
-			}
-			m.addEdge(ih.obj, e, held, true, ih)
 		}
-		ts.inherited = live
 		m.acqSeq++
 		ts.held = append(ts.held, heldLock{
 			obj:    e.Obj,
@@ -392,7 +480,7 @@ func (m *machine) step(e *trace.Event) error {
 		})
 
 	case trace.EvLockRelease:
-		ts := m.thread(e.Thread)
+		ts := &m.threads[e.Thread]
 		for i := len(ts.held) - 1; i >= 0; i-- {
 			if ts.held[i].obj == e.Obj {
 				ts.held = append(ts.held[:i], ts.held[i+1:]...)
@@ -404,7 +492,7 @@ func (m *machine) step(e *trace.Event) error {
 		c := m.cond(e.Obj)
 		// A waiter exists now, so no earlier signal was lost after all.
 		c.cands = nil
-		c.waiting = append(c.waiting, e.Thread)
+		c.waiting.push(e.Thread)
 		c.ever[e.Thread] = true
 		// Guard: the associated mutex travels in Arg. Waiting under two
 		// different mutexes loses wakeups (the cond's queue is only
@@ -436,27 +524,24 @@ func (m *machine) step(e *trace.Event) error {
 			m.inheritInto(e.Thread, snap)
 		}
 		// Spurious wakeup or fuzz noise: drop from the wait queue.
-		for i, t := range c.waiting {
-			if t == e.Thread {
-				c.waiting = append(c.waiting[:i], c.waiting[i+1:]...)
+		for i := 0; i < c.waiting.len(); i++ {
+			if c.waiting.at(i) == e.Thread {
+				c.waiting.removeAt(i)
 				break
 			}
 		}
 
 	case trace.EvCondSignal, trace.EvCondBroadcast:
 		c := m.cond(e.Obj)
-		via := fmt.Sprintf("cond %s wakeup", m.objName(e.Obj))
-		if len(c.waiting) > 0 {
-			snap := m.snapshot(e.Thread, via)
+		if c.waiting.len() > 0 {
+			snap := m.snapshot(e.Thread, via{viaWakeup, e.Obj})
 			if e.Kind == trace.EvCondSignal {
-				t := c.waiting[0]
-				c.waiting = c.waiting[1:]
-				c.wakerOf[t] = snap
+				c.wakerOf[c.waiting.pop()] = snap
 			} else {
-				for _, t := range c.waiting {
-					c.wakerOf[t] = snap
+				for i := 0; i < c.waiting.len(); i++ {
+					c.wakerOf[c.waiting.at(i)] = snap
 				}
-				c.waiting = c.waiting[:0]
+				c.waiting.reset()
 			}
 			break
 		}
@@ -490,26 +575,20 @@ func (m *machine) step(e *trace.Event) error {
 		// receiver's critical section extends into the sender.
 		if e.Arg&trace.ChanArgBlocked != 0 {
 			idx := c.sends - c.capacity
-			if idx >= c.recvBase && idx-c.recvBase < len(c.recvQ) {
-				m.inheritInto(e.Thread, c.recvQ[idx-c.recvBase].snap)
+			if idx >= c.recvBase && idx-c.recvBase < c.recvQ.len() {
+				m.inheritInto(e.Thread, c.recvQ.at(idx-c.recvBase).snap)
 			}
 		}
 		c.sends++
-		via := fmt.Sprintf("chan %s hand-off", m.objName(e.Obj))
-		snap := m.snapshot(e.Thread, via)
-		if len(c.owed) > 0 {
+		snap := m.snapshot(e.Thread, via{viaHandoff, e.Obj})
+		if c.owed.len() > 0 {
 			// The matching recv already completed at this instant:
 			// settle the hand-off now, before the receiver's next event.
-			t := c.owed[0]
-			c.owed = c.owed[1:]
-			m.inheritInto(t, snap)
+			m.inheritInto(c.owed.pop(), snap)
 		} else {
-			c.sendQ = append(c.sendQ, chanOp{t: e.T, thread: e.Thread, snap: snap})
+			c.sendQ.push(chanOp{t: e.T, thread: e.Thread, snap: snap})
 		}
-		for c.recvBase < c.sends-c.capacity && len(c.recvQ) > 0 {
-			c.recvQ = c.recvQ[1:]
-			c.recvBase++
-		}
+		c.pruneRecvs()
 
 	case trace.EvChanRecvBegin:
 		m.guardOp(e.Obj, "chan", "recv", e)
@@ -525,48 +604,40 @@ func (m *machine) step(e *trace.Event) error {
 		}
 		// Value recv #r consumes send #r — a hand-off dependency,
 		// blocked or not.
-		if len(c.sendQ) > 0 {
-			snap := c.sendQ[0].snap
-			c.sendQ = c.sendQ[1:]
-			m.inheritInto(e.Thread, snap)
+		if c.sendQ.len() > 0 {
+			m.inheritInto(e.Thread, c.sendQ.pop().snap)
 		} else {
 			// Matching send completion is still in flight (rendezvous
 			// emitted recv first); settle when it arrives.
-			c.owed = append(c.owed, e.Thread)
+			c.owed.push(e.Thread)
 		}
-		via := fmt.Sprintf("chan %s slot", m.objName(e.Obj))
-		c.recvQ = append(c.recvQ, chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via)})
-		for c.recvBase < c.sends-c.capacity && len(c.recvQ) > 0 {
-			c.recvQ = c.recvQ[1:]
-			c.recvBase++
-		}
+		c.recvQ.push(chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaSlot, e.Obj})})
+		c.pruneRecvs()
 
 	case trace.EvChanClose:
 		m.guardOp(e.Obj, "chan", "close", e)
 		c := m.chanOf(e.Obj)
-		via := fmt.Sprintf("chan %s close", m.objName(e.Obj))
 		c.closed = true
-		c.closeOp = chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via)}
+		c.closeOp = chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaClose, e.Obj})}
 
 	case trace.EvBarrierArrive:
 		m.guardOp(e.Obj, "barrier", "arrive", e)
 
 	case trace.EvThreadStart:
-		m.thread(e.Thread).exited = false
+		m.threads[e.Thread].exited = false
 
 	case trace.EvThreadExit:
-		ts := m.thread(e.Thread)
+		ts := &m.threads[e.Thread]
 		ts.exited = true
-		ts.held = nil
-		ts.inherited = nil
+		ts.held = ts.held[:0]
+		ts.inherited = ts.inherited[:0]
 	}
 	return nil
 }
 
 func (m *machine) allExited(set map[trace.ThreadID]bool) bool {
 	for t := range set {
-		ts := m.threads[t]
-		if ts == nil || !ts.exited {
+		if !m.threads[t].exited {
 			return false
 		}
 	}
@@ -599,7 +670,7 @@ func (m *machine) finish() *Report {
 	// trace. sendQ holds exactly the undelivered ones.
 	for _, id := range sortedKeys(m.chans) {
 		c := m.chans[id]
-		if len(c.sendQ) == 0 {
+		if c.sendQ.len() == 0 {
 			continue
 		}
 		name := m.objName(id)
@@ -610,18 +681,18 @@ func (m *machine) finish() *Report {
 				Thread:      c.closeOp.thread,
 				ThreadName:  m.threadName(c.closeOp.thread),
 				T:           c.closeOp.t,
-				Undelivered: len(c.sendQ),
-				Detail:      fmt.Sprintf("channel closed with %d buffered value(s) never received", len(c.sendQ)),
+				Undelivered: c.sendQ.len(),
+				Detail:      fmt.Sprintf("channel closed with %d buffered value(s) never received", c.sendQ.len()),
 			})
 		} else {
 			r.LostSignals = append(r.LostSignals, LostSignal{
 				Kind:        "send",
 				Object:      name,
-				Thread:      c.sendQ[0].thread,
-				ThreadName:  m.threadName(c.sendQ[0].thread),
-				T:           c.sendQ[0].t,
-				Undelivered: len(c.sendQ),
-				Detail:      fmt.Sprintf("%d value(s) sent but no goroutine ever receives them", len(c.sendQ)),
+				Thread:      c.sendQ.at(0).thread,
+				ThreadName:  m.threadName(c.sendQ.at(0).thread),
+				T:           c.sendQ.at(0).t,
+				Undelivered: c.sendQ.len(),
+				Detail:      fmt.Sprintf("%d value(s) sent but no goroutine ever receives them", c.sendQ.len()),
 			})
 		}
 	}

@@ -76,3 +76,40 @@ func TestFromSegmentsEmpty(t *testing.T) {
 		t.Fatalf("tiny trace: %v", err)
 	}
 }
+
+// TestFromSegmentsAllocs bounds the hazard fold's allocations per
+// event: segments decode into one reused column buffer, and the
+// machine allocates only for state that grows with the trace's
+// objects and for the witnesses it reports, never per event.
+func TestFromSegmentsAllocs(t *testing.T) {
+	tr := runWorkload(t, "radiosity", workloads.Params{Seed: 1})
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	rdr, err := segment.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdr.Close()
+	perEvent := testing.AllocsPerRun(5, func() {
+		if _, err := FromSegments(rdr, 1); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(tr.Events))
+	t.Logf("FromSegments radiosity: %.4f allocations per event", perEvent)
+	if perEvent >= 0.01 {
+		t.Errorf("FromSegments on radiosity: %.4f allocations per event, want < 0.01", perEvent)
+	}
+
+	tr = runWorkload(t, "pipeline", workloads.Params{Seed: 1})
+	perEvent = testing.AllocsPerRun(5, func() {
+		if _, err := FromTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(tr.Events))
+	t.Logf("FromTrace pipeline: %.4f allocations per event", perEvent)
+	if perEvent >= 0.2 {
+		t.Errorf("FromTrace on pipeline: %.4f allocations per event, want < 0.2", perEvent)
+	}
+}

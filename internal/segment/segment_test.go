@@ -264,6 +264,21 @@ func TestAppendOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestAppendNegativeSummarizedObject: the footer stores lock and
+// channel IDs unsigned, so the writer refuses a lock or channel event
+// on a negative object instead of writing a segment its reader rejects.
+func TestAppendNegativeSummarizedObject(t *testing.T) {
+	for _, k := range []trace.EventKind{trace.EvLockObtain, trace.EvChanSend} {
+		w, err := NewFileWriter(filepath.Join(t.TempDir(), "x.clsg"), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(trace.Event{T: 1, Seq: 1, Kind: k, Obj: trace.NoObj}); err == nil {
+			t.Errorf("%s on object -1 accepted", k)
+		}
+	}
+}
+
 // segBytes writes the sample trace into one segment file and returns
 // its raw bytes.
 func segBytes(t *testing.T, n int) []byte {

@@ -89,6 +89,13 @@ func (w *FileWriter) Append(e trace.Event) error {
 			filepath.Base(w.path), e.T, e.Seq, w.prev.T, w.prev.Seq)
 		return w.err
 	}
+	if e.Obj < 0 && summarized(e.Kind) {
+		// The footer stores lock and channel IDs unsigned; the reader
+		// would reject the segment.
+		w.err = fmt.Errorf("segment: %s: %s event on object %d",
+			filepath.Base(w.path), e.Kind, e.Obj)
+		return w.err
+	}
 	if w.frameCount == 0 {
 		w.framePrev = trace.Event{}
 	}
@@ -134,6 +141,17 @@ func (w *FileWriter) Append(e trace.Event) error {
 		w.flushFrame()
 	}
 	return w.err
+}
+
+// summarized reports whether the footer counts events of kind k per
+// object.
+func summarized(k trace.EventKind) bool {
+	switch k {
+	case trace.EvLockAcquire, trace.EvLockObtain, trace.EvLockRelease,
+		trace.EvChanSend, trace.EvChanRecv, trace.EvChanClose:
+		return true
+	}
+	return false
 }
 
 func (w *FileWriter) lockSum(obj trace.ObjID) *LockSummary {
