@@ -7,9 +7,9 @@
 
 GO ?= go
 
-# Seconds per fuzz target in fuzz-smoke. 30s each keeps a CI run under
-# three minutes while still exercising the mutation engine beyond the
-# seed corpus.
+# Seconds per fuzz target in fuzz-smoke. 30s each keeps the ten targets
+# near five minutes while still exercising the mutation engine beyond
+# the seed corpus.
 FUZZTIME ?= 30s
 
 .PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check cross-build bench bench-compare bench-smoke instr-smoke docs-check guide ci
@@ -47,8 +47,11 @@ lint:
 
 # Short mutation run of every fuzz target: the segment frame/footer
 # decoders and manifest reader (hostile bytes must error, never panic),
-# the trace codecs and the encoding-sniffing trace.Decode, and
-# trace.Validate. Go allows one fuzz target per
+# the trace codecs and the encoding-sniffing trace.Decode,
+# trace.Validate, the lint and hazard passes, the channel/cond pairing
+# rules against a naive history model, and the analysis of unvalidated
+# segment dirs at every segmentation and parallelism (all fail, or all
+# agree). Go allows one fuzz target per
 # `go test -fuzz` invocation, so they run back to back.
 fuzz-smoke:
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)
@@ -59,6 +62,8 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzValidate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzLint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzHazard -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pairing -run '^$$' -fuzz FuzzPairing -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAnalyzeSegments -fuzztime $(FUZZTIME)
 
 # Reference oracle: the analysis of segmented, spilled and in-memory
 # (TraceSource) traces must be bit-identical to the test-only reference

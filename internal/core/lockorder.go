@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"critlock/internal/graph"
 	"critlock/internal/trace"
 )
 
@@ -21,10 +22,12 @@ type LockOrderEdge struct {
 // different threads) is a potential deadlock: the trace happened to
 // complete, but another interleaving could hang.
 type LockOrder struct {
-	// Edges in deterministic (FromName, ToName) order.
+	// Edges in deterministic (FromName, ToName) order, ties broken by
+	// (From, To) ID.
 	Edges []LockOrderEdge
 	// Cycles lists the strongly connected components with more than
-	// one lock (or a self-loop), each sorted by name.
+	// one lock, each sorted by name (ties by ID). Self-loops are not
+	// cycles: re-obtaining a held lock records no edge.
 	Cycles [][]trace.ObjID
 
 	names map[trace.ObjID]string
@@ -72,7 +75,6 @@ func LockOrderOf(tr *trace.Trace) *LockOrder {
 	}
 
 	lo := &LockOrder{names: map[trace.ObjID]string{}}
-	adj := map[trace.ObjID][]trace.ObjID{}
 	for k, n := range counts {
 		lo.names[k.from] = tr.ObjName(k.from)
 		lo.names[k.to] = tr.ObjName(k.to)
@@ -81,98 +83,48 @@ func LockOrderOf(tr *trace.Trace) *LockOrder {
 			FromName: tr.ObjName(k.from), ToName: tr.ObjName(k.to),
 			Count: n,
 		})
-		adj[k.from] = append(adj[k.from], k.to)
+	}
+	// Lock names may repeat, so every order below breaks name ties on
+	// ObjID: the result must not depend on map iteration.
+	before := func(a, b trace.ObjID) bool {
+		if lo.names[a] != lo.names[b] {
+			return lo.names[a] < lo.names[b]
+		}
+		return a < b
 	}
 	sort.Slice(lo.Edges, func(i, j int) bool {
-		if lo.Edges[i].FromName != lo.Edges[j].FromName {
-			return lo.Edges[i].FromName < lo.Edges[j].FromName
+		a, b := lo.Edges[i], lo.Edges[j]
+		if a.FromName != b.FromName {
+			return a.FromName < b.FromName
 		}
-		return lo.Edges[i].ToName < lo.Edges[j].ToName
+		if a.ToName != b.ToName {
+			return a.ToName < b.ToName
+		}
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
 	})
 
-	lo.Cycles = stronglyConnected(adj, lo.names)
-	return lo
-}
-
-// stronglyConnected runs Tarjan's algorithm and returns components of
-// size > 1 (two-lock inversions and larger rings), sorted by name.
-func stronglyConnected(adj map[trace.ObjID][]trace.ObjID, names map[trace.ObjID]string) [][]trace.ObjID {
-	index := map[trace.ObjID]int{}
-	low := map[trace.ObjID]int{}
-	onStack := map[trace.ObjID]bool{}
-	var stack []trace.ObjID
-	var cycles [][]trace.ObjID
-	next := 0
-
-	// Iterative Tarjan to avoid recursion-depth concerns on large
-	// graphs.
-	type frame struct {
-		node trace.ObjID
-		ei   int
-	}
+	adj := map[trace.ObjID][]trace.ObjID{}
 	var nodes []trace.ObjID
-	for n := range adj {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return names[nodes[i]] < names[nodes[j]] })
-
-	for _, start := range nodes {
-		if _, seen := index[start]; seen {
-			continue
+	for _, e := range lo.Edges {
+		if adj[e.From] == nil {
+			nodes = append(nodes, e.From)
 		}
-		frames := []frame{{node: start}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.node]) {
-				child := adj[f.node][f.ei]
-				f.ei++
-				if _, seen := index[child]; !seen {
-					index[child] = next
-					low[child] = next
-					next++
-					stack = append(stack, child)
-					onStack[child] = true
-					frames = append(frames, frame{node: child})
-				} else if onStack[child] && index[child] < low[f.node] {
-					low[f.node] = index[child]
-				}
-				continue
-			}
-			// Done with this node: pop an SCC if it is a root.
-			if low[f.node] == index[f.node] {
-				var comp []trace.ObjID
-				for {
-					n := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[n] = false
-					comp = append(comp, n)
-					if n == f.node {
-						break
-					}
-				}
-				if len(comp) > 1 {
-					sort.Slice(comp, func(i, j int) bool { return names[comp[i]] < names[comp[j]] })
-					cycles = append(cycles, comp)
-				}
-			}
-			node := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[node] < low[parent.node] {
-					low[parent.node] = low[node]
-				}
-			}
+		adj[e.From] = append(adj[e.From], e.To)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return before(nodes[i], nodes[j]) })
+	// Components of more than one lock are the two-lock inversions and
+	// larger rings; self-loops are never recorded.
+	for _, comp := range graph.SCC(nodes, adj) {
+		if len(comp) > 1 {
+			sort.Slice(comp, func(i, j int) bool { return before(comp[i], comp[j]) })
+			lo.Cycles = append(lo.Cycles, comp)
 		}
 	}
-	sort.Slice(cycles, func(i, j int) bool {
-		return fmt.Sprint(cycles[i]) < fmt.Sprint(cycles[j])
+	sort.Slice(lo.Cycles, func(i, j int) bool {
+		return fmt.Sprint(lo.Cycles[i]) < fmt.Sprint(lo.Cycles[j])
 	})
-	return cycles
+	return lo
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"critlock/internal/pairing"
 	"critlock/internal/trace"
 )
 
@@ -172,37 +173,7 @@ type barStream struct {
 	parties  int
 	arrivals int
 	episodes map[int]*barEpisode
-	arriveEp map[trace.ThreadID]*intQueue
-}
-
-// intQueue is a FIFO of ints with amortized O(1) pops.
-type intQueue struct {
-	vals []int
-	head int
-}
-
-func (q *intQueue) push(v int) { q.vals = append(q.vals, v) }
-
-func (q *intQueue) pop() (int, bool) {
-	if q.head >= len(q.vals) {
-		return 0, false
-	}
-	v := q.vals[q.head]
-	q.head++
-	if q.head == len(q.vals) {
-		q.vals, q.head = q.vals[:0], 0
-	} else if q.head > 64 && q.head*2 >= len(q.vals) {
-		q.vals = q.vals[:copy(q.vals, q.vals[q.head:])]
-		q.head = 0
-	}
-	return v, true
-}
-
-// condStream is the per-cond state: FIFO of blocked waiters plus
-// resolved wakers.
-type condStream struct {
-	waiting []trace.ThreadID
-	wakerOf map[trace.ThreadID]int32
+	arriveEp map[trace.ThreadID]*pairing.Queue[int]
 }
 
 // annPatch is a deferred waker resolution applied after the scan.
@@ -210,103 +181,6 @@ type annPatch struct {
 	idx   int32
 	waker int32
 }
-
-// chanPairing resolves channel wakers for one channel by FIFO pairing
-// of completion events. Both backends stamp a blocked operation's
-// completion after the waker's own event (waker first, wakee second at
-// the same instant), so every waker is already in the past when the
-// blocked completion is scanned and resolution needs no deferred
-// patches:
-//
-//   - value receive #r is delivered by send #r (the value it takes,
-//     whether handed off directly or drained from the buffer);
-//   - send #s on a capacity-C channel is admitted by receive #(s-C),
-//     the receive that freed its buffer slot (for C = 0, the
-//     rendezvous partner #s itself);
-//   - a receive carrying ChanArgClosed consumed no send: its waker is
-//     the close event.
-//
-// Completed pairings are pruned as the counters advance, so live state
-// is O(outstanding operations), never O(trace).
-type chanPairing struct {
-	capacity int
-	// sendIdx[s-sendBase] is the event index of send completion #s;
-	// entries below recvs are consumed and pruned.
-	sendIdx  []int32
-	sendBase int
-	sends    int
-	// recvIdx[r-recvBase] is the event index of value receive #r;
-	// entries below sends-capacity can no longer admit a sender.
-	recvIdx   []int32
-	recvBase  int
-	recvs     int
-	lastClose int32
-}
-
-func newChanPairing(capacity int) *chanPairing {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &chanPairing{capacity: capacity, lastClose: -1}
-}
-
-func (cs *chanPairing) sendAt(s int) int32 {
-	if s < cs.sendBase || s >= cs.sends {
-		return -1
-	}
-	return cs.sendIdx[s-cs.sendBase]
-}
-
-func (cs *chanPairing) recvAt(r int) int32 {
-	if r < cs.recvBase || r >= cs.recvs {
-		return -1
-	}
-	return cs.recvIdx[r-cs.recvBase]
-}
-
-// send records send completion #sends at event index i and returns the
-// waker for blocked sends (or -1).
-func (cs *chanPairing) send(i int32, blocked bool) int32 {
-	waker := int32(-1)
-	if blocked {
-		waker = cs.recvAt(cs.sends - cs.capacity)
-	}
-	cs.sendIdx = append(cs.sendIdx, i)
-	cs.sends++
-	// Receives numbered below sends-capacity can no longer be anyone's
-	// waker; drop them from the front.
-	for cs.recvBase < cs.sends-cs.capacity && len(cs.recvIdx) > 0 {
-		cs.recvIdx = cs.recvIdx[1:]
-		cs.recvBase++
-	}
-	return waker
-}
-
-// recv records a receive completion at event index i and returns the
-// waker for blocked receives (or -1). Closed receives consumed no send
-// and advance no counter.
-func (cs *chanPairing) recv(i int32, blocked, closed bool) int32 {
-	if closed {
-		if blocked {
-			return cs.lastClose
-		}
-		return -1
-	}
-	waker := int32(-1)
-	if blocked {
-		waker = cs.sendAt(cs.recvs)
-	}
-	cs.recvIdx = append(cs.recvIdx, i)
-	cs.recvs++
-	// Sends numbered below recvs are paired; drop them from the front.
-	for cs.sendBase < cs.recvs && len(cs.sendIdx) > 0 {
-		cs.sendIdx = cs.sendIdx[1:]
-		cs.sendBase++
-	}
-	return waker
-}
-
-func (cs *chanPairing) close(i int32) { cs.lastClose = i }
 
 // pass1Sync is the waker state machine for every synchronization kind
 // whose resolution needs global order: thread lifecycle, barriers,
@@ -322,8 +196,8 @@ type pass1Sync struct {
 	pendingStart []int32
 	joinBeginT   []trace.Time
 	barriers     map[trace.ObjID]*barStream
-	conds        map[trace.ObjID]*condStream
-	chans        map[trace.ObjID]*chanPairing
+	conds        map[trace.ObjID]*pairing.Cond[int32]
+	chans        map[trace.ObjID]*pairing.Chan[int32]
 	patches      []annPatch
 }
 
@@ -336,8 +210,8 @@ func newPass1Sync(skel *trace.Trace, p1 *pass1Result) *pass1Sync {
 		pendingStart: make([]int32, nThreads),
 		joinBeginT:   make([]trace.Time, nThreads),
 		barriers:     map[trace.ObjID]*barStream{},
-		conds:        map[trace.ObjID]*condStream{},
-		chans:        map[trace.ObjID]*chanPairing{},
+		conds:        map[trace.ObjID]*pairing.Cond[int32]{},
+		chans:        map[trace.ObjID]*pairing.Chan[int32]{},
 	}
 	for tid := 0; tid < nThreads; tid++ {
 		m.createIdx[tid] = -1
@@ -352,26 +226,26 @@ func (m *pass1Sync) barOf(o trace.ObjID) *barStream {
 		bs = &barStream{
 			parties:  m.skel.Object(o).Parties,
 			episodes: map[int]*barEpisode{},
-			arriveEp: map[trace.ThreadID]*intQueue{},
+			arriveEp: map[trace.ThreadID]*pairing.Queue[int]{},
 		}
 		m.barriers[o] = bs
 	}
 	return bs
 }
 
-func (m *pass1Sync) condOf(o trace.ObjID) *condStream {
+func (m *pass1Sync) condOf(o trace.ObjID) *pairing.Cond[int32] {
 	cs := m.conds[o]
 	if cs == nil {
-		cs = &condStream{wakerOf: map[trace.ThreadID]int32{}}
+		cs = &pairing.Cond[int32]{}
 		m.conds[o] = cs
 	}
 	return cs
 }
 
-func (m *pass1Sync) chanOf(o trace.ObjID) *chanPairing {
+func (m *pass1Sync) chanOf(o trace.ObjID) *pairing.Chan[int32] {
 	cs := m.chans[o]
 	if cs == nil {
-		cs = newChanPairing(m.skel.Object(o).Parties)
+		cs = pairing.NewChan[int32](m.skel.Object(o).Parties)
 		m.chans[o] = cs
 	}
 	return cs
@@ -425,10 +299,10 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 		epi.arrives++
 		q := bs.arriveEp[thread]
 		if q == nil {
-			q = &intQueue{}
+			q = &pairing.Queue[int]{}
 			bs.arriveEp[thread] = q
 		}
-		q.push(ep)
+		q.Push(ep)
 		if bs.parties > 0 && epi.arrives == bs.parties {
 			// Episode complete: its last arrive is final, so
 			// deferred departs resolve now.
@@ -447,11 +321,9 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 		bs := m.barOf(obj)
 		var epi *barEpisode
 		ep := -1
-		if q := bs.arriveEp[thread]; q != nil {
-			if v, ok := q.pop(); ok {
-				ep = v
-				epi = bs.episodes[ep]
-			}
+		if q := bs.arriveEp[thread]; q != nil && q.Len() > 0 {
+			ep = q.Pop()
+			epi = bs.episodes[ep]
 		}
 		if epi != nil {
 			epi.departs++
@@ -471,59 +343,51 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 			delete(bs.episodes, ep)
 		}
 
+	// Cond and channel wakers pair by the FIFO rules of
+	// internal/pairing, with the waker's event index as payload.
 	case trace.EvCondWaitBegin:
-		cs := m.condOf(obj)
-		cs.waiting = append(cs.waiting, thread)
+		m.condOf(obj).Wait(thread)
 
 	case trace.EvCondSignal:
-		cs := m.condOf(obj)
-		if len(cs.waiting) > 0 {
-			cs.wakerOf[cs.waiting[0]] = i
-			cs.waiting = cs.waiting[1:]
-		}
+		m.condOf(obj).Signal(i)
 
 	case trace.EvCondBroadcast:
-		cs := m.condOf(obj)
-		for _, th := range cs.waiting {
-			cs.wakerOf[th] = i
-		}
-		cs.waiting = cs.waiting[:0]
+		m.condOf(obj).Broadcast(i)
 
 	case trace.EvCondWaitEnd:
-		cs := m.condOf(obj)
 		rec.flags |= annBlocked
-		if w, ok := cs.wakerOf[thread]; ok {
+		if w, ok := m.condOf(obj).WaitEnd(thread); ok {
 			rec.waker = w
-			delete(cs.wakerOf, thread)
-		} else {
-			// Spurious wakeup or unmatched signal: drop from
-			// the waiting queue, leave the waker unknown.
-			for j, th := range cs.waiting {
-				if th == thread {
-					cs.waiting = append(cs.waiting[:j], cs.waiting[j+1:]...)
-					break
-				}
-			}
 		}
 
 	case trace.EvChanSend:
-		blocked := arg&trace.ChanArgBlocked != 0
-		w := m.chanOf(obj).send(i, blocked)
-		if blocked {
+		cs := m.chanOf(obj)
+		if arg&trace.ChanArgBlocked != 0 {
 			rec.flags |= annBlocked
-			rec.waker = w
+			if w, ok := cs.Admitter(); ok {
+				rec.waker = w
+			}
 		}
+		cs.Send(i)
 
 	case trace.EvChanRecv:
-		blocked := arg&trace.ChanArgBlocked != 0
-		w := m.chanOf(obj).recv(i, blocked, arg&trace.ChanArgClosed != 0)
-		if blocked {
+		cs := m.chanOf(obj)
+		var w int32
+		var ok bool
+		if arg&trace.ChanArgClosed != 0 {
+			w, ok = cs.Closed()
+		} else {
+			w, ok = cs.Recv(i)
+		}
+		if arg&trace.ChanArgBlocked != 0 {
 			rec.flags |= annBlocked
-			rec.waker = w
+			if ok {
+				rec.waker = w
+			}
 		}
 
 	case trace.EvChanClose:
-		m.chanOf(obj).close(i)
+		m.chanOf(obj).Close(i)
 
 	case trace.EvJoinBegin:
 		m.joinBeginT[thread] = t

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"critlock/internal/pairing"
 	"critlock/internal/trace"
 )
 
@@ -57,66 +58,12 @@ type threadState struct {
 	exited    bool
 }
 
-// queue is a FIFO that keeps its backing array: a pop advances head,
-// and a push into a full array slides the live entries down once at
-// least half of it is popped, instead of reallocating.
-type queue[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *queue[T]) len() int { return len(q.buf) - q.head }
-
-// at returns the i-th live entry.
-func (q *queue[T]) at(i int) T { return q.buf[q.head+i] }
-
-func (q *queue[T]) push(v T) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-func (q *queue[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head++
-	if q.head == len(q.buf) {
-		q.reset()
-	}
-	return v
-}
-
-// removeAt drops the i-th live entry, keeping the others in order.
-func (q *queue[T]) removeAt(i int) {
-	j := q.head + i
-	copy(q.buf[j:], q.buf[j+1:])
-	var zero T
-	q.buf[len(q.buf)-1] = zero
-	q.buf = q.buf[:len(q.buf)-1]
-	if q.head == len(q.buf) {
-		q.reset()
-	}
-}
-
-func (q *queue[T]) reset() {
-	clear(q.buf)
-	q.buf = q.buf[:0]
-	q.head = 0
-}
-
-// condMachine mirrors core/stream.go's condStream (FIFO waiters,
-// Signal pops the front, Broadcast wakes all, spurious wakeups
-// tolerated), but carries hold snapshots instead of waker indices,
-// plus the lost-signal and guard bookkeeping.
+// condMachine is one cond's state: the FIFO waiter pairing of
+// internal/pairing with the waker's hold snapshot as payload, plus the
+// lost-signal and guard bookkeeping.
 type condMachine struct {
-	waiting queue[trace.ThreadID]
-	wakerOf map[trace.ThreadID][]inhHold
-	ever    map[trace.ThreadID]bool
+	waits pairing.Cond[[]inhHold]
+	ever  map[trace.ThreadID]bool
 	// cands are signal/broadcast events that looked lost when they
 	// happened; any later wait on the cond clears them.
 	cands []LostSignal
@@ -126,34 +73,12 @@ type condMachine struct {
 	assocSites []GuardSite
 }
 
-// chanOp records one channel operation for later waker resolution.
+// chanOp is the pairing payload of one channel operation: its site and
+// the holds it carries into the operation it pairs with.
 type chanOp struct {
 	t      trace.Time
 	thread trace.ThreadID
 	snap   []inhHold
-}
-
-// chanMachine mirrors core/stream.go's chanPairing FIFO counting: value
-// recv #r consumes send #r, a blocked send #s was admitted by recv
-// #(s-capacity), a closed recv is ordered after the close. At a
-// rendezvous the simulator may emit the recv completion *before* the
-// matching send completion (same instant), so a recv that finds sendQ
-// empty leaves a debt in owed that the send completion settles.
-type chanMachine struct {
-	capacity int
-	// sendQ holds the completed sends not yet consumed by a recv —
-	// exactly the undelivered values at end of trace.
-	sendQ queue[chanOp]
-	// owed holds receivers whose matching send completion is still in
-	// flight at the same instant.
-	owed queue[trace.ThreadID]
-	// recvQ holds value-recv sites recv #recvBase.., pruned to what
-	// future blocked sends can still reference.
-	recvQ    queue[chanOp]
-	recvBase int
-	sends    int
-	closed   bool
-	closeOp  chanOp
 }
 
 // guardState tracks lock-set consistency for one chan or barrier: flag
@@ -184,7 +109,7 @@ type machine struct {
 	threads []threadState
 	edges   map[edgeKey]*edgeAgg
 	conds   map[trace.ObjID]*condMachine
-	chans   map[trace.ObjID]*chanMachine
+	chans   map[trace.ObjID]*pairing.Chan[chanOp]
 	guards  map[trace.ObjID]*guardState
 	prevT   trace.Time
 	n       int
@@ -196,7 +121,7 @@ func newMachine(tr *trace.Trace) *machine {
 		threads: make([]threadState, len(tr.Threads)),
 		edges:   make(map[edgeKey]*edgeAgg),
 		conds:   make(map[trace.ObjID]*condMachine),
-		chans:   make(map[trace.ObjID]*chanMachine),
+		chans:   make(map[trace.ObjID]*pairing.Chan[chanOp]),
 		guards:  make(map[trace.ObjID]*guardState),
 	}
 }
@@ -204,29 +129,20 @@ func newMachine(tr *trace.Trace) *machine {
 func (m *machine) cond(id trace.ObjID) *condMachine {
 	c := m.conds[id]
 	if c == nil {
-		c = &condMachine{wakerOf: make(map[trace.ThreadID][]inhHold), ever: make(map[trace.ThreadID]bool)}
+		c = &condMachine{ever: make(map[trace.ThreadID]bool)}
 		m.conds[id] = c
 	}
 	return c
 }
 
-// pruneRecvs drops the recv sites no future blocked send can
-// reference: send #s only looks back at recv #(s-capacity).
-func (c *chanMachine) pruneRecvs() {
-	for c.recvBase < c.sends-c.capacity && c.recvQ.len() > 0 {
-		c.recvQ.pop()
-		c.recvBase++
-	}
-}
-
-func (m *machine) chanOf(id trace.ObjID) *chanMachine {
+func (m *machine) chanOf(id trace.ObjID) *pairing.Chan[chanOp] {
 	c := m.chans[id]
 	if c == nil {
 		capacity := 0
 		if int(id) >= 0 && int(id) < len(m.tr.Objects) {
 			capacity = m.tr.Objects[id].Parties
 		}
-		c = &chanMachine{capacity: capacity}
+		c = pairing.NewChan[chanOp](capacity)
 		m.chans[id] = c
 	}
 	return c
@@ -492,7 +408,7 @@ func (m *machine) step(e *trace.Event) error {
 		c := m.cond(e.Obj)
 		// A waiter exists now, so no earlier signal was lost after all.
 		c.cands = nil
-		c.waiting.push(e.Thread)
+		c.waits.Wait(e.Thread)
 		c.ever[e.Thread] = true
 		// Guard: the associated mutex travels in Arg. Waiting under two
 		// different mutexes loses wakeups (the cond's queue is only
@@ -518,30 +434,20 @@ func (m *machine) step(e *trace.Event) error {
 		}
 
 	case trace.EvCondWaitEnd:
-		c := m.cond(e.Obj)
-		if snap, ok := c.wakerOf[e.Thread]; ok {
-			delete(c.wakerOf, e.Thread)
+		// A wait that ends unpaired (a spurious wakeup, or fuzz noise)
+		// inherits nothing.
+		if snap, ok := m.cond(e.Obj).waits.WaitEnd(e.Thread); ok {
 			m.inheritInto(e.Thread, snap)
-		}
-		// Spurious wakeup or fuzz noise: drop from the wait queue.
-		for i := 0; i < c.waiting.len(); i++ {
-			if c.waiting.at(i) == e.Thread {
-				c.waiting.removeAt(i)
-				break
-			}
 		}
 
 	case trace.EvCondSignal, trace.EvCondBroadcast:
 		c := m.cond(e.Obj)
-		if c.waiting.len() > 0 {
+		if c.waits.Waiters() > 0 {
 			snap := m.snapshot(e.Thread, via{viaWakeup, e.Obj})
 			if e.Kind == trace.EvCondSignal {
-				c.wakerOf[c.waiting.pop()] = snap
+				c.waits.Signal(snap)
 			} else {
-				for i := 0; i < c.waiting.len(); i++ {
-					c.wakerOf[c.waiting.at(i)] = snap
-				}
-				c.waiting.reset()
+				c.waits.Broadcast(snap)
 			}
 			break
 		}
@@ -571,24 +477,19 @@ func (m *machine) step(e *trace.Event) error {
 
 	case trace.EvChanSend:
 		c := m.chanOf(e.Obj)
-		// A blocked send #s was admitted by recv #(s-capacity): the
-		// receiver's critical section extends into the sender.
+		// A blocked send was admitted by the recv that freed its slot:
+		// the receiver's critical section extends into the sender.
 		if e.Arg&trace.ChanArgBlocked != 0 {
-			idx := c.sends - c.capacity
-			if idx >= c.recvBase && idx-c.recvBase < c.recvQ.len() {
-				m.inheritInto(e.Thread, c.recvQ.at(idx-c.recvBase).snap)
+			if r, ok := c.Admitter(); ok {
+				m.inheritInto(e.Thread, r.snap)
 			}
 		}
-		c.sends++
-		snap := m.snapshot(e.Thread, via{viaHandoff, e.Obj})
-		if c.owed.len() > 0 {
+		op := chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaHandoff, e.Obj})}
+		if r, owed := c.Send(op); owed {
 			// The matching recv already completed at this instant:
 			// settle the hand-off now, before the receiver's next event.
-			m.inheritInto(c.owed.pop(), snap)
-		} else {
-			c.sendQ.push(chanOp{t: e.T, thread: e.Thread, snap: snap})
+			m.inheritInto(r.thread, op.snap)
 		}
-		c.pruneRecvs()
 
 	case trace.EvChanRecvBegin:
 		m.guardOp(e.Obj, "chan", "recv", e)
@@ -597,28 +498,23 @@ func (m *machine) step(e *trace.Event) error {
 		c := m.chanOf(e.Obj)
 		if e.Arg&trace.ChanArgClosed != 0 {
 			// Receiving the closed marker is ordered after the close.
-			if c.closed {
-				m.inheritInto(e.Thread, c.closeOp.snap)
+			if cl, ok := c.Closed(); ok {
+				m.inheritInto(e.Thread, cl.snap)
 			}
 			break
 		}
-		// Value recv #r consumes send #r — a hand-off dependency,
-		// blocked or not.
-		if c.sendQ.len() > 0 {
-			m.inheritInto(e.Thread, c.sendQ.pop().snap)
-		} else {
-			// Matching send completion is still in flight (rendezvous
-			// emitted recv first); settle when it arrives.
-			c.owed.push(e.Thread)
+		// A value recv takes its send's holds — a hand-off dependency,
+		// blocked or not — before its own site is recorded for the
+		// blocked send it may admit. A recv ahead of its send is owed
+		// and settled by the send.
+		if s, ok := c.Next(); ok {
+			m.inheritInto(e.Thread, s.snap)
 		}
-		c.recvQ.push(chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaSlot, e.Obj})})
-		c.pruneRecvs()
+		c.Recv(chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaSlot, e.Obj})})
 
 	case trace.EvChanClose:
 		m.guardOp(e.Obj, "chan", "close", e)
-		c := m.chanOf(e.Obj)
-		c.closed = true
-		c.closeOp = chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaClose, e.Obj})}
+		m.chanOf(e.Obj).Close(chanOp{t: e.T, thread: e.Thread, snap: m.snapshot(e.Thread, via{viaClose, e.Obj})})
 
 	case trace.EvBarrierArrive:
 		m.guardOp(e.Obj, "barrier", "arrive", e)
@@ -667,32 +563,33 @@ func (m *machine) finish() *Report {
 	}
 
 	// Lost channel values: sends never received by the end of the
-	// trace. sendQ holds exactly the undelivered ones.
+	// trace.
 	for _, id := range sortedKeys(m.chans) {
 		c := m.chans[id]
-		if c.sendQ.len() == 0 {
+		n, first := c.Undelivered()
+		if n == 0 {
 			continue
 		}
 		name := m.objName(id)
-		if c.closed {
+		if cl, closed := c.Closed(); closed {
 			r.LostSignals = append(r.LostSignals, LostSignal{
 				Kind:        "close",
 				Object:      name,
-				Thread:      c.closeOp.thread,
-				ThreadName:  m.threadName(c.closeOp.thread),
-				T:           c.closeOp.t,
-				Undelivered: c.sendQ.len(),
-				Detail:      fmt.Sprintf("channel closed with %d buffered value(s) never received", c.sendQ.len()),
+				Thread:      cl.thread,
+				ThreadName:  m.threadName(cl.thread),
+				T:           cl.t,
+				Undelivered: n,
+				Detail:      fmt.Sprintf("channel closed with %d buffered value(s) never received", n),
 			})
 		} else {
 			r.LostSignals = append(r.LostSignals, LostSignal{
 				Kind:        "send",
 				Object:      name,
-				Thread:      c.sendQ.at(0).thread,
-				ThreadName:  m.threadName(c.sendQ.at(0).thread),
-				T:           c.sendQ.at(0).t,
-				Undelivered: c.sendQ.len(),
-				Detail:      fmt.Sprintf("%d value(s) sent but no goroutine ever receives them", c.sendQ.len()),
+				Thread:      first.thread,
+				ThreadName:  m.threadName(first.thread),
+				T:           first.t,
+				Undelivered: n,
+				Detail:      fmt.Sprintf("%d value(s) sent but no goroutine ever receives them", n),
 			})
 		}
 	}

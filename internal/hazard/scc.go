@@ -3,34 +3,22 @@ package hazard
 import (
 	"sort"
 
+	"critlock/internal/graph"
 	"critlock/internal/trace"
 )
 
 // cycles finds the strongly connected components of the dynamic
-// lock-order graph (iterative Tarjan, mirroring core's lock-order
-// cycle detection) and packages each with its realizing edges.
+// lock-order graph and packages each with its realizing edges.
 func (m *machine) cycles(keys []edgeKey, edgeOf map[edgeKey]Edge) []Cycle {
 	adj := make(map[trace.ObjID][]trace.ObjID)
+	var nodes []trace.ObjID
 	for _, k := range keys {
 		if k.from != k.to {
+			if adj[k.from] == nil {
+				nodes = append(nodes, k.from)
+			}
 			adj[k.from] = append(adj[k.from], k.to)
 		}
-	}
-
-	index := map[trace.ObjID]int{}
-	low := map[trace.ObjID]int{}
-	onStack := map[trace.ObjID]bool{}
-	var stack []trace.ObjID
-	var comps [][]trace.ObjID
-	next := 0
-
-	type frame struct {
-		node trace.ObjID
-		ei   int
-	}
-	var nodes []trace.ObjID
-	for n := range adj {
-		nodes = append(nodes, n)
 	}
 	sort.Slice(nodes, func(i, j int) bool {
 		an, bn := m.objName(nodes[i]), m.objName(nodes[j])
@@ -40,62 +28,11 @@ func (m *machine) cycles(keys []edgeKey, edgeOf map[edgeKey]Edge) []Cycle {
 		return nodes[i] < nodes[j]
 	})
 
-	for _, start := range nodes {
-		if _, seen := index[start]; seen {
+	var out []Cycle
+	for _, comp := range graph.SCC(nodes, adj) {
+		if len(comp) < 2 {
 			continue
 		}
-		frames := []frame{{node: start}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.node]) {
-				child := adj[f.node][f.ei]
-				f.ei++
-				if _, seen := index[child]; !seen {
-					index[child] = next
-					low[child] = next
-					next++
-					stack = append(stack, child)
-					onStack[child] = true
-					frames = append(frames, frame{node: child})
-				} else if onStack[child] && index[child] < low[f.node] {
-					low[f.node] = index[child]
-				}
-				continue
-			}
-			if low[f.node] == index[f.node] {
-				var comp []trace.ObjID
-				for {
-					n := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[n] = false
-					comp = append(comp, n)
-					if n == f.node {
-						break
-					}
-				}
-				if len(comp) > 1 {
-					comps = append(comps, comp)
-				}
-			}
-			node := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[node] < low[parent.node] {
-					low[parent.node] = low[node]
-				}
-			}
-		}
-	}
-
-	var out []Cycle
-	for _, comp := range comps {
 		member := make(map[trace.ObjID]bool, len(comp))
 		for _, id := range comp {
 			member[id] = true

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"critlock/internal/graph"
 )
 
 // callGraphEdges propagates lock acquisitions through the static call
@@ -120,7 +122,7 @@ func dedupeEdges(edges []Edge) []Edge {
 }
 
 // lockOrderCycles finds strongly connected components of the
-// lock-order graph (Tarjan) and reports each cycle — a potential
+// lock-order graph and reports each cycle — a potential
 // deadlock inversion — with both acquisition stacks of every edge.
 func lockOrderCycles(edges []Edge) ([]Cycle, []Finding) {
 	adj := map[string][]string{}
@@ -135,69 +137,9 @@ func lockOrderCycles(edges []Edge) ([]Cycle, []Finding) {
 	}
 	sort.Strings(order)
 
-	// Iterative Tarjan (recursion depth is attacker-controlled under
-	// fuzzing).
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-	type frame struct {
-		v  string
-		ei int
-	}
-	for _, root := range order {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		frames := []frame{{v: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei]
-				f.ei++
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			if low[f.v] == index[f.v] {
-				var scc []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == f.v {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-			}
-		}
-	}
-
 	var cycles []Cycle
 	var findings []Finding
-	for _, scc := range sccs {
+	for _, scc := range graph.SCC(order, adj) {
 		selfLoop := false
 		if len(scc) == 1 {
 			for _, to := range adj[scc[0]] {
