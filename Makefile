@@ -7,9 +7,9 @@
 
 GO ?= go
 
-# Seconds per fuzz target in fuzz-smoke. 30s each keeps the ten targets
-# near five minutes while still exercising the mutation engine beyond
-# the seed corpus.
+# Seconds per fuzz target in fuzz-smoke. 30s each keeps the eleven
+# targets near six minutes while still exercising the mutation engine
+# beyond the seed corpus.
 FUZZTIME ?= 30s
 
 .PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check cross-build bench bench-compare bench-smoke instr-smoke docs-check guide ci
@@ -47,7 +47,8 @@ lint:
 
 # Short mutation run of every fuzz target: the segment frame/footer
 # decoders and manifest reader (hostile bytes must error, never panic),
-# the trace codecs and the encoding-sniffing trace.Decode,
+# the trace codecs and the encoding-sniffing trace.Decode, the batch
+# frame decoder against a plain DecodeEvent loop,
 # trace.Validate, the lint and hazard passes, the channel/cond pairing
 # rules against a naive history model, and the analysis of unvalidated
 # segment dirs at every segmentation and parallelism (all fail, or all
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzAppendFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecode$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzValidate -fuzztime $(FUZZTIME)

@@ -96,15 +96,20 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	}
 	defer ann.remove()
 
+	// Column sets pass from pass 1's head range to the walk's first
+	// window and from the walk's largest window to pass 3's head range,
+	// so each pass reuses the last one's capacity instead of allocating
+	// (and zeroing) its own.
+	cols := new(trace.Columns)
 	start := h.phaseStart("pass1")
-	p1, err := pass1(cs, skel, ann, workers, h)
+	p1, err := pass1(cs, skel, ann, workers, h, cols)
 	if err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass1", start, int64(n))
 
 	start = h.phaseStart("walk")
-	loader := newSegLoader(cs, ann, cfg.CacheSegments)
+	loader := newSegLoader(cs, ann, cfg.CacheSegments, cols)
 	loader.hook = h
 	cp, err := streamWalk(loader, p1, n)
 	if err != nil {
@@ -114,7 +119,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 
 	start = h.phaseStart("pass3")
 	an := &Analysis{Trace: skel, CP: *cp}
-	if err := pass3(cs, skel, ann, p1, an, cfg, workers, h); err != nil {
+	if err := pass3(cs, skel, ann, p1, an, cfg, workers, h, loader.spare); err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass3", start, int64(n))
@@ -458,19 +463,22 @@ type segLoader struct {
 	cache  map[int]*segWindow
 	lru    []int // segment ids, least recent first
 	max    int
-	cur    *segWindow // most recently used window
-	hook   *obsHook   // cache-miss load accounting (nil = none)
+	cur    *segWindow     // most recently used window
+	hook   *obsHook       // cache-miss load accounting (nil = none)
+	spare  *trace.Columns // for the next new window, then pass 3 (nil = none)
 }
 
 type segWindow struct {
 	first int
 	end   int // first + count
-	cols  trace.Columns
+	cols  *trace.Columns
 	links []byte
 	flags []byte
 }
 
-func newSegLoader(src ColumnSource, ann *annStore, cacheSegments int) *segLoader {
+// newSegLoader returns a loader whose first window decodes into spare
+// (nil = a fresh column set).
+func newSegLoader(src ColumnSource, ann *annStore, cacheSegments int, spare *trace.Columns) *segLoader {
 	n := src.NumSegments()
 	l := &segLoader{
 		src:    src,
@@ -478,6 +486,7 @@ func newSegLoader(src ColumnSource, ann *annStore, cacheSegments int) *segLoader
 		firsts: make([]int, n),
 		cache:  map[int]*segWindow{},
 		max:    cacheSegments,
+		spare:  spare,
 	}
 	for i := 0; i < n; i++ {
 		first, count := src.SegmentBounds(i)
@@ -514,10 +523,14 @@ func (l *segLoader) window(i int32) (*segWindow, error) {
 		reuse = l.cache[victim]
 		delete(l.cache, victim)
 	} else {
-		reuse = &segWindow{}
+		reuse = &segWindow{cols: l.spare}
+		if reuse.cols == nil {
+			reuse.cols = new(trace.Columns)
+		}
+		l.spare = nil
 	}
 	first, count := l.src.SegmentBounds(seg)
-	bytes, err := l.src.LoadColumns(seg, &reuse.cols)
+	bytes, err := l.src.LoadColumns(seg, reuse.cols)
 	if err != nil {
 		return nil, err
 	}
@@ -769,7 +782,13 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	// (prev/waker — only the walk reads them) are dead weight from here
 	// on — drop both first so the assembly's transient (chunks plus the
 	// final slices) replaces them in the live set instead of stacking
-	// on top of them.
+	// on top of them. The largest column set stays behind as the spare
+	// pass 3 decodes into.
+	for _, w := range l.cache {
+		if l.spare == nil || cap(w.cols.T) > cap(l.spare.T) {
+			l.spare = w.cols
+		}
+	}
 	l.cache, l.lru, l.cur = nil, nil, nil
 	l.ann.releaseLinks()
 	cp.Pieces = pieces.forward()

@@ -87,7 +87,9 @@ func filled(n int, v int32) []int32 {
 // the sync machine adds O(open barrier episodes + waiting cond
 // threads), and ranges after the head add their relayed sync events.
 // With one worker the working set is independent of trace length.
-func pass1(src ColumnSource, skel *trace.Trace, ann *annStore, workers int, h *obsHook) (*pass1Result, error) {
+//
+// The head range decodes into cols.
+func pass1(src ColumnSource, skel *trace.Trace, ann *annStore, workers int, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
 	p1 := newPass1Result(len(skel.Threads))
 	sync := newPass1Sync(skel, p1)
 	ranges := make([]p1Range, workers)
@@ -96,9 +98,9 @@ func pass1(src ColumnSource, skel *trace.Trace, ann *annStore, workers int, h *o
 		if chunk == 0 {
 			// Only the head range touches the sync machine and the hook
 			// while the ranges run; the merge takes both over after.
-			r.err = r.scan(src, skel, ann, lo, hi, sync, h)
+			r.err = r.scan(src, skel, ann, lo, hi, sync, h, cols)
 		} else {
-			r.err = r.scan(src, skel, ann, lo, hi, nil, nil)
+			r.err = r.scan(src, skel, ann, lo, hi, nil, nil, new(trace.Columns))
 		}
 	})
 	for i := range ranges {
@@ -181,10 +183,10 @@ func pass1(src ColumnSource, skel *trace.Trace, ann *annStore, workers int, h *o
 	return p1, nil
 }
 
-// scan annotates segments [lo, hi). The head range passes the sync
-// machine and steps it inline, reporting each segment to h; later
-// ranges pass nil for both and relay instead.
-func (r *p1Range) scan(src ColumnSource, skel *trace.Trace, ann *annStore, lo, hi int, sync *pass1Sync, h *obsHook) error {
+// scan annotates segments [lo, hi), decoding each into cols. The head
+// range passes the sync machine and steps it inline, reporting each
+// segment to h; later ranges pass nil for both and relay instead.
+func (r *p1Range) scan(src ColumnSource, skel *trace.Trace, ann *annStore, lo, hi int, sync *pass1Sync, h *obsHook, cols *trace.Columns) error {
 	nThreads, nObjs := len(skel.Threads), len(skel.Objects)
 	head := sync != nil
 	r.lastOfThread = filled(nThreads, -1)
@@ -193,11 +195,10 @@ func (r *p1Range) scan(src ColumnSource, skel *trace.Trace, ann *annStore, lo, h
 		r.firstOfThread = filled(nThreads, -1)
 	}
 	lastOf, lastRel := r.lastOfThread, r.lastRelease
-	var cols trace.Columns
 	var lkScratch, flScratch []byte
 	for s := lo; s < hi; s++ {
 		first, _ := src.SegmentBounds(s)
-		bytes, err := src.LoadColumns(s, &cols)
+		bytes, err := src.LoadColumns(s, cols)
 		if err != nil {
 			return err
 		}
@@ -324,8 +325,8 @@ type p3Range struct {
 // is an integer sum, maximum or bool (floats happen once, in
 // finalizeMetrics), composition intervals sort by acquire index, and
 // hot intervals normalize in mergeIntervals — so the output is
-// bit-identical at any worker count.
-func pass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook) error {
+// bit-identical at any worker count. The head range decodes into cols.
+func pass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook, cols *trace.Columns) error {
 	nThreads := len(skel.Threads)
 	threads := initStreamThreads(an, skel, p1)
 	an.hotByLock = map[trace.ObjID][]interval{}
@@ -351,9 +352,9 @@ func pass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, 
 	par.Chunks(src.NumSegments(), workers, func(chunk, lo, hi int) {
 		r := &ranges[chunk]
 		if chunk == 0 {
-			r.err = r.scan(src, ann, lo, hi, true, h)
+			r.err = r.scan(src, ann, lo, hi, true, h, cols)
 		} else {
-			r.err = r.scan(src, ann, lo, hi, false, nil)
+			r.err = r.scan(src, ann, lo, hi, false, nil, new(trace.Columns))
 		}
 	})
 	for i := range ranges {
@@ -444,13 +445,13 @@ func pass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, 
 // range-head cases on the spot — a thread's first event needs no
 // accounting, a cond-wait end with no begin accounts nothing, an
 // obtain or release with no acquire is an error — and reports each
-// segment to h; later ranges relay them.
-func (r *p3Range) scan(src ColumnSource, ann *annStore, lo, hi int, head bool, h *obsHook) error {
-	var cols trace.Columns
+// segment to h; later ranges relay them. Each segment decodes into
+// cols.
+func (r *p3Range) scan(src ColumnSource, ann *annStore, lo, hi int, head bool, h *obsHook, cols *trace.Columns) error {
 	var flagsBuf []byte
 	for s := lo; s < hi; s++ {
 		first, _ := src.SegmentBounds(s)
-		bytes, err := src.LoadColumns(s, &cols)
+		bytes, err := src.LoadColumns(s, cols)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
+	"math/bits"
 )
 
 // Columns is a struct-of-arrays view of an event run. The streaming
@@ -94,14 +94,22 @@ func (c *Columns) Event(i int) Event {
 
 // AppendEvents appends events to the columns.
 func (c *Columns) AppendEvents(evs []Event) {
+	n := len(evs)
+	base := c.extend(n)
+	T := c.T[base : base+n]
+	Seq := c.Seq[base : base+n]
+	Th := c.Thread[base : base+n]
+	K := c.Kind[base : base+n]
+	O := c.Obj[base : base+n]
+	A := c.Arg[base : base+n]
 	for i := range evs {
 		e := &evs[i]
-		c.T = append(c.T, e.T)
-		c.Seq = append(c.Seq, e.Seq)
-		c.Thread = append(c.Thread, int32(e.Thread))
-		c.Kind = append(c.Kind, uint8(e.Kind))
-		c.Obj = append(c.Obj, int32(e.Obj))
-		c.Arg = append(c.Arg, e.Arg)
+		T[i] = e.T
+		Seq[i] = e.Seq
+		Th[i] = int32(e.Thread)
+		K[i] = uint8(e.Kind)
+		O[i] = int32(e.Obj)
+		A[i] = e.Arg
 	}
 }
 
@@ -111,6 +119,14 @@ func (c *Columns) AppendEvents(evs []Event) {
 // raw kind byte and has no continuation bit.
 const fastMask = 0x0000_8080_0080_8080
 
+// contBits selects the continuation bit of each byte of an 8-byte
+// load; tailMask is fastMask without the ΔT byte, applied once the ΔT
+// varint has been shifted out.
+const (
+	contBits = 0x8080_8080_8080_8080
+	tailMask = fastMask >> 8
+)
+
 // AppendFrame batch-decodes count delta-encoded event records from the
 // front of buf — the segment frame payload layout, where the delta
 // chain resets at the frame start — appends them to the columns, and
@@ -119,9 +135,14 @@ const fastMask = 0x0000_8080_0080_8080
 // record that runs past buf reports ErrTruncated. On error the columns
 // keep the records decoded before the failing one, so Len locates it.
 //
-// The hot path notices that nearly all records encode every varint
-// field in a single byte (small deltas, small IDs): one 8-byte load and
-// a mask test then decode the whole 6-byte record without looping.
+// Two record shapes skip the varint loop, each decoded from one 8-byte
+// load and a mask test. In the narrow shape every varint field takes
+// one byte (small deltas, small IDs): simulated traces are nearly all
+// narrow, and two such records decode per iteration. The wide shape
+// has a two- or three-byte ΔT (|ΔT| < 2^20 ns) and the other fields in
+// one byte each: a recording stamped with wall-clock nanoseconds has
+// its events microseconds apart, so nearly all of its records take
+// this shape. Anything else goes to DecodeEvent.
 func (c *Columns) AppendFrame(buf []byte, count int) (int, error) {
 	base := c.extend(count)
 	T := c.T[base : base+count]
@@ -134,11 +155,10 @@ func (c *Columns) AppendFrame(buf []byte, count int) (int, error) {
 	var prevSeq uint64
 	b := buf
 	for n := 0; n < count; {
-		// Paired fast path: with two single-byte records ahead and
-		// enough frame left to load both 8-byte windows, decode the
-		// pair in one iteration. Validity checks run before any store;
-		// on failure fall through to the single-record path, which
-		// re-checks and reports the error at the right index.
+		// Paired fast path: with two narrow records ahead and enough
+		// frame left to load both 8-byte windows, decode the pair in
+		// one iteration. Validity checks run before any store; on
+		// failure fall through to the single-record path.
 		if n+1 < count && len(b) >= 14 {
 			w1 := binary.LittleEndian.Uint64(b)
 			w2 := binary.LittleEndian.Uint64(b[6:])
@@ -178,31 +198,34 @@ func (c *Columns) AppendFrame(buf []byte, count int) (int, error) {
 			}
 		}
 		if len(b) >= 8 {
-			if w := binary.LittleEndian.Uint64(b); w&fastMask == 0 {
-				kind := uint8(w >> 24)
-				if !EventKind(kind).Valid() {
-					c.setLen(base + n)
-					return 0, fmt.Errorf("trace: invalid event kind %d", kind)
+			// Single record, narrow or wide: a ΔT of one to three bytes
+			// and five one-byte fields. The first clear continuation
+			// bit ends the ΔT varint; sh is its length past the first
+			// byte, in bits. An invalid kind or obj falls through to
+			// DecodeEvent, which reports it.
+			w := binary.LittleEndian.Uint64(b)
+			sh := uint(bits.TrailingZeros64(^w&contBits)) - 7
+			if sh <= 16 && (w>>(sh+8))&tailMask == 0 {
+				r := w >> (sh + 8) // ΔSeq, thread, kind, obj, arg
+				kind := uint8(r >> 16)
+				o := int64((r >> 24) & 0x7f)
+				o = o>>1 ^ -(o & 1)
+				if EventKind(kind).Valid() && o >= int64(NoObj) {
+					// Gather three 7-bit groups, keep the ΔT's own.
+					d := int64((w&0x7f | (w>>1)&0x3f80 | (w>>2)&0x1fc000) & (1<<(sh-sh/8+7) - 1))
+					a := int64((r >> 32) & 0x7f)
+					prevT += Time(d>>1 ^ -(d & 1))
+					prevSeq += r & 0x7f
+					T[n] = prevT
+					Seq[n] = prevSeq
+					Th[n] = int32((r >> 8) & 0x7f)
+					K[n] = kind
+					O[n] = int32(o)
+					A[n] = a>>1 ^ -(a & 1)
+					b = b[sh/8+6:]
+					n++
+					continue
 				}
-				b0 := int64(w & 0x7f)
-				b4 := int64((w >> 32) & 0x7f)
-				b5 := int64((w >> 40) & 0x7f)
-				obj := b4>>1 ^ -(b4 & 1)
-				if obj < int64(NoObj) {
-					c.setLen(base + n)
-					return 0, fmt.Errorf("trace: event obj %d out of range", obj)
-				}
-				prevT += Time(b0>>1 ^ -(b0 & 1))
-				prevSeq += (w >> 8) & 0x7f
-				T[n] = prevT
-				Seq[n] = prevSeq
-				Th[n] = int32((w >> 16) & 0x7f)
-				K[n] = kind
-				O[n] = int32(obj)
-				A[n] = b5>>1 ^ -(b5 & 1)
-				b = b[6:]
-				n++
-				continue
 			}
 		}
 		// General path: any field may span several varint bytes, or

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -99,6 +101,141 @@ func TestAppendFrameInvalid(t *testing.T) {
 	}
 }
 
+// decodeFrameRef is the plain reference for AppendFrame: one
+// DecodeEvent call per record, carrying (T, Seq) down the delta chain.
+// It returns the events decoded before any error.
+func decodeFrameRef(buf []byte, count int) ([]Event, int, error) {
+	var evs []Event
+	var prev Event
+	pos := 0
+	for len(evs) < count {
+		e, m, err := DecodeEvent(buf[pos:], Event{T: prev.T, Seq: prev.Seq})
+		if err != nil {
+			return evs, pos, err
+		}
+		evs = append(evs, e)
+		prev = e
+		pos += m
+	}
+	return evs, pos, nil
+}
+
+// checkAppendFrame decodes buf with AppendFrame after one sentinel
+// event and compares the result with decodeFrameRef: the events, the
+// bytes consumed, the error text, and Len at the error.
+func checkAppendFrame(t *testing.T, buf []byte, count int) {
+	t.Helper()
+	sentinel := Event{T: 7, Seq: 3, Thread: 1, Kind: EvLockAcquire, Obj: 2, Arg: 9}
+	var cols Columns
+	cols.AppendEvents([]Event{sentinel})
+	used, err := cols.AppendFrame(buf, count)
+	want, wantUsed, wantErr := decodeFrameRef(buf, count)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("AppendFrame error %v, DecodeEvent loop %v", err, wantErr)
+	}
+	if err == nil && used != wantUsed {
+		t.Fatalf("AppendFrame consumed %d bytes, DecodeEvent loop %d", used, wantUsed)
+	}
+	if cols.Len() != 1+len(want) {
+		t.Fatalf("AppendFrame left Len %d, want %d", cols.Len(), 1+len(want))
+	}
+	if got := cols.Event(0); got != sentinel {
+		t.Fatalf("sentinel changed: %+v", got)
+	}
+	for i, w := range want {
+		if got := cols.Event(1 + i); got != w {
+			t.Fatalf("event %d: got %+v, want %+v", i, got, w)
+		}
+	}
+}
+
+func TestAppendFrameWideDeltas(t *testing.T) {
+	// ΔT values at the zigzag varint length boundaries: 1|2 bytes at
+	// 63/64 (-64/-65), 2|3 at 8191/8192 (-8192/-8193), and 3|4 at
+	// 1048575/1048576 (-1048576/-1048577), past which the record
+	// leaves the wide shape for the general path.
+	var deltas []Time
+	for _, d := range []Time{63, 64, 65, 8191, 8192, 8193, 1048575, 1048576, 1048577} {
+		deltas = append(deltas, d, -d)
+	}
+	withDeltas := func(n int, dt func(i int) Time) []Event {
+		evs := syntheticEvents(n)
+		var t Time
+		for i := range evs {
+			t += dt(i)
+			evs[i].T = t
+		}
+		return evs
+	}
+	frames := map[string][]Event{
+		"all wide": withDeltas(len(deltas), func(i int) Time { return deltas[i] }),
+		"alternating": withDeltas(2*len(deltas), func(i int) Time {
+			if i%2 == 1 {
+				return deltas[i/2]
+			}
+			return Time(i % 3)
+		}),
+	}
+	for _, d := range deltas {
+		for pos := 5; pos <= 6; pos++ { // odd and even positions
+			frames[fmt.Sprintf("dt %d at %d", d, pos)] = withDeltas(13, func(i int) Time {
+				if i == pos {
+					return d
+				}
+				return 1
+			})
+		}
+	}
+	for name, evs := range frames {
+		t.Run(name, func(t *testing.T) {
+			buf := frameFor(evs)
+			checkAppendFrame(t, buf, len(evs))
+			var cols Columns
+			if _, err := cols.AppendFrame(buf, len(evs)); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range evs {
+				if got := cols.Event(i); got != want {
+					t.Fatalf("event %d: got %+v, want %+v", i, got, want)
+				}
+			}
+		})
+	}
+
+	// An invalid kind or obj inside a wide record fails with
+	// DecodeEvent's error and keeps the decoded prefix.
+	tests := []struct {
+		name   string
+		mutate func(*Event)
+		want   string
+	}{
+		{"bad kind", func(e *Event) { e.Kind = evKindMax }, "invalid event kind"},
+		{"bad obj", func(e *Event) { e.Obj = NoObj - 1 }, "out of range"},
+	}
+	for _, tc := range tests {
+		for _, dt := range []Time{100, 100000} { // 2- and 3-byte ΔT
+			t.Run(fmt.Sprintf("%s dt %d", tc.name, dt), func(t *testing.T) {
+				evs := withDeltas(6, func(int) Time { return dt })
+				tc.mutate(&evs[3])
+				var cols Columns
+				_, err := cols.AppendFrame(frameFor(evs), len(evs))
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %v, want substring %q", err, tc.want)
+				}
+				if cols.Len() != 3 {
+					t.Fatalf("prefix length %d, want 3", cols.Len())
+				}
+				for i := 0; i < cols.Len(); i++ {
+					if got := cols.Event(i); got != evs[i] {
+						t.Fatalf("prefix event %d: got %+v, want %+v", i, got, evs[i])
+					}
+				}
+				checkAppendFrame(t, frameFor(evs), len(evs))
+			})
+		}
+	}
+}
+
 func TestAppendFrameTruncated(t *testing.T) {
 	evs := syntheticEvents(16)
 	buf := frameFor(evs)
@@ -108,17 +245,64 @@ func TestAppendFrameTruncated(t *testing.T) {
 	}
 }
 
+// shapedEvents is syntheticEvents with a wide share of records given
+// a ΔT whose varint takes two bytes (64 ns to 8 µs) or, with
+// threeByte, two or three bytes (up to 1 ms), as in a wall-clock
+// recording.
+func shapedEvents(n int, wide float64, threeByte bool) []Event {
+	evs := syntheticEvents(n)
+	rng := rand.New(rand.NewPCG(1, 2))
+	var t Time
+	for i := range evs {
+		d := Time(1 + i%3)
+		if rng.Float64() < wide {
+			if threeByte && rng.IntN(2) == 0 {
+				d = Time(8192 + rng.IntN(1<<20-8192))
+			} else {
+				d = Time(64 + rng.IntN(8192-64))
+			}
+		}
+		t += d
+		evs[i].T = t
+	}
+	return evs
+}
+
 func BenchmarkAppendFrame(b *testing.B) {
 	const n = 4096
+	for _, shape := range []struct {
+		name      string
+		wide      float64
+		threeByte bool
+	}{
+		{"narrow", 0, false},
+		{"mixed", 0.15, false},
+		{"clrt", 0.99, true},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			buf := frameFor(shapedEvents(n, shape.wide, shape.threeByte))
+			var cols Columns
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cols.Reset(n)
+				if _, err := cols.AppendFrame(buf, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
+	}
+}
+
+func BenchmarkAppendEvents(b *testing.B) {
+	const n = 4096
 	evs := syntheticEvents(n)
-	buf := frameFor(evs)
 	var cols Columns
-	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cols.Reset(n)
-		if _, err := cols.AppendFrame(buf, n); err != nil {
-			b.Fatal(err)
-		}
+		cols.AppendEvents(evs)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
 }

@@ -124,6 +124,46 @@ func FuzzDecodeEvent(f *testing.F) {
 	})
 }
 
+// FuzzAppendFrame: the batch frame decoder must agree with a plain
+// loop of DecodeEvent on every input — the decoded events, the bytes
+// consumed, the error text and Len at the error — whichever record
+// shape (narrow, wide ΔT, general) each record takes.
+func FuzzAppendFrame(f *testing.F) {
+	shape := func(dts ...Time) []byte {
+		evs := syntheticEvents(len(dts))
+		var t Time
+		for i, d := range dts {
+			t += d
+			evs[i].T = t
+		}
+		return frameFor(evs)
+	}
+	f.Add(shape(1, 2, 3, 1, 2, 3, 1, 2), uint8(7))             // narrow
+	f.Add(shape(100, -100, 8191, -8192, 3, 1, 2, 1), uint8(7)) // 2-byte ΔT
+	f.Add(shape(9000, 1048575, -1048576, 1, 5e5, 2), uint8(5)) // 3-byte ΔT
+	f.Add(shape(1, 2, 1048576, 3, 1, 2), uint8(5))             // 4-byte ΔT
+	f.Add(shape(1, 300)[6:], uint8(0))                         // wide record within 8 bytes of the end
+	back := syntheticEvents(4)
+	back[2].Seq = 0 // 10-byte negative ΔSeq, convoy's back-step shape
+	f.Add(frameFor(back), uint8(3))
+	for _, mut := range []func(*Event){
+		func(e *Event) { e.Kind = evKindMax },
+		func(e *Event) { e.Obj = NoObj - 1 },
+	} {
+		evs := syntheticEvents(4)
+		for i := range evs {
+			evs[i].T = Time(i) * 5000
+		}
+		mut(&evs[2]) // inside a wide record
+		f.Add(frameFor(evs), uint8(3))
+	}
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, uint8(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		checkAppendFrame(t, data, 1+int(n)%64)
+	})
+}
+
 // FuzzValidate: the validator must never panic, whatever the events.
 func FuzzValidate(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2))
