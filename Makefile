@@ -72,9 +72,15 @@ fuzz-smoke:
 # transcription of the paper's algorithm (internal/core/reference_test.go)
 # at every segmentation, parallelism, window and spill setting, and a
 # malformed lock event must fail with the same error at any parallelism,
-# under the race detector.
+# under the race detector. The event-replaying sections get the same
+# treatment: TestSlackMatchesOracle and TestLockOrderMatchesOracle hold
+# the streamed slack and the lock-order view of the hazard fold to the
+# implementations they replaced (internal/core/sections_test.go), and
+# TestEverySectionAnySource (cmd/cla) checks that every cla section
+# prints the same from a segment directory as from the trace file.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle' -count=1 -v
+	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v
 
 # Serving-path smoke: spin up the analysis server in-process, POST the
 # checked-in synth workload and byte-diff the JSON report against its

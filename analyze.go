@@ -24,8 +24,8 @@ import (
 type AnalysisSource = core.Source
 
 // SegmentReader is random access to a segmented trace: the
-// registration skeleton plus whole-segment loads. segment.Reader and
-// spilled live recordings implement it.
+// registration skeleton plus whole-segment loads. segment.Reader,
+// spilled live recordings and TraceSegments implement it.
 type SegmentReader = core.SegmentSource
 
 // Progress is a cumulative snapshot of a running analysis (current
@@ -44,16 +44,17 @@ var (
 	// ErrChecksum marks segment data whose CRC does not match —
 	// corruption rather than truncation.
 	ErrChecksum = trace.ErrChecksum
-	// ErrNeedsRawEvents marks an event-replay operation (timelines,
-	// lock-order graphs, the online predictor) applied to a streamed
-	// analysis, which retains only the registration skeleton.
-	ErrNeedsRawEvents = core.ErrNeedsRawEvents
 )
 
 // TraceSource analyzes an in-memory trace. The trace is validated
-// first, and the analysis keeps its events, so every event-replay
-// operation works on the result.
+// first. As with every source, Analysis.Trace is a skeleton; the
+// sections that replay events (Timeline, LockOrderOf, FullReport,
+// Analysis.Slack, Predictor.ObserveAll) take TraceSegments(tr).
 func TraceSource(tr *Trace) AnalysisSource { return core.TraceSource(tr) }
+
+// TraceSegments views an in-memory trace as a SegmentReader, the source
+// the event-replaying sections read.
+func TraceSegments(tr *Trace) SegmentReader { return core.TraceSegments(tr) }
 
 // SegmentsSource analyzes an already-open segmented trace in bounded
 // memory.

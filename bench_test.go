@@ -447,8 +447,8 @@ func BenchmarkSlackAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sa := an.Slack(); len(sa.Locks) == 0 {
-			b.Fatal("no slack results")
+		if sa, err := an.Slack(core.TraceSegments(tr)); err != nil || len(sa.Locks) == 0 {
+			b.Fatal("no slack results", err)
 		}
 	}
 	b.SetBytes(int64(len(tr.Events)))
@@ -461,7 +461,9 @@ func BenchmarkOnlinePredictor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.NewPredictor()
-		p.ObserveAll(tr)
+		if err := p.ObserveAll(core.TraceSegments(tr)); err != nil {
+			b.Fatal(err)
+		}
 		if p.Top() == -1 {
 			b.Fatal("no prediction")
 		}

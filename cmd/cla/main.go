@@ -63,47 +63,35 @@ func run(args []string) error {
 		return err
 	}
 
-	var tr *trace.Trace
-	var an *core.Analysis
-
-	if *segdir != "" && fs.NArg() == 0 {
-		// Streaming mode: analyze the segment directory without ever
-		// materializing the event array. Sections that replay the raw
-		// event stream are unavailable by construction.
-		for flagName, set := range map[string]bool{
-			"-gantt": *gantt, "-svg": *svgOut != "", "-predict": *predict,
-			"-lockorder": *lockOrder, "-slack": *slack, "-report": *reportOut != "",
-		} {
-			if set {
-				return fmt.Errorf("%s %w; rerun on a trace file without -segdir", flagName, critlock.ErrNeedsRawEvents)
-			}
-		}
-		var err error
-		an, err = critlock.Analyze(critlock.SegmentDirSource(*segdir),
-			critlock.WithClipHold(!*noClip),
-			critlock.WithWindow(*window),
-			critlock.WithComposition(*compose),
-			critlock.WithParallelSegments(*parSeg),
-			critlock.WithMmap(*mmap),
-			critlock.WithAnnotationBudget(*annBudget))
+	// Both input kinds run one path: the analysis, and every section
+	// that replays events, read the same segment source — the open
+	// directory, or the decoded file viewed as in-memory segments.
+	var name string
+	var src core.SegmentSource
+	var source critlock.AnalysisSource
+	streamed := *segdir != "" && fs.NArg() == 0
+	if streamed {
+		name = *segdir
+		rdr, err := segment.OpenWith(*segdir, segment.ReadOptions{NoMmap: !*mmap})
 		if err != nil {
-			return fmt.Errorf("analyzing %s: %w", *segdir, err)
+			return fmt.Errorf("analyzing %s: %w", name, err)
 		}
-		tr = an.Trace // registration skeleton: names and metadata only
+		defer rdr.Close()
+		src, source = rdr, critlock.SegmentsSource(rdr)
 	} else {
 		if fs.NArg() != 1 {
 			fs.Usage()
 			return fmt.Errorf("expected exactly one trace file argument (or -segdir DIR alone)")
 		}
-		path := fs.Arg(0)
-		data, err := os.ReadFile(path)
+		name = fs.Arg(0)
+		data, err := os.ReadFile(name)
 		if err != nil {
 			return err
 		}
-		if tr, err = trace.Decode(data); err != nil {
-			return fmt.Errorf("reading %s: %w", path, err)
+		tr, err := trace.Decode(data)
+		if err != nil {
+			return fmt.Errorf("reading %s: %w", name, err)
 		}
-
 		if *segdir != "" {
 			// Conversion mode: a trace file plus -segdir rewrites the
 			// trace as a segmented directory for later streaming runs.
@@ -112,35 +100,22 @@ func run(args []string) error {
 			}
 			fmt.Printf("wrote segmented trace to %s (%d events)\n", *segdir, len(tr.Events))
 		}
-
-		an, err = critlock.Analyze(critlock.TraceSource(tr),
-			critlock.WithClipHold(!*noClip))
-		if err != nil {
-			return fmt.Errorf("analyzing: %w", err)
-		}
+		src, source = critlock.TraceSegments(tr), critlock.TraceSource(tr)
+	}
+	an, err := critlock.Analyze(source,
+		critlock.WithClipHold(!*noClip),
+		critlock.WithWindow(*window),
+		critlock.WithComposition(*compose || *reportOut != ""),
+		critlock.WithParallelSegments(*parSeg),
+		critlock.WithAnnotationBudget(*annBudget))
+	if err != nil {
+		return fmt.Errorf("analyzing %s: %w", name, err)
 	}
 
-	// The hazard pass is event-replay-capable in both modes: over the
-	// in-memory trace directly, or segment-range parallel over the
-	// directory (so -hazards composes with -segdir, unlike -lockorder).
 	var hazRep *hazard.Report
 	if *hazards {
-		if *segdir != "" && fs.NArg() == 0 {
-			rdr, err := segment.OpenWith(*segdir, segment.ReadOptions{NoMmap: !*mmap})
-			if err != nil {
-				return err
-			}
-			hazRep, err = hazard.FromSegments(rdr, *parSeg)
-			rdr.Close()
-			if err != nil {
-				return fmt.Errorf("hazard analysis of %s: %w", *segdir, err)
-			}
-		} else {
-			var err error
-			hazRep, err = hazard.FromTrace(tr)
-			if err != nil {
-				return fmt.Errorf("hazard analysis: %w", err)
-			}
+		if hazRep, err = hazard.FromSegments(src, *parSeg); err != nil {
+			return fmt.Errorf("hazard analysis of %s: %w", name, err)
 		}
 	}
 
@@ -168,8 +143,12 @@ func run(args []string) error {
 		}
 	}
 	if *gantt {
+		g, err := report.Gantt(an, src, 100)
+		if err != nil {
+			return err
+		}
 		fmt.Println()
-		fmt.Print(report.Gantt(an, 100))
+		fmt.Print(g)
 	}
 	if *compose {
 		fmt.Println()
@@ -190,11 +169,13 @@ func run(args []string) error {
 	if *predict {
 		fmt.Println()
 		p := core.NewPredictor()
-		p.ObserveAll(tr)
+		if err := p.ObserveAll(src); err != nil {
+			return err
+		}
 		pt := report.NewTable("Online prediction vs critical-path walk", "Rank", "Predictor", "Walk (ground truth)")
 		ranking := p.Ranking()
 		for i := 0; i < 3 && i < len(ranking) && i < len(an.Locks); i++ {
-			pt.AddRow(fmt.Sprint(i+1), tr.ObjName(ranking[i].Lock), an.Locks[i].Name)
+			pt.AddRow(fmt.Sprint(i+1), an.Trace.ObjName(ranking[i].Lock), an.Locks[i].Name)
 		}
 		if err := pt.Render(os.Stdout); err != nil {
 			return err
@@ -207,8 +188,12 @@ func run(args []string) error {
 		}
 	}
 	if *slack {
+		sa, err := an.Slack(src)
+		if err != nil {
+			return err
+		}
 		fmt.Println()
-		if err := report.SlackReport(an.Slack(), *top).Render(os.Stdout); err != nil {
+		if err := report.SlackReport(sa, *top).Render(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -217,17 +202,11 @@ func run(args []string) error {
 		hazard.WriteText(os.Stdout, hazRep)
 	}
 	if *jsonReport != "" {
-		source := "trace"
-		if fs.NArg() == 1 {
-			source = fs.Arg(0)
-		} else if *segdir != "" {
-			source = *segdir
-		}
 		rf, err := os.Create(*jsonReport)
 		if err != nil {
 			return err
 		}
-		rep := report.BuildExport("cla", source, *segdir != "" && fs.NArg() == 0, an)
+		rep := report.BuildExport("cla", name, streamed, an)
 		rep.Hazards = hazRep
 		if err := report.WriteExport(rf, rep); err != nil {
 			rf.Close()
@@ -239,27 +218,37 @@ func run(args []string) error {
 		fmt.Printf("wrote JSON analysis report to %s\n", *jsonReport)
 	}
 	if *reportOut != "" {
-		doc := report.Full(an, report.FullOptions{
+		doc, err := report.Full(an, src, report.FullOptions{
 			TopLocks:  *top,
 			Windows:   *windows,
 			Threads:   *thr,
 			LockOrder: *lockOrder,
 			Slack:     *slack,
 		})
+		if err != nil {
+			return err
+		}
 		if err := os.WriteFile(*reportOut, []byte(doc), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote markdown report to %s\n", *reportOut)
 	}
 	if *svgOut != "" {
-		if err := os.WriteFile(*svgOut, []byte(report.SVGGantt(an, 1200)), 0o644); err != nil {
+		svg, err := report.SVGGantt(an, src, 1200)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*svgOut, []byte(svg), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote SVG timeline to %s\n", *svgOut)
 	}
 	if *lockOrder {
+		lo, err := hazard.LockOrderOf(src)
+		if err != nil {
+			return err
+		}
 		fmt.Println()
-		lo := core.LockOrderOf(tr)
 		if err := report.LockOrderReport(lo).Render(os.Stdout); err != nil {
 			return err
 		}

@@ -9,6 +9,8 @@ import (
 
 	"critlock"
 	"critlock/internal/report"
+	"critlock/internal/sim"
+	"critlock/internal/workloads"
 )
 
 // writeTestTrace simulates a tiny run and stores it in both formats.
@@ -115,5 +117,103 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"/does/not/exist.cltr"}); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// capture runs cla with args and returns what it printed.
+func capture(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("cla %v: %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestEverySectionAnySource checks that every report section prints the
+// same from a segment directory as from the trace file it was converted
+// from: `cla FLAG -segdir DIR` against `cla FLAG FILE`. Sections that
+// write a file are compared by that file.
+func TestEverySectionAnySource(t *testing.T) {
+	sections := []struct {
+		flags  []string
+		output string // file the section writes, "" = stdout only
+	}{
+		{flags: []string{"-gantt"}},
+		{flags: []string{"-svg", "timeline.svg"}, output: "timeline.svg"},
+		{flags: []string{"-predict"}},
+		{flags: []string{"-lockorder"}},
+		{flags: []string{"-slack"}},
+		{flags: []string{"-report", "report.md", "-windows", "4", "-slack", "-lockorder", "-threadstats"}, output: "report.md"},
+		{flags: []string{"-windows", "4"}},
+		{flags: []string{"-phases", "4"}},
+		{flags: []string{"-narrate", "0"}},
+		{flags: []string{"-hazards"}},
+	}
+	for _, w := range []string{"deadlockprone", "pipeline", "radiosity"} {
+		spec, err := workloads.Get(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := workloads.Run(sim.New(sim.Config{Contexts: 24, Seed: 1}), spec, workloads.Params{Seed: 1, Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		file, segs := filepath.Join(dir, w+".cltr"), filepath.Join(dir, "segs")
+		f, err := os.Create(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := critlock.WriteTrace(f, tr); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		capture(t, "-segdir", segs, file)
+
+		for _, s := range sections {
+			t.Run(w+"/"+s.flags[0], func(t *testing.T) {
+				fromFile, fromDir := t.TempDir(), t.TempDir()
+				args := func(out string) []string {
+					a := append([]string(nil), s.flags...)
+					if s.output != "" {
+						a[1] = filepath.Join(out, s.output)
+					}
+					return a
+				}
+				want := capture(t, append(args(fromFile), file)...)
+				got := capture(t, append(args(fromDir), "-segdir", segs)...)
+				if s.output != "" {
+					want = strings.ReplaceAll(want, fromFile, "OUT")
+					got = strings.ReplaceAll(got, fromDir, "OUT")
+					wantFile, err := os.ReadFile(filepath.Join(fromFile, s.output))
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotFile, err := os.ReadFile(filepath.Join(fromDir, s.output))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(gotFile) != string(wantFile) {
+						t.Errorf("%s from the segdir differs from the file's:\n%s\nwant:\n%s", s.output, gotFile, wantFile)
+					}
+				}
+				if got != want {
+					t.Errorf("cla %v -segdir differs from cla %v FILE:\n%s\nwant:\n%s", s.flags, s.flags, got, want)
+				}
+			})
+		}
 	}
 }

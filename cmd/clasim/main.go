@@ -202,11 +202,19 @@ func run(args []string) error {
 		}
 	}
 	if *gantt {
+		g, err := report.Gantt(an, critlock.TraceSegments(tr), 100)
+		if err != nil {
+			return err
+		}
 		fmt.Println()
-		fmt.Print(report.Gantt(an, 100))
+		fmt.Print(g)
 	}
 	if *svgOut != "" {
-		if err := os.WriteFile(*svgOut, []byte(report.SVGGantt(an, 1200)), 0o644); err != nil {
+		svg, err := report.SVGGantt(an, critlock.TraceSegments(tr), 1200)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*svgOut, []byte(svg), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote SVG timeline to %s\n", *svgOut)

@@ -44,6 +44,7 @@ import (
 
 	"critlock/internal/core"
 	"critlock/internal/harness"
+	"critlock/internal/hazard"
 	"critlock/internal/livetrace"
 	"critlock/internal/report"
 	"critlock/internal/sim"
@@ -161,8 +162,11 @@ func ChanTable(an *Analysis, topN int) *Table { return report.ChanReport(an, top
 func ThreadTable(an *Analysis) *Table { return report.ThreadReport(an) }
 
 // Timeline renders an ASCII Gantt chart of the execution with the
-// critical path marked (the paper's Fig. 1 view).
-func Timeline(an *Analysis, width int) string { return report.Gantt(an, width) }
+// critical path marked (the paper's Fig. 1 view), replaying src — the
+// source the analysis ran over (TraceSegments(tr) for a trace).
+func Timeline(an *Analysis, src SegmentReader, width int) (string, error) {
+	return report.Gantt(an, src, width)
+}
 
 // WindowTable renders lock criticality over n time windows — which
 // lock dominates the critical path in each phase of the run.
@@ -174,11 +178,11 @@ func CompositionTable(an *Analysis) *Table { return report.CompositionReport(an)
 
 // LockOrder is the lock acquisition-order graph of a trace with
 // potential deadlock cycles.
-type LockOrder = core.LockOrder
+type LockOrder = hazard.LockOrder
 
 // LockOrderOf builds the acquisition-order graph (A→B when a thread
-// acquired B while holding A) and detects inversion cycles.
-func LockOrderOf(tr *Trace) *LockOrder { return core.LockOrderOf(tr) }
+// acquired B while holding A) of src and detects inversion cycles.
+func LockOrderOf(src SegmentReader) (*LockOrder, error) { return hazard.LockOrderOf(src) }
 
 // LockOrderTable renders the graph's edges.
 func LockOrderTable(lo *LockOrder) *Table { return report.LockOrderReport(lo) }
@@ -222,8 +226,11 @@ func Summary(w io.Writer, an *Analysis) { report.Summary(w, an) }
 type ReportOptions = report.FullOptions
 
 // FullReport renders a complete markdown report of an analysis — a
-// self-contained artifact for CI runs or issue threads.
-func FullReport(an *Analysis, opts ReportOptions) string { return report.Full(an, opts) }
+// self-contained artifact for CI runs or issue threads. src is the
+// source the analysis ran over.
+func FullReport(an *Analysis, src SegmentReader, opts ReportOptions) (string, error) {
+	return report.Full(an, src, opts)
+}
 
 // Narrate renders the critical path's cross-thread dependency chain as
 // readable text (maxHops 0 = all).

@@ -71,7 +71,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if !strings.Contains(threadTable, "worker") {
 		t.Errorf("thread table missing workers:\n%s", threadTable)
 	}
-	timeline := critlock.Timeline(an, 80)
+	timeline, err := critlock.Timeline(an, critlock.TraceSegments(tr), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(timeline, "critical path") {
 		t.Errorf("timeline missing legend:\n%s", timeline)
 	}
@@ -192,11 +195,18 @@ func TestPublicAnalysisExtras(t *testing.T) {
 	if s := critlock.PhaseTable(an, 8).String(); !strings.Contains(s, "Dominant lock") {
 		t.Errorf("phase table:\n%s", s)
 	}
-	sa := an.Slack()
+	src := critlock.TraceSegments(tr)
+	sa, err := an.Slack(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s := critlock.SlackTable(sa, 5).String(); !strings.Contains(s, "Min slack") {
 		t.Errorf("slack table:\n%s", s)
 	}
-	lo := critlock.LockOrderOf(tr)
+	lo, err := critlock.LockOrderOf(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_ = critlock.LockOrderTable(lo) // radiosity never nests locks: table may be empty
 	if lo.HasCycle() {
 		t.Error("radiosity reported a deadlock cycle")
@@ -210,7 +220,10 @@ func TestPublicAnalysisExtras(t *testing.T) {
 		t.Errorf("extracted model: %+v", cfg)
 	}
 
-	doc := critlock.FullReport(an, critlock.ReportOptions{TopLocks: 5, Windows: 4, Slack: true})
+	doc, err := critlock.FullReport(an, src, critlock.ReportOptions{TopLocks: 5, Windows: 4, Slack: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(doc, "# Critical lock analysis: radiosity") {
 		t.Errorf("report header missing:\n%.200s", doc)
 	}

@@ -64,7 +64,11 @@ func main() {
 	critlock.Summary(os.Stdout, an)
 	fmt.Println()
 	fmt.Println(critlock.LockTable(an, 0))
-	fmt.Println(critlock.Timeline(an, 100))
+	timeline, err := critlock.Timeline(an, critlock.TraceSegments(tr), 100)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(timeline)
 
 	top := an.Locks[0]
 	byWait := top

@@ -48,8 +48,13 @@ func DefaultOptions() Options { return Options{ClipHold: true} }
 
 // Analysis is the result of critical lock analysis on one trace.
 type Analysis struct {
-	// Trace is the analyzed trace.
+	// Trace is the analyzed trace's skeleton: threads, objects and
+	// metadata, without events. Sections that replay events take the
+	// SegmentSource the analysis ran over.
 	Trace *trace.Trace
+	// Start is the first event's time; the run ends at Start +
+	// CP.WallTime.
+	Start trace.Time
 	// CP describes the reconstructed critical path.
 	CP CriticalPath
 	// Locks holds per-lock statistics, sorted by descending CP Time

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-
-	"critlock/internal/trace"
 )
 
 // Annotations: pass 1's per-event output — each event's same-thread
@@ -241,28 +239,4 @@ func (a *annStore) remove() {
 	}
 	a.links = nil
 	a.flags = nil
-}
-
-// columnAdapter lifts a plain SegmentSource (test stubs, custom
-// sources) into a ColumnSource by materializing events per call. Real
-// segment directories implement ColumnSource natively (segment.Reader
-// batch-decodes straight from the mapped file).
-type columnAdapter struct{ SegmentSource }
-
-func (a columnAdapter) LoadColumns(i int, cols *trace.Columns) (int64, error) {
-	evs, err := a.SegmentSource.LoadSegment(i, nil)
-	if err != nil {
-		return 0, err
-	}
-	cols.Reset(len(evs))
-	cols.AppendEvents(evs)
-	return 0, nil
-}
-
-// AsColumnSource returns src's columnar view, wrapping it if needed.
-func AsColumnSource(src SegmentSource) ColumnSource {
-	if cs, ok := src.(ColumnSource); ok {
-		return cs
-	}
-	return columnAdapter{src}
 }

@@ -182,8 +182,7 @@ func (a *Analysis) Windows(n int) []Window {
 	if n <= 0 || a.CP.WallTime <= 0 {
 		return nil
 	}
-	start := a.Trace.Start()
-	span := a.Trace.End() - start
+	start, span := a.Start, a.CP.WallTime
 	out := make([]Window, 0, n)
 
 	// Critical-path pieces as global intervals for the denominator.

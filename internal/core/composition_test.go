@@ -134,97 +134,6 @@ func TestIntervalHelpers(t *testing.T) {
 	}
 }
 
-func TestLockOrderGraph(t *testing.T) {
-	// Thread 1: A then nested B. Thread 2: B then nested A → cycle.
-	b := trace.NewBuilder()
-	t1 := b.Thread("t1", trace.NoThread)
-	t2 := b.Thread("t2", t1)
-	a := b.Mutex("A")
-	bb := b.Mutex("B")
-	c := b.Mutex("C")
-	b.Start(0, t1)
-	b.Start(0, t2)
-	// t1: A[1..10] containing B[2..5], then C alone.
-	b.Event(1, t1, trace.EvLockAcquire, a, 0)
-	b.Event(1, t1, trace.EvLockObtain, a, 0)
-	b.CS(t1, bb, 2, 2, 5)
-	b.Event(10, t1, trace.EvLockRelease, a, 0)
-	b.CS(t1, c, 11, 11, 12)
-	b.Exit(20, t1)
-	// t2: B[30..40] containing A[32..35] (inverted order).
-	b.Event(30, t2, trace.EvLockAcquire, bb, 0)
-	b.Event(30, t2, trace.EvLockObtain, bb, 0)
-	b.CS(t2, a, 32, 32, 35)
-	b.Event(40, t2, trace.EvLockRelease, bb, 0)
-	b.Exit(50, t2)
-
-	lo := LockOrderOf(b.Trace())
-	if len(lo.Edges) != 2 {
-		t.Fatalf("edges = %+v, want 2", lo.Edges)
-	}
-	if lo.Edges[0].FromName != "A" || lo.Edges[0].ToName != "B" || lo.Edges[0].Count != 1 {
-		t.Errorf("edge[0] = %+v", lo.Edges[0])
-	}
-	if !lo.HasCycle() {
-		t.Fatal("A↔B inversion not detected")
-	}
-	names := lo.CycleNames()
-	if len(names) != 1 || len(names[0]) != 2 || names[0][0] != "A" || names[0][1] != "B" {
-		t.Errorf("cycles = %v", names)
-	}
-}
-
-func TestLockOrderNoCycle(t *testing.T) {
-	// Consistent A→B ordering on two threads: no cycle.
-	b := trace.NewBuilder()
-	t1 := b.Thread("t1", trace.NoThread)
-	a := b.Mutex("A")
-	bb := b.Mutex("B")
-	b.Start(0, t1)
-	b.Event(1, t1, trace.EvLockAcquire, a, 0)
-	b.Event(1, t1, trace.EvLockObtain, a, 0)
-	b.CS(t1, bb, 2, 2, 5)
-	b.Event(10, t1, trace.EvLockRelease, a, 0)
-	b.Exit(20, t1)
-	lo := LockOrderOf(b.Trace())
-	if lo.HasCycle() {
-		t.Errorf("false cycle: %v", lo.CycleNames())
-	}
-	if len(lo.Edges) != 1 {
-		t.Errorf("edges = %+v", lo.Edges)
-	}
-}
-
-func TestLockOrderThreeRing(t *testing.T) {
-	// A→B, B→C, C→A ring across three threads.
-	b := trace.NewBuilder()
-	threads := []trace.ThreadID{b.Thread("t1", trace.NoThread)}
-	threads = append(threads, b.Thread("t2", threads[0]), b.Thread("t3", threads[0]))
-	locks := []trace.ObjID{b.Mutex("A"), b.Mutex("B"), b.Mutex("C")}
-	for _, th := range threads {
-		b.Start(0, th)
-	}
-	tm := trace.Time(1)
-	for i, th := range threads {
-		outer, inner := locks[i], locks[(i+1)%3]
-		b.Event(tm, th, trace.EvLockAcquire, outer, 0)
-		b.Event(tm, th, trace.EvLockObtain, outer, 0)
-		b.CS(th, inner, tm+1, tm+1, tm+2)
-		b.Event(tm+3, th, trace.EvLockRelease, outer, 0)
-		tm += 10
-	}
-	for _, th := range threads {
-		b.Exit(tm, th)
-	}
-	lo := LockOrderOf(b.Trace())
-	if !lo.HasCycle() {
-		t.Fatal("three-lock ring not detected")
-	}
-	if got := lo.CycleNames(); len(got) != 1 || len(got[0]) != 3 {
-		t.Errorf("cycles = %v", got)
-	}
-}
-
 func TestCompare(t *testing.T) {
 	// Before: single lock dominating. After: split into two smaller
 	// locks (the rename-split pattern of the paper's optimization).

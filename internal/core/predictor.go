@@ -175,12 +175,10 @@ func (p *Predictor) Observe(e trace.Event) {
 	}
 }
 
-// ObserveAll feeds an entire trace (offline evaluation of the online
-// heuristic).
-func (p *Predictor) ObserveAll(tr *trace.Trace) {
-	for _, e := range tr.Events {
-		p.Observe(e)
-	}
+// ObserveAll feeds every event of src in order (offline evaluation of
+// the online heuristic).
+func (p *Predictor) ObserveAll(src SegmentSource) error {
+	return ForEachEvent(src, p.Observe)
 }
 
 // PredictedLock is one lock's online score.

@@ -6,10 +6,17 @@ import (
 	"critlock/internal/trace"
 )
 
+func observeAll(t *testing.T, p *Predictor, tr *trace.Trace) {
+	t.Helper()
+	if err := p.ObserveAll(TraceSegments(tr)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPredictorFig1(t *testing.T) {
 	tr := fig1Trace()
 	p := NewPredictor()
-	p.ObserveAll(tr)
+	observeAll(t, p, tr)
 
 	an, err := AnalyzeDefault(tr)
 	if err != nil {
@@ -34,7 +41,7 @@ func TestPredictorUncontendedStillScores(t *testing.T) {
 	b.CS(main, m, 10, 10, 60)
 	b.Exit(100, main)
 	p := NewPredictor()
-	p.ObserveAll(b.Trace())
+	observeAll(t, p, b.Trace())
 	r := p.Ranking()
 	// A single running thread: every held nanosecond is critical.
 	if len(r) != 1 || r[0].Score != 50 {
@@ -66,7 +73,7 @@ func TestPredictorConvoyWeighting(t *testing.T) {
 	b.Exit(120, t2)
 	b.Exit(120, t3)
 	p := NewPredictor()
-	p.ObserveAll(b.Trace())
+	observeAll(t, p, b.Trace())
 	r := p.Ranking()
 	if got := r[0].Lock; got != hot {
 		t.Errorf("top = %v, want hot (got ranking %+v)", got, r)
@@ -112,7 +119,7 @@ func TestPredictorStragglerLock(t *testing.T) {
 	}
 	b.Exit(240, t3)
 	p := NewPredictor()
-	p.ObserveAll(b.Trace())
+	observeAll(t, p, b.Trace())
 	if got := p.Top(); got != straggle {
 		t.Errorf("top = %v, want the straggler's lock (%+v)", got, p.Ranking())
 	}

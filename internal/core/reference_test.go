@@ -39,7 +39,7 @@ var ReferenceAnalysis = referenceAnalysis
 
 func referenceAnalysis(tr *trace.Trace, opts Options) *Analysis {
 	deps := refResolveWakers(tr)
-	an := &Analysis{Trace: tr, CP: refWalk(tr, deps)}
+	an := &Analysis{Trace: tr, Start: tr.Start(), CP: refWalk(tr, deps)}
 	refMetrics(an, deps, opts)
 	return an
 }

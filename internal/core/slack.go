@@ -22,10 +22,9 @@ import (
 // minimum over its release events — how much *all* of its critical
 // sections could collectively slip before completion moves.
 type SlackAnalysis struct {
-	// Locks is sorted by ascending slack (most critical first).
+	// Locks is sorted by ascending slack (most critical first), ties
+	// broken by name and then by lock ID.
 	Locks []LockSlack
-	// slackOf maps every event index to its slack (diagnostics).
-	slackOf []trace.Time
 }
 
 // LockSlack is one lock's distance from the critical path.
@@ -40,121 +39,145 @@ type LockSlack struct {
 	OnCP bool
 }
 
-// Slack computes slack for every lock in the analyzed trace.
-func (a *Analysis) Slack() *SlackAnalysis {
-	tr := a.Trace
-	n := len(tr.Events)
-	prev, waker, blocked, err := annotate(tr)
-	if err != nil || n == 0 {
-		return &SlackAnalysis{}
+// slackTail is a thread's most recently swept event — during the
+// backward sweep, the successor of the thread's next (earlier) event.
+type slackTail struct {
+	seen  bool
+	late  int64
+	t     trace.Time
+	bound bool // an attributed unblock: its timing is set by its waker
+}
+
+// Slack computes slack for every lock of the analysis by replaying src,
+// the source the analysis ran over (TraceSegments(tr) for an in-memory
+// trace). It runs pass 1 into a fresh annotation store, then sweeps the
+// segments backward once in reverse (T, Seq) order — a valid reverse
+// topological order, since every edge points forward in time. The
+// sweep keeps one entry per thread (the event after the current one on
+// its thread) and one per wake whose woken event was swept but whose
+// waker was not yet, so beyond pass 1's annotations (9 bytes per event,
+// released segment by segment as the sweep passes) its state is
+// O(threads + pending wakes).
+func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
+	n := src.NumEvents()
+	if n == 0 {
+		return &SlackAnalysis{}, nil
+	}
+	skel := src.Skeleton()
+	ann, err := newAnnStore(src, n, "", 0)
+	if err != nil {
+		return nil, err
+	}
+	defer ann.remove()
+	cols := new(trace.Columns)
+	if _, err := pass1(src, skel, ann, 1, nil, cols); err != nil {
+		return nil, err
 	}
 
 	const inf = math.MaxInt64
-	late := make([]int64, n)
-	for i := range late {
-		late[i] = inf
-	}
-
-	// Sinks: each thread's exit event may be as late as the program's
-	// completion time.
-	endT := int64(tr.End())
-	for i, e := range tr.Events {
-		if e.Kind == trace.EvThreadExit {
-			late[i] = endT
-		}
-	}
-
-	// wakes[i] lists events woken by event i (inverted waker map);
-	// next[i] is the event following i on its thread, or -1.
-	wakes := make([][]int32, n)
-	next := make([]int32, n)
-	for i := range next {
-		next[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if w := waker[i]; w >= 0 {
-			wakes[w] = append(wakes[w], int32(i))
-		}
-		if p := prev[i]; p >= 0 {
-			next[p] = int32(i)
-		}
-	}
-
-	// Backward pass in reverse (T, Seq) order — a valid reverse
-	// topological order since every edge points forward in time.
-	for i := n - 1; i >= 0; i-- {
-		e := tr.Events[i]
-		// Intra-thread successor: the executed interval between the
-		// two events has fixed duration, so e can slip exactly as much
-		// as its successor can.
-		if succ := next[i]; succ >= 0 {
-			d := int64(tr.Events[succ].T - e.T)
-			if blocked[succ] && waker[succ] >= 0 {
-				// The interval before an attributed unblock event is
-				// wait: it absorbs slippage, so the edge only orders
-				// (weight 0) — the successor's timing is bound by its
-				// waker, not by us.
-				d = 0
-			}
-			if late[succ] != inf {
-				late[i] = min(late[i], late[succ]-d)
-			}
-		}
-		// Cross-thread wake edges: the woken event cannot happen
-		// before this one, so e may slip to the woken event's late
-		// time (the edge itself has zero duration).
-		for _, w := range wakes[i] {
-			if late[w] != inf {
-				late[i] = min(late[i], late[w])
-			}
-		}
-		if late[i] == inf {
-			// No successors constrain this event (e.g. the tail of a
-			// thread that exits before the program ends): bounded by
-			// its own thread's exit, which was seeded above; as a
-			// final fallback use program end.
-			late[i] = endT
-		}
-	}
-
-	sa := &SlackAnalysis{slackOf: make([]trace.Time, n)}
-	for i := range late {
-		s := late[i] - int64(tr.Events[i].T)
-		if s < 0 {
-			s = 0
-		}
-		sa.slackOf[i] = trace.Time(s)
-	}
-
-	// Per-lock minimum over release events.
+	endT := int64(a.Start + a.CP.WallTime)
+	tails := make([]slackTail, len(skel.Threads))
+	// pending maps a waker's index to the latest time it may occur
+	// without delaying the events it woke that were already swept.
+	pending := map[int32]int64{}
 	minSlack := map[trace.ObjID]trace.Time{}
-	for i, e := range tr.Events {
-		if e.Kind != trace.EvLockRelease {
-			continue
+	var lk, fl []byte
+	for s := src.NumSegments() - 1; s >= 0; s-- {
+		first, _ := src.SegmentBounds(s)
+		if _, err := src.LoadColumns(s, cols); err != nil {
+			return nil, err
 		}
-		cur, seen := minSlack[e.Obj]
-		if !seen || sa.slackOf[i] < cur {
-			minSlack[e.Obj] = sa.slackOf[i]
+		if lk, err = ann.readLinks(s, lk); err != nil {
+			return nil, err
 		}
+		if fl, err = ann.readFlags(s, fl); err != nil {
+			return nil, err
+		}
+		for j := cols.Len() - 1; j >= 0; j-- {
+			i := int32(first + j)
+			t := cols.T[j]
+			kind := trace.EventKind(cols.Kind[j])
+			_, waker := getAnnLink(lk[j*annLinkSize:])
+			late := int64(inf)
+			if kind == trace.EvThreadExit {
+				// Sinks: a thread's exit may be as late as the
+				// program's completion time.
+				late = endT
+			}
+			tail := &tails[cols.Thread[j]]
+			if tail.seen {
+				// Intra-thread successor: the executed interval between
+				// the two events has fixed duration, so this event can
+				// slip exactly as much as its successor. The interval
+				// before an attributed unblock is wait: it absorbs
+				// slippage, so that edge only orders (weight 0).
+				d := int64(tail.t - t)
+				if tail.bound {
+					d = 0
+				}
+				late = min(late, tail.late-d)
+			}
+			// Cross-thread wake edges: a woken event cannot happen
+			// before its waker, so the waker may slip to the woken
+			// event's late time (the edge itself has zero duration).
+			if w, ok := pending[i]; ok {
+				late = min(late, w)
+				delete(pending, i)
+			}
+			if late == inf {
+				// No successor constrains this event: bounded by
+				// program end.
+				late = endT
+			}
+			*tail = slackTail{seen: true, late: late, t: t, bound: fl[j]&annBlocked != 0 && waker >= 0}
+			// A waker that sorts after its woken event (a barrier
+			// depart tied with its last arrive) was swept already and
+			// is not constrained by it.
+			if waker >= 0 && waker < i {
+				if w, ok := pending[waker]; !ok || late < w {
+					pending[waker] = late
+				}
+			}
+			if kind == trace.EvLockRelease {
+				sl := trace.Time(max(0, late-int64(t)))
+				obj := trace.ObjID(cols.Obj[j])
+				if cur, seen := minSlack[obj]; !seen || sl < cur {
+					minSlack[obj] = sl
+				}
+			}
+		}
+		ann.release(s)
 	}
+
 	critical := map[trace.ObjID]bool{}
 	for _, l := range a.Locks {
 		if l.Critical {
 			critical[l.Lock] = true
 		}
 	}
+	sa := &SlackAnalysis{}
 	for lock, s := range minSlack {
 		sa.Locks = append(sa.Locks, LockSlack{
-			Lock: lock, Name: tr.ObjName(lock), MinSlack: s, OnCP: critical[lock],
+			Lock: lock, Name: skel.ObjName(lock), MinSlack: s, OnCP: critical[lock],
 		})
 	}
-	sort.Slice(sa.Locks, func(i, j int) bool {
-		if sa.Locks[i].MinSlack != sa.Locks[j].MinSlack {
-			return sa.Locks[i].MinSlack < sa.Locks[j].MinSlack
+	sortLockSlack(sa.Locks)
+	return sa, nil
+}
+
+// sortLockSlack orders locks by ascending slack, then name, then ID:
+// names may repeat, and the result must not depend on map order.
+func sortLockSlack(locks []LockSlack) {
+	sort.Slice(locks, func(i, j int) bool {
+		a, b := &locks[i], &locks[j]
+		if a.MinSlack != b.MinSlack {
+			return a.MinSlack < b.MinSlack
 		}
-		return sa.Locks[i].Name < sa.Locks[j].Name
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.Lock < b.Lock
 	})
-	return sa
 }
 
 // NearCritical returns locks that are off the walked critical path but
@@ -167,37 +190,4 @@ func (sa *SlackAnalysis) NearCritical(eps trace.Time) []LockSlack {
 		}
 	}
 	return out
-}
-
-// annotate runs pass 1's waker resolution over an in-memory trace and
-// unpacks its annotations: per event, the preceding event on its
-// thread (-1 if none), the waker (-1 if none), and whether the interval
-// before it was spent blocked.
-func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) {
-	src := memSegments{tr}
-	n := src.NumEvents()
-	ann, err := newAnnStore(src, n, "", 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer ann.remove()
-	if _, err := pass1(src, tr, ann, 1, nil, new(trace.Columns)); err != nil {
-		return nil, nil, nil, err
-	}
-	prev, waker, blocked = make([]int32, n), make([]int32, n), make([]bool, n)
-	var lk, fl []byte
-	for s := 0; s < src.NumSegments(); s++ {
-		if lk, err = ann.readLinks(s, lk); err != nil {
-			return nil, nil, nil, err
-		}
-		if fl, err = ann.readFlags(s, fl); err != nil {
-			return nil, nil, nil, err
-		}
-		first, _ := src.SegmentBounds(s)
-		for k := range fl {
-			prev[first+k], waker[first+k] = getAnnLink(lk[k*annLinkSize:])
-			blocked[first+k] = fl[k]&annBlocked != 0
-		}
-	}
-	return prev, waker, blocked, nil
 }

@@ -1,17 +1,30 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"critlock/internal/trace"
 )
 
-func TestSlackFig1(t *testing.T) {
-	an, err := AnalyzeDefault(fig1Trace())
+// analyzeSlack analyzes tr and computes its slack over TraceSegments(tr).
+func analyzeSlack(t *testing.T, tr *trace.Trace) *SlackAnalysis {
+	t.Helper()
+	an, err := AnalyzeDefault(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := an.Slack()
+	sa, err := an.Slack(TraceSegments(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa
+}
+
+func TestSlackFig1(t *testing.T) {
+	sa := analyzeSlack(t, fig1Trace())
 	byName := map[string]LockSlack{}
 	for _, l := range sa.Locks {
 		byName[l.Name] = l
@@ -61,11 +74,7 @@ func TestSlackSerialChain(t *testing.T) {
 	b.CS(c, m, 0, 50, 100)
 	b.Exit(50, a)
 	b.Exit(100, c)
-	an, err := AnalyzeDefault(b.Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := an.Slack()
+	sa := analyzeSlack(t, b.Trace())
 	if len(sa.Locks) != 1 || sa.Locks[0].MinSlack != 0 {
 		t.Errorf("serial chain slack = %+v, want single lock at 0", sa.Locks)
 	}
@@ -85,11 +94,7 @@ func TestSlackParallelBranch(t *testing.T) {
 	b.CS(side, short, 0, 0, 30) // finishes 70 before the end
 	b.Exit(100, main)
 	b.Exit(30, side)
-	an, err := AnalyzeDefault(b.Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := an.Slack()
+	sa := analyzeSlack(t, b.Trace())
 	byName := map[string]LockSlack{}
 	for _, l := range sa.Locks {
 		byName[l.Name] = l
@@ -121,11 +126,7 @@ func TestSlackWaitAbsorption(t *testing.T) {
 	b.CS(c, feeder, 5, 20, 30)
 	b.CS(c, tail, 30, 30, 100)
 	b.Exit(100, c)
-	an, err := AnalyzeDefault(b.Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := an.Slack()
+	sa := analyzeSlack(t, b.Trace())
 	byName := map[string]LockSlack{}
 	for _, l := range sa.Locks {
 		byName[l.Name] = l
@@ -138,4 +139,170 @@ func TestSlackWaitAbsorption(t *testing.T) {
 	if got := byName["tail"].MinSlack; got != 0 {
 		t.Errorf("tail slack = %d, want 0", got)
 	}
+}
+
+// TestSlackRepeatedNames pins the order of locks that tie on slack and
+// name: only the lock-ID tie-break keeps it independent of map
+// iteration.
+func TestSlackRepeatedNames(t *testing.T) {
+	b := trace.NewBuilder()
+	main := b.Thread("main", trace.NoThread)
+	p0, p1, p2 := b.Mutex("p"), b.Mutex("p"), b.Mutex("p")
+	b.Start(0, main)
+	b.CS(main, p2, 0, 0, 10)
+	b.CS(main, p0, 10, 10, 20)
+	b.CS(main, p1, 20, 20, 30)
+	b.Exit(40, main)
+	tr := b.Trace()
+	an, err := AnalyzeDefault(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.ObjID{p0, p1, p2}
+	for i := 0; i < 200; i++ {
+		sa, err := an.Slack(TraceSegments(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*SlackAnalysis{"Slack": sa, "oracle": slackOracle(an, tr)} {
+			var ids []trace.ObjID
+			for _, l := range got.Locks {
+				if l.MinSlack != 0 {
+					t.Fatalf("call %d: %s: lock %d slack %d, want 0", i, name, l.Lock, l.MinSlack)
+				}
+				ids = append(ids, l.Lock)
+			}
+			if !slices.Equal(ids, want) {
+				t.Fatalf("call %d: %s orders locks %v, want %v", i, name, ids, want)
+			}
+		}
+	}
+}
+
+// SlackOracle exposes the slack oracle to the external test package.
+var SlackOracle = slackOracle
+
+// slackOracle is the per-event-array slack computation that the
+// streamed backward sweep replaced, kept as its test oracle: pass 1's
+// annotations of the whole trace unpacked into arrays, the woken events
+// of every waker inverted into lists, then one backward PERT pass by
+// event index.
+func slackOracle(a *Analysis, tr *trace.Trace) *SlackAnalysis {
+	n := len(tr.Events)
+	prev, waker, blocked, err := annotate(tr)
+	if err != nil || n == 0 {
+		return &SlackAnalysis{}
+	}
+
+	const inf = math.MaxInt64
+	late := make([]int64, n)
+	for i := range late {
+		late[i] = inf
+	}
+	endT := int64(tr.End())
+	for i, e := range tr.Events {
+		if e.Kind == trace.EvThreadExit {
+			late[i] = endT
+		}
+	}
+	wakes := make([][]int32, n)
+	next := make([]int32, n)
+	for i := range next {
+		next[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		if w := waker[i]; w >= 0 {
+			wakes[w] = append(wakes[w], int32(i))
+		}
+		if p := prev[i]; p >= 0 {
+			next[p] = int32(i)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		e := tr.Events[i]
+		if succ := next[i]; succ >= 0 {
+			d := int64(tr.Events[succ].T - e.T)
+			if blocked[succ] && waker[succ] >= 0 {
+				d = 0
+			}
+			if late[succ] != inf {
+				late[i] = min(late[i], late[succ]-d)
+			}
+		}
+		for _, w := range wakes[i] {
+			if late[w] != inf {
+				late[i] = min(late[i], late[w])
+			}
+		}
+		if late[i] == inf {
+			late[i] = endT
+		}
+	}
+
+	minSlack := map[trace.ObjID]trace.Time{}
+	for i, e := range tr.Events {
+		if e.Kind != trace.EvLockRelease {
+			continue
+		}
+		s := trace.Time(max(0, late[i]-int64(e.T)))
+		if cur, seen := minSlack[e.Obj]; !seen || s < cur {
+			minSlack[e.Obj] = s
+		}
+	}
+	critical := map[trace.ObjID]bool{}
+	for _, l := range a.Locks {
+		if l.Critical {
+			critical[l.Lock] = true
+		}
+	}
+	sa := &SlackAnalysis{}
+	for lock, s := range minSlack {
+		sa.Locks = append(sa.Locks, LockSlack{
+			Lock: lock, Name: tr.ObjName(lock), MinSlack: s, OnCP: critical[lock],
+		})
+	}
+	sort.Slice(sa.Locks, func(i, j int) bool {
+		a, b := sa.Locks[i], sa.Locks[j]
+		if a.MinSlack != b.MinSlack {
+			return a.MinSlack < b.MinSlack
+		}
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.Lock < b.Lock
+	})
+	return sa
+}
+
+// annotate runs pass 1 over an in-memory trace and unpacks its
+// annotations: per event, the preceding event on its thread (-1 if
+// none), the waker (-1 if none), and whether the interval before it
+// was spent blocked.
+func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) {
+	src := TraceSegments(tr)
+	n := src.NumEvents()
+	ann, err := newAnnStore(src, n, "", 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer ann.remove()
+	if _, err := pass1(src, src.Skeleton(), ann, 1, nil, new(trace.Columns)); err != nil {
+		return nil, nil, nil, err
+	}
+	prev, waker, blocked = make([]int32, n), make([]int32, n), make([]bool, n)
+	var lk, fl []byte
+	for s := 0; s < src.NumSegments(); s++ {
+		if lk, err = ann.readLinks(s, lk); err != nil {
+			return nil, nil, nil, err
+		}
+		if fl, err = ann.readFlags(s, fl); err != nil {
+			return nil, nil, nil, err
+		}
+		first, _ := src.SegmentBounds(s)
+		for k := range fl {
+			prev[first+k], waker[first+k] = getAnnLink(lk[k*annLinkSize:])
+			blocked[first+k] = fl[k]&annBlocked != 0
+		}
+	}
+	return prev, waker, blocked, nil
 }

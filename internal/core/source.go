@@ -1,27 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"critlock/internal/obs"
 	"critlock/internal/trace"
 )
-
-// ErrNeedsRawEvents marks an operation that replays the raw event
-// stream (Gantt timelines, lock-order graphs, the online predictor)
-// applied to the analysis of a segmented trace, which keeps only the
-// registration skeleton. Re-run the operation on a full in-memory trace.
-var ErrNeedsRawEvents = errors.New("needs raw events (streamed analysis keeps only the trace skeleton)")
-
-// HasEvents reports whether the analysis retained the raw event
-// stream. Analyses of segmented traces hold only the skeleton, so
-// event-replay consumers (timeline renderers, lock-order graphs) must
-// check this — or propagate ErrNeedsRawEvents.
-func (a *Analysis) HasEvents() bool {
-	return a.Trace != nil && len(a.Trace.Events) > 0
-}
 
 // Config is the analysis configuration: the Options every analysis
 // takes plus the pipeline's tuning knobs. The zero value means
@@ -71,18 +56,19 @@ type Source interface {
 	Run(cfg Config) (*Analysis, error)
 }
 
-// memSegmentEvents is the segment size TraceSource views an in-memory
-// trace in. Small segments keep the walk window and each pass's decoded
-// columns small; larger ones raised peak memory without saving time.
+// memSegmentEvents is the segment size TraceSegments views an
+// in-memory trace in. Small segments keep the walk window and each
+// pass's decoded columns small; larger ones raised peak memory without
+// saving time.
 const memSegmentEvents = 4096
 
 // traceSource analyzes an in-memory trace.
 type traceSource struct{ tr *trace.Trace }
 
 // TraceSource adapts an in-memory trace: Analyze validates it, then runs
-// the segment passes over its events viewed as fixed-size in-memory
-// segments, with Composition on. Analysis.Trace is tr itself, so
-// event-replay operations (timelines, lock-order graphs, slack) work.
+// the segment passes over TraceSegments(tr), with Composition on. Like
+// every source's, the result's Analysis.Trace is a skeleton; sections
+// that replay events take TraceSegments(tr).
 func TraceSource(tr *trace.Trace) Source { return traceSource{tr} }
 
 func (s traceSource) Run(cfg Config) (*Analysis, error) {
@@ -96,17 +82,27 @@ func (s traceSource) Run(cfg Config) (*Analysis, error) {
 	}
 	h.phaseDone("validate", start, int64(len(s.tr.Events)))
 	cfg.Composition = true
-	return AnalyzeStream(memSegments{s.tr}, cfg)
+	return AnalyzeStream(TraceSegments(s.tr), cfg)
 }
 
 // memSegments presents an in-memory trace as consecutive
 // memSegmentEvents-event segments. Loads copy straight out of the
 // event slice — nothing is encoded — and are safe from concurrent
-// goroutines. The trace serves as its own skeleton: the passes read
-// only its threads, objects and metadata.
-type memSegments struct{ tr *trace.Trace }
+// goroutines.
+type memSegments struct {
+	tr   *trace.Trace
+	skel *trace.Trace
+}
 
-func (m memSegments) Skeleton() *trace.Trace { return m.tr }
+// TraceSegments views an in-memory trace as a SegmentSource of
+// fixed-size segments, so the sections that replay events read a trace
+// file the way they read a segment directory. The events are not
+// copied; the skeleton shares tr's threads, objects and metadata.
+func TraceSegments(tr *trace.Trace) SegmentSource {
+	return memSegments{tr, &trace.Trace{Objects: tr.Objects, Threads: tr.Threads, Meta: tr.Meta}}
+}
+
+func (m memSegments) Skeleton() *trace.Trace { return m.skel }
 func (m memSegments) NumEvents() int         { return len(m.tr.Events) }
 
 func (m memSegments) NumSegments() int {
@@ -118,20 +114,27 @@ func (m memSegments) SegmentBounds(i int) (first, count int) {
 	return first, min(memSegmentEvents, len(m.tr.Events)-first)
 }
 
-func (m memSegments) events(i int) []trace.Event {
-	first, count := m.SegmentBounds(i)
-	return m.tr.Events[first : first+count]
-}
-
-func (m memSegments) LoadSegment(i int, buf []trace.Event) ([]trace.Event, error) {
-	return append(buf[:0], m.events(i)...), nil
-}
-
 func (m memSegments) LoadColumns(i int, cols *trace.Columns) (int64, error) {
-	evs := m.events(i)
-	cols.Reset(len(evs))
-	cols.AppendEvents(evs)
+	first, count := m.SegmentBounds(i)
+	cols.Reset(count)
+	cols.AppendEvents(m.tr.Events[first : first+count])
 	return 0, nil
+}
+
+// ForEachEvent calls fn with every event of src in trace order,
+// decoding one segment at a time into a reused column set: the forward
+// sweep behind the timelines and the online predictor.
+func ForEachEvent(src SegmentSource, fn func(e trace.Event)) error {
+	var cols trace.Columns
+	for s := 0; s < src.NumSegments(); s++ {
+		if _, err := src.LoadColumns(s, &cols); err != nil {
+			return err
+		}
+		for j := range cols.Len() {
+			fn(cols.Event(j))
+		}
+	}
+	return nil
 }
 
 // streamSource analyzes a segmented trace in bounded memory.

@@ -10,13 +10,15 @@ import (
 )
 
 // SegmentSource is the analyzer's view of a segmented trace
-// (implemented by segment.Reader, and by TraceSource's in-memory
-// segments): the registration skeleton plus random access to whole
+// (implemented by segment.Reader, and by TraceSegments for in-memory
+// traces): the registration skeleton plus random access to whole
 // decoded segments. Segments partition the canonically ordered event
-// sequence into contiguous runs.
+// sequence into contiguous runs. Every consumer — the passes, the hazard
+// fold, slack, the timelines and the predictor — reads events through
+// LoadColumns, so any section works on any source.
 type SegmentSource interface {
 	// Skeleton returns threads, objects and metadata. Its event slice
-	// is not read; segment readers leave it nil.
+	// is not read, and sources leave it nil.
 	Skeleton() *trace.Trace
 	// NumEvents is the total event count.
 	NumEvents() int
@@ -25,20 +27,10 @@ type SegmentSource interface {
 	// SegmentBounds returns the global index of segment i's first
 	// event and its event count.
 	SegmentBounds(i int) (first, count int)
-	// LoadSegment decodes segment i into buf, reusing its capacity.
-	LoadSegment(i int, buf []trace.Event) ([]trace.Event, error)
-}
-
-// ColumnSource is a SegmentSource that can decode segments straight
-// into a columnar layout — the passes' fast path (no
-// per-event struct materialization; segment.Reader batch-decodes from
-// the mapped file). LoadColumns resets cols and reports the encoded
-// body bytes consumed (0 if unknown). Distinct segments must be
-// loadable from distinct goroutines concurrently.
-//
-// Plain SegmentSources are adapted automatically (AsColumnSource).
-type ColumnSource interface {
-	SegmentSource
+	// LoadColumns decodes segment i into cols (resetting it, reusing
+	// its capacity) and reports the encoded body bytes consumed (0 if
+	// unknown). Distinct segments must be loadable from distinct
+	// goroutines concurrently.
 	LoadColumns(i int, cols *trace.Columns) (int64, error)
 }
 
@@ -87,7 +79,6 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	}
 	workers := max(1, min(cfg.ParallelSegments, src.NumSegments()))
 	skel := src.Skeleton()
-	cs := AsColumnSource(src)
 	h := newObsHook(cfg.Observer, n)
 
 	ann, err := newAnnStore(src, n, cfg.TmpDir, cfg.AnnotationBudget)
@@ -102,14 +93,14 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	// (and zeroing) its own.
 	cols := new(trace.Columns)
 	start := h.phaseStart("pass1")
-	p1, err := pass1(cs, skel, ann, workers, h, cols)
+	p1, err := pass1(src, skel, ann, workers, h, cols)
 	if err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass1", start, int64(n))
 
 	start = h.phaseStart("walk")
-	loader := newSegLoader(cs, ann, cfg.CacheSegments, cols)
+	loader := newSegLoader(src, ann, cfg.CacheSegments, cols)
 	loader.hook = h
 	cp, err := streamWalk(loader, p1, n)
 	if err != nil {
@@ -118,8 +109,8 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	h.phaseDone("walk", start, -1)
 
 	start = h.phaseStart("pass3")
-	an := &Analysis{Trace: skel, CP: *cp}
-	if err := pass3(cs, skel, ann, p1, an, cfg, workers, h, loader.spare); err != nil {
+	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp}
+	if err := pass3(src, skel, ann, p1, an, cfg, workers, h, loader.spare); err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass3", start, int64(n))
@@ -456,7 +447,7 @@ func isSyncKind(kind trace.EventKind) bool {
 // short-circuits: the walk steps through one segment at a time, so
 // nearly every lookup hits it without the binary search or LRU scan.
 type segLoader struct {
-	src    ColumnSource
+	src    SegmentSource
 	ann    *annStore
 	firsts []int // global index of each segment's first event
 	total  int
@@ -478,7 +469,7 @@ type segWindow struct {
 
 // newSegLoader returns a loader whose first window decodes into spare
 // (nil = a fresh column set).
-func newSegLoader(src ColumnSource, ann *annStore, cacheSegments int, spare *trace.Columns) *segLoader {
+func newSegLoader(src SegmentSource, ann *annStore, cacheSegments int, spare *trace.Columns) *segLoader {
 	n := src.NumSegments()
 	l := &segLoader{
 		src:    src,

@@ -89,7 +89,7 @@ func filled(n int, v int32) []int32 {
 // With one worker the working set is independent of trace length.
 //
 // The head range decodes into cols.
-func pass1(src ColumnSource, skel *trace.Trace, ann *annStore, workers int, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
+func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, workers int, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
 	p1 := newPass1Result(len(skel.Threads))
 	sync := newPass1Sync(skel, p1)
 	ranges := make([]p1Range, workers)
@@ -186,7 +186,7 @@ func pass1(src ColumnSource, skel *trace.Trace, ann *annStore, workers int, h *o
 // scan annotates segments [lo, hi), decoding each into cols. The head
 // range passes the sync machine and steps it inline, reporting each
 // segment to h; later ranges pass nil for both and relay instead.
-func (r *p1Range) scan(src ColumnSource, skel *trace.Trace, ann *annStore, lo, hi int, sync *pass1Sync, h *obsHook, cols *trace.Columns) error {
+func (r *p1Range) scan(src SegmentSource, skel *trace.Trace, ann *annStore, lo, hi int, sync *pass1Sync, h *obsHook, cols *trace.Columns) error {
 	nThreads, nObjs := len(skel.Threads), len(skel.Objects)
 	head := sync != nil
 	r.lastOfThread = filled(nThreads, -1)
@@ -326,7 +326,7 @@ type p3Range struct {
 // finalizeMetrics), composition intervals sort by acquire index, and
 // hot intervals normalize in mergeIntervals — so the output is
 // bit-identical at any worker count. The head range decodes into cols.
-func pass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook, cols *trace.Columns) error {
+func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook, cols *trace.Columns) error {
 	nThreads := len(skel.Threads)
 	threads := initStreamThreads(an, skel, p1)
 	an.hotByLock = map[trace.ObjID][]interval{}
@@ -447,7 +447,7 @@ func pass3(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, 
 // obtain or release with no acquire is an error — and reports each
 // segment to h; later ranges relay them. Each segment decodes into
 // cols.
-func (r *p3Range) scan(src ColumnSource, ann *annStore, lo, hi int, head bool, h *obsHook, cols *trace.Columns) error {
+func (r *p3Range) scan(src SegmentSource, ann *annStore, lo, hi int, head bool, h *obsHook, cols *trace.Columns) error {
 	var flagsBuf []byte
 	for s := lo; s < hi; s++ {
 		first, _ := src.SegmentBounds(s)

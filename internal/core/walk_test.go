@@ -438,7 +438,7 @@ func TestAnalyzeRejectsInvalid(t *testing.T) {
 	}
 	// The passes themselves, which segmented traces reach without
 	// validation, must still reject it rather than panic.
-	if _, err := AnalyzeStream(memSegments{b.Trace()}, DefaultConfig()); err == nil {
+	if _, err := AnalyzeStream(TraceSegments(b.Trace()), DefaultConfig()); err == nil {
 		t.Error("AnalyzeStream accepted unpaired release")
 	}
 }

@@ -189,9 +189,17 @@ func editDistance(a, b string) int {
 // runWorkload executes one workload on a fresh simulator and analyzes
 // the trace.
 func runWorkload(name string, p workloads.Params, o Options) (*core.Analysis, trace.Time, error) {
+	an, _, elapsed, err := runTraced(name, p, o)
+	return an, elapsed, err
+}
+
+// runTraced is runWorkload that also returns the trace as the segment
+// source the event-replaying sections (timelines, slack, the
+// predictor) read.
+func runTraced(name string, p workloads.Params, o Options) (*core.Analysis, core.SegmentSource, trace.Time, error) {
 	spec, err := workloads.Get(name)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if p.Seed == 0 {
 		p.Seed = o.Seed
@@ -199,13 +207,13 @@ func runWorkload(name string, p workloads.Params, o Options) (*core.Analysis, tr
 	s := sim.New(sim.Config{Contexts: o.Contexts, Seed: p.Seed})
 	tr, elapsed, err := workloads.Run(s, spec, p)
 	if err != nil {
-		return nil, 0, fmt.Errorf("experiments: running %s: %w", name, err)
+		return nil, nil, 0, fmt.Errorf("experiments: running %s: %w", name, err)
 	}
 	an, err := core.AnalyzeDefault(tr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("experiments: analyzing %s: %w", name, err)
+		return nil, nil, 0, fmt.Errorf("experiments: analyzing %s: %w", name, err)
 	}
-	return an, elapsed, nil
+	return an, core.TraceSegments(tr), elapsed, nil
 }
 
 // runBuilt runs an explicitly-built workload (e.g. a shrunken micro

@@ -63,7 +63,11 @@ func init() {
 			}
 			r := &Result{ID: "fig1", Title: "Fig. 1 concept execution"}
 			r.Tables = append(r.Tables, report.LockReport(an, 0))
-			notef(r, "%s", report.Gantt(an, 99))
+			g, err := report.Gantt(an, core.TraceSegments(tr), 99)
+			if err != nil {
+				return nil, err
+			}
+			notef(r, "%s", g)
 			notef(r, "Paper: L2 = 4 hot CS × 3 units = 36.36%% of the 33-unit path at 75%% contention; "+
 				"L1 = 3.03%%; L3 uncontended but critical; L4 (longest idle time) off the path.")
 			notef(r, "Measured: L2 = %.2f%% @ %.0f%% contention on CP; L1 = %.2f%%; L3 critical=%v; L4 critical=%v (max wait %d units).",

@@ -74,12 +74,16 @@ func init() {
 		Paper: "Fig. 7",
 		Run: func(o Options) (*Result, error) {
 			o = o.withDefaults()
-			an, _, err := runWorkload("micro", workloads.Params{Threads: 4}, o)
+			an, src, _, err := runTraced("micro", workloads.Params{Threads: 4}, o)
+			if err != nil {
+				return nil, err
+			}
+			g, err := report.Gantt(an, src, 99)
 			if err != nil {
 				return nil, err
 			}
 			r := &Result{ID: "fig7", Title: "Micro-benchmark timeline"}
-			notef(r, "%s", report.Gantt(an, 99))
+			notef(r, "%s", g)
 			notef(r, "L1's waits (dots before the 'a' sections) overlap the critical path, which runs through the serialized L2 ('b') chain.")
 			return r, nil
 		},

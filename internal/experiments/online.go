@@ -40,14 +40,16 @@ func init() {
 				"Predictor correct", "Wait-based correct")
 			predictorHits, waitHits := 0, 0
 			for _, app := range apps {
-				an, _, err := runWorkload(app.name, workloads.Params{Threads: app.threads}, o)
+				an, src, _, err := runTraced(app.name, workloads.Params{Threads: app.threads}, o)
 				if err != nil {
 					return nil, err
 				}
 				truth := an.Locks[0].Name
 
 				p := core.NewPredictor()
-				p.ObserveAll(an.Trace)
+				if err := p.ObserveAll(src); err != nil {
+					return nil, err
+				}
 				pred := an.Trace.ObjName(p.Top())
 				waitTop := "<none>"
 				if wr := p.WaitRanking(); len(wr) > 0 {

@@ -25,11 +25,15 @@ func init() {
 			r := &Result{ID: "extension-slack", Title: "Slack analysis"}
 
 			// Fig. 1: the paper's illustrative execution.
-			anFig1, err := core.AnalyzeDefault(Fig1Trace())
+			fig1 := Fig1Trace()
+			anFig1, err := core.AnalyzeDefault(fig1)
 			if err != nil {
 				return nil, err
 			}
-			saFig1 := anFig1.Slack()
+			saFig1, err := anFig1.Slack(core.TraceSegments(fig1))
+			if err != nil {
+				return nil, err
+			}
 			t := report.SlackReport(saFig1, 0)
 			t.Title = "Fig. 1 execution (1 unit = 1000 ns)"
 			r.Tables = append(r.Tables, t)
@@ -47,11 +51,14 @@ func init() {
 			if o.Quick {
 				threads = 8
 			}
-			an, _, err := runWorkload("waternsq", workloads.Params{Threads: threads}, o)
+			an, src, _, err := runTraced("waternsq", workloads.Params{Threads: threads}, o)
 			if err != nil {
 				return nil, err
 			}
-			sa := an.Slack()
+			sa, err := an.Slack(src)
+			if err != nil {
+				return nil, err
+			}
 			on, off := 0, 0
 			var minOff core.LockSlack
 			for _, l := range sa.Locks {

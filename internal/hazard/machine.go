@@ -626,7 +626,29 @@ func (m *machine) finish() *Report {
 		return r.GuardIssues[i].ObjKind < r.GuardIssues[j].ObjKind
 	})
 
-	// Edge list, sorted by (from, to) names with IDs as tiebreak.
+	keys := m.edgeKeys()
+	edgeOf := make(map[edgeKey]Edge, len(keys))
+	for _, k := range keys {
+		agg := m.edges[k]
+		e := Edge{
+			From:         m.objName(k.from),
+			To:           m.objName(k.to),
+			Count:        agg.count,
+			CrossCount:   agg.crossCount,
+			Witness:      *agg.witness,
+			CrossWitness: agg.crossWitness,
+		}
+		edgeOf[k] = e
+		r.Edges = append(r.Edges, e)
+	}
+
+	r.Cycles = m.cycles(keys, edgeOf)
+	return r
+}
+
+// edgeKeys returns the aggregate's edges sorted by (from, to) names,
+// with IDs as tiebreak.
+func (m *machine) edgeKeys() []edgeKey {
 	keys := make([]edgeKey, 0, len(m.edges))
 	for k := range m.edges {
 		keys = append(keys, k)
@@ -646,23 +668,7 @@ func (m *machine) finish() *Report {
 		}
 		return a.to < b.to
 	})
-	edgeOf := make(map[edgeKey]Edge, len(keys))
-	for _, k := range keys {
-		agg := m.edges[k]
-		e := Edge{
-			From:         m.objName(k.from),
-			To:           m.objName(k.to),
-			Count:        agg.count,
-			CrossCount:   agg.crossCount,
-			Witness:      *agg.witness,
-			CrossWitness: agg.crossWitness,
-		}
-		edgeOf[k] = e
-		r.Edges = append(r.Edges, e)
-	}
-
-	r.Cycles = m.cycles(keys, edgeOf)
-	return r
+	return keys
 }
 
 func sortedKeys[V any](m map[trace.ObjID]V) []trace.ObjID {

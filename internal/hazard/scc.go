@@ -10,29 +10,8 @@ import (
 // cycles finds the strongly connected components of the dynamic
 // lock-order graph and packages each with its realizing edges.
 func (m *machine) cycles(keys []edgeKey, edgeOf map[edgeKey]Edge) []Cycle {
-	adj := make(map[trace.ObjID][]trace.ObjID)
-	var nodes []trace.ObjID
-	for _, k := range keys {
-		if k.from != k.to {
-			if adj[k.from] == nil {
-				nodes = append(nodes, k.from)
-			}
-			adj[k.from] = append(adj[k.from], k.to)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		an, bn := m.objName(nodes[i]), m.objName(nodes[j])
-		if an != bn {
-			return an < bn
-		}
-		return nodes[i] < nodes[j]
-	})
-
 	var out []Cycle
-	for _, comp := range graph.SCC(nodes, adj) {
-		if len(comp) < 2 {
-			continue
-		}
+	for _, comp := range m.components(keys) {
 		member := make(map[trace.ObjID]bool, len(comp))
 		for _, id := range comp {
 			member[id] = true
@@ -64,4 +43,37 @@ func (m *machine) cycles(keys []edgeKey, edgeOf map[edgeKey]Edge) []Cycle {
 		return len(a) < len(b)
 	})
 	return out
+}
+
+// components returns the strongly connected components of more than one
+// lock in the graph of keys (in (from, to) name order): the two-lock
+// inversions and larger rings. Roots are tried in (name, ID) order, so
+// the result does not depend on map iteration.
+func (m *machine) components(keys []edgeKey) [][]trace.ObjID {
+	adj := make(map[trace.ObjID][]trace.ObjID)
+	var nodes []trace.ObjID
+	for _, k := range keys {
+		if k.from != k.to {
+			if adj[k.from] == nil {
+				nodes = append(nodes, k.from)
+			}
+			adj[k.from] = append(adj[k.from], k.to)
+		}
+	}
+	sort.Slice(nodes, func(i, j int) bool { return m.before(nodes[i], nodes[j]) })
+	var out [][]trace.ObjID
+	for _, comp := range graph.SCC(nodes, adj) {
+		if len(comp) > 1 {
+			out = append(out, comp)
+		}
+	}
+	return out
+}
+
+// before orders locks by name, then by ID: names may repeat.
+func (m *machine) before(a, b trace.ObjID) bool {
+	if an, bn := m.objName(a), m.objName(b); an != bn {
+		return an < bn
+	}
+	return a < b
 }

@@ -15,6 +15,16 @@ import (
 // order — and therefore the report — is bit-identical at any worker
 // count and to FromTrace on the same events.
 func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
+	m, err := fold(src, workers)
+	if err != nil {
+		return nil, err
+	}
+	return m.finish(), nil
+}
+
+// fold steps a fresh machine through every event of src, decoding on
+// up to workers goroutines.
+func fold(src core.SegmentSource, workers int) (*machine, error) {
 	skel := src.Skeleton()
 	if skel == nil {
 		return nil, trace.ErrEmptyTrace
@@ -23,7 +33,6 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 	if nseg == 0 || src.NumEvents() == 0 {
 		return nil, trace.ErrEmptyTrace
 	}
-	cs := core.AsColumnSource(src)
 	if workers > nseg {
 		workers = nseg
 	}
@@ -32,14 +41,14 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 	if workers <= 1 {
 		var cols trace.Columns
 		for i := 0; i < nseg; i++ {
-			if _, err := cs.LoadColumns(i, &cols); err != nil {
+			if _, err := src.LoadColumns(i, &cols); err != nil {
 				return nil, err
 			}
 			if err := m.stepColumns(&cols); err != nil {
 				return nil, err
 			}
 		}
-		return m.finish(), nil
+		return m, nil
 	}
 
 	// Worker w decodes segments w, w+workers, ...; its single-slot
@@ -66,7 +75,7 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 				default:
 					cols = new(trace.Columns)
 				}
-				_, err := cs.LoadColumns(i, cols)
+				_, err := src.LoadColumns(i, cols)
 				select {
 				case out[w] <- slot{cols: cols, err: err}:
 				case <-stop:
@@ -88,7 +97,7 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 		}
 		free <- s.cols
 	}
-	return m.finish(), nil
+	return m, nil
 }
 
 // stepColumns folds one decoded segment into the machine.

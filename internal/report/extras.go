@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"critlock/internal/core"
+	"critlock/internal/hazard"
 )
 
 // WindowReport renders per-time-window lock criticality: which lock
@@ -71,7 +72,7 @@ func SlackReport(sa *core.SlackAnalysis, topN int) *Table {
 
 // LockOrderReport renders the acquisition-order graph and any
 // potential deadlock cycles.
-func LockOrderReport(lo *core.LockOrder) *Table {
+func LockOrderReport(lo *hazard.LockOrder) *Table {
 	t := NewTable("", "Held lock", "Then acquired", "Times")
 	for _, e := range lo.Edges {
 		t.AddRow(e.FromName, e.ToName, fmt.Sprint(e.Count))

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"critlock/internal/core"
+	"critlock/internal/hazard"
 )
 
 // FullOptions selects the sections of a bundled report.
@@ -23,8 +24,10 @@ type FullOptions struct {
 }
 
 // Full renders a complete markdown report of an analysis — a
-// self-contained artifact for CI runs or issue reports.
-func Full(an *core.Analysis, opts FullOptions) string {
+// self-contained artifact for CI runs or issue reports. src is the
+// source the analysis ran over; the slack and lock-order sections
+// replay it.
+func Full(an *core.Analysis, src core.SegmentSource, opts FullOptions) (string, error) {
 	var b strings.Builder
 	tr := an.Trace
 
@@ -51,7 +54,11 @@ func Full(an *core.Analysis, opts FullOptions) string {
 	}
 	if opts.Slack {
 		b.WriteString("\n## Slack (distance from the critical path)\n\n")
-		SlackReport(an.Slack(), opts.TopLocks).Markdown(&b)
+		sa, err := an.Slack(src)
+		if err != nil {
+			return "", err
+		}
+		SlackReport(sa, opts.TopLocks).Markdown(&b)
 	}
 	if opts.Threads {
 		b.WriteString("\n## Threads\n\n")
@@ -59,7 +66,10 @@ func Full(an *core.Analysis, opts FullOptions) string {
 	}
 	if opts.LockOrder {
 		b.WriteString("\n## Lock acquisition order\n\n")
-		lo := core.LockOrderOf(tr)
+		lo, err := hazard.LockOrderOf(src)
+		if err != nil {
+			return "", err
+		}
 		LockOrderReport(lo).Markdown(&b)
 		if lo.HasCycle() {
 			b.WriteString("\n**WARNING: lock-order inversion cycles (potential deadlocks):**\n\n")
@@ -70,7 +80,7 @@ func Full(an *core.Analysis, opts FullOptions) string {
 			b.WriteString("\nNo lock-order inversion cycles found.\n")
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 func orUnknown(s string) string {

@@ -17,19 +17,20 @@ import (
 //	a… inside a critical section (one letter per lock, see legend)
 //	^  this part of the thread lies on the critical path
 //
-// width is the number of character columns the run is scaled to.
-func Gantt(an *core.Analysis, width int) string {
+// width is the number of character columns the run is scaled to. src
+// is the source the analysis ran over.
+func Gantt(an *core.Analysis, src core.SegmentSource, width int) (string, error) {
 	tr := an.Trace
 	if width < 10 {
 		width = 10
 	}
-	start, end := tr.Start(), tr.End()
+	start, end := an.Start, an.Start+an.CP.WallTime
 	if end <= start {
-		return "(empty trace)\n"
+		return "(empty trace)\n", nil
 	}
-	span := float64(end - start)
+	length := float64(end - start)
 	pos := func(t trace.Time) int {
-		p := int(float64(t-start) / span * float64(width))
+		p := int(float64(t-start) / length * float64(width))
 		if p < 0 {
 			p = 0
 		}
@@ -68,68 +69,20 @@ func Gantt(an *core.Analysis, width int) string {
 		}
 	}
 
-	// Base activity: '=' between start and exit.
-	type pend struct{ t trace.Time }
-	started := make([]trace.Time, tr.NumThreads())
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case trace.EvThreadStart:
-			started[e.Thread] = e.T
-		case trace.EvThreadExit:
-			paint(rows[e.Thread], started[e.Thread], e.T, '=')
+	// Lifetimes as '=', then waits as '.' and holds as the lock's
+	// letter over them.
+	err := timelineSpans(src, tr.NumThreads(), func(s span) {
+		switch s.kind {
+		case spanLife:
+			paint(rows[s.thread], s.from, s.to, '=')
+		case spanHold:
+			paint(rows[s.thread], s.from, s.to, letters[s.obj])
+		default:
+			paint(rows[s.thread], s.from, s.to, '.')
 		}
-	}
-
-	// Waits and holds.
-	lockReq := map[[2]int32]trace.Time{}   // (thread,obj) → acquire time
-	lockObt := map[[2]int32]trace.Time{}   // (thread,obj) → obtain time
-	barArr := map[[2]int32]trace.Time{}    // barrier arrive
-	condBegin := map[[2]int32]trace.Time{} // cond wait begin
-	joinBegin := map[int32]trace.Time{}
-	key := func(e trace.Event) [2]int32 { return [2]int32{int32(e.Thread), int32(e.Obj)} }
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case trace.EvLockAcquire:
-			lockReq[key(e)] = e.T
-		case trace.EvLockObtain:
-			if req, ok := lockReq[key(e)]; ok && e.T > req {
-				paint(rows[e.Thread], req, e.T, '.')
-			}
-			delete(lockReq, key(e))
-			lockObt[key(e)] = e.T
-		case trace.EvLockRelease:
-			if obt, ok := lockObt[key(e)]; ok {
-				paint(rows[e.Thread], obt, e.T, letters[e.Obj])
-				delete(lockObt, key(e))
-			}
-		case trace.EvBarrierArrive:
-			barArr[key(e)] = e.T
-		case trace.EvBarrierDepart:
-			if arr, ok := barArr[key(e)]; ok {
-				if e.Arg == 0 && e.T > arr {
-					paint(rows[e.Thread], arr, e.T, '.')
-				}
-				delete(barArr, key(e))
-			}
-		case trace.EvCondWaitBegin:
-			condBegin[key(e)] = e.T
-		case trace.EvCondWaitEnd:
-			if begin, ok := condBegin[key(e)]; ok {
-				if e.T > begin {
-					paint(rows[e.Thread], begin, e.T, '.')
-				}
-				delete(condBegin, key(e))
-			}
-		case trace.EvJoinBegin:
-			joinBegin[int32(e.Thread)] = e.T
-		case trace.EvJoinEnd:
-			if begin, ok := joinBegin[int32(e.Thread)]; ok {
-				if e.T > begin {
-					paint(rows[e.Thread], begin, e.T, '.')
-				}
-				delete(joinBegin, int32(e.Thread))
-			}
-		}
+	})
+	if err != nil {
+		return "", err
 	}
 
 	// Critical-path markers.
@@ -138,7 +91,7 @@ func Gantt(an *core.Analysis, width int) string {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "time 0 .. %d ns, one column ≈ %.0f ns\n", end-start, span/float64(width))
+	fmt.Fprintf(&b, "time 0 .. %d ns, one column ≈ %.0f ns\n", end-start, length/float64(width))
 	nameW := 0
 	for _, th := range tr.Threads {
 		if len(th.Name) > nameW {
@@ -158,5 +111,5 @@ func Gantt(an *core.Analysis, width int) string {
 			fmt.Fprintf(&b, "        %c %s\n", letters[o.ID], o.Name)
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }

@@ -57,6 +57,6 @@ func Narrate(an *core.Analysis, maxHops int) string {
 			break
 		}
 	}
-	fmt.Fprintf(&b, "  ends on %q at %d ns\n", tr.Thread(an.CP.LastThread).Name, tr.End())
+	fmt.Fprintf(&b, "  ends on %q at %d ns\n", tr.Thread(an.CP.LastThread).Name, an.Start+an.CP.WallTime)
 	return b.String()
 }

@@ -69,7 +69,7 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func buildAnalysis(t *testing.T) *core.Analysis {
+func buildAnalysis(t *testing.T) (*core.Analysis, core.SegmentSource) {
 	t.Helper()
 	b := trace.NewBuilder()
 	b.Meta("workload", "unit")
@@ -85,15 +85,16 @@ func buildAnalysis(t *testing.T) *core.Analysis {
 	b.BarrierWait(w, bar, 50, 50, true)
 	b.Exit(60, main)
 	b.Exit(70, w)
-	an, err := core.AnalyzeDefault(b.Trace())
+	tr := b.Trace()
+	an, err := core.AnalyzeDefault(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an
+	return an, core.TraceSegments(tr)
 }
 
 func TestLockReport(t *testing.T) {
-	an := buildAnalysis(t)
+	an, _ := buildAnalysis(t)
 	tab := LockReport(an, 0)
 	out := tab.String()
 	if !strings.Contains(out, "hot") || !strings.Contains(out, "CP Time %") {
@@ -120,7 +121,7 @@ func TestLockReport(t *testing.T) {
 }
 
 func TestSummaryAndThreadReport(t *testing.T) {
-	an := buildAnalysis(t)
+	an, _ := buildAnalysis(t)
 	var buf bytes.Buffer
 	Summary(&buf, an)
 	s := buf.String()
@@ -136,8 +137,11 @@ func TestSummaryAndThreadReport(t *testing.T) {
 }
 
 func TestGantt(t *testing.T) {
-	an := buildAnalysis(t)
-	g := Gantt(an, 60)
+	an, src := buildAnalysis(t)
+	g, err := Gantt(an, src, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"main", "worker", "a hot", "legend", "^"} {
 		if !strings.Contains(g, want) {
 			t.Errorf("gantt missing %q:\n%s", want, g)
@@ -151,14 +155,17 @@ func TestGantt(t *testing.T) {
 
 func TestGanttDegenerate(t *testing.T) {
 	an := &core.Analysis{Trace: &trace.Trace{}}
-	if got := Gantt(an, 5); !strings.Contains(got, "empty") {
+	if got, _ := Gantt(an, core.TraceSegments(an.Trace), 5); !strings.Contains(got, "empty") {
 		t.Errorf("empty-trace gantt = %q", got)
 	}
 }
 
 func TestSVGGantt(t *testing.T) {
-	an := buildAnalysis(t)
-	svg := SVGGantt(an, 400)
+	an, src := buildAnalysis(t)
+	svg, err := SVGGantt(an, src, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		"<svg", "</svg>", "critical path", "hot", "worker",
 		`fill="#d62728"`, "<title>",
@@ -174,11 +181,15 @@ func TestSVGGantt(t *testing.T) {
 	b.Start(0, main)
 	b.CS(main, m, 1, 1, 5)
 	b.Exit(10, main)
-	an2, err := core.AnalyzeDefault(b.Trace())
+	tr2 := b.Trace()
+	an2, err := core.AnalyzeDefault(tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svg2 := SVGGantt(an2, 200)
+	svg2, err := SVGGantt(an2, core.TraceSegments(tr2), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if strings.Contains(svg2, "lock<&>") {
 		t.Error("lock name not escaped")
 	}
@@ -189,7 +200,7 @@ func TestSVGGantt(t *testing.T) {
 
 func TestSVGGanttEmpty(t *testing.T) {
 	an := &core.Analysis{Trace: &trace.Trace{}}
-	if got := SVGGantt(an, 50); !strings.Contains(got, "empty trace") {
+	if got, _ := SVGGantt(an, core.TraceSegments(an.Trace), 50); !strings.Contains(got, "empty trace") {
 		t.Errorf("empty svg = %q", got)
 	}
 }
@@ -210,8 +221,11 @@ func TestTableMarkdown(t *testing.T) {
 }
 
 func TestFullReport(t *testing.T) {
-	an := buildAnalysis(t)
-	doc := Full(an, FullOptions{TopLocks: 0, Windows: 4, Threads: true, LockOrder: true, Slack: true})
+	an, src := buildAnalysis(t)
+	doc, err := Full(an, src, FullOptions{TopLocks: 0, Windows: 4, Threads: true, LockOrder: true, Slack: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		"# Critical lock analysis: unit",
 		"## Locks (TYPE 1 + TYPE 2)",
@@ -228,14 +242,17 @@ func TestFullReport(t *testing.T) {
 		}
 	}
 	// Minimal options produce a shorter document.
-	small := Full(an, FullOptions{TopLocks: 1})
+	small, err := Full(an, src, FullOptions{TopLocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if strings.Contains(small, "## Threads") || len(small) >= len(doc) {
 		t.Error("minimal report not minimal")
 	}
 }
 
 func TestNarrate(t *testing.T) {
-	an := buildAnalysis(t)
+	an, _ := buildAnalysis(t)
 	out := Narrate(an, 0)
 	for _, want := range []string{"critical path:", "starts on", "ends on", "ns"} {
 		if !strings.Contains(out, want) {

@@ -11,15 +11,16 @@ import (
 // SVGGantt renders the execution as a standalone SVG document: one
 // lane per thread with compute, blocked time and per-lock critical
 // sections, plus a red underline marking the critical path — a
-// shareable version of the paper's Fig. 1 drawing.
-func SVGGantt(an *core.Analysis, width int) string {
+// shareable version of the paper's Fig. 1 drawing. src is the source
+// the analysis ran over.
+func SVGGantt(an *core.Analysis, src core.SegmentSource, width int) (string, error) {
 	tr := an.Trace
 	if width < 100 {
 		width = 100
 	}
-	start, end := tr.Start(), tr.End()
+	start, end := an.Start, an.Start+an.CP.WallTime
 	if end <= start || tr.NumThreads() == 0 {
-		return `<svg xmlns="http://www.w3.org/2000/svg" width="100" height="20"><text x="4" y="14">empty trace</text></svg>`
+		return `<svg xmlns="http://www.w3.org/2000/svg" width="100" height="20"><text x="4" y="14">empty trace</text></svg>`, nil
 	}
 
 	const (
@@ -30,9 +31,9 @@ func SVGGantt(an *core.Analysis, width int) string {
 		leftPad = 120
 		topPad  = 28
 	)
-	span := float64(end - start)
+	length := float64(end - start)
 	x := func(t trace.Time) float64 {
-		return leftPad + float64(t-start)/span*float64(width)
+		return leftPad + float64(t-start)/length*float64(width)
 	}
 
 	// Stable lock palette.
@@ -66,62 +67,30 @@ func SVGGantt(an *core.Analysis, width int) string {
 			x0, y, x1-x0, h, fill, escapeXML(title))
 	}
 
-	// Thread labels and base lanes (lifetime = compute).
-	started := make([]trace.Time, tr.NumThreads())
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case trace.EvThreadStart:
-			started[e.Thread] = e.T
-		case trace.EvThreadExit:
-			y := laneY(e.Thread)
-			fmt.Fprintf(&b, `<text x="4" y="%d">%s</text>`, y+barH-1, escapeXML(tr.Thread(e.Thread).Name))
-			rect(started[e.Thread], e.T, y, barH, "#e0e0e0", "compute")
+	// Thread labels and base lanes (lifetime = compute), then waits and
+	// critical sections over them.
+	err := timelineSpans(src, tr.NumThreads(), func(s span) {
+		y := laneY(s.thread)
+		switch s.kind {
+		case spanLife:
+			fmt.Fprintf(&b, `<text x="4" y="%d">%s</text>`, y+barH-1, escapeXML(tr.Thread(s.thread).Name))
+			rect(s.from, s.to, y, barH, "#e0e0e0", "compute")
+		case spanLockWait:
+			rect(s.from, s.to, y, barH, "#c9c9c9", "waiting: "+tr.ObjName(s.obj))
+		case spanHold:
+			mode := ""
+			if s.shared {
+				mode = " (shared)"
+			}
+			rect(s.from, s.to, y, barH, colorOf[s.obj], tr.ObjName(s.obj)+mode)
+		case spanBarrierWait:
+			rect(s.from, s.to, y, barH, "#c9c9c9", "barrier: "+tr.ObjName(s.obj))
+		case spanCondWait:
+			rect(s.from, s.to, y, barH, "#c9c9c9", "cond wait: "+tr.ObjName(s.obj))
 		}
-	}
-
-	// Waits and critical sections.
-	key := func(e trace.Event) [2]int32 { return [2]int32{int32(e.Thread), int32(e.Obj)} }
-	pending := map[[2]int32]trace.Time{}
-	holds := map[[2]int32]trace.Time{}
-	for _, e := range tr.Events {
-		y := laneY(e.Thread)
-		switch e.Kind {
-		case trace.EvLockAcquire:
-			pending[key(e)] = e.T
-		case trace.EvLockObtain:
-			if req, ok := pending[key(e)]; ok && e.T > req {
-				rect(req, e.T, y, barH, "#c9c9c9", "waiting: "+tr.ObjName(e.Obj))
-			}
-			delete(pending, key(e))
-			holds[key(e)] = e.T
-		case trace.EvLockRelease:
-			if obt, ok := holds[key(e)]; ok {
-				mode := ""
-				if e.Shared() {
-					mode = " (shared)"
-				}
-				rect(obt, e.T, y, barH, colorOf[e.Obj], tr.ObjName(e.Obj)+mode)
-				delete(holds, key(e))
-			}
-		case trace.EvBarrierArrive:
-			pending[key(e)] = e.T
-		case trace.EvBarrierDepart:
-			if arr, ok := pending[key(e)]; ok {
-				if e.Arg == 0 && e.T > arr {
-					rect(arr, e.T, y, barH, "#c9c9c9", "barrier: "+tr.ObjName(e.Obj))
-				}
-				delete(pending, key(e))
-			}
-		case trace.EvCondWaitBegin:
-			pending[key(e)] = e.T
-		case trace.EvCondWaitEnd:
-			if begin, ok := pending[key(e)]; ok {
-				if e.T > begin {
-					rect(begin, e.T, y, barH, "#c9c9c9", "cond wait: "+tr.ObjName(e.Obj))
-				}
-				delete(pending, key(e))
-			}
-		}
+	})
+	if err != nil {
+		return "", err
 	}
 
 	// Critical-path underline.
@@ -140,7 +109,7 @@ func SVGGantt(an *core.Analysis, width int) string {
 			lx, lyy, colorOf[o.ID], lx+14, lyy+9, escapeXML(o.Name))
 	}
 	b.WriteString(`</svg>`)
-	return b.String()
+	return b.String(), nil
 }
 
 func escapeXML(s string) string {

@@ -245,9 +245,9 @@ func (fr *FileReader) Close() error {
 }
 
 // Reader reads a segmented trace directory. It implements the
-// streaming analyzer's SegmentSource: the skeleton (registrations,
-// metadata, no events) plus random access to whole decoded segments —
-// as events (LoadSegment) or as a columnar view (LoadColumns).
+// analyzer's SegmentSource: the skeleton (registrations, metadata, no
+// events) plus random access to whole segments decoded into columns
+// (LoadColumns), which every analysis pass and report section reads.
 //
 // Segment files open lazily on first access and stay open —
 // memory-mapped unless ReadOptions.NoMmap or the platform forbids it
@@ -600,7 +600,9 @@ func (r *Reader) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 }
 
 // LoadSegment decodes segment i into buf (reusing its capacity) with
-// the same verification as LoadColumns.
+// the same verification as LoadColumns. No analysis reads events this
+// way; the method stays because the benchmark and the segment tests
+// call it.
 func (r *Reader) LoadSegment(i int, buf []trace.Event) ([]trace.Event, error) {
 	var cols trace.Columns
 	if _, err := r.LoadColumns(i, &cols); err != nil {
@@ -634,9 +636,9 @@ func (r *Reader) Close() error {
 	return first
 }
 
-// ReadAll loads the entire directory back into one in-memory Trace —
-// the bridge for consumers that need full-trace features (Gantt
-// timelines, lock-order graphs).
+// ReadAll loads the entire directory back into one in-memory Trace. Every
+// report section reads the Reader itself, so no analysis needs this;
+// the method stays because the benchmark and the segment tests call it.
 func (r *Reader) ReadAll() (*trace.Trace, error) {
 	tr := &trace.Trace{
 		Objects: append([]trace.ObjectInfo(nil), r.skel.Objects...),

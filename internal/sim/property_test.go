@@ -112,7 +112,11 @@ func TestPropertyRandomPrograms(t *testing.T) {
 		// Slack consistency: the walked path is one of the longest
 		// paths, so every lock the walk marks critical must have zero
 		// slack.
-		sa := an.Slack()
+		sa, err := an.Slack(core.TraceSegments(tr))
+		if err != nil {
+			t.Logf("seed %d: slack: %v", seed, err)
+			return false
+		}
 		for _, l := range sa.Locks {
 			if l.OnCP && l.MinSlack != 0 {
 				t.Logf("seed %d: critical lock %s has slack %d", seed, l.Name, l.MinSlack)

@@ -120,7 +120,8 @@ How to read it, in the paper's terms:
   sections (hold time on the path, plus the waiting the walk
   attributes to it). \`main.statsMu\` dominates because every worker
   serializes through its table rescan; the foil \`main.configMu\`,
-  taken once per worker, barely registers.
+  read once by \`main\` before the workers start, is on the path in
+  every run but barely registers.
 - **Invo. # on CP / Cont. Prob. on CP %** are the TYPE 2 diagnosis
   metrics: how often the lock appears on the critical path and how
   often an on-path acquisition had to wait. High CP share with low
