@@ -49,7 +49,8 @@ lint:
 # decoders and manifest reader (hostile bytes must error, never panic),
 # the trace codecs and the encoding-sniffing trace.Decode, the batch
 # frame decoder against a plain DecodeEvent loop,
-# trace.Validate, the lint and hazard passes, the channel/cond pairing
+# trace.Validate against the map-based oracle it replaced (both accept,
+# or both report the same problems), the lint and hazard passes, the channel/cond pairing
 # rules against a naive history model, and the analysis of unvalidated
 # segment dirs at every segmentation and parallelism (all fail, or all
 # agree). Go allows one fuzz target per

@@ -33,7 +33,11 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) error { return runOn(args, nil) }
+
+// runOn is run with wrap, when non-nil, applied to the segment source
+// the report sections replay, so a test can count its loads.
+func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) error {
 	fs := flag.NewFlagSet("cla", flag.ContinueOnError)
 	var (
 		top        = fs.Int("top", 10, "locks to list (0 = all)")
@@ -102,6 +106,9 @@ func run(args []string) error {
 		}
 		src, source = critlock.TraceSegments(tr), critlock.TraceSource(tr)
 	}
+	if wrap != nil {
+		src = wrap(src)
+	}
 	an, err := critlock.Analyze(source,
 		critlock.WithClipHold(!*noClip),
 		critlock.WithWindow(*window),
@@ -112,10 +119,20 @@ func run(args []string) error {
 		return fmt.Errorf("analyzing %s: %w", name, err)
 	}
 
+	// One hazard fold serves -hazards, -lockorder and the report's
+	// lock-order section.
 	var hazRep *hazard.Report
-	if *hazards {
-		if hazRep, err = hazard.FromSegments(src, *parSeg); err != nil {
+	var lo *hazard.LockOrder
+	if *hazards || *lockOrder {
+		rep, order, err := hazard.Fold(src, *parSeg)
+		if err != nil {
 			return fmt.Errorf("hazard analysis of %s: %w", name, err)
+		}
+		if *hazards {
+			hazRep = rep
+		}
+		if *lockOrder {
+			lo = order
 		}
 	}
 
@@ -222,7 +239,7 @@ func run(args []string) error {
 			TopLocks:  *top,
 			Windows:   *windows,
 			Threads:   *thr,
-			LockOrder: *lockOrder,
+			LockOrder: lo,
 			Slack:     *slack,
 		})
 		if err != nil {
@@ -243,11 +260,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote SVG timeline to %s\n", *svgOut)
 	}
-	if *lockOrder {
-		lo, err := hazard.LockOrderOf(src)
-		if err != nil {
-			return err
-		}
+	if lo != nil {
 		fmt.Println()
 		if err := report.LockOrderReport(lo).Render(os.Stdout); err != nil {
 			return err

@@ -1,15 +1,19 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"critlock"
+	"critlock/internal/core"
 	"critlock/internal/report"
 	"critlock/internal/sim"
+	"critlock/internal/trace"
 	"critlock/internal/workloads"
 )
 
@@ -123,6 +127,13 @@ func TestErrors(t *testing.T) {
 // capture runs cla with args and returns what it printed.
 func capture(t *testing.T, args ...string) string {
 	t.Helper()
+	return captureOn(t, nil, args...)
+}
+
+// captureOn is capture with wrap applied to the source the report
+// sections replay.
+func captureOn(t *testing.T, wrap func(core.SegmentSource) core.SegmentSource, args ...string) string {
+	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +141,7 @@ func capture(t *testing.T, args ...string) string {
 	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
-	err = run(args)
+	err = runOn(args, wrap)
 	os.Stdout = stdout
 	if err != nil {
 		t.Fatalf("cla %v: %v", args, err)
@@ -163,24 +174,8 @@ func TestEverySectionAnySource(t *testing.T) {
 		{flags: []string{"-hazards"}},
 	}
 	for _, w := range []string{"deadlockprone", "pipeline", "radiosity"} {
-		spec, err := workloads.Get(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, _, err := workloads.Run(sim.New(sim.Config{Contexts: 24, Seed: 1}), spec, workloads.Params{Seed: 1, Scale: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
 		dir := t.TempDir()
-		file, segs := filepath.Join(dir, w+".cltr"), filepath.Join(dir, "segs")
-		f, err := os.Create(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := critlock.WriteTrace(f, tr); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		file, segs := writeWorkloadTrace(t, w, dir), filepath.Join(dir, "segs")
 		capture(t, "-segdir", segs, file)
 
 		for _, s := range sections {
@@ -212,6 +207,108 @@ func TestEverySectionAnySource(t *testing.T) {
 				}
 				if got != want {
 					t.Errorf("cla %v -segdir differs from cla %v FILE:\n%s\nwant:\n%s", s.flags, s.flags, got, want)
+				}
+			})
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/foldonce_*.golden from the current output")
+
+// loadCounter counts LoadColumns calls per segment of the source it
+// wraps. Loads may come from several goroutines.
+type loadCounter struct {
+	core.SegmentSource
+	loads []atomic.Int32
+}
+
+func (c *loadCounter) LoadColumns(i int, cols *trace.Columns) (int64, error) {
+	c.loads[i].Add(1)
+	return c.SegmentSource.LoadColumns(i, cols)
+}
+
+// writeWorkloadTrace simulates workload w at seed 1 into dir/w.cltr.
+func writeWorkloadTrace(t *testing.T, w, dir string) string {
+	t.Helper()
+	spec, err := workloads.Get(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := workloads.Run(sim.New(sim.Config{Contexts: 24, Seed: 1}), spec, workloads.Params{Seed: 1, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, w+".cltr")
+	f, err := os.Create(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := critlock.WriteTrace(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// TestHazardFoldOnce: -hazards, -lockorder and the report's lock-order
+// section share one hazard fold, so each segment of the trace is loaded
+// once for them whichever of the flags are given (the analysis itself
+// runs over its own source). With all three, the output is pinned by
+// testdata/foldonce_<workload>.golden.
+func TestHazardFoldOnce(t *testing.T) {
+	flagSets := [][]string{
+		{"-hazards"},
+		{"-lockorder"},
+		{"-report", "report.md", "-lockorder"},
+		{"-hazards", "-lockorder", "-report", "report.md"},
+	}
+	for _, w := range []string{"deadlockprone", "radiosity"} {
+		dir := t.TempDir()
+		file := writeWorkloadTrace(t, w, dir)
+		for _, flags := range flagSets {
+			t.Run(w+"/"+strings.Join(flags, ""), func(t *testing.T) {
+				out := t.TempDir()
+				args := append([]string(nil), flags...)
+				for i, a := range args {
+					if a == "report.md" {
+						args[i] = filepath.Join(out, a)
+					}
+				}
+				var counter *loadCounter
+				got := captureOn(t, func(src core.SegmentSource) core.SegmentSource {
+					counter = &loadCounter{SegmentSource: src, loads: make([]atomic.Int32, src.NumSegments())}
+					return counter
+				}, append(args, "-par", "2", file)...)
+				if len(counter.loads) < 2 && w == "radiosity" {
+					t.Fatalf("radiosity has %d segments, want several", len(counter.loads))
+				}
+				for i := range counter.loads {
+					if n := counter.loads[i].Load(); n != 1 {
+						t.Errorf("segment %d loaded %d times, want 1", i, n)
+					}
+				}
+				if len(flags) < 4 {
+					return
+				}
+				doc, err := os.ReadFile(filepath.Join(out, "report.md"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = strings.ReplaceAll(got, out, "OUT") + "--- report.md ---\n" + string(doc)
+				golden := filepath.Join("testdata", "foldonce_"+w+".golden")
+				if *update {
+					if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != string(want) {
+					t.Errorf("cla %v differs from %s:\n%s", flags, golden, got)
 				}
 			})
 		}

@@ -182,7 +182,10 @@ type LockOrder = hazard.LockOrder
 
 // LockOrderOf builds the acquisition-order graph (A→B when a thread
 // acquired B while holding A) of src and detects inversion cycles.
-func LockOrderOf(src SegmentReader) (*LockOrder, error) { return hazard.LockOrderOf(src) }
+func LockOrderOf(src SegmentReader) (*LockOrder, error) {
+	_, lo, err := hazard.Fold(src, 1)
+	return lo, err
+}
 
 // LockOrderTable renders the graph's edges.
 func LockOrderTable(lo *LockOrder) *Table { return report.LockOrderReport(lo) }

@@ -171,13 +171,13 @@ func checkSlack(t *testing.T, tr *trace.Trace) {
 	}
 }
 
-// checkLockOrder holds hazard.LockOrderOf over both sources to the
-// oracle.
+// checkLockOrder holds the lock order of hazard.Fold over both sources
+// to the oracle.
 func checkLockOrder(t *testing.T, tr *trace.Trace) {
 	t.Helper()
 	want := lockOrderOracle(tr)
 	for label, src := range sectionSources(t, tr) {
-		lo, err := hazard.LockOrderOf(src)
+		_, lo, err := hazard.Fold(src, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -181,7 +181,7 @@ func FromTrace(tr *trace.Trace) (*Report, error) {
 			return nil, err
 		}
 	}
-	return m.finish(), nil
+	return m.finish(m.edgeKeys()), nil
 }
 
 // WriteText renders the report in the human-readable form used by

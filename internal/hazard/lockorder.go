@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"critlock/internal/core"
 	"critlock/internal/trace"
 )
 
@@ -52,19 +51,15 @@ func (lo *LockOrder) CycleNames() [][]string {
 	return out
 }
 
-// LockOrderOf folds src through the hazard machine and returns its
-// intra-thread lock order.
-func LockOrderOf(src core.SegmentSource) (*LockOrder, error) {
-	m, err := fold(src, 1)
-	if err != nil {
-		return nil, err
-	}
+// lockOrder is the intra-thread view of the folded edge aggregate;
+// keys are its edges in edgeKeys order.
+func (m *machine) lockOrder(keys []edgeKey) *LockOrder {
 	lo := &LockOrder{skel: m.tr}
-	var keys []edgeKey
-	for _, k := range m.edgeKeys() {
+	var own []edgeKey
+	for _, k := range keys {
 		agg := m.edges[k]
 		if n := agg.count - agg.crossCount; n > 0 {
-			keys = append(keys, k)
+			own = append(own, k)
 			lo.Edges = append(lo.Edges, LockOrderEdge{
 				From: k.from, To: k.to,
 				FromName: m.objName(k.from), ToName: m.objName(k.to),
@@ -72,12 +67,12 @@ func LockOrderOf(src core.SegmentSource) (*LockOrder, error) {
 			})
 		}
 	}
-	for _, comp := range m.components(keys) {
+	for _, comp := range m.components(own) {
 		sort.Slice(comp, func(i, j int) bool { return m.before(comp[i], comp[j]) })
 		lo.Cycles = append(lo.Cycles, comp)
 	}
 	sort.Slice(lo.Cycles, func(i, j int) bool {
 		return fmt.Sprint(lo.Cycles[i]) < fmt.Sprint(lo.Cycles[j])
 	})
-	return lo, nil
+	return lo
 }

@@ -8,10 +8,10 @@ import (
 	"critlock/internal/trace"
 )
 
-// lockOrderOf is LockOrderOf over an in-memory trace.
+// lockOrderOf is Fold's lock order over an in-memory trace.
 func lockOrderOf(t *testing.T, tr *trace.Trace) *LockOrder {
 	t.Helper()
-	lo, err := LockOrderOf(core.TraceSegments(tr))
+	_, lo, err := Fold(core.TraceSegments(tr), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestLockOrderThreeRing(t *testing.T) {
 	}
 }
 
-// TestLockOrderRepeatedNames pins LockOrderOf's output when lock names
+// TestLockOrderRepeatedNames pins the lock order's output when lock names
 // repeat: nodes, cycle members and edges tie on name, so only the
 // ObjID tie-break keeps the result independent of map iteration.
 func TestLockOrderRepeatedNames(t *testing.T) {

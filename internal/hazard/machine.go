@@ -542,8 +542,8 @@ func (m *machine) allExited(set map[trace.ThreadID]bool) bool {
 
 // finish assembles the deterministic report: surviving lost-signal
 // candidates, end-of-trace undelivered sends, guard issues, the sorted
-// edge list, and the SCC cycles.
-func (m *machine) finish() *Report {
+// edge list, and the SCC cycles. keys are the edges in edgeKeys order.
+func (m *machine) finish(keys []edgeKey) *Report {
 	r := &Report{Events: m.n}
 
 	// Lost cond signals: candidates that no later wait cleared, plus
@@ -626,7 +626,6 @@ func (m *machine) finish() *Report {
 		return r.GuardIssues[i].ObjKind < r.GuardIssues[j].ObjKind
 	})
 
-	keys := m.edgeKeys()
 	edgeOf := make(map[edgeKey]Edge, len(keys))
 	for _, k := range keys {
 		agg := m.edges[k]

@@ -19,7 +19,19 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.finish(), nil
+	return m.finish(m.edgeKeys()), nil
+}
+
+// Fold runs one hazard fold over src, as FromSegments does, and returns
+// both views of its result: the hazard report and the intra-thread lock
+// order. A caller that wants both pays for one pass over the events.
+func Fold(src core.SegmentSource, workers int) (*Report, *LockOrder, error) {
+	m, err := fold(src, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := m.edgeKeys()
+	return m.finish(keys), m.lockOrder(keys), nil
 }
 
 // fold steps a fresh machine through every event of src, decoding on

@@ -17,16 +17,16 @@ type FullOptions struct {
 	Windows int
 	// Threads includes the per-thread table.
 	Threads bool
-	// LockOrder includes the acquisition-order graph and cycles.
-	LockOrder bool
+	// LockOrder, when set, adds this acquisition-order graph and its
+	// cycles (the lock order of hazard.Fold over the analysis's source).
+	LockOrder *hazard.LockOrder
 	// Slack includes the per-lock slack ranking.
 	Slack bool
 }
 
 // Full renders a complete markdown report of an analysis — a
 // self-contained artifact for CI runs or issue reports. src is the
-// source the analysis ran over; the slack and lock-order sections
-// replay it.
+// source the analysis ran over; the slack section replays it.
 func Full(an *core.Analysis, src core.SegmentSource, opts FullOptions) (string, error) {
 	var b strings.Builder
 	tr := an.Trace
@@ -64,12 +64,8 @@ func Full(an *core.Analysis, src core.SegmentSource, opts FullOptions) (string, 
 		b.WriteString("\n## Threads\n\n")
 		ThreadReport(an).Markdown(&b)
 	}
-	if opts.LockOrder {
+	if lo := opts.LockOrder; lo != nil {
 		b.WriteString("\n## Lock acquisition order\n\n")
-		lo, err := hazard.LockOrderOf(src)
-		if err != nil {
-			return "", err
-		}
 		LockOrderReport(lo).Markdown(&b)
 		if lo.HasCycle() {
 			b.WriteString("\n**WARNING: lock-order inversion cycles (potential deadlocks):**\n\n")

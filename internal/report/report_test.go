@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"critlock/internal/core"
+	"critlock/internal/hazard"
 	"critlock/internal/trace"
 )
 
@@ -222,7 +223,11 @@ func TestTableMarkdown(t *testing.T) {
 
 func TestFullReport(t *testing.T) {
 	an, src := buildAnalysis(t)
-	doc, err := Full(an, src, FullOptions{TopLocks: 0, Windows: 4, Threads: true, LockOrder: true, Slack: true})
+	_, lo, err := hazard.Fold(src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Full(an, src, FullOptions{TopLocks: 0, Windows: 4, Threads: true, LockOrder: lo, Slack: true})
 	if err != nil {
 		t.Fatal(err)
 	}

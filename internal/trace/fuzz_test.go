@@ -164,42 +164,17 @@ func FuzzAppendFrame(f *testing.F) {
 	})
 }
 
-// FuzzValidate: the validator must never panic, whatever the events.
+// FuzzValidate holds Validate to the map-based oracle
+// (validateWithMaps): on every event soup both return nil, or both
+// return the same problems. The soups have three threads and
+// soupPerKind objects of each kind, so one thread can have more than
+// inlineObjs objects in use at once and reach the map fallback. The
+// seeds cover every problem class, the fallback and the problem cap.
 func FuzzValidate(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2))
-	f.Add(int64(42), uint8(14), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, kinds uint8, objs uint8) {
-		tr := &Trace{
-			Threads: []ThreadInfo{{ID: 0, Name: "t0", Creator: NoThread}},
-			Objects: []ObjectInfo{
-				{ID: 0, Kind: ObjMutex, Name: "m"},
-				{ID: 1, Kind: ObjBarrier, Name: "b", Parties: 2},
-				{ID: 2, Kind: ObjCond, Name: "c"},
-				{ID: 3, Kind: ObjChan, Name: "ch", Parties: 1},
-			},
-			Meta: map[string]string{},
-		}
-		// Generate a pseudo-random event soup from the fuzz inputs.
-		x := uint64(seed)
-		next := func() uint64 {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			return x
-		}
-		n := int(kinds)%40 + 1
-		var tm Time
-		for i := 0; i < n; i++ {
-			tm += Time(next() % 10)
-			tr.Events = append(tr.Events, Event{
-				T:      tm,
-				Seq:    uint64(i + 1),
-				Thread: ThreadID(next() % 2), // may be out of range (1)
-				Kind:   EventKind(next() % uint64(objs%20+1)),
-				Obj:    ObjID(int64(next()%5) - 1),
-				Arg:    int64(next() % 8),
-			})
-		}
-		_ = Validate(tr) // must not panic
+	for _, s := range validateSeeds() {
+		f.Add(soup(s.evs...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, soupTrace(data))
 	})
 }
