@@ -47,13 +47,15 @@ lint:
 
 # Short mutation run of every fuzz target: the segment frame/footer
 # decoders and manifest reader (hostile bytes must error, never panic),
-# the trace codecs and the encoding-sniffing trace.Decode, the batch
+# the trace codecs and the encoding-sniffing trace.Decode (the binary
+# event section decoded in parts must match the one-part decode), the batch
 # frame decoder against a plain DecodeEvent loop,
 # trace.Validate against the map-based oracle it replaced (both accept,
 # or both report the same problems), the lint and hazard passes, the channel/cond pairing
 # rules against a naive history model, and the analysis of unvalidated
 # segment dirs at every segmentation and parallelism (all fail, or all
-# agree). Go allows one fuzz target per
+# agree) and of unvalidated in-memory traces (never a panic, and the
+# validator's error from TraceSource). Go allows one fuzz target per
 # `go test -fuzz` invocation, so they run back to back.
 fuzz-smoke:
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)
@@ -78,9 +80,16 @@ fuzz-smoke:
 # the streamed slack and the lock-order view of the hazard fold to the
 # implementations they replaced (internal/core/sections_test.go), and
 # TestEverySectionAnySource (cmd/cla) checks that every cla section
-# prints the same from a segment directory as from the trace file.
+# prints the same from a segment directory as from the trace file. The
+# work a trace file spreads over the cores runs here too: validation
+# beside the passes (one validate phase, observer callbacks that never
+# overlap, no goroutine left behind, the validator's error on every
+# invalid trace, passes that never panic on unvalidated events) and
+# the binary decoder's parts (the one-part result and errors, no
+# goroutine left behind).
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics' -count=1 -v
+	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v
 	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v
 
 # Serving-path smoke: spin up the analysis server in-process, POST the

@@ -46,10 +46,12 @@ var (
 	ErrChecksum = trace.ErrChecksum
 )
 
-// TraceSource analyzes an in-memory trace. The trace is validated
-// first. As with every source, Analysis.Trace is a skeleton; the
-// sections that replay events (Timeline, LockOrderOf, FullReport,
-// Analysis.Slack, Predictor.ObserveAll) take TraceSegments(tr).
+// TraceSource analyzes an in-memory trace. The trace is validated, and
+// a trace that fails is an error: on a large trace with 2 or more
+// cores the validator runs beside the passes. As with every source,
+// Analysis.Trace is a skeleton; the sections that replay events
+// (Timeline, LockOrderOf, Analysis.Slack, Predictor.ObserveAll) take
+// TraceSegments(tr).
 func TraceSource(tr *Trace) AnalysisSource { return core.TraceSource(tr) }
 
 // TraceSegments views an in-memory trace as a SegmentReader, the source

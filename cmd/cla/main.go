@@ -204,9 +204,10 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 			return err
 		}
 	}
+	// One slack computation serves -slack and the report's section.
+	var sa *core.SlackAnalysis
 	if *slack {
-		sa, err := an.Slack(src)
-		if err != nil {
+		if sa, err = an.Slack(src); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -235,16 +236,13 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 		fmt.Printf("wrote JSON analysis report to %s\n", *jsonReport)
 	}
 	if *reportOut != "" {
-		doc, err := report.Full(an, src, report.FullOptions{
+		doc := report.Full(an, report.FullOptions{
 			TopLocks:  *top,
 			Windows:   *windows,
 			Threads:   *thr,
 			LockOrder: lo,
-			Slack:     *slack,
+			Slack:     sa,
 		})
-		if err != nil {
-			return err
-		}
 		if err := os.WriteFile(*reportOut, []byte(doc), 0o644); err != nil {
 			return err
 		}

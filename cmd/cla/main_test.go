@@ -213,7 +213,7 @@ func TestEverySectionAnySource(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/foldonce_*.golden from the current output")
+var update = flag.Bool("update", false, "rewrite testdata/foldonce_*.golden and slackonce_*.golden from the current output")
 
 // loadCounter counts LoadColumns calls per segment of the source it
 // wraps. Loads may come from several goroutines.
@@ -255,22 +255,31 @@ func writeWorkloadTrace(t *testing.T, w, dir string) string {
 // TestHazardFoldOnce: -hazards, -lockorder and the report's lock-order
 // section share one hazard fold, so each segment of the trace is loaded
 // once for them whichever of the flags are given (the analysis itself
-// runs over its own source). With all three, the output is pinned by
-// testdata/foldonce_<workload>.golden.
+// runs over its own source). -slack and the report's slack section
+// share one slack computation (a pass 1 and a backward sweep), so each
+// segment is loaded twice for them. With all three hazard flags the
+// output is pinned by testdata/foldonce_<workload>.golden, and with
+// -slack -report by testdata/slackonce_<workload>.golden.
 func TestHazardFoldOnce(t *testing.T) {
-	flagSets := [][]string{
-		{"-hazards"},
-		{"-lockorder"},
-		{"-report", "report.md", "-lockorder"},
-		{"-hazards", "-lockorder", "-report", "report.md"},
+	cases := []struct {
+		flags  []string
+		loads  int32
+		golden string
+	}{
+		{[]string{"-hazards"}, 1, ""},
+		{[]string{"-lockorder"}, 1, ""},
+		{[]string{"-report", "report.md", "-lockorder"}, 1, ""},
+		{[]string{"-hazards", "-lockorder", "-report", "report.md"}, 1, "foldonce"},
+		{[]string{"-slack"}, 2, ""},
+		{[]string{"-slack", "-report", "report.md"}, 2, "slackonce"},
 	}
 	for _, w := range []string{"deadlockprone", "radiosity"} {
 		dir := t.TempDir()
 		file := writeWorkloadTrace(t, w, dir)
-		for _, flags := range flagSets {
-			t.Run(w+"/"+strings.Join(flags, ""), func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(w+"/"+strings.Join(c.flags, ""), func(t *testing.T) {
 				out := t.TempDir()
-				args := append([]string(nil), flags...)
+				args := append([]string(nil), c.flags...)
 				for i, a := range args {
 					if a == "report.md" {
 						args[i] = filepath.Join(out, a)
@@ -285,11 +294,11 @@ func TestHazardFoldOnce(t *testing.T) {
 					t.Fatalf("radiosity has %d segments, want several", len(counter.loads))
 				}
 				for i := range counter.loads {
-					if n := counter.loads[i].Load(); n != 1 {
-						t.Errorf("segment %d loaded %d times, want 1", i, n)
+					if n := counter.loads[i].Load(); n != c.loads {
+						t.Errorf("segment %d loaded %d times, want %d", i, n, c.loads)
 					}
 				}
-				if len(flags) < 4 {
+				if c.golden == "" {
 					return
 				}
 				doc, err := os.ReadFile(filepath.Join(out, "report.md"))
@@ -297,7 +306,7 @@ func TestHazardFoldOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = strings.ReplaceAll(got, out, "OUT") + "--- report.md ---\n" + string(doc)
-				golden := filepath.Join("testdata", "foldonce_"+w+".golden")
+				golden := filepath.Join("testdata", c.golden+"_"+w+".golden")
 				if *update {
 					if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 						t.Fatal(err)
@@ -308,7 +317,7 @@ func TestHazardFoldOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != string(want) {
-					t.Errorf("cla %v differs from %s:\n%s", flags, golden, got)
+					t.Errorf("cla %v differs from %s:\n%s", c.flags, golden, got)
 				}
 			})
 		}

@@ -229,11 +229,8 @@ func Summary(w io.Writer, an *Analysis) { report.Summary(w, an) }
 type ReportOptions = report.FullOptions
 
 // FullReport renders a complete markdown report of an analysis — a
-// self-contained artifact for CI runs or issue threads. src is the
-// source the analysis ran over.
-func FullReport(an *Analysis, src SegmentReader, opts ReportOptions) (string, error) {
-	return report.Full(an, src, opts)
-}
+// self-contained artifact for CI runs or bug reports.
+func FullReport(an *Analysis, opts ReportOptions) string { return report.Full(an, opts) }
 
 // Narrate renders the critical path's cross-thread dependency chain as
 // readable text (maxHops 0 = all).

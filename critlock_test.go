@@ -220,10 +220,7 @@ func TestPublicAnalysisExtras(t *testing.T) {
 		t.Errorf("extracted model: %+v", cfg)
 	}
 
-	doc, err := critlock.FullReport(an, src, critlock.ReportOptions{TopLocks: 5, Windows: 4, Slack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := critlock.FullReport(an, critlock.ReportOptions{TopLocks: 5, Windows: 4, Slack: sa})
 	if !strings.Contains(doc, "# Critical lock analysis: radiosity") {
 		t.Errorf("report header missing:\n%.200s", doc)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"critlock/internal/obs"
@@ -62,44 +64,103 @@ type Source interface {
 // saving time.
 const memSegmentEvents = 4096
 
-// traceSource analyzes an in-memory trace.
-type traceSource struct{ tr *trace.Trace }
+// validateBesideEvents is the smallest trace TraceSource validates on
+// a goroutine of its own while the passes run, given 2 or more cores:
+// 128K events, where the decoder starts splitting too. Below it the
+// saving is under a few milliseconds, and a server analyzing several
+// uploads at once has no idle core to lend: validating uploads of 4K
+// to 100K events beside the passes made a 2-core server's median
+// latency about 5% worse under a closed loop of 2 connections.
+const validateBesideEvents = 1 << 17
 
-// TraceSource adapts an in-memory trace: Analyze validates it, then runs
-// the segment passes over TraceSegments(tr), with Composition on. Like
-// every source's, the result's Analysis.Trace is a skeleton; sections
-// that replay events take TraceSegments(tr).
-func TraceSource(tr *trace.Trace) Source { return traceSource{tr} }
+// traceSource analyzes an in-memory trace. Traces of besideFrom events
+// or more validate beside the passes (validateBesideEvents; tests
+// lower it).
+type traceSource struct {
+	tr         *trace.Trace
+	besideFrom int
+}
 
+// TraceSource adapts an in-memory trace: Analyze validates it and runs
+// the segment passes over TraceSegments(tr), with Composition on. A
+// trace that fails validation is an error whatever the passes made of
+// it. Like every source's, the result's Analysis.Trace is a skeleton;
+// sections that replay events take TraceSegments(tr).
+func TraceSource(tr *trace.Trace) Source { return traceSource{tr, validateBesideEvents} }
+
+// Run validates first on one core or a small trace. Otherwise the
+// validator runs on its own goroutine beside the passes, which load
+// through memSegments' checks since nothing has vetted their events
+// yet; Run joins it on every return path, and its verdict wins.
+// Either way the observer sees the validate phase once, from this
+// goroutine, with the validator's own duration: before pass1 when it
+// ran first, after pass3 when it ran beside the passes.
 func (s traceSource) Run(cfg Config) (*Analysis, error) {
 	if s.tr == nil || len(s.tr.Events) == 0 {
 		return nil, trace.ErrEmptyTrace
 	}
-	h := newObsHook(cfg.Observer, len(s.tr.Events))
-	start := h.phaseStart("validate")
-	if err := trace.Validate(s.tr); err != nil {
-		return nil, fmt.Errorf("core: invalid trace: %w", err)
-	}
-	h.phaseDone("validate", start, int64(len(s.tr.Events)))
+	n := len(s.tr.Events)
+	h := newObsHook(cfg.Observer, n)
 	cfg.Composition = true
-	return AnalyzeStream(TraceSegments(s.tr), cfg)
+	if n < s.besideFrom || runtime.GOMAXPROCS(0) < 2 {
+		start := h.phaseStart("validate")
+		if err := trace.Validate(s.tr); err != nil {
+			return nil, fmt.Errorf("core: invalid trace: %w", err)
+		}
+		h.phaseDone("validate", time.Since(start), int64(n))
+		return analyzeStream(newMemSegments(s.tr, false), cfg, h)
+	}
+
+	var verr error
+	var took time.Duration
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		start := time.Now()
+		verr = trace.Validate(s.tr)
+		took = time.Since(start)
+	}()
+	an, err := analyzeStream(newMemSegments(s.tr, true), cfg, h)
+	<-done
+	h.phaseStart("validate")
+	if verr != nil {
+		return nil, fmt.Errorf("core: invalid trace: %w", verr)
+	}
+	h.phaseDone("validate", took, int64(n))
+	return an, err
 }
 
 // memSegments presents an in-memory trace as consecutive
 // memSegmentEvents-event segments. Loads copy straight out of the
 // event slice — nothing is encoded — and are safe from concurrent
-// goroutines.
+// goroutines. Unless the trace has passed trace.Validate, the first
+// load of each segment checks what a segment file's first load checks
+// and the validator also requires: events in strict (T, Seq) order,
+// valid kinds and threads in range. The passes may run before
+// validation has finished (TraceSource), or without it (AnalyzeStream
+// over TraceSegments).
 type memSegments struct {
 	tr   *trace.Trace
 	skel *trace.Trace
+	// verified marks the segments checked so far; nil when the trace
+	// has been validated.
+	verified []atomic.Bool
 }
 
 // TraceSegments views an in-memory trace as a SegmentSource of
 // fixed-size segments, so the sections that replay events read a trace
 // file the way they read a segment directory. The events are not
 // copied; the skeleton shares tr's threads, objects and metadata.
-func TraceSegments(tr *trace.Trace) SegmentSource {
-	return memSegments{tr, &trace.Trace{Objects: tr.Objects, Threads: tr.Threads, Meta: tr.Meta}}
+func TraceSegments(tr *trace.Trace) SegmentSource { return newMemSegments(tr, true) }
+
+// newMemSegments views tr as memSegments, checking each segment on its
+// first load if check is set.
+func newMemSegments(tr *trace.Trace, check bool) memSegments {
+	m := memSegments{tr: tr, skel: &trace.Trace{Objects: tr.Objects, Threads: tr.Threads, Meta: tr.Meta}}
+	if check {
+		m.verified = make([]atomic.Bool, m.NumSegments())
+	}
+	return m
 }
 
 func (m memSegments) Skeleton() *trace.Trace { return m.skel }
@@ -118,7 +179,40 @@ func (m memSegments) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 	first, count := m.SegmentBounds(i)
 	cols.Reset(count)
 	cols.AppendEvents(m.tr.Events[first : first+count])
+	if m.verified != nil && !m.verified[i].Load() {
+		if err := m.verify(first, cols); err != nil {
+			return 0, err
+		}
+		m.verified[i].Store(true)
+	}
 	return 0, nil
+}
+
+// verify checks the events of the segment starting at event first,
+// loaded into cols, and the order across the seam with the event
+// before them.
+func (m memSegments) verify(first int, cols *trace.Columns) error {
+	var prevT trace.Time
+	var prevSeq uint64
+	if first > 0 {
+		prevT, prevSeq = m.tr.Events[first-1].T, m.tr.Events[first-1].Seq
+	}
+	nThreads := uint32(len(m.tr.Threads))
+	T, Seq, Kind, Thread := cols.T, cols.Seq[:len(cols.T)], cols.Kind[:len(cols.T)], cols.Thread[:len(cols.T)]
+	for j, t := range T {
+		seq, th := Seq[j], Thread[j]
+		if (t < prevT || (t == prevT && seq <= prevSeq)) && first+j > 0 {
+			return fmt.Errorf("core: event %d out of order", first+j)
+		}
+		if !trace.EventKind(Kind[j]).Valid() {
+			return fmt.Errorf("core: event %d: invalid kind %d", first+j, Kind[j])
+		}
+		if uint32(th) >= nThreads {
+			return fmt.Errorf("core: event %d: thread %d out of range", first+j, th)
+		}
+		prevT, prevSeq = t, seq
+	}
+	return nil
 }
 
 // ForEachEvent calls fn with every event of src in trace order,
@@ -184,13 +278,14 @@ func (h *obsHook) phaseStart(name string) time.Time {
 	return time.Now()
 }
 
-// phaseDone completes a phase: a final snapshot with the phase's full
-// event count (pass events < 0 to keep whatever the phase's scanned
-// calls accumulated — the walk touches only the segments the path
-// crosses), then the duration callback. The snapshot lands first so
-// per-phase throughput derived at PhaseDone (bytes since PhaseStart
-// over the duration) sees the phase's complete byte count.
-func (h *obsHook) phaseDone(name string, start time.Time, events int64) {
+// phaseDone completes a phase that took d: a final snapshot with the
+// phase's full event count (pass events < 0 to keep whatever the
+// phase's scanned calls accumulated — the walk touches only the
+// segments the path crosses), then the duration callback. The snapshot
+// lands first so per-phase throughput derived at PhaseDone (bytes
+// since PhaseStart over the duration) sees the phase's complete byte
+// count.
+func (h *obsHook) phaseDone(name string, d time.Duration, events int64) {
 	if h == nil {
 		return
 	}
@@ -198,7 +293,7 @@ func (h *obsHook) phaseDone(name string, start time.Time, events int64) {
 		h.p.Events = events
 	}
 	h.o.OnProgress(h.p)
-	h.o.PhaseDone(name, time.Since(start))
+	h.o.PhaseDone(name, d)
 }
 
 // scanned records one segment load of n events (bytes encoded body

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"critlock/internal/pairing"
 	"critlock/internal/trace"
@@ -67,6 +68,12 @@ const DefaultCacheSegments = 4
 // ranges to a merge that replays it in order. One range is the plain
 // forward scan, and the result is bit-identical at any setting.
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
+	return analyzeStream(src, cfg, newObsHook(cfg.Observer, src.NumEvents()))
+}
+
+// analyzeStream is AnalyzeStream reporting to h, which TraceSource
+// shares so the validate phase lands in the same progress snapshots.
+func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error) {
 	n := src.NumEvents()
 	if n == 0 {
 		return nil, trace.ErrEmptyTrace
@@ -79,7 +86,6 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	}
 	workers := max(1, min(cfg.ParallelSegments, src.NumSegments()))
 	skel := src.Skeleton()
-	h := newObsHook(cfg.Observer, n)
 
 	ann, err := newAnnStore(src, n, cfg.TmpDir, cfg.AnnotationBudget)
 	if err != nil {
@@ -97,7 +103,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.phaseDone("pass1", start, int64(n))
+	h.phaseDone("pass1", time.Since(start), int64(n))
 
 	start = h.phaseStart("walk")
 	loader := newSegLoader(src, ann, cfg.CacheSegments, cols)
@@ -106,14 +112,14 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.phaseDone("walk", start, -1)
+	h.phaseDone("walk", time.Since(start), -1)
 
 	start = h.phaseStart("pass3")
 	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp}
 	if err := pass3(src, skel, ann, p1, an, cfg, workers, h, loader.spare); err != nil {
 		return nil, err
 	}
-	h.phaseDone("pass3", start, int64(n))
+	h.phaseDone("pass3", time.Since(start), int64(n))
 	return an, nil
 }
 

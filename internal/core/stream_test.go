@@ -279,7 +279,8 @@ func (emptySource) NumEvents() int { return 0 }
 // TestTraceSourceSegmentBoundaries runs TraceSource on a trace longer
 // than three of its in-memory segments and not a multiple of their
 // size, so every pass crosses segment boundaries and ends on a partial
-// segment, at several pass parallelisms and with both hold accountings.
+// segment, at several pass parallelisms and with both hold accountings,
+// validating first and beside the passes.
 func TestTraceSourceSegmentBoundaries(t *testing.T) {
 	const memSegment = 4096
 	tr := simTrace(t, "uts", 6, 1)
@@ -290,7 +291,13 @@ func TestTraceSourceSegmentBoundaries(t *testing.T) {
 		opts := core.Options{ClipHold: clip}
 		ref := core.ReferenceAnalysis(tr, opts)
 		for _, par := range []int{1, 2, 8} {
-			an, err := core.AnalyzeSource(core.TraceSource(tr), core.Config{Options: opts, ParallelSegments: par})
+			// Validating first at par 1, beside the passes otherwise
+			// (given 2 or more cores).
+			src := core.TraceSource(tr)
+			if par > 1 {
+				src = core.TraceSourceBesideFrom(tr, 1)
+			}
+			an, err := core.AnalyzeSource(src, core.Config{Options: opts, ParallelSegments: par})
 			if err != nil {
 				t.Fatalf("clip=%t par=%d: %v", clip, par, err)
 			}

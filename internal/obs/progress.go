@@ -10,9 +10,11 @@ import (
 // at every phase boundary and after every scanned segment.
 type Progress struct {
 	// Phase names the pipeline stage currently executing: "pass1",
-	// "walk" and "pass3" for the three analysis passes, preceded by
-	// "validate" for in-memory traces and followed by "hazard" when
-	// clasrv runs the dynamic hazard pass.
+	// "walk" and "pass3" for the three analysis passes, and "hazard"
+	// after them when clasrv runs the dynamic hazard pass. In-memory
+	// traces also report "validate", once: before pass1, or right
+	// after pass3 when validation ran beside the passes (traces of
+	// 128K events or more, on 2 or more cores).
 	Phase string `json:"phase"`
 	// Events is the number of events processed so far.
 	Events int64 `json:"events"`

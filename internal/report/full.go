@@ -20,14 +20,14 @@ type FullOptions struct {
 	// LockOrder, when set, adds this acquisition-order graph and its
 	// cycles (the lock order of hazard.Fold over the analysis's source).
 	LockOrder *hazard.LockOrder
-	// Slack includes the per-lock slack ranking.
-	Slack bool
+	// Slack, when set, adds this per-lock slack ranking (the analysis's
+	// Analysis.Slack over its source).
+	Slack *core.SlackAnalysis
 }
 
 // Full renders a complete markdown report of an analysis — a
-// self-contained artifact for CI runs or issue reports. src is the
-// source the analysis ran over; the slack section replays it.
-func Full(an *core.Analysis, src core.SegmentSource, opts FullOptions) (string, error) {
+// self-contained artifact for CI runs or bug reports.
+func Full(an *core.Analysis, opts FullOptions) string {
 	var b strings.Builder
 	tr := an.Trace
 
@@ -52,13 +52,9 @@ func Full(an *core.Analysis, src core.SegmentSource, opts FullOptions) (string, 
 		fmt.Fprintf(&b, "\n## Criticality over %d windows\n\n", opts.Windows)
 		WindowReport(an, opts.Windows).Markdown(&b)
 	}
-	if opts.Slack {
+	if opts.Slack != nil {
 		b.WriteString("\n## Slack (distance from the critical path)\n\n")
-		sa, err := an.Slack(src)
-		if err != nil {
-			return "", err
-		}
-		SlackReport(sa, opts.TopLocks).Markdown(&b)
+		SlackReport(opts.Slack, opts.TopLocks).Markdown(&b)
 	}
 	if opts.Threads {
 		b.WriteString("\n## Threads\n\n")
@@ -76,7 +72,7 @@ func Full(an *core.Analysis, src core.SegmentSource, opts FullOptions) (string, 
 			b.WriteString("\nNo lock-order inversion cycles found.\n")
 		}
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 func orUnknown(s string) string {

@@ -227,10 +227,11 @@ func TestFullReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := Full(an, src, FullOptions{TopLocks: 0, Windows: 4, Threads: true, LockOrder: lo, Slack: true})
+	sa, err := an.Slack(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc := Full(an, FullOptions{TopLocks: 0, Windows: 4, Threads: true, LockOrder: lo, Slack: sa})
 	for _, want := range []string{
 		"# Critical lock analysis: unit",
 		"## Locks (TYPE 1 + TYPE 2)",
@@ -247,10 +248,7 @@ func TestFullReport(t *testing.T) {
 		}
 	}
 	// Minimal options produce a shorter document.
-	small, err := Full(an, src, FullOptions{TopLocks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := Full(an, FullOptions{TopLocks: 1})
 	if strings.Contains(small, "## Threads") || len(small) >= len(doc) {
 		t.Error("minimal report not minimal")
 	}

@@ -143,9 +143,16 @@ const (
 // it does not retain. The event section runs through the same batch
 // decoder as segment frames (Columns.AppendFrame), binaryChunk records
 // at a time; the decoder checks thread IDs against the thread table and
-// strict (T, Seq) order as it materializes the events. Bytes after the
-// last event are ignored.
-func DecodeBinary(data []byte) (*Trace, error) {
+// strict (T, Seq) order as it materializes the events. A large event
+// section is decoded in parts, one per available core (see
+// decodeParts), with the same result and the same errors. Bytes after
+// the last event are ignored.
+func DecodeBinary(data []byte) (*Trace, error) { return decodeBinary(data, 0) }
+
+// decodeBinary is DecodeBinary with the event section split into parts
+// of partEvents records (0 = sized by autoPartEvents; partEvents at or
+// above the event count decodes it in one part).
+func decodeBinary(data []byte, partEvents int) (*Trace, error) {
 	if len(data) < len(binaryMagic) {
 		return nil, fmt.Errorf("trace: reading magic: %w", ErrTruncated)
 	}
@@ -225,37 +232,17 @@ func DecodeBinary(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	tr.Events = make([]Event, nEvents)
-	var cols Columns
-	var prev Event // the delta chain runs across chunks
-	for start := 0; start < nEvents; start += binaryChunk {
-		cols.Reset(min(binaryChunk, nEvents-start))
-		evs := tr.Events[start:min(start+binaryChunk, nEvents)]
-		used, err := cols.AppendFrame(d.data[d.pos:], len(evs))
-		if err != nil {
-			return nil, fmt.Errorf("%w (event %d)", err, start+cols.Len())
-		}
-		d.pos += used
-		// AppendFrame sums each chunk's deltas from zero; rebase them
-		// onto the last event of the previous chunk.
-		baseT, baseSeq := prev.T, prev.Seq
-		for j := range evs {
-			e := Event{
-				T:      baseT + cols.T[j],
-				Seq:    baseSeq + cols.Seq[j],
-				Thread: ThreadID(cols.Thread[j]),
-				Kind:   EventKind(cols.Kind[j]),
-				Obj:    ObjID(cols.Obj[j]),
-				Arg:    cols.Arg[j],
-			}
-			if int(e.Thread) >= nThreads {
-				return nil, fmt.Errorf("trace: event %d: thread %d out of range", start+j, e.Thread)
-			}
-			if start+j > 0 && (e.T < prev.T || (e.T == prev.T && e.Seq <= prev.Seq)) {
-				return nil, fmt.Errorf("trace: event %d out of order", start+j)
-			}
-			evs[j] = e
-			prev = e
-		}
+	body := d.data[d.pos:]
+	if partEvents == 0 {
+		partEvents = autoPartEvents(nEvents)
+	}
+	if partEvents < nEvents && decodeParts(tr.Events, body, partEvents, nThreads) {
+		return tr, nil
+	}
+	// One part: the reference decode, and the one whose errors are
+	// reported.
+	if _, err := decodeRun(tr.Events, body, 0, nThreads); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }

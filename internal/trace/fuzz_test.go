@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzReadBinary: arbitrary bytes must never panic the decoder;
-// DecodeBinary and ReadBinary must agree on every input; and anything
-// they accept must re-encode and decode to the same trace.
+// DecodeBinary and ReadBinary must agree on every input, and so must
+// the event section decoded in parts of 1 to 5 records and in one; and
+// anything they accept must re-encode and decode to the same trace.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid encoding and a few mutations.
 	var buf bytes.Buffer
@@ -26,6 +27,9 @@ func FuzzReadBinary(f *testing.F) {
 		mutated[8] ^= 0xff
 	}
 	f.Add(mutated)
+	for _, s := range splitSeeds(f) {
+		f.Add(s.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBinary(data)
@@ -33,6 +37,7 @@ func FuzzReadBinary(f *testing.F) {
 		if fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(tr, tr2) {
 			t.Fatalf("DecodeBinary and ReadBinary disagree: %v vs %v", err, err2)
 		}
+		checkSplitDecode(t, data)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -52,7 +57,8 @@ func FuzzReadBinary(f *testing.F) {
 
 // FuzzDecode: whatever the bytes, Decode ends in a trace or an error,
 // never a panic, and a trace it accepts in either encoding survives a
-// binary round trip unchanged.
+// binary round trip unchanged. Binary decodes in parts of 1 to 5
+// records agree with the one-part decode.
 func FuzzDecode(f *testing.F) {
 	var bin, js bytes.Buffer
 	if err := WriteBinary(&bin, buildSampleTrace()); err != nil {
@@ -66,8 +72,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("CLTS\x01\x02\x04main\x01"))
 	f.Add([]byte(" \t\r\n"))
 	f.Add([]byte{})
+	for _, s := range splitSeeds(f) {
+		f.Add(s.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSplitDecode(t, data)
 		tr, err := Decode(data)
 		if err != nil {
 			return // rejection is fine; panics are not
