@@ -80,7 +80,14 @@ fuzz-smoke:
 # the streamed slack and the lock-order view of the hazard fold to the
 # implementations they replaced (internal/core/sections_test.go), and
 # TestEverySectionAnySource (cmd/cla) checks that every cla section
-# prints the same from a segment directory as from the trace file. The
+# prints the same from a segment directory as from the trace file.
+# TestCompositionMatchesHolds holds the composition, read off the
+# hot-interval index, to the reference's per-thread holds formula on
+# every workload (simulated and live) at par 1/2/8, and
+# TestCompositionAnySource requires a segment directory at the default
+# configuration to report the composition TraceSource reports.
+# TestBufferedReadsBounded (internal/segment) loads buffered segments
+# from concurrent goroutines and bounds the heap they leave behind. The
 # work a trace file spreads over the cores runs here too: validation
 # beside the passes (one validate phase, observer callbacks that never
 # overlap, no goroutine left behind, the validator's error on every
@@ -88,7 +95,8 @@ fuzz-smoke:
 # the binary decoder's parts (the one-part result and errors, no
 # goroutine left behind).
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource' -count=1 -v
+	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded' -count=1 -v
 	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v
 	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v
 

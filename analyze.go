@@ -114,12 +114,6 @@ func WithTmpDir(dir string) Option {
 	return func(c *core.Config) { c.TmpDir = dir }
 }
 
-// WithComposition retains per-thread hold intervals so
-// Analysis.Composition works (TraceSource always retains them).
-func WithComposition(on bool) Option {
-	return func(c *core.Config) { c.Composition = on }
-}
-
 // WithParallelSegments runs passes 1 and 3 over disjoint segment
 // ranges on up to n goroutines, merged deterministically (0 or 1 =
 // sequential). Results are bit-identical at any setting; the source

@@ -205,9 +205,9 @@ func BenchmarkAnalyzeLargeTrace(b *testing.B) {
 // 2M-event segmented trace: segment decode, forward annotation pass,
 // windowed backward walk, forward metric pass. The inmemory
 // sub-benchmark runs the same passes over the event slice through
-// TraceSource (validation, in-memory segments, composition retained)
-// for comparison. The segmented side's working set is bounded by the
-// walk window plus the critical-path output.
+// TraceSource (validation, in-memory segments) for comparison. The
+// segmented side's working set is bounded by the walk window plus the
+// critical-path output.
 func BenchmarkAnalyzeStream2M(b *testing.B) {
 	tr := largeTrace(2_000_000)
 	dir := b.TempDir()

@@ -112,7 +112,6 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 	an, err := critlock.Analyze(source,
 		critlock.WithClipHold(!*noClip),
 		critlock.WithWindow(*window),
-		critlock.WithComposition(*compose || *reportOut != ""),
 		critlock.WithParallelSegments(*parSeg),
 		critlock.WithAnnotationBudget(*annBudget))
 	if err != nil {

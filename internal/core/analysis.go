@@ -69,11 +69,9 @@ type Analysis struct {
 	// Totals aggregates whole-run figures.
 	Totals Totals
 
-	// holdsByThread holds raw critical-section intervals per thread
-	// and hotByLock the on-path (clipped) hold intervals per lock;
-	// both feed Composition and Windows.
-	holdsByThread [][]interval
-	hotByLock     map[trace.ObjID][]interval
+	// hotByLock holds the on-path (clipped) hold intervals per lock;
+	// it feeds Composition and Windows.
+	hotByLock map[trace.ObjID][]interval
 }
 
 // CriticalPath is the walked critical path.

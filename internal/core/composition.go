@@ -117,30 +117,29 @@ func (c Composition) LockHoldPct() float64 {
 // section time, plain compute and unattributed waits. It answers the
 // paper's aggregate question — how much of the completion time is
 // fundamentally serialized by locks — in one number.
+//
+// LockHold reads the hot-interval index Windows reads: each hot
+// interval is one invocation's hold clipped to its own thread's path
+// pieces, and pieces never overlap in time, so the union of every hot
+// interval, intersected with the executed pieces, is the executed path
+// time inside at least one critical section.
 func (a *Analysis) Composition() Composition {
 	c := Composition{Total: a.CP.Length, Wait: a.CP.WaitTime}
-	// Per thread: union of hold intervals ∩ union of exec pieces.
-	for tid, holds := range a.holdsByThread {
-		merged := mergeIntervals(append([]interval(nil), holds...))
-		pieces := a.piecesOf(trace.ThreadID(tid), PieceExec)
-		c.LockHold += intersectLen(merged, pieces)
+	var hot, exec []interval
+	for _, ivs := range a.hotByLock {
+		hot = append(hot, ivs...)
 	}
+	for _, p := range a.CP.Pieces {
+		if p.Kind == PieceExec {
+			exec = append(exec, interval{p.From, p.To})
+		}
+	}
+	c.LockHold = intersectLen(mergeIntervals(hot), mergeIntervals(exec))
 	c.Compute = c.Total - c.LockHold - c.Wait
 	if c.Compute < 0 {
 		c.Compute = 0
 	}
 	return c
-}
-
-// piecesOf returns the thread's sorted critical-path pieces of a kind.
-func (a *Analysis) piecesOf(tid trace.ThreadID, kind PieceKind) []interval {
-	var out []interval
-	for _, p := range a.CP.Pieces {
-		if p.Thread == tid && p.Kind == kind {
-			out = append(out, interval{p.From, p.To})
-		}
-	}
-	return mergeIntervals(out)
 }
 
 // Window is one time slice of the critical path with its per-lock

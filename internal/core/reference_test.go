@@ -397,36 +397,8 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 		}
 	}
 
-	// Critical sections, in acquire order.
-	var invs []*refInvocation
-	open := map[refKey]*refInvocation{}
-	for _, e := range evs {
-		key := refKey{e.Obj, e.Thread}
-		switch e.Kind {
-		case trace.EvLockAcquire:
-			inv := &refInvocation{lock: e.Obj, thread: e.Thread, acqT: e.T}
-			invs = append(invs, inv)
-			open[key] = inv
-		case trace.EvLockObtain:
-			inv := open[key]
-			inv.obtained, inv.obtT = true, e.T
-			inv.contended, inv.isShared = e.Contended(), e.Shared()
-		case trace.EvLockRelease:
-			inv := open[key]
-			inv.released, inv.relT = true, e.T
-			delete(open, key)
-		}
-	}
-
 	an.hotByLock = map[trace.ObjID][]interval{}
-	an.holdsByThread = make([][]interval, len(tr.Threads))
-	for _, inv := range invs {
-		if !inv.obtained {
-			continue
-		}
-		if !inv.released {
-			inv.relT = tr.End() // held to the end of the trace
-		}
+	for _, inv := range refCriticalSections(tr) {
 		wait, hold := inv.obtT-inv.acqT, inv.relT-inv.obtT
 		acc := sink.accOf(inv.lock, tr.ObjName(inv.lock))
 		st := &acc.stats
@@ -449,7 +421,6 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 		ts.LockWait += wait
 		ts.LockHold += hold
 		ts.Invocations++
-		an.holdsByThread[inv.thread] = append(an.holdsByThread[inv.thread], interval{inv.obtT, inv.relT})
 
 		// TYPE 1: the hold's overlap with the thread's own path pieces.
 		// A zero-length hold counts when the path passes through it.
@@ -481,4 +452,66 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 	}
 
 	finalizeMetrics(an, sink, len(evs))
+}
+
+// refCriticalSections returns the trace's obtained critical sections in
+// acquire order; one never released is held to the end of the trace.
+func refCriticalSections(tr *trace.Trace) []*refInvocation {
+	var invs []*refInvocation
+	open := map[refKey]*refInvocation{}
+	for _, e := range tr.Events {
+		key := refKey{e.Obj, e.Thread}
+		switch e.Kind {
+		case trace.EvLockAcquire:
+			inv := &refInvocation{lock: e.Obj, thread: e.Thread, acqT: e.T}
+			invs = append(invs, inv)
+			open[key] = inv
+		case trace.EvLockObtain:
+			inv := open[key]
+			inv.obtained, inv.obtT = true, e.T
+			inv.contended, inv.isShared = e.Contended(), e.Shared()
+		case trace.EvLockRelease:
+			inv := open[key]
+			inv.released, inv.relT = true, e.T
+			delete(open, key)
+		}
+	}
+	obtained := invs[:0]
+	for _, inv := range invs {
+		if !inv.obtained {
+			continue
+		}
+		if !inv.released {
+			inv.relT = tr.End()
+		}
+		obtained = append(obtained, inv)
+	}
+	return obtained
+}
+
+// ReferenceComposition is the composition oracle: the reference's
+// critical path, with LockHold summed per thread as the union of the
+// thread's own holds intersected with its own executed pieces. It reads
+// every invocation's raw hold, where Analysis.Composition reads only
+// the hot-interval index.
+var ReferenceComposition = referenceComposition
+
+func referenceComposition(tr *trace.Trace) Composition {
+	cp := refWalk(tr, refResolveWakers(tr))
+	holds := make([][]interval, len(tr.Threads))
+	for _, inv := range refCriticalSections(tr) {
+		holds[inv.thread] = append(holds[inv.thread], interval{inv.obtT, inv.relT})
+	}
+	c := Composition{Total: cp.Length, Wait: cp.WaitTime}
+	for tid := range holds {
+		var exec []interval
+		for _, p := range cp.Pieces {
+			if int(p.Thread) == tid && p.Kind == PieceExec {
+				exec = append(exec, interval{p.From, p.To})
+			}
+		}
+		c.LockHold += intersectLen(mergeIntervals(holds[tid]), mergeIntervals(exec))
+	}
+	c.Compute = max(0, c.Total-c.LockHold-c.Wait)
+	return c
 }

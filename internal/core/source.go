@@ -21,11 +21,6 @@ type Config struct {
 	CacheSegments int
 	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
 	TmpDir string
-	// Composition retains per-thread hold intervals so
-	// Analysis.Composition works; it costs O(invocations) memory, so it
-	// is off by default for segmented traces. TraceSource always
-	// retains them.
-	Composition bool
 	// ParallelSegments splits passes 1 and 3 into up to this many
 	// contiguous segment ranges scanned on their own goroutines (0 or
 	// 1 = one range, the plain forward scan). The head range resolves
@@ -33,9 +28,9 @@ type Config struct {
 	// so results are bit-identical at any setting.
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
-	// memory-mapping them. Consulted by sources that open segment
-	// directories (the facade's SegmentDirSource, the server), not by
-	// the passes themselves.
+	// memory-mapping them. Only sources that open a segment directory
+	// themselves (the facade's SegmentDirSource) consult it; the passes
+	// and already-open sources ignore it.
 	NoMmap bool
 	// AnnotationBudget caps the resident waker-annotation shards
 	// (9 bytes per event); a run over budget spills them to a TmpDir
@@ -82,10 +77,10 @@ type traceSource struct {
 }
 
 // TraceSource adapts an in-memory trace: Analyze validates it and runs
-// the segment passes over TraceSegments(tr), with Composition on. A
-// trace that fails validation is an error whatever the passes made of
-// it. Like every source's, the result's Analysis.Trace is a skeleton;
-// sections that replay events take TraceSegments(tr).
+// the segment passes over TraceSegments(tr). A trace that fails
+// validation is an error whatever the passes made of it. Like every
+// source's, the result's Analysis.Trace is a skeleton; sections that
+// replay events take TraceSegments(tr).
 func TraceSource(tr *trace.Trace) Source { return traceSource{tr, validateBesideEvents} }
 
 // Run validates first on one core or a small trace. Otherwise the
@@ -101,7 +96,6 @@ func (s traceSource) Run(cfg Config) (*Analysis, error) {
 	}
 	n := len(s.tr.Events)
 	h := newObsHook(cfg.Observer, n)
-	cfg.Composition = true
 	if n < s.besideFrom || runtime.GOMAXPROCS(0) < 2 {
 		start := h.phaseStart("validate")
 		if err := trace.Validate(s.tr); err != nil {

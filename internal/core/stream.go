@@ -41,8 +41,7 @@ const DefaultCacheSegments = 4
 // AnalyzeStream runs critical lock analysis over a segmented trace in
 // bounded memory. It is the one analysis pipeline: in-memory traces
 // run it too, viewed as fixed-size segments (TraceSource).
-// Analysis.Trace holds the source's skeleton, and holdsByThread is only
-// populated with cfg.Composition.
+// Analysis.Trace holds the source's skeleton.
 //
 // The passes do not run trace.Validate: whole-trace validation would
 // defeat the memory bound, and the passes already enforce the

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"critlock/internal/par"
 	"critlock/internal/trace"
@@ -30,8 +28,7 @@ import (
 //     condition variables, channels, joins — pass1Sync; orphaned
 //     obtain/release pairs and first-in-range accounting — p3Range), or
 //   - commutative (per-lock sums, maxima and bools fold in fixed range
-//     order; hot intervals are normalized by mergeIntervals; composition
-//     intervals from several ranges sort by acquire index).
+//     order; hot intervals are normalized by mergeIntervals).
 //
 // The walk stays sequential: it is a pointer chase along the critical
 // path with no independent subproblems.
@@ -310,8 +307,6 @@ type p3Range struct {
 	threads  []streamThread
 	ts       []ThreadStats // head: an.Threads; later ranges: deltas folded at merge
 	sink     *lockSink
-	holds    [][]interval // composition hold intervals per thread, in delivery order
-	holdAcq  [][]int32    // each hold's acquire index, kept only with several ranges
 	relay    []relayEv
 	err      error
 	segments int
@@ -323,9 +318,9 @@ type p3Range struct {
 // and per-lock accumulation, delivering each thread's invocations in
 // acquire order as their critical sections close. Every folded quantity
 // is an integer sum, maximum or bool (floats happen once, in
-// finalizeMetrics), composition intervals sort by acquire index, and
-// hot intervals normalize in mergeIntervals — so the output is
-// bit-identical at any worker count. The head range decodes into cols.
+// finalizeMetrics) and hot intervals normalize in mergeIntervals — so
+// the output is bit-identical at any worker count. The head range
+// decodes into cols.
 func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook, cols *trace.Columns) error {
 	nThreads := len(skel.Threads)
 	threads := initStreamThreads(an, skel, p1)
@@ -340,12 +335,6 @@ func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result,
 			r.threads, r.ts = make([]streamThread, nThreads), make([]ThreadStats, nThreads)
 			for tid := range r.threads {
 				r.threads[tid].clips = threads[tid].clips // read-only shared clip index
-			}
-		}
-		if cfg.Composition {
-			r.holds = make([][]interval, nThreads)
-			if workers > 1 {
-				r.holdAcq = make([][]int32, nThreads)
 			}
 		}
 	}
@@ -422,15 +411,6 @@ func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result,
 				inv.relT = p1.lastT
 			}
 			g.deliver(tid, inv)
-		}
-	}
-
-	if cfg.Composition {
-		an.holdsByThread = g.holds
-		if len(ranges) > 1 {
-			for tid := range an.holdsByThread {
-				an.holdsByThread[tid] = mergeHolds(ranges, tid)
-			}
 		}
 	}
 
@@ -603,39 +583,8 @@ func (r *p3Range) lockStep(st *streamThread, tid int, kind trace.EventKind, obj 
 // deliver accumulates one closed invocation into the range's sink and
 // thread totals.
 func (r *p3Range) deliver(tid int, inv *invocation) {
-	if r.holds != nil {
-		r.holds[tid] = append(r.holds[tid], interval{inv.obtT, inv.relT})
-		if r.holdAcq != nil {
-			r.holdAcq[tid] = append(r.holdAcq[tid], inv.acquireIdx)
-		}
-	}
 	st := &r.threads[tid]
 	accumulateInvocation(r.sink, &r.ts[tid], inv, r.skel.ObjName(inv.lock), r.opts, st.clips, &st.cursor)
-}
-
-// mergeHolds returns thread tid's composition holds from every range in
-// acquire order, the order a single range delivers them in. Acquire
-// indices are unique, so sorting by them restores that order exactly.
-func mergeHolds(ranges []p3Range, tid int) []interval {
-	type holdRec struct {
-		acq int32
-		iv  interval
-	}
-	var recs []holdRec
-	for ri := range ranges {
-		for i, iv := range ranges[ri].holds[tid] {
-			recs = append(recs, holdRec{ranges[ri].holdAcq[tid][i], iv})
-		}
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	slices.SortFunc(recs, func(a, b holdRec) int { return cmp.Compare(a.acq, b.acq) })
-	ivs := make([]interval, len(recs))
-	for i := range recs {
-		ivs[i] = recs[i].iv
-	}
-	return ivs
 }
 
 // orphanError is pass 3's error for an obtain or release with no

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"critlock/internal/core"
+	"critlock/internal/livetrace"
 	"critlock/internal/segment"
 	"critlock/internal/sim"
 	"critlock/internal/trace"
@@ -52,7 +53,7 @@ func segmented(t *testing.T, tr *trace.Trace, segEvents, frameEvents int, noMmap
 
 // requireIdentical asserts that the pipeline's analysis (str) matches
 // the reference (mem) on every exported result.
-func requireIdentical(t *testing.T, mem, str *core.Analysis, composition bool) {
+func requireIdentical(t *testing.T, mem, str *core.Analysis) {
 	t.Helper()
 	if mem.Start != str.Start {
 		t.Errorf("start differs: mem %d, str %d", mem.Start, str.Start)
@@ -107,10 +108,8 @@ func requireIdentical(t *testing.T, mem, str *core.Analysis, composition bool) {
 	if !reflect.DeepEqual(mem.Windows(7), str.Windows(7)) {
 		t.Errorf("windows differ:\n mem: %+v\n str: %+v", mem.Windows(7), str.Windows(7))
 	}
-	if composition {
-		if !reflect.DeepEqual(mem.Composition(), str.Composition()) {
-			t.Errorf("composition differs")
-		}
+	if mem.Composition() != str.Composition() {
+		t.Errorf("composition differs:\n mem: %+v\n str: %+v", mem.Composition(), str.Composition())
 	}
 }
 
@@ -160,7 +159,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				if err != nil {
 					t.Fatalf("AnalyzeSource(%s): %v", label, err)
 				}
-				requireIdentical(t, mem, str, true)
+				requireIdentical(t, mem, str)
 				if t.Failed() {
 					t.Fatalf("divergence at %s", label)
 				}
@@ -172,7 +171,6 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 						check(core.StreamSource(r), core.Config{
 							Options:          core.DefaultOptions(),
 							CacheSegments:    2,
-							Composition:      true,
 							ParallelSegments: par,
 						}, fmt.Sprintf("seg=%d mmap=%t par=%d", segEvents, !noMmap, par))
 					}
@@ -189,7 +187,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 			// any parallelism; vary its residency separately).
 			r := core.StreamSource(segmented(t, tr, segSizes[0], 16, false))
 			for _, window := range []int{1, 2, 4} {
-				cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: window, Composition: true}
+				cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: window}
 				check(r, cfg, fmt.Sprintf("window=%d", window))
 				check(mt, cfg, fmt.Sprintf("trace window=%d", window))
 			}
@@ -198,7 +196,6 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 			for _, par := range []int{1, 8} {
 				cfg := core.Config{
 					Options:          core.DefaultOptions(),
-					Composition:      true,
 					ParallelSegments: par,
 					AnnotationBudget: -1,
 				}
@@ -246,19 +243,19 @@ func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	if r.NumEvents() != len(tr.Events) {
 		t.Fatalf("spilled trace has %d events, want %d", r.NumEvents(), len(tr.Events))
 	}
-	str, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), Composition: true})
+	str, err := core.AnalyzeStream(r, core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("AnalyzeStream: %v", err)
 	}
-	requireIdentical(t, mem, str, true)
+	requireIdentical(t, mem, str)
 
 	// The spiller's reader supports concurrent loads too: the parallel
 	// passes must agree byte-for-byte.
-	par, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), Composition: true, ParallelSegments: 4})
+	par, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: 4})
 	if err != nil {
 		t.Fatalf("AnalyzeStream(par=4): %v", err)
 	}
-	requireIdentical(t, mem, par, true)
+	requireIdentical(t, mem, par)
 }
 
 // TestAnalyzeStreamEmpty checks the empty-source contract.
@@ -305,7 +302,7 @@ func TestTraceSourceSegmentBoundaries(t *testing.T) {
 				!reflect.DeepEqual(an.Trace.Objects, tr.Objects) {
 				t.Fatalf("clip=%t par=%d: Analysis.Trace is not the analyzed trace's skeleton", clip, par)
 			}
-			requireIdentical(t, ref, an, true)
+			requireIdentical(t, ref, an)
 			if t.Failed() {
 				t.Fatalf("divergence at clip=%t par=%d", clip, par)
 			}
@@ -361,15 +358,122 @@ func TestChanHandoffMatchesReference(t *testing.T) {
 	}
 	check := func(src core.Source, label string) {
 		t.Helper()
-		an, err := core.AnalyzeSource(src, core.Config{Options: core.DefaultOptions(), Composition: true})
+		an, err := core.AnalyzeSource(src, core.DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		requireIdentical(t, ref, an, true)
+		requireIdentical(t, ref, an)
 	}
 	check(core.TraceSource(tr), "trace")
 	for _, seg := range []int{1, 7} {
 		check(core.StreamSource(segmented(t, tr, seg, 4, false)), fmt.Sprintf("seg=%d", seg))
+	}
+}
+
+// TestCompositionMatchesHolds holds Analysis.Composition, which reads
+// the hot-interval index, to the per-thread holds formula of the
+// reference (ReferenceComposition): every workload at seeds 1–3 on the
+// simulator, and live runs of every workload but the two planted-hazard
+// ones (another interleaving of those hangs by design), plus a hold
+// across a wait piece, which only the executed pieces may count, at
+// par 1/2/8 with clipping on and off, through TraceSource and a segment
+// directory.
+func TestCompositionMatchesHolds(t *testing.T) {
+	t.Run("hold-over-wait", func(t *testing.T) {
+		// main holds L over a contended obtain of ghost, whose releaser
+		// is not in the trace: [10, 30] is a wait piece inside L's hold.
+		b := trace.NewBuilder()
+		main := b.Thread("main", trace.NoThread)
+		l, ghost := b.Mutex("L"), b.Mutex("ghost")
+		b.Start(0, main)
+		b.Event(5, main, trace.EvLockAcquire, l, 0)
+		b.Event(5, main, trace.EvLockObtain, l, 0)
+		b.CS(main, ghost, 10, 30, 40)
+		b.Event(45, main, trace.EvLockRelease, l, 0)
+		b.Exit(50, main)
+		tr := b.Trace()
+		want := core.Composition{Total: 50, LockHold: 20, Compute: 10, Wait: 20}
+		if got := core.ReferenceComposition(tr); got != want {
+			t.Fatalf("reference composition %+v, want %+v", got, want)
+		}
+		requireCompositionMatchesHolds(t, tr)
+	})
+	for _, name := range workloads.Names() {
+		for seed := int64(1); seed <= 3; seed++ {
+			name, seed := name, seed
+			t.Run(fmt.Sprintf("sim/%s/%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				requireCompositionMatchesHolds(t, simTrace(t, name, 0, seed))
+			})
+		}
+	}
+	for _, name := range workloads.Names() {
+		if name == "deadlockprone" || name == "lostsignal" {
+			continue
+		}
+		t.Run("live/"+name, func(t *testing.T) {
+			spec, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := livetrace.New(livetrace.Config{Seed: 1})
+			tr, _, err := workloads.Run(rt, spec, workloads.Params{Threads: 3, Seed: 1, Scale: 0.05})
+			if err != nil {
+				t.Fatalf("live run: %v", err)
+			}
+			requireCompositionMatchesHolds(t, tr)
+		})
+	}
+}
+
+// requireCompositionMatchesHolds analyzes tr through TraceSource and a
+// segment directory of nine or more segments at par 1/2/8, clipping on
+// and off, and requires every composition to equal the reference's.
+func requireCompositionMatchesHolds(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	want := core.ReferenceComposition(tr)
+	sources := []struct {
+		name string
+		src  core.Source
+	}{
+		{"trace", core.TraceSource(tr)},
+		{"segdir", core.StreamSource(segmented(t, tr, len(tr.Events)/9+1, 16, false))},
+	}
+	for _, clip := range []bool{true, false} {
+		for _, par := range []int{1, 2, 8} {
+			cfg := core.Config{Options: core.Options{ClipHold: clip}, ParallelSegments: par}
+			for _, s := range sources {
+				an, err := core.AnalyzeSource(s.src, cfg)
+				if err != nil {
+					t.Fatalf("%s clip=%t par=%d: %v", s.name, clip, par, err)
+				}
+				if got := an.Composition(); got != want {
+					t.Fatalf("%s clip=%t par=%d: composition %+v, want %+v", s.name, clip, par, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCompositionAnySource: a segment directory analyzed at the default
+// configuration reports the same composition as the trace in memory.
+// Composition needs no option on any source.
+func TestCompositionAnySource(t *testing.T) {
+	tr := simTrace(t, "radiosity", 8, 1)
+	mem, err := core.AnalyzeSource(core.TraceSource(tr), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := core.AnalyzeSource(core.StreamSource(segmented(t, tr, 0, 0, false)), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mem.Composition()
+	if want.LockHold <= 0 {
+		t.Fatalf("radiosity's composition has no lock hold: %+v", want)
+	}
+	if got := str.Composition(); got != want {
+		t.Errorf("segment directory composition %+v, want %+v (TraceSource)", got, want)
 	}
 }
 

@@ -249,13 +249,17 @@ func (fr *FileReader) Close() error {
 // events) plus random access to whole segments decoded into columns
 // (LoadColumns), which every analysis pass and report section reads.
 //
-// Segment files open lazily on first access and stay open —
-// memory-mapped unless ReadOptions.NoMmap or the platform forbids it
-// — so repeated passes over the same segment never reopen, reseek or
-// re-verify the file. Checksums, the footer-vs-manifest cross-check
-// and the magic/version header are verified exactly once per segment.
-// Distinct segments may be loaded from distinct goroutines
-// concurrently; Close releases every mapping and buffer.
+// Segment files open lazily on first access. Mapped files stay
+// mapped, so repeated passes over the same segment never reopen,
+// reseek or re-verify them. Under ReadOptions.NoMmap (or where the
+// platform cannot map) the reader keeps only each file's frame-region
+// offsets, and every load reads that region into a pooled buffer it
+// returns when the decode is done, so a buffered analysis holds about
+// one encoded segment per loading goroutine rather than the whole
+// trace. Checksums, the footer-vs-manifest cross-check and the
+// magic/version header are verified exactly once per segment either
+// way. Distinct segments may be loaded from distinct goroutines
+// concurrently; Close releases every mapping.
 type Reader struct {
 	dir     string
 	opts    ReadOptions
@@ -263,24 +267,27 @@ type Reader struct {
 	segs    []SegmentInfo
 	total   int
 	handles []segHandle
+	bufs    sync.Pool // *[]byte frame-region buffers for unmapped loads
 }
 
 // ReadOptions configures how a Reader accesses segment files.
 type ReadOptions struct {
-	// NoMmap forces buffered reads of segment bodies. The zero value
+	// NoMmap forces buffered reads of segment bodies: each load reads
+	// the segment's frames into a pooled buffer. The zero value
 	// memory-maps each file where the platform supports it and falls
-	// back to reading it into memory where it does not.
+	// back to buffered reads where it does not.
 	NoMmap bool
 }
 
-// segHandle is the lazily initialized per-segment state: the raw file
-// image (mapped or read) with its verified frame region.
+// segHandle is the lazily initialized per-segment state: where the
+// verified frame region lies in the file, and the mapped file image
+// unless the segment is read buffered.
 type segHandle struct {
-	once   sync.Once
-	data   []byte // whole file image
-	mapped bool   // data is an mmap and needs munmapFile
-	body   []byte // frame region: data[after magic+version : footerOff]
-	err    error
+	once    sync.Once
+	data    []byte // mapped file image; nil when unmapped
+	bodyOff int64  // frame region: after magic+version, up to the footer
+	bodyLen int
+	err     error
 
 	// verified flips once LoadColumns has checked event ordering,
 	// thread ranges and the footer range against this handle's
@@ -416,7 +423,8 @@ func (r *Reader) handle(i int) (*segHandle, error) {
 
 // openSegment maps (or reads) segment i's file and verifies, once for
 // the reader's lifetime: trailer, footer CRC, body CRC, magic/version
-// header and the footer-vs-manifest cross-check.
+// header and the footer-vs-manifest cross-check. A read image is
+// dropped after verification; loads read the frame region again.
 func (r *Reader) openSegment(i int, h *segHandle) error {
 	s := r.segs[i]
 	f, err := os.Open(filepath.Join(r.dir, s.Name))
@@ -435,88 +443,114 @@ func (r *Reader) openSegment(i int, h *segHandle) error {
 	if size > int64(maxCount) {
 		return fmt.Errorf("segment: %s is implausibly large (%d bytes)", s.Name, size)
 	}
+	var data []byte
+	mapped := false
 	if !r.opts.NoMmap {
-		if data, merr := mmapFile(f, size); merr == nil {
-			h.data, h.mapped = data, true
+		if m, merr := mmapFile(f, size); merr == nil {
+			data, mapped = m, true
 		}
 	}
-	if h.data == nil {
-		h.data = make([]byte, size)
-		if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), h.data); err != nil {
-			h.data = nil
+	if !mapped {
+		data = make([]byte, size)
+		if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
 			return fmt.Errorf("segment: reading %s: %w", s.Name, err)
 		}
 	}
-	ftr, body, err := verifyImage(h.data)
+	ftr, bodyOff, bodyLen, err := verifyImage(data)
+	if err == nil && (ftr.Count != s.Count || ftr.MinT != s.MinT || ftr.MaxT != s.MaxT ||
+		ftr.FirstSeq != s.FirstSeq || ftr.LastSeq != s.LastSeq) {
+		err = fmt.Errorf("segment: %s footer disagrees with manifest", s.Name)
+	}
 	if err != nil {
-		r.dropHandle(h)
+		if mapped {
+			munmapFile(data)
+		}
 		return err
 	}
-	if ftr.Count != s.Count || ftr.MinT != s.MinT || ftr.MaxT != s.MaxT ||
-		ftr.FirstSeq != s.FirstSeq || ftr.LastSeq != s.LastSeq {
-		r.dropHandle(h)
-		return fmt.Errorf("segment: %s footer disagrees with manifest", s.Name)
+	h.bodyOff, h.bodyLen = bodyOff, bodyLen
+	if mapped {
+		h.data = data
 	}
-	h.body = body
 	return nil
 }
 
-// dropHandle releases a handle whose verification failed.
-func (r *Reader) dropHandle(h *segHandle) {
-	if h.mapped && h.data != nil {
-		munmapFile(h.data)
+// frames returns segment i's frame region: the mapped slice, or the
+// region read from the file into a pooled buffer. The caller puts the
+// returned buffer (nil when mapped) back in r.bufs once it has decoded
+// the region.
+func (r *Reader) frames(i int, h *segHandle) ([]byte, *[]byte, error) {
+	if h.data != nil {
+		return h.data[h.bodyOff : h.bodyOff+int64(h.bodyLen)], nil, nil
 	}
-	h.data, h.body, h.mapped = nil, nil, false
+	buf, _ := r.bufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < h.bodyLen {
+		*buf = make([]byte, h.bodyLen)
+	}
+	body := (*buf)[:h.bodyLen]
+	f, err := os.Open(filepath.Join(r.dir, r.segs[i].Name))
+	if err == nil {
+		_, err = f.ReadAt(body, h.bodyOff)
+		f.Close()
+	}
+	if err != nil {
+		r.bufs.Put(buf)
+		return nil, nil, fmt.Errorf("segment: reading %s: %w", r.segs[i].Name, err)
+	}
+	return body, buf, nil
 }
 
 // verifyImage checks a whole segment file image — trailer, footer CRC
 // and decode, body CRC, magic and version — and returns the decoded
-// footer plus the frame region.
-func verifyImage(data []byte) (*Footer, []byte, error) {
+// footer plus the frame region's offset and length in the image.
+func verifyImage(data []byte) (*Footer, int64, int, error) {
 	size := int64(len(data))
 	tr := data[size-trailerSize:]
 	if string(tr[16:20]) != segEndMagic {
-		return nil, nil, fmt.Errorf("segment: bad end magic %q", tr[16:20])
+		return nil, 0, 0, fmt.Errorf("segment: bad end magic %q", tr[16:20])
 	}
 	crcBody := binary.LittleEndian.Uint32(tr[0:4])
 	crcFooter := binary.LittleEndian.Uint32(tr[4:8])
 	footerOff := int64(binary.LittleEndian.Uint64(tr[8:16]))
 	if footerOff < int64(len(segMagic))+1 || footerOff >= size-trailerSize {
-		return nil, nil, fmt.Errorf("segment: footer offset %d out of range", footerOff)
+		return nil, 0, 0, fmt.Errorf("segment: footer offset %d out of range", footerOff)
 	}
 	fbuf := data[footerOff : size-trailerSize]
 	if fbuf[0] != footerTag {
-		return nil, nil, fmt.Errorf("segment: bad footer tag 0x%02x", fbuf[0])
+		return nil, 0, 0, fmt.Errorf("segment: bad footer tag 0x%02x", fbuf[0])
 	}
 	plen, n := binary.Uvarint(fbuf[1:])
 	if n <= 0 || plen > maxCount {
-		return nil, nil, errors.New("segment: bad footer length")
+		return nil, 0, 0, errors.New("segment: bad footer length")
 	}
 	payload := fbuf[1+n:]
 	if uint64(len(payload)) != plen {
-		return nil, nil, fmt.Errorf("segment: footer length %d does not match region %d", plen, len(payload))
+		return nil, 0, 0, fmt.Errorf("segment: footer length %d does not match region %d", plen, len(payload))
 	}
 	if crcOf(payload) != crcFooter {
-		return nil, nil, fmt.Errorf("segment: footer %w", trace.ErrChecksum)
+		return nil, 0, 0, fmt.Errorf("segment: footer %w", trace.ErrChecksum)
 	}
 	ftr, err := decodeFooter(payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
 	if crcOf(data[:footerOff]) != crcBody {
-		return nil, nil, fmt.Errorf("segment: body %w", trace.ErrChecksum)
+		return nil, 0, 0, fmt.Errorf("segment: body %w", trace.ErrChecksum)
 	}
 	if string(data[:len(segMagic)]) != segMagic {
-		return nil, nil, fmt.Errorf("segment: bad magic %q", data[:len(segMagic)])
+		return nil, 0, 0, fmt.Errorf("segment: bad magic %q", data[:len(segMagic)])
 	}
 	version, n := binary.Uvarint(data[len(segMagic):footerOff])
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("segment: reading version: %w", trace.ErrTruncated)
+		return nil, 0, 0, fmt.Errorf("segment: reading version: %w", trace.ErrTruncated)
 	}
 	if version != segVersion {
-		return nil, nil, fmt.Errorf("segment: unsupported version %d", version)
+		return nil, 0, 0, fmt.Errorf("segment: unsupported version %d", version)
 	}
-	return ftr, data[len(segMagic)+n : footerOff], nil
+	bodyOff := int64(len(segMagic) + n)
+	return ftr, bodyOff, int(footerOff - bodyOff), nil
 }
 
 // LoadColumns batch-decodes segment i into cols (reusing its
@@ -531,8 +565,15 @@ func (r *Reader) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	body, buf, err := r.frames(i, h)
+	if err != nil {
+		return 0, err
+	}
+	if buf != nil {
+		defer r.bufs.Put(buf)
+	}
 	cols.Reset(s.Count)
-	body, pos := h.body, 0
+	pos := 0
 	for pos < len(body) {
 		if body[pos] != frameTag {
 			return 0, fmt.Errorf("segment: bad frame tag 0x%02x", body[pos])
@@ -619,19 +660,19 @@ func (r *Reader) LoadSegment(i int, buf []trace.Event) ([]trace.Event, error) {
 	return buf, nil
 }
 
-// Close releases every mapped or cached segment image. The Reader
-// must not load segments afterwards.
+// Close releases every mapped segment image. The Reader must not load
+// segments afterwards.
 func (r *Reader) Close() error {
 	var first error
 	for i := range r.handles {
 		h := &r.handles[i]
 		h.once.Do(func() { h.err = errors.New("segment: reader closed") })
-		if h.mapped && h.data != nil {
+		if h.data != nil {
 			if err := munmapFile(h.data); err != nil && first == nil {
 				first = err
 			}
 		}
-		h.data, h.body, h.mapped = nil, nil, false
+		h.data = nil
 	}
 	return first
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"critlock/internal/trace"
@@ -438,6 +440,90 @@ func TestSpillerMergesRuns(t *testing.T) {
 	for _, e := range entries {
 		if len(e.Name()) >= 4 && e.Name()[:4] == "run-" {
 			t.Errorf("run file %s left behind", e.Name())
+		}
+	}
+}
+
+// TestBufferedReadsBounded: a buffered (NoMmap) reader keeps only its
+// segments' offsets, so loading every segment of a directory grows the
+// live heap by at most about two segment images (the pooled read
+// buffer) rather than by the whole encoded trace. The loads decode
+// what the mapped reader decodes, also from concurrent goroutines.
+func TestBufferedReadsBounded(t *testing.T) {
+	tr := sampleTrace(200_000)
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := WriteTrace(dir, tr, Options{SegmentEvents: 8192}); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	r, err := OpenWith(dir, ReadOptions{NoMmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n := r.NumSegments()
+	if n < 16 {
+		t.Fatalf("%d segments, want 16 or more", n)
+	}
+	var image int64
+	for i := 0; i < n; i++ {
+		st, err := os.Stat(filepath.Join(dir, r.Segment(i).Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		image = max(image, st.Size())
+	}
+
+	// Size the columns before measuring: decoded events are not the
+	// growth under test.
+	var cols trace.Columns
+	cols.Reset(8192)
+	// Two collections empty every sync.Pool the writer left behind.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := r.LoadColumns(i, &cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(&cols)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2*image {
+		t.Errorf("loading %d buffered segments grew the heap by %d bytes; want at most %d (two segment images)",
+			n, grew, 2*image)
+	}
+
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got, want trace.Columns
+			if _, err := r.LoadColumns(i, &got); err != nil {
+				errs[i] = err
+				return
+			}
+			if _, err := mapped.LoadColumns(i, &want); err != nil {
+				errs[i] = err
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				errs[i] = fmt.Errorf("segment %d: buffered decode differs from mapped", i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }

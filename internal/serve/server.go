@@ -182,13 +182,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // analyzeParams are the per-request knobs, parsed from the query.
 type analyzeParams struct {
-	segdir      string // server-local segment directory
-	window      int
-	par         int
-	mmap        bool
-	annBudget   int64
-	composition bool
-	clip        bool
+	segdir    string // server-local segment directory
+	window    int
+	par       int
+	mmap      bool
+	annBudget int64
+	clip      bool
 	// hazards runs the dynamic hazard pass and attaches its report
 	// (set by the /v1/hazards endpoint, not a query knob).
 	hazards bool
@@ -203,16 +202,6 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 		mmap:      !defaults.NoMmap,
 		annBudget: defaults.AnnotationBudget,
 		clip:      true,
-	}
-	boolParam := func(name string, dst *bool) error {
-		if v := q.Get(name); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return httpErrorf(http.StatusBadRequest, "bad %s=%q: want a boolean", name, v)
-			}
-			*dst = b
-		}
-		return nil
 	}
 	if v := q.Get("window"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -242,21 +231,24 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 		}
 		p.annBudget = n
 	}
-	for name, dst := range map[string]*bool{
-		"composition": &p.composition, "clip": &p.clip,
-	} {
-		if err := boolParam(name, dst); err != nil {
-			return p, err
+	if v := q.Get("clip"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return p, httpErrorf(http.StatusBadRequest, "bad clip=%q: want a boolean", v)
 		}
+		p.clip = b
 	}
 	return p, nil
 }
 
 // fingerprint folds the options that change analysis output into the
 // cache key; the performance knobs (window, par, mmap, annbudget) do
-// not alter results and are excluded.
+// not alter results and are excluded. Composition is not a knob (every
+// analysis computes it), but "composition=false" stays in the string:
+// it is what every default request's fingerprint has carried, and
+// dropping it would move every cache ID, the goldens' id lines too.
 func (p analyzeParams) fingerprint() string {
-	fp := fmt.Sprintf("clip=%t composition=%t", p.clip, p.composition)
+	fp := fmt.Sprintf("clip=%t composition=false", p.clip)
 	if p.hazards {
 		// Appended conditionally so pre-existing /v1/analyze cache keys
 		// (and the smoke golden) are unchanged.
@@ -419,9 +411,7 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 		},
 		CacheSegments:    params.window,
 		TmpDir:           s.opts.TmpDir,
-		Composition:      params.composition,
 		ParallelSegments: params.par,
-		NoMmap:           !params.mmap,
 		AnnotationBudget: params.annBudget,
 	}
 
