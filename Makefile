@@ -93,9 +93,14 @@ fuzz-smoke:
 # overlap, no goroutine left behind, the validator's error on every
 # invalid trace, passes that never panic on unvalidated events) and
 # the binary decoder's parts (the one-part result and errors, no
-# goroutine left behind).
+# goroutine left behind), and the read-ahead of sequential segment
+# sweeps: TestReadAhead* hold every sweep's output and errors to the
+# sequential reads and leave no decode or goroutine behind, and
+# TestFoldJoinsDecodes (internal/hazard) requires the hazard fold to
+# return with no decode running at any worker count.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead' -count=1 -v
+	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
 	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded' -count=1 -v
 	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v
 	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v

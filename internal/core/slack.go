@@ -57,12 +57,15 @@ type slackTail struct {
 // its thread) and one per wake whose woken event was swept but whose
 // waker was not yet, so beyond pass 1's annotations (9 bytes per event,
 // released segment by segment as the sweep passes) its state is
-// O(threads + pending wakes).
+// O(threads + pending wakes). Both sweeps read through one read-ahead
+// (sweepSource).
 func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 	n := src.NumEvents()
 	if n == 0 {
 		return &SlackAnalysis{}, nil
 	}
+	src, done := sweepSource(src)
+	defer done()
 	skel := src.Skeleton()
 	ann, err := newAnnStore(src, n, "", 0)
 	if err != nil {

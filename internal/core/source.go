@@ -25,7 +25,11 @@ type Config struct {
 	// contiguous segment ranges scanned on their own goroutines (0 or
 	// 1 = one range, the plain forward scan). The head range resolves
 	// everything inline and the rest merge deterministically behind it,
-	// so results are bit-identical at any setting.
+	// so results are bit-identical at any setting. With one range, a
+	// source of 2 or more segments and 128K events or more, on 2 or
+	// more cores, decodes the next segment on a second goroutine while
+	// each pass and the walk work (every source but TraceSource, whose
+	// second core validates).
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Only sources that open a segment directory
@@ -86,7 +90,9 @@ func TraceSource(tr *trace.Trace) Source { return traceSource{tr, validateBeside
 // Run validates first on one core or a small trace. Otherwise the
 // validator runs on its own goroutine beside the passes, which load
 // through memSegments' checks since nothing has vetted their events
-// yet; Run joins it on every return path, and its verdict wins.
+// yet; Run joins it on every return path, and its verdict wins. The
+// passes never read ahead (AnalyzeStream's readAhead) here: from the
+// same trace size on, the second core is the validator's.
 // Either way the observer sees the validate phase once, from this
 // goroutine, with the validator's own duration: before pass1 when it
 // ran first, after pass3 when it ran beside the passes.
@@ -209,17 +215,32 @@ func (m memSegments) verify(first int, cols *trace.Columns) error {
 	return nil
 }
 
-// ForEachEvent calls fn with every event of src in trace order,
-// decoding one segment at a time into a reused column set: the forward
-// sweep behind the timelines and the online predictor.
+// ForEachEvent calls fn with every event of src in trace order: the
+// forward sweep behind the timelines and the online predictor.
 func ForEachEvent(src SegmentSource, fn func(e trace.Event)) error {
+	return ForEachSegment(src, func(cols *trace.Columns) error {
+		for j := range cols.Len() {
+			fn(cols.Event(j))
+		}
+		return nil
+	})
+}
+
+// ForEachSegment calls fn with every segment of src in order, each
+// decoded into one reused column set, and stops at the first error of
+// a load or of fn. On 2 or more cores, for a source of 128K events or
+// more, the next segment decodes on a second goroutine while fn runs;
+// ForEachSegment joins it before it returns.
+func ForEachSegment(src SegmentSource, fn func(cols *trace.Columns) error) error {
+	src, done := sweepSource(src)
+	defer done()
 	var cols trace.Columns
 	for s := 0; s < src.NumSegments(); s++ {
 		if _, err := src.LoadColumns(s, &cols); err != nil {
 			return err
 		}
-		for j := range cols.Len() {
-			fn(cols.Event(j))
+		if err := fn(&cols); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -65,9 +65,18 @@ const DefaultCacheSegments = 4
 // contiguous ranges (stream_par.go). The head range resolves
 // everything inline; ranges after it relay what depends on earlier
 // ranges to a merge that replays it in order. One range is the plain
-// forward scan, and the result is bit-identical at any setting.
+// forward scan, and the result is bit-identical at any setting. With
+// one range, a large source on 2 or more cores decodes the next
+// segment beside each pass (readAhead): passes 1 and 3 read forward and
+// the walk backward.
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
-	return analyzeStream(src, cfg, newObsHook(cfg.Observer, src.NumEvents()))
+	h := newObsHook(cfg.Observer, src.NumEvents())
+	if cfg.ParallelSegments <= 1 {
+		var done func()
+		src, done = sweepSource(src)
+		defer done()
+	}
+	return analyzeStream(src, cfg, h)
 }
 
 // analyzeStream is AnalyzeStream reporting to h, which TraceSource

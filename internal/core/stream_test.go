@@ -508,7 +508,9 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 
 // TestLockErrorsAtAnyParallelism: pass 3 rejects an
 // unpaired release, an unpaired obtain and an obtain with no acquire
-// with the same error at every worker count, whether the bad event lies
+// with the same error at every worker count, with the read-ahead on
+// and off (at one worker the next segment is decoding when the pass
+// fails), whether the bad event lies
 // in the head range, which fails on the spot, or past it, where the
 // merge's replay of the relayed event fails.
 func TestLockErrorsAtAnyParallelism(t *testing.T) {
@@ -567,10 +569,13 @@ func TestLockErrorsAtAnyParallelism(t *testing.T) {
 			}
 			want := fmt.Sprintf("core: event %d: %s", bad, c.want)
 			r := segmented(t, tr, 1, 1, false)
-			for _, par := range []int{1, 2, 8} {
-				_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
-				if err == nil || err.Error() != want {
-					t.Errorf("%s (head=%t), par=%d: err = %v, want %q", c.name, inHead, par, err, want)
+			for _, ahead := range []bool{false, true} {
+				readAhead(t, ahead)
+				for _, par := range []int{1, 2, 8} {
+					_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
+					if err == nil || err.Error() != want {
+						t.Errorf("%s (head=%t), par=%d, read-ahead %t: err = %v, want %q", c.name, inHead, par, ahead, err, want)
+					}
 				}
 			}
 		}

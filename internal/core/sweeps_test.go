@@ -1,0 +1,259 @@
+package core_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"critlock/internal/core"
+	"critlock/internal/hazard"
+	"critlock/internal/report"
+	"critlock/internal/segment"
+	"critlock/internal/trace"
+)
+
+// The sequential segment sweeps — the passes over one range, slack,
+// the hazard fold and the timelines — read through a read-ahead on 2
+// or more cores for sources of 128K events or more. The tests here
+// force it on (SetReadAheadFrom 0) and off (a size beyond every test
+// trace) and hold every output, every error and the goroutine count to
+// the sequential reads.
+
+// readAhead forces the read-ahead on or off until the test ends. On,
+// the test runs with at least two Ps, as the read-ahead needs.
+func readAhead(t *testing.T, on bool) {
+	if on {
+		withCores(t)
+		core.SetReadAheadFrom(t, 0)
+	} else {
+		core.SetReadAheadFrom(t, math.MaxInt)
+	}
+}
+
+// sweepOutputs is everything a sequential sweep produces for one
+// source: the analysis export, slack, both views of the hazard fold
+// (at one worker and at two) and the timelines.
+type sweepOutputs struct {
+	Export     string
+	Slack      *core.SlackAnalysis
+	Hazards    [2]string
+	Edges      [2][]hazard.LockOrderEdge
+	Cycles     [2][][]trace.ObjID
+	Gantt, SVG string
+}
+
+func sweep(t *testing.T, src core.SegmentSource, cfg core.Config) sweepOutputs {
+	t.Helper()
+	an, err := core.AnalyzeStream(src, cfg)
+	if err != nil {
+		t.Fatalf("AnalyzeStream: %v", err)
+	}
+	var out sweepOutputs
+	exp, err := json.Marshal(report.BuildExport("", "", true, an))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Export = string(exp)
+	if out.Slack, err = an.Slack(src); err != nil {
+		t.Fatalf("Slack: %v", err)
+	}
+	for k, workers := range []int{1, 2} {
+		rep, lo, err := hazard.Fold(src, workers)
+		if err != nil {
+			t.Fatalf("Fold(%d): %v", workers, err)
+		}
+		js, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Hazards[k], out.Edges[k], out.Cycles[k] = string(js), lo.Edges, lo.Cycles
+	}
+	if out.Gantt, err = report.Gantt(an, src, 80); err != nil {
+		t.Fatalf("Gantt: %v", err)
+	}
+	if out.SVG, err = report.SVGGantt(an, src, 400); err != nil {
+		t.Fatalf("SVGGantt: %v", err)
+	}
+	return out
+}
+
+// TestReadAheadMatchesSequential: with the read-ahead on, every sweep
+// gives exactly what it gives with it off — at 1-, 16- and 4096-event
+// segments, mapped and buffered reads, walk windows of one segment
+// (every step back to an evicted segment is a miss) and the default,
+// and over an in-memory trace's segments.
+func TestReadAheadMatchesSequential(t *testing.T) {
+	for _, name := range []string{"radiosity", "pipeline", "deadlockprone"} {
+		tr := simTrace(t, name, 0, 1)
+		type source struct {
+			label string
+			src   core.SegmentSource
+		}
+		sources := []source{{"memory", core.TraceSegments(tr)}}
+		for _, segEvents := range []int{1, 16, 4096} {
+			if segEvents == 1 && len(tr.Events) > 3000 {
+				continue // one file per event: small traces only
+			}
+			for _, noMmap := range []bool{false, true} {
+				sources = append(sources, source{fmt.Sprintf("seg%d/nommap=%t", segEvents, noMmap),
+					segmented(t, tr, segEvents, 0, noMmap)})
+			}
+		}
+		for _, s := range sources {
+			for _, cache := range []int{1, 0} {
+				cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: cache}
+				readAhead(t, false)
+				want := sweep(t, s.src, cfg)
+				readAhead(t, true)
+				got := sweep(t, s.src, cfg)
+				if want.Hazards[0] != want.Hazards[1] {
+					t.Errorf("%s %s: hazard reports differ at 1 and 2 workers", name, s.label)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s cache=%d: outputs differ with the read-ahead on", name, s.label, cache)
+				}
+			}
+		}
+	}
+}
+
+// badSegments is tr's in-memory segments with event k of each listed
+// segment moved before its predecessor, which the segment's first load
+// rejects with an error naming the event.
+func badSegments(t *testing.T, tr *trace.Trace, segs ...int) (core.SegmentSource, []string) {
+	t.Helper()
+	bad := *tr
+	bad.Events = append([]trace.Event(nil), tr.Events...)
+	var errs []string
+	for _, s := range segs {
+		i := s*4096 + 100
+		bad.Events[i].T = bad.Events[i-1].T - 1
+		errs = append(errs, fmt.Sprintf("core: event %d out of order", i))
+	}
+	return core.TraceSegments(&bad), errs
+}
+
+// sweepErrors runs every sweep over src and returns their errors.
+func sweepErrors(src core.SegmentSource, an *core.Analysis) []error {
+	_, e1 := core.AnalyzeStream(src, core.Config{Options: core.DefaultOptions()})
+	_, e2 := an.Slack(src)
+	_, _, e3 := hazard.Fold(src, 1)
+	_, _, e4 := hazard.Fold(src, 2)
+	_, e5 := report.Gantt(an, src, 80)
+	return []error{e1, e2, e3, e4, e5}
+}
+
+// TestReadAheadErrorParity: a bad segment k+1 fails every sweep with
+// the text it fails with when nothing reads ahead, and when segments k
+// and k+1 are both bad, the error is k's — the read-ahead of k+1 never
+// replaces it. A corrupt segment file fails the same way on or off.
+func TestReadAheadErrorParity(t *testing.T) {
+	tr := simTrace(t, "radiosity", 0, 1) // five in-memory segments
+	good, err := core.AnalyzeStream(core.TraceSegments(tr), core.Config{Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, src core.SegmentSource, want string) {
+		t.Helper()
+		for _, on := range []bool{false, true} {
+			readAhead(t, on)
+			for k, err := range sweepErrors(src, good) {
+				if err == nil || err.Error() != want {
+					t.Errorf("%s, read-ahead %t, sweep %d: err = %v, want %q", label, on, k, err, want)
+				}
+			}
+		}
+	}
+	src, errs := badSegments(t, tr, 2)
+	check("bad segment 2", src, errs[0])
+	src, errs = badSegments(t, tr, 1, 2)
+	check("bad segments 1 and 2", src, errs[0])
+
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "seg-000003.clsg")
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := segment.OpenWith(dir, segment.ReadOptions{NoMmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	readAhead(t, false)
+	_, want := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions()})
+	if want == nil {
+		t.Fatal("a corrupt segment file analyzed cleanly")
+	}
+	check("corrupt segment file 3", r, want.Error())
+}
+
+// probe is a segment source that counts the loads in progress and
+// fails segment fail or, once loaded, gives the first event of segment
+// bad an invalid kind, which every sweep's own checks reject.
+type probe struct {
+	core.SegmentSource
+	fail, bad int
+	active    atomic.Int32
+}
+
+func (p *probe) LoadColumns(i int, cols *trace.Columns) (int64, error) {
+	p.active.Add(1)
+	defer p.active.Add(-1)
+	if i == p.fail {
+		return 0, fmt.Errorf("segment %d unreadable", i)
+	}
+	time.Sleep(time.Millisecond) // keep the read-ahead busy past the caller's error
+	n, err := p.SegmentSource.LoadColumns(i, cols)
+	if i == p.bad && err == nil {
+		cols.Kind[0] = 0
+	}
+	return n, err
+}
+
+// TestReadAheadGoroutines: no sweep leaves a decode running or a
+// goroutine behind, whether it succeeds, a load fails or its own checks
+// reject an event (the passes' and the hazard machine's).
+func TestReadAheadGoroutines(t *testing.T) {
+	readAhead(t, true)
+	tr := simTrace(t, "radiosity", 0, 1)
+	good, err := core.AnalyzeStream(core.TraceSegments(tr), core.Config{Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name      string
+		fail, bad int
+	}{{"success", -1, -1}, {"load error", 2, -1}, {"rejected event", -1, 2}} {
+		src := &probe{SegmentSource: segmented(t, tr, 1024, 0, false), fail: c.fail, bad: c.bad}
+		for k, err := range sweepErrors(src, good) {
+			// Slack (1) and the timelines (4) pass over events of a
+			// kind they do not know.
+			wantErr := c.fail >= 0 || c.bad >= 0 && k != 1 && k != 4
+			if (err != nil) != wantErr {
+				t.Errorf("%s, sweep %d: err = %v", c.name, k, err)
+			}
+			if n := src.active.Load(); n != 0 {
+				t.Errorf("%s, sweep %d: %d loads still running", c.name, k, n)
+			}
+		}
+		if n := settledGoroutines(base); n != base {
+			t.Errorf("%s: %d goroutines after the sweeps, %d before", c.name, n, base)
+		}
+	}
+}

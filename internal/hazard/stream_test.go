@@ -3,9 +3,14 @@ package hazard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"critlock/internal/core"
 	"critlock/internal/segment"
 	"critlock/internal/trace"
 	"critlock/internal/workloads"
@@ -111,5 +116,76 @@ func TestFromSegmentsAllocs(t *testing.T) {
 	t.Logf("FromTrace pipeline: %.4f allocations per event", perEvent)
 	if perEvent >= 0.2 {
 		t.Errorf("FromTrace on pipeline: %.4f allocations per event, want < 0.2", perEvent)
+	}
+}
+
+// slowSource counts its loads in progress. Loading segment fail errors,
+// segment bad loads with an event of no valid kind (the machine's
+// error), and segment slow takes 50ms.
+type slowSource struct {
+	core.SegmentSource
+	fail, bad, slow int
+	active          atomic.Int32
+}
+
+func (s *slowSource) LoadColumns(i int, cols *trace.Columns) (int64, error) {
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	if i == s.slow {
+		time.Sleep(50 * time.Millisecond)
+	}
+	if i == s.fail {
+		return 0, errors.New("segment unreadable")
+	}
+	n, err := s.SegmentSource.LoadColumns(i, cols)
+	if i == s.bad && err == nil {
+		cols.Kind[0] = 0
+	}
+	return n, err
+}
+
+// TestFoldJoinsDecodes: FromSegments and Fold return only once no
+// segment decode they started is running, at any worker count, when a
+// load fails and when the machine rejects an event — callers unmap the
+// segments right after. (This source is below the read-ahead's size
+// floor; core's TestReadAheadGoroutines folds with it forced on.)
+func TestFoldJoinsDecodes(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	tr := runWorkload(t, "radiosity", workloads.Params{Seed: 1})
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	rdr, err := segment.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdr.Close()
+	for _, c := range []struct {
+		name      string
+		fail, bad int
+		want      string
+	}{
+		{"load error", 2, -1, "segment unreadable"},
+		{"machine error", -1, 2, "hazard: event 2048: invalid kind 0"},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			src := &slowSource{SegmentSource: rdr, fail: c.fail, bad: c.bad, slow: 3}
+			_, err := FromSegments(src, workers)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, FromSegments(%d): err = %v, want %q", c.name, workers, err, c.want)
+			}
+			if n := src.active.Load(); n != 0 {
+				t.Errorf("%s: FromSegments(%d) returned with %d loads running", c.name, workers, n)
+			}
+			_, _, err = Fold(src, workers)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, Fold(%d): err = %v, want %q", c.name, workers, err, c.want)
+			}
+			if n := src.active.Load(); n != 0 {
+				t.Errorf("%s: Fold(%d) returned with %d loads running", c.name, workers, n)
+			}
+		}
 	}
 }
