@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 )
 
 // loadLog is a segment source that records which segments it decoded,
-// in order, and fails loads of segment fail.
+// in order, and fails loads of the segments in fail.
 type loadLog struct {
 	SegmentSource
-	fail  int
+	fail  []int
 	mu    sync.Mutex
 	loads []int
 }
@@ -23,7 +24,7 @@ func (l *loadLog) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 	l.mu.Lock()
 	l.loads = append(l.loads, i)
 	l.mu.Unlock()
-	if i == l.fail {
+	if slices.Contains(l.fail, i) {
 		return 0, fmt.Errorf("segment %d unreadable", i)
 	}
 	return l.SegmentSource.LoadColumns(i, cols)
@@ -35,9 +36,10 @@ func (l *loadLog) took() []int {
 	return append([]int(nil), l.loads...)
 }
 
-// readAheadOver wraps a 6-segment in-memory trace, failing segment
-// fail, in a read-ahead (forced on whatever its size and core count).
-func readAheadOver(t *testing.T, fail int) (*readAhead, *loadLog) {
+// readAheadOver wraps an in-memory trace of segs segments, failing
+// the segments in fail, in a read-ahead (forced on whatever its size
+// and core count).
+func readAheadOver(t *testing.T, segs int, fail ...int) (*readAhead, *loadLog) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -46,7 +48,7 @@ func readAheadOver(t *testing.T, fail int) (*readAhead, *loadLog) {
 	l := b.Mutex("L")
 	b.Start(0, main)
 	at := trace.Time(1)
-	for at < 6*memSegmentEvents-8 {
+	for at < trace.Time(segs*memSegmentEvents-8) {
 		b.CS(main, l, at, at+1, at+2)
 		at += 3
 	}
@@ -56,77 +58,108 @@ func readAheadOver(t *testing.T, fail int) (*readAhead, *loadLog) {
 	src, done := sweepSource(log)
 	t.Cleanup(done)
 	r, ok := src.(*readAhead)
-	if !ok || r.NumSegments() != 6 {
+	if !ok || r.NumSegments() != segs {
 		t.Fatalf("no read-ahead over %d segments", log.NumSegments())
 	}
 	return r, log
 }
 
 // TestReadAheadRuns: a load that continues a run, forward or backward,
-// decodes the next segment in that direction beside the caller, and
-// the caller's next load takes it without decoding again; a load that
-// breaks the run waits for that decode, drops it and loads inline.
-// Every load returns what the source itself returns.
+// keeps the next two segments in that direction decoding beside the
+// caller, and the caller's next loads take them without decoding
+// again; a load that breaks the run joins those decodes, drops them and
+// loads inline (decodes beyond the asks went unused). Every load
+// returns what the source itself returns.
 func TestReadAheadRuns(t *testing.T) {
 	for _, c := range []struct {
-		name      string
-		asks      []int
-		decodes   []int // after the last ask and the join
-		discarded int   // decodes no ask used
+		name    string
+		segs    int
+		asks    []int
+		decodes []int // sorted, after the last ask and the join
 	}{
-		{"forward from 0", []int{0, 1, 2, 3, 4, 5}, []int{0, 1, 2, 3, 4, 5}, 0},
-		{"backward", []int{5, 4, 3, 2, 1, 0}, []int{5, 4, 3, 2, 1, 0}, 0},
-		{"forward then back", []int{2, 3, 2}, []int{2, 3, 4, 2, 1}, 2},
-		{"strides", []int{5, 3, 1}, []int{5, 3, 1}, 0},
-		{"repeats", []int{3, 3, 3}, []int{3, 3, 3}, 0},
+		{"forward from 0", 6, []int{0, 1, 2, 3, 4, 5}, []int{0, 1, 2, 3, 4, 5}},
+		{"backward", 6, []int{5, 4, 3, 2, 1, 0}, []int{0, 1, 2, 3, 4, 5}},
+		{"backward from the end", 6, []int{5, 4}, []int{2, 3, 4, 5}},
+		{"forward then back", 6, []int{2, 3, 2}, []int{0, 1, 2, 2, 3, 4, 5}},
+		{"back then forward", 6, []int{3, 2, 3}, []int{0, 1, 2, 3, 3, 4, 5}},
+		{"strides", 6, []int{5, 3, 1}, []int{1, 3, 5}},
+		{"repeats", 6, []int{3, 3, 3}, []int{3, 3, 3}},
+		{"two forward", 2, []int{0, 1}, []int{0, 1}},
+		{"two backward", 2, []int{1, 0}, []int{0, 1}},
+		{"two turning", 2, []int{0, 1, 0}, []int{0, 0, 1}},
+		{"three forward", 3, []int{0, 1, 2}, []int{0, 1, 2}},
+		{"three backward", 3, []int{2, 1, 0}, []int{0, 1, 2}},
+		{"three turning", 3, []int{0, 1, 0}, []int{0, 0, 1, 2}},
+		{"three strided", 3, []int{0, 2, 0}, []int{0, 0, 1, 2, 2}},
 	} {
-		r, log := readAheadOver(t, -1)
-		var got, want trace.Columns
-		for _, i := range c.asks {
-			if _, err := r.LoadColumns(i, &got); err != nil {
-				t.Fatal(err)
+		t.Run(c.name, func(t *testing.T) {
+			r, log := readAheadOver(t, c.segs)
+			var got, want trace.Columns
+			for _, i := range c.asks {
+				if _, err := r.LoadColumns(i, &got); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := log.SegmentSource.LoadColumns(i, &want); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("segment %d differs from a direct load", i)
+				}
 			}
-			if _, err := log.SegmentSource.LoadColumns(i, &want); err != nil {
-				t.Fatal(err)
+			r.wait()
+			d := log.took()
+			slices.Sort(d)
+			if !reflect.DeepEqual(d, c.decodes) {
+				t.Errorf("decoded %v, want %v", d, c.decodes)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: segment %d differs from a direct load", c.name, i)
-			}
-		}
-		r.wait()
-		if d := log.took(); !reflect.DeepEqual(d, c.decodes) {
-			t.Errorf("%s: decoded %v, want %v", c.name, d, c.decodes)
-		}
-		if n := len(log.took()) - len(c.asks); n != c.discarded {
-			t.Errorf("%s: %d decodes unused, want %d", c.name, n, c.discarded)
-		}
+		})
 	}
 }
 
 // TestReadAheadErrors: a read-ahead's error reaches the caller only
-// when the caller asks for that segment, and a failed load starts no
-// read-ahead.
+// when the caller asks for that segment, whether it is the nearest
+// decode in flight or the one after it; the segments before it come
+// first with their own results, and a failed load starts no read-ahead.
 func TestReadAheadErrors(t *testing.T) {
-	r, log := readAheadOver(t, 2)
-	var cols trace.Columns
-	for _, i := range []int{0, 1} { // the load of 1 reads 2 ahead
-		if _, err := r.LoadColumns(i, &cols); err != nil {
-			t.Fatalf("segment %d: %v", i, err)
-		}
-	}
-	if _, err := r.LoadColumns(4, &cols); err != nil {
-		t.Fatalf("segment 4 after a failed read-ahead of 2: %v", err)
-	}
-	if _, err := r.LoadColumns(1, &cols); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LoadColumns(2, &cols); err == nil || err.Error() != "segment 2 unreadable" {
-		t.Fatalf("segment 2: err = %v", err)
-	}
-	if r.next >= 0 {
-		t.Errorf("segment %d reads ahead after a failed load", r.next)
-	}
-	if d, want := log.took(), []int{0, 1, 2, 4, 1, 2}; !reflect.DeepEqual(d, want) {
-		t.Errorf("decoded %v, want %v", d, want)
+	for _, c := range []struct {
+		name    string
+		fail    []int
+		asks    []int
+		errs    []int // the asks, by position, that fail
+		decodes []int // sorted, after the last ask and the join
+	}{
+		// Segment 0's load reads 1 and 2 ahead; a good load of 1 reads
+		// 3 ahead, a failed one nothing.
+		{"k+1 fails", []int{1}, []int{0, 1}, []int{1}, []int{0, 1, 2}},
+		{"k+2 fails", []int{2}, []int{0, 1, 2}, []int{2}, []int{0, 1, 2, 3}},
+		{"k+1 and k+2 fail", []int{1, 2}, []int{0, 1}, []int{1}, []int{0, 1, 2}},
+		{"k+2 fails, k+1 asked", []int{2}, []int{0, 1}, nil, []int{0, 1, 2, 3}},
+		// A failed read-ahead of 2 is dropped when the run breaks, and
+		// 2 fails again when it is asked for.
+		{"dropped", []int{2}, []int{0, 1, 4, 1, 2}, []int{4}, []int{0, 1, 1, 2, 2, 3, 4}},
+		// Backward: the load of 4 after 5 reads 3 and 2 ahead.
+		{"backward k-2 fails", []int{2}, []int{5, 4, 3, 2}, []int{3}, []int{1, 2, 3, 4, 5}},
+		{"first load fails", []int{0}, []int{0}, []int{0}, []int{0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, log := readAheadOver(t, 6, c.fail...)
+			var cols trace.Columns
+			for k, i := range c.asks {
+				_, err := r.LoadColumns(i, &cols)
+				if !slices.Contains(c.errs, k) {
+					if err != nil {
+						t.Fatalf("ask %d (segment %d): %v", k, i, err)
+					}
+				} else if want := fmt.Sprintf("segment %d unreadable", i); err == nil || err.Error() != want {
+					t.Fatalf("ask %d (segment %d): err = %v, want %q", k, i, err, want)
+				}
+			}
+			r.wait()
+			d := log.took()
+			slices.Sort(d)
+			if !reflect.DeepEqual(d, c.decodes) {
+				t.Errorf("decoded %v, want %v", d, c.decodes)
+			}
+		})
 	}
 }

@@ -27,9 +27,9 @@ type Config struct {
 	// everything inline and the rest merge deterministically behind it,
 	// so results are bit-identical at any setting. With one range, a
 	// source of 2 or more segments and 128K events or more, on 2 or
-	// more cores, decodes the next segment on a second goroutine while
-	// each pass and the walk work (every source but TraceSource, whose
-	// second core validates).
+	// more cores, decodes the next two segments on helper goroutines
+	// while each pass and the walk work (every source but TraceSource,
+	// whose second core validates).
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Only sources that open a segment directory
@@ -216,11 +216,18 @@ func (m memSegments) verify(first int, cols *trace.Columns) error {
 }
 
 // ForEachEvent calls fn with every event of src in trace order: the
-// forward sweep behind the timelines and the online predictor.
+// forward sweep behind the timelines and the online predictor. It
+// reads each segment's columns directly, sliced to one length so the
+// loop has no bounds checks, and refills one Event per event.
 func ForEachEvent(src SegmentSource, fn func(e trace.Event)) error {
 	return ForEachSegment(src, func(cols *trace.Columns) error {
-		for j := range cols.Len() {
-			fn(cols.Event(j))
+		T := cols.T
+		n := len(T)
+		Seq, Th, K, O, A := cols.Seq[:n], cols.Thread[:n], cols.Kind[:n], cols.Obj[:n], cols.Arg[:n]
+		var e trace.Event
+		for j, t := range T {
+			e.T, e.Seq, e.Thread, e.Kind, e.Obj, e.Arg = t, Seq[j], trace.ThreadID(Th[j]), trace.EventKind(K[j]), trace.ObjID(O[j]), A[j]
+			fn(e)
 		}
 		return nil
 	})
@@ -229,8 +236,8 @@ func ForEachEvent(src SegmentSource, fn func(e trace.Event)) error {
 // ForEachSegment calls fn with every segment of src in order, each
 // decoded into one reused column set, and stops at the first error of
 // a load or of fn. On 2 or more cores, for a source of 128K events or
-// more, the next segment decodes on a second goroutine while fn runs;
-// ForEachSegment joins it before it returns.
+// more, the next two segments decode on helper goroutines while fn
+// runs; ForEachSegment joins them before it returns.
 func ForEachSegment(src SegmentSource, fn func(cols *trace.Columns) error) error {
 	src, done := sweepSource(src)
 	defer done()

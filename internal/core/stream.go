@@ -66,9 +66,9 @@ const DefaultCacheSegments = 4
 // everything inline; ranges after it relay what depends on earlier
 // ranges to a merge that replays it in order. One range is the plain
 // forward scan, and the result is bit-identical at any setting. With
-// one range, a large source on 2 or more cores decodes the next
-// segment beside each pass (readAhead): passes 1 and 3 read forward and
-// the walk backward.
+// one range, a large source on 2 or more cores decodes the next two
+// segments beside each pass (readAhead): passes 1 and 3 read forward
+// and the walk backward.
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	h := newObsHook(cfg.Observer, src.NumEvents())
 	if cfg.ParallelSegments <= 1 {

@@ -509,7 +509,7 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 // TestLockErrorsAtAnyParallelism: pass 3 rejects an
 // unpaired release, an unpaired obtain and an obtain with no acquire
 // with the same error at every worker count, with the read-ahead on
-// and off (at one worker the next segment is decoding when the pass
+// and off (at one worker the next segments are decoding when the pass
 // fails), whether the bad event lies
 // in the head range, which fails on the spot, or past it, where the
 // merge's replay of the relayed event fails.

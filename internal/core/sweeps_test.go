@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"critlock/internal/report"
 	"critlock/internal/segment"
 	"critlock/internal/trace"
+	"critlock/internal/tracetest"
 )
 
 // The sequential segment sweeps — the passes over one range, slack,
@@ -203,21 +205,24 @@ func TestReadAheadErrorParity(t *testing.T) {
 }
 
 // probe is a segment source that counts the loads in progress and
-// fails segment fail or, once loaded, gives the first event of segment
-// bad an invalid kind, which every sweep's own checks reject.
+// their peak, and fails segment fail or, once loaded, gives the first
+// event of segment bad an invalid kind, which every sweep's own checks
+// reject.
 type probe struct {
 	core.SegmentSource
-	fail, bad int
-	active    atomic.Int32
+	fail, bad    int
+	active, peak atomic.Int32
 }
 
 func (p *probe) LoadColumns(i int, cols *trace.Columns) (int64, error) {
-	p.active.Add(1)
+	a := p.active.Add(1)
+	for m := p.peak.Load(); a > m && !p.peak.CompareAndSwap(m, a); m = p.peak.Load() {
+	}
 	defer p.active.Add(-1)
+	time.Sleep(time.Millisecond) // keep the read-ahead busy past the caller's error
 	if i == p.fail {
 		return 0, fmt.Errorf("segment %d unreadable", i)
 	}
-	time.Sleep(time.Millisecond) // keep the read-ahead busy past the caller's error
 	n, err := p.SegmentSource.LoadColumns(i, cols)
 	if i == p.bad && err == nil {
 		cols.Kind[0] = 0
@@ -227,7 +232,8 @@ func (p *probe) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 
 // TestReadAheadGoroutines: no sweep leaves a decode running or a
 // goroutine behind, whether it succeeds, a load fails or its own checks
-// reject an event (the passes' and the hazard machine's).
+// reject an event (the passes' and the hazard machine's). The sweeps
+// keep two decodes in flight at once, never more, and join both.
 func TestReadAheadGoroutines(t *testing.T) {
 	readAhead(t, true)
 	tr := simTrace(t, "radiosity", 0, 1)
@@ -252,8 +258,132 @@ func TestReadAheadGoroutines(t *testing.T) {
 				t.Errorf("%s, sweep %d: %d loads still running", c.name, k, n)
 			}
 		}
+		if n := src.peak.Load(); n != 2 {
+			t.Errorf("%s: at most %d loads ran at once, want 2", c.name, n)
+		}
 		if n := settledGoroutines(base); n != base {
 			t.Errorf("%s: %d goroutines after the sweeps, %d before", c.name, n, base)
 		}
 	}
+}
+
+// rawSegments views a trace's events as per-event segments and loads
+// them with no check at all, so the hazard machine meets every bad
+// event itself.
+type rawSegments struct {
+	tr  *trace.Trace
+	per int
+}
+
+func (r rawSegments) Skeleton() *trace.Trace {
+	return &trace.Trace{Threads: r.tr.Threads, Objects: r.tr.Objects, Meta: r.tr.Meta}
+}
+func (r rawSegments) NumEvents() int   { return len(r.tr.Events) }
+func (r rawSegments) NumSegments() int { return (len(r.tr.Events) + r.per - 1) / r.per }
+func (r rawSegments) SegmentBounds(i int) (first, count int) {
+	return i * r.per, min(r.per, len(r.tr.Events)-i*r.per)
+}
+func (r rawSegments) LoadColumns(i int, cols *trace.Columns) (int64, error) {
+	first, count := r.SegmentBounds(i)
+	cols.Reset(count)
+	cols.AppendEvents(r.tr.Events[first : first+count])
+	return 0, nil
+}
+
+// TestFoldColumnsParity: the hazard fold, which steps the machine
+// straight from each segment's columns, fails on a bad kind, an
+// out-of-range thread and a time inversion at the first, a middle and
+// the last event of a segment with the text FromTrace gives on the same
+// events — at 1-, 16- and 4096-event segments, with the read-ahead on
+// and off — and gives FromTrace's report on the good trace.
+func TestFoldColumnsParity(t *testing.T) {
+	tr := simTrace(t, "radiosity", 0, 1)
+	want, err := hazard.FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breaks := []struct {
+		name   string
+		mutate func(e *trace.Event, prev trace.Event)
+	}{
+		{"bad kind", func(e *trace.Event, _ trace.Event) { e.Kind = trace.EvSelect + 1 }},
+		{"thread out of range", func(e *trace.Event, _ trace.Event) { e.Thread = trace.ThreadID(len(tr.Threads)) }},
+		{"time inversion", func(e *trace.Event, prev trace.Event) { e.T = prev.T - 1 }},
+	}
+	for _, per := range []int{1, 16, 4096} {
+		if len(tr.Events) < 3*per {
+			t.Fatalf("%d events: too few for three %d-event segments", len(tr.Events), per)
+		}
+		for _, on := range []bool{false, true} {
+			readAhead(t, on)
+			rep, err := hazard.FromSegments(rawSegments{tr, per}, 1)
+			if err != nil {
+				t.Fatalf("per=%d read-ahead %t: %v", per, on, err)
+			}
+			if js, _ := json.Marshal(rep); string(js) != string(wantJSON) {
+				t.Errorf("per=%d read-ahead %t: report differs from FromTrace", per, on)
+			}
+		}
+		for _, at := range []struct {
+			name string
+			off  int
+		}{{"first", 0}, {"middle", per / 2}, {"last", per - 1}} {
+			for _, b := range breaks {
+				i := 2*per + at.off // segment 2
+				bad := *tr
+				bad.Events = slices.Clone(tr.Events)
+				b.mutate(&bad.Events[i], bad.Events[i-1])
+				_, err := hazard.FromTrace(&bad)
+				if err == nil {
+					t.Fatalf("FromTrace accepted a %s at event %d", b.name, i)
+				}
+				for _, on := range []bool{false, true} {
+					readAhead(t, on)
+					src := rawSegments{&bad, per}
+					_, got := hazard.FromSegments(src, 1)
+					_, _, got2 := hazard.Fold(src, 1)
+					for _, g := range []error{got, got2} {
+						if g == nil || g.Error() != err.Error() {
+							t.Errorf("per=%d %s at the %s event, read-ahead %t: err = %v, want %q", per, b.name, at.name, on, g, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+var forEachSum trace.Time
+
+// BenchmarkForEachEvent reports the forward event sweep behind the
+// timelines and the predictor, in ns per event, over a 2M-event
+// segment directory of the benchmark's mixed_2m program (64K-event
+// segments, memory-mapped; on 2 or more cores the read-ahead decodes
+// beside the sweep).
+func BenchmarkForEachEvent(b *testing.B) {
+	tr, err := tracetest.Mixed(2_000_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := filepath.Join(b.TempDir(), "segs")
+	if err := segment.WriteTrace(dir, tr, segment.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	r, err := segment.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := core.ForEachEvent(r, func(e trace.Event) { forEachSum += e.T }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.NumEvents()), "ns/event")
 }

@@ -9,12 +9,12 @@ import (
 // materializing it. Segments decode one at a time into a reused
 // trace.Columns and the machine steps the events straight from the
 // columns, in trace order (the hazard rules are order-dependent). On 2
-// or more cores the next segment decodes on a second goroutine while
-// the machine folds the current one, for sources of 128K events or
-// more (core.ForEachSegment); that goroutine is joined before
-// FromSegments returns, on every path. workers is not read: one
-// decoder keeps up with the machine. The report is bit-identical at
-// any worker count and to FromTrace on the same events.
+// or more cores the next two segments decode on helper goroutines
+// while the machine folds the current one, for sources of 128K events
+// or more (core.ForEachSegment); both are joined before FromSegments
+// returns, on every path. workers is not read. The report is
+// bit-identical at any worker count and to FromTrace on the same
+// events.
 func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 	m, err := fold(src)
 	if err != nil {
@@ -51,10 +51,16 @@ func fold(src core.SegmentSource) (*machine, error) {
 	return m, nil
 }
 
-// stepColumns folds one decoded segment into the machine.
+// stepColumns folds one decoded segment into the machine. It reads the
+// columns directly, sliced to one length so the loop has no bounds
+// checks, and refills one reused Event for each step.
 func (m *machine) stepColumns(cols *trace.Columns) error {
-	for j := range cols.Len() {
-		e := cols.Event(j)
+	T := cols.T
+	n := len(T)
+	Seq, Th, K, O, A := cols.Seq[:n], cols.Thread[:n], cols.Kind[:n], cols.Obj[:n], cols.Arg[:n]
+	var e trace.Event
+	for j, t := range T {
+		e.T, e.Seq, e.Thread, e.Kind, e.Obj, e.Arg = t, Seq[j], trace.ThreadID(Th[j]), trace.EventKind(K[j]), trace.ObjID(O[j]), A[j]
 		if err := m.step(&e); err != nil {
 			return err
 		}
