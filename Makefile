@@ -99,7 +99,7 @@ fuzz-smoke:
 # TestFoldJoinsDecodes (internal/hazard) requires the hazard fold to
 # return with no decode running at any worker count.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference' -count=1 -v
 	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
 	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded' -count=1 -v
 	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v

@@ -115,10 +115,12 @@ func WithTmpDir(dir string) Option {
 }
 
 // WithParallelSegments runs passes 1 and 3 over disjoint segment
-// ranges on up to n goroutines, merged deterministically (0 or 1 =
-// sequential). Results are bit-identical at any setting; the source
-// must support concurrent segment loads (segment directories and
-// in-memory traces do).
+// ranges on up to n goroutines, merged deterministically. At 0 or 1,
+// pass 1 is sequential and pass 3 splits into one range per core
+// (GOMAXPROCS) on a source of 128K events or more, given 2 or more
+// cores, and is sequential otherwise. Results are bit-identical at any
+// setting; the source must support concurrent segment loads (segment
+// directories and in-memory traces do).
 func WithParallelSegments(n int) Option {
 	return func(c *core.Config) { c.ParallelSegments = n }
 }

@@ -25,6 +25,7 @@ import (
 	"critlock/internal/segment"
 	"critlock/internal/sim"
 	"critlock/internal/trace"
+	"critlock/internal/tracetest"
 	"critlock/internal/workloads"
 )
 
@@ -207,9 +208,22 @@ func BenchmarkAnalyzeLargeTrace(b *testing.B) {
 // sub-benchmark runs the same passes over the event slice through
 // TraceSource (validation, in-memory segments) for comparison. The
 // segmented side's working set is bounded by the walk window plus the
-// critical-path output.
+// critical-path output. The stream and inmemory cases run a lock
+// convoy (largeTrace); mixed/stream and mixed/inmemory run the
+// benchmark's mixed_2m program (tracetest.Mixed), whose channels,
+// conds and barrier give pass 1 its waker pairing to do.
 func BenchmarkAnalyzeStream2M(b *testing.B) {
-	tr := largeTrace(2_000_000)
+	mixed, err := tracetest.Mixed(2_000_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	analyzeStream2M(b, "", largeTrace(2_000_000))
+	analyzeStream2M(b, "mixed/", mixed)
+}
+
+// analyzeStream2M runs BenchmarkAnalyzeStream2M's stream and inmemory
+// cases over tr, named with prefix.
+func analyzeStream2M(b *testing.B, prefix string, tr *trace.Trace) {
 	dir := b.TempDir()
 	if err := segment.WriteTrace(dir, tr, segment.Options{}); err != nil {
 		b.Fatal(err)
@@ -219,7 +233,7 @@ func BenchmarkAnalyzeStream2M(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer r.Close()
-	b.Run("stream", func(b *testing.B) {
+	b.Run(prefix+"stream", func(b *testing.B) {
 		cfg := core.Config{Options: core.Options{ClipHold: true}}
 		b.ReportAllocs()
 		b.SetBytes(int64(len(tr.Events)))
@@ -240,7 +254,7 @@ func BenchmarkAnalyzeStream2M(b *testing.B) {
 		}
 		b.ReportMetric(peak, "peak-B")
 	})
-	b.Run("inmemory", func(b *testing.B) {
+	b.Run(prefix+"inmemory", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(tr.Events)))
 		peak := measurePeakHeap(b, func() {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +20,18 @@ import (
 func withCores(t *testing.T) {
 	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// besideSplit is withCores with the read-ahead's gate lowered too, so
+// the passes beside the validator read ahead and split pass 3 as they
+// do on a large trace; it fails the test unless pass 3 of tr splits.
+func besideSplit(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	withCores(t)
+	core.SetReadAheadFrom(t, 0)
+	if n := core.Pass3Ranges(core.TraceSegments(tr), core.Config{}); n < 2 {
+		t.Fatalf("pass 3 runs as %d range", n)
+	}
 }
 
 // phaseLog is an observer with no locking of its own: run under -race,
@@ -37,13 +51,14 @@ func (l *phaseLog) PhaseDone(phase string, d time.Duration) {
 func (l *phaseLog) OnProgress(p obs.Progress) { l.last = p.Phase }
 
 // TestValidateBesideObserver: when validation runs beside the passes,
-// the observer still sees the validate phase once, after pass3, with
-// the validator's own duration, and its callbacks never overlap. A
-// trace the validator rejects reports the validate phase's start and
-// the validator's error.
+// which read ahead and split pass 3 at the default configuration, the
+// observer still sees the validate phase once, after pass3, with the
+// validator's own duration, and its callbacks never overlap. A trace
+// the validator rejects reports the validate phase's start and the
+// validator's error.
 func TestValidateBesideObserver(t *testing.T) {
-	withCores(t)
 	tr := simTrace(t, "uts", 6, 1) // more than three in-memory segments
+	besideSplit(t, tr)
 	for _, par := range []int{1, 2} {
 		log := &phaseLog{took: map[string]time.Duration{}}
 		opts := core.DefaultOptions()
@@ -93,25 +108,45 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// TestValidateBesideGoroutines: the validator's goroutine never
-// outlives the analysis, whether the trace is accepted, rejected by
-// the validator, or rejected by the passes first.
+// TestValidateBesideGoroutines: neither the validator's goroutine nor
+// a decode or a pass-3 range outlives the analysis, whether the trace
+// is accepted, rejected by the validator alone, or rejected by the
+// passes too — in pass 1 or in a pass-3 range past the head.
 func TestValidateBesideGoroutines(t *testing.T) {
-	withCores(t)
 	tr := simTrace(t, "uts", 6, 1)
-	invalid := *tr
-	invalid.Events = append([]trace.Event(nil), tr.Events...)
-	invalid.Events[len(tr.Events)/2].Thread = trace.ThreadID(len(tr.Threads)) // the passes fail too
+	besideSplit(t, tr)
+	mutated := func(mutate func(e []trace.Event)) *trace.Trace {
+		bad := *tr
+		bad.Events = append([]trace.Event(nil), tr.Events...)
+		mutate(bad.Events)
+		return &bad
+	}
+	last := len(tr.Events) - 1
+	dropExit := *tr
+	dropExit.Events = tr.Events[:last] // a thread never exits: the validator alone fails
+	badThread := mutated(func(e []trace.Event) { e[len(e)/2].Thread = trace.ThreadID(len(tr.Threads)) })
+	// A release with no hold among the last 4,096 events: pass 3's last
+	// range relays it and the merge fails.
+	orphan := last - 4096 + slices.IndexFunc(tr.Events[last-4096:], func(e trace.Event) bool { return e.Kind == trace.EvLockAcquire })
+	badRelease := mutated(func(e []trace.Event) { e[orphan].Kind = trace.EvLockRelease })
 
+	cfg := core.Config{Options: core.DefaultOptions()}
 	base := runtime.NumGoroutine()
 	for _, c := range []struct {
-		name string
-		tr   *trace.Trace
-		ok   bool
-	}{{"valid", tr, true}, {"invalid", &invalid, false}} {
-		_, err := core.AnalyzeSource(core.TraceSourceBesideFrom(c.tr, 1), core.Config{Options: core.DefaultOptions()})
+		name   string
+		tr     *trace.Trace
+		ok     bool
+		passes string // the passes' own error, without the validator
+	}{{"valid", tr, true, ""}, {"validator rejects", &dropExit, false, ""},
+		{"pass 1 rejects", badThread, false, "out of range"},
+		{"pass 3 rejects", badRelease, false, fmt.Sprintf("core: event %d: release of", orphan)}} {
+		_, err := core.AnalyzeSource(core.TraceSourceBesideFrom(c.tr, 1), cfg)
 		if (err == nil) != c.ok {
 			t.Fatalf("%s: err = %v", c.name, err)
+		}
+		if _, perr := core.AnalyzeStream(core.TraceSegments(c.tr), cfg); (perr == nil) != (c.passes == "") ||
+			perr != nil && !strings.Contains(perr.Error(), c.passes) {
+			t.Fatalf("%s: the passes alone give %v, want %q", c.name, perr, c.passes)
 		}
 		if n := settledGoroutines(base); n != base {
 			t.Errorf("%s: %d goroutines after Analyze, %d before", c.name, n, base)

@@ -20,3 +20,11 @@ func SetReadAheadFrom(t testing.TB, n int) {
 	readAheadFrom = n
 	t.Cleanup(func() { readAheadFrom = prev })
 }
+
+// Pass3Ranges is how many ranges the analysis splits pass 3 of src
+// into under cfg.
+func Pass3Ranges(src SegmentSource, cfg Config) int { return pass3Ranges(src, cfg) }
+
+// ReadAheadDepth is how many segment decodes a sequential sweep keeps
+// running beside its caller.
+const ReadAheadDepth = readAheadDepth

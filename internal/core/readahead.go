@@ -55,17 +55,23 @@ type decode struct {
 	done  chan struct{}
 }
 
+// spareCores reports whether work on src can go to more cores than
+// the caller's: 2 or more Ps, 2 or more segments, and readAheadFrom
+// events or more. Sequential sweeps read ahead from there on, and the
+// analysis splits pass 3 into ranges (pass3Ranges).
+func spareCores(src SegmentSource) bool {
+	return runtime.GOMAXPROCS(0) >= 2 && src.NumSegments() >= 2 && src.NumEvents() >= readAheadFrom
+}
+
 // sweepSource returns src wrapped in a read-ahead when a sequential
-// sweep over it can use a second core: 2 or more Ps, 2 or more
-// segments, and readAheadFrom events or more. Otherwise it returns
-// src. The caller runs the returned func when its sweeps are done, on
-// every path; it joins the decodes still in flight.
+// sweep over it can use a second core (spareCores). Otherwise it
+// returns src. The caller runs the returned func when its sweeps are
+// done, on every path; it joins the decodes still in flight.
 func sweepSource(src SegmentSource) (SegmentSource, func()) {
-	n := src.NumSegments()
-	if runtime.GOMAXPROCS(0) < 2 || n < 2 || src.NumEvents() < readAheadFrom {
+	if !spareCores(src) {
 		return src, func() {}
 	}
-	r := &readAhead{SegmentSource: src, n: n, last: -1}
+	r := &readAhead{SegmentSource: src, n: src.NumSegments(), last: -1}
 	return r, r.wait
 }
 
@@ -123,4 +129,17 @@ func (r *readAhead) wait() {
 		r.idle = append(r.idle, d)
 	}
 	r.ahead = r.ahead[:0]
+}
+
+// columnSets joins every decode in flight and hands over the column
+// sets of all the read-ahead's decodes, which it no longer uses; a
+// later load decodes into fresh ones.
+func (r *readAhead) columnSets() []*trace.Columns {
+	r.wait()
+	sets := make([]*trace.Columns, len(r.idle))
+	for k, d := range r.idle {
+		sets[k] = &d.cols
+	}
+	r.idle = nil
+	return sets
 }

@@ -22,14 +22,14 @@ type Config struct {
 	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
 	TmpDir string
 	// ParallelSegments splits passes 1 and 3 into up to this many
-	// contiguous segment ranges scanned on their own goroutines (0 or
-	// 1 = one range, the plain forward scan). The head range resolves
-	// everything inline and the rest merge deterministically behind it,
-	// so results are bit-identical at any setting. With one range, a
-	// source of 2 or more segments and 128K events or more, on 2 or
-	// more cores, decodes the next two segments on helper goroutines
-	// while each pass and the walk work (every source but TraceSource,
-	// whose second core validates).
+	// contiguous segment ranges scanned on their own goroutines. The
+	// head range resolves everything inline and the rest merge
+	// deterministically behind it, so results are bit-identical at any
+	// setting. At 0 or 1, pass 1 is one range, the plain forward scan;
+	// on a source of 2 or more segments and 128K events or more, on 2
+	// or more cores, the next two segments decode on helper goroutines
+	// while pass 1 and the walk work, and pass 3 splits into one range
+	// per core (GOMAXPROCS).
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Only sources that open a segment directory
@@ -91,8 +91,10 @@ func TraceSource(tr *trace.Trace) Source { return traceSource{tr, validateBeside
 // validator runs on its own goroutine beside the passes, which load
 // through memSegments' checks since nothing has vetted their events
 // yet; Run joins it on every return path, and its verdict wins. The
-// passes never read ahead (AnalyzeStream's readAhead) here: from the
-// same trace size on, the second core is the validator's.
+// passes read ahead and split pass 3 as they do over any source
+// (AnalyzeStream): a validator that finishes before pass 3 leaves its
+// core to the pass's ranges, and the read-ahead moves the copies out
+// of the event slice off the pass goroutine.
 // Either way the observer sees the validate phase once, from this
 // goroutine, with the validator's own duration: before pass1 when it
 // ran first, after pass3 when it ran beside the passes.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -61,22 +62,32 @@ const DefaultCacheSegments = 4
 //  3. forward again — TYPE 1/TYPE 2 metric accumulation, streaming
 //     invocations per thread in acquire order against the walked path.
 //
-// Passes 1 and 3 split the segments into cfg.ParallelSegments
-// contiguous ranges (stream_par.go). The head range resolves
-// everything inline; ranges after it relay what depends on earlier
-// ranges to a merge that replays it in order. One range is the plain
-// forward scan, and the result is bit-identical at any setting. With
-// one range, a large source on 2 or more cores decodes the next two
-// segments beside each pass (readAhead): passes 1 and 3 read forward
-// and the walk backward.
+// Passes 1 and 3 split the segments into contiguous ranges
+// (stream_par.go). The head range resolves everything inline; ranges
+// after it relay what depends on earlier ranges to a merge that
+// replays it in order. One range is the plain forward scan, and the
+// result is bit-identical at any range count. cfg.ParallelSegments
+// above 1 sets the count for both passes. Otherwise, on a source of 2
+// or more segments and 128K events or more, on 2 or more cores, pass 1
+// and the walk each run as one range with the next two segments
+// decoding beside them (readAhead), and pass 3 splits into one range
+// per core (pass3Ranges).
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
-	h := newObsHook(cfg.Observer, src.NumEvents())
-	if cfg.ParallelSegments <= 1 {
-		var done func()
-		src, done = sweepSource(src)
-		defer done()
+	return analyzeStream(src, cfg, newObsHook(cfg.Observer, src.NumEvents()))
+}
+
+// pass3Ranges is how many ranges pass 3 splits src into under cfg:
+// cfg.ParallelSegments' count when it is above 1, one range per P when
+// the source has cores to spare (spareCores), and one range otherwise.
+// Pass 1 splits only on request: its later ranges relay every channel
+// and cond event to the merge, which on channel-heavy traces costs
+// more than the split saves, while pass 3's relay only what crosses a
+// range's head.
+func pass3Ranges(src SegmentSource, cfg Config) int {
+	if cfg.ParallelSegments <= 1 && spareCores(src) {
+		return min(runtime.GOMAXPROCS(0), src.NumSegments())
 	}
-	return analyzeStream(src, cfg, h)
+	return max(1, min(cfg.ParallelSegments, src.NumSegments()))
 }
 
 // analyzeStream is AnalyzeStream reporting to h, which TraceSource
@@ -94,6 +105,13 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	}
 	workers := max(1, min(cfg.ParallelSegments, src.NumSegments()))
 	skel := src.Skeleton()
+	// Pass 1 and the walk read sweep: src behind a read-ahead when they
+	// run as one range and the source has cores to spare.
+	sweep, join := src, func() {}
+	if workers == 1 {
+		sweep, join = sweepSource(src)
+	}
+	defer join()
 
 	ann, err := newAnnStore(src, n, cfg.TmpDir, cfg.AnnotationBudget)
 	if err != nil {
@@ -107,14 +125,14 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	// (and zeroing) its own.
 	cols := new(trace.Columns)
 	start := h.phaseStart("pass1")
-	p1, err := pass1(src, skel, ann, workers, h, cols)
+	p1, err := pass1(sweep, skel, ann, workers, h, cols)
 	if err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass1", time.Since(start), int64(n))
 
 	start = h.phaseStart("walk")
-	loader := newSegLoader(src, ann, cfg.CacheSegments, cols)
+	loader := newSegLoader(sweep, ann, cfg.CacheSegments, cols)
 	loader.hook = h
 	cp, err := streamWalk(loader, p1, n)
 	if err != nil {
@@ -122,9 +140,17 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	}
 	h.phaseDone("walk", time.Since(start), -1)
 
+	// Pass 3's ranges load concurrently, and a read-ahead serves one
+	// goroutine: join its decodes and read src itself. The head range
+	// decodes into the walk's spare column set, later ranges into the
+	// read-ahead's.
+	cols3 := []*trace.Columns{loader.spare}
+	if r, ok := sweep.(*readAhead); ok {
+		cols3 = append(cols3, r.columnSets()...)
+	}
 	start = h.phaseStart("pass3")
 	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp}
-	if err := pass3(src, skel, ann, p1, an, cfg, workers, h, loader.spare); err != nil {
+	if err := pass3(src, skel, ann, p1, an, cfg, pass3Ranges(src, cfg), h, cols3); err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass3", time.Since(start), int64(n))

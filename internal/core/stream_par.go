@@ -319,9 +319,9 @@ type p3Range struct {
 // acquire order as their critical sections close. Every folded quantity
 // is an integer sum, maximum or bool (floats happen once, in
 // finalizeMetrics) and hot intervals normalize in mergeIntervals — so
-// the output is bit-identical at any worker count. The head range
-// decodes into cols.
-func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook, cols *trace.Columns) error {
+// the output is bit-identical at any worker count. Range k decodes
+// into cols[k] when there is one, a fresh column set otherwise.
+func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result, an *Analysis, cfg Config, workers int, h *obsHook, cols []*trace.Columns) error {
 	nThreads := len(skel.Threads)
 	threads := initStreamThreads(an, skel, p1)
 	an.hotByLock = map[trace.ObjID][]interval{}
@@ -338,12 +338,15 @@ func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result,
 			}
 		}
 	}
+	for len(cols) < len(ranges) {
+		cols = append(cols, new(trace.Columns))
+	}
 	par.Chunks(src.NumSegments(), workers, func(chunk, lo, hi int) {
 		r := &ranges[chunk]
 		if chunk == 0 {
-			r.err = r.scan(src, ann, lo, hi, true, h, cols)
+			r.err = r.scan(src, ann, lo, hi, true, h, cols[0])
 		} else {
-			r.err = r.scan(src, ann, lo, hi, false, nil, new(trace.Columns))
+			r.err = r.scan(src, ann, lo, hi, false, nil, cols[chunk])
 		}
 	})
 	for i := range ranges {

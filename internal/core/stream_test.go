@@ -1,18 +1,22 @@
 package core_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"critlock/internal/core"
 	"critlock/internal/livetrace"
+	"critlock/internal/report"
 	"critlock/internal/segment"
 	"critlock/internal/sim"
 	"critlock/internal/trace"
+	"critlock/internal/tracetest"
 	"critlock/internal/workloads"
 )
 
@@ -310,6 +314,98 @@ func TestTraceSourceSegmentBoundaries(t *testing.T) {
 	}
 }
 
+// TestDefaultSplitMatchesReference: at the default configuration, a
+// source with cores to spare (the gate lowered to every size) splits
+// pass 3 into one range per P, and the analysis equals the reference
+// and the one-range analysis with the gate closed: the same export
+// bytes, slack, composition and hot windows. It covers mapped and
+// buffered segment directories, resident and spilled annotations,
+// TraceSource validating first and beside the passes, and one P, where
+// nothing splits.
+func TestDefaultSplitMatchesReference(t *testing.T) {
+	mixed, err := tracetest.Mixed(40_000, 1) // channels, a cond, an RWMutex, a barrier
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		tr   *trace.Trace
+	}{{"radiosity", simTrace(t, "radiosity", 8, 1)}, {"uts", simTrace(t, "uts", 6, 1)}, {"mixed", mixed}} {
+		tr := w.tr
+		if n := len(tr.Events); n < 3*4096 {
+			t.Fatalf("%s: %d events, too few for three in-memory segments", w.name, n)
+		}
+		ref := core.ReferenceAnalysis(tr, core.DefaultOptions())
+		mapped := segmented(t, tr, len(tr.Events)/9+1, 16, false)
+		buffered := segmented(t, tr, len(tr.Events)/9+1, 16, true)
+		for _, s := range []struct {
+			label string
+			src   core.Source
+			segs  core.SegmentSource // what the passes read
+		}{
+			{"segdir", core.StreamSource(mapped), mapped},
+			{"segdir nommap", core.StreamSource(buffered), buffered},
+			{"trace validating first", core.TraceSource(tr), core.TraceSegments(tr)},
+			{"trace validating beside", core.TraceSourceBesideFrom(tr, 1), core.TraceSegments(tr)},
+		} {
+			for _, budget := range []int64{0, -1} {
+				label := fmt.Sprintf("%s %s budget=%d", w.name, s.label, budget)
+				cfg := core.Config{Options: core.DefaultOptions(), AnnotationBudget: budget}
+				readAhead(t, false)
+				one := defaultSplitRun(t, s.src, s.segs, cfg, 1, label)
+				readAhead(t, true)
+				split := defaultSplitRun(t, s.src, s.segs, cfg, min(runtime.GOMAXPROCS(0), s.segs.NumSegments()), label)
+				requireIdentical(t, ref, split.an)
+				if split.export != one.export || !reflect.DeepEqual(split.slack, one.slack) {
+					t.Errorf("%s: export or slack differ split and in one range", label)
+				}
+				if !reflect.DeepEqual(split.an.Windows(5), one.an.Windows(5)) || split.an.Composition() != one.an.Composition() {
+					t.Errorf("%s: windows or composition differ split and in one range", label)
+				}
+				prev := runtime.GOMAXPROCS(1)
+				single := defaultSplitRun(t, s.src, s.segs, cfg, 1, label+" one P")
+				runtime.GOMAXPROCS(prev)
+				if single.export != one.export || !reflect.DeepEqual(single.slack, one.slack) {
+					t.Errorf("%s: export or slack differ on one P", label)
+				}
+				if t.Failed() {
+					t.Fatalf("divergence at %s", label)
+				}
+			}
+		}
+	}
+}
+
+// splitRun is one analysis with what TestDefaultSplitMatchesReference
+// compares of it.
+type splitRun struct {
+	an     *core.Analysis
+	export string
+	slack  *core.SlackAnalysis
+}
+
+// defaultSplitRun analyzes src under cfg, after checking that pass 3
+// splits segs into ranges ranges, and computes the export and slack.
+func defaultSplitRun(t *testing.T, src core.Source, segs core.SegmentSource, cfg core.Config, ranges int, label string) splitRun {
+	t.Helper()
+	if got := core.Pass3Ranges(segs, cfg); got != ranges {
+		t.Fatalf("%s: pass 3 splits into %d ranges, want %d", label, got, ranges)
+	}
+	an, err := core.AnalyzeSource(src, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	exp, err := json.Marshal(report.BuildExport("", "", true, an))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slack, err := an.Slack(segs)
+	if err != nil {
+		t.Fatalf("%s: slack: %v", label, err)
+	}
+	return splitRun{an, string(exp), slack}
+}
+
 // chanHandoffTrace puts a blocked buffered send and a blocked receive
 // of a closed channel on the critical path, which the sim workloads do
 // not: main's second send on the one-slot channel c waits for worker
@@ -509,10 +605,10 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 // TestLockErrorsAtAnyParallelism: pass 3 rejects an
 // unpaired release, an unpaired obtain and an obtain with no acquire
 // with the same error at every worker count, with the read-ahead on
-// and off (at one worker the next segments are decoding when the pass
-// fails), whether the bad event lies
-// in the head range, which fails on the spot, or past it, where the
-// merge's replay of the relayed event fails.
+// and off (on, the default configuration splits pass 3 into one range
+// per P), whether the bad event lies in the head range, which fails on
+// the spot, or past it, where the merge's replay of the relayed event
+// fails.
 func TestLockErrorsAtAnyParallelism(t *testing.T) {
 	const pad = 64 // padding critical sections, three events each
 	cases := []struct {
@@ -572,7 +668,11 @@ func TestLockErrorsAtAnyParallelism(t *testing.T) {
 			for _, ahead := range []bool{false, true} {
 				readAhead(t, ahead)
 				for _, par := range []int{1, 2, 8} {
-					_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
+					cfg := core.Config{Options: core.DefaultOptions(), ParallelSegments: par}
+					if ranges := core.Pass3Ranges(r, cfg); par == 1 && ahead && (ranges < 2 || ranges > 8) {
+						t.Fatalf("the default configuration splits pass 3 into %d ranges, want 2 to 8", ranges)
+					}
+					_, err := core.AnalyzeStream(r, cfg)
 					if err == nil || err.Error() != want {
 						t.Errorf("%s (head=%t), par=%d, read-ahead %t: err = %v, want %q", c.name, inHead, par, ahead, err, want)
 					}

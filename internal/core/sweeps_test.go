@@ -142,14 +142,29 @@ func badSegments(t *testing.T, tr *trace.Trace, segs ...int) (core.SegmentSource
 	return core.TraceSegments(&bad), errs
 }
 
+// sweeps returns every sweep over src, each reporting its error: the
+// analysis at the default configuration (0), slack (1), the hazard fold
+// at one and two workers (2, 3) and the timelines (4).
+func sweeps(src core.SegmentSource, an *core.Analysis) []func() error {
+	return []func() error{
+		func() error {
+			_, err := core.AnalyzeStream(src, core.Config{Options: core.DefaultOptions()})
+			return err
+		},
+		func() error { _, err := an.Slack(src); return err },
+		func() error { _, _, err := hazard.Fold(src, 1); return err },
+		func() error { _, _, err := hazard.Fold(src, 2); return err },
+		func() error { _, err := report.Gantt(an, src, 80); return err },
+	}
+}
+
 // sweepErrors runs every sweep over src and returns their errors.
 func sweepErrors(src core.SegmentSource, an *core.Analysis) []error {
-	_, e1 := core.AnalyzeStream(src, core.Config{Options: core.DefaultOptions()})
-	_, e2 := an.Slack(src)
-	_, _, e3 := hazard.Fold(src, 1)
-	_, _, e4 := hazard.Fold(src, 2)
-	_, e5 := report.Gantt(an, src, 80)
-	return []error{e1, e2, e3, e4, e5}
+	var errs []error
+	for _, run := range sweeps(src, an) {
+		errs = append(errs, run())
+	}
+	return errs
 }
 
 // TestReadAheadErrorParity: a bad segment k+1 fails every sweep with
@@ -232,10 +247,15 @@ func (p *probe) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 
 // TestReadAheadGoroutines: no sweep leaves a decode running or a
 // goroutine behind, whether it succeeds, a load fails or its own checks
-// reject an event (the passes' and the hazard machine's). The sweeps
-// keep two decodes in flight at once, never more, and join both.
+// reject an event (the passes' and the hazard machine's). Every sweep
+// keeps exactly ReadAheadDepth decodes in flight at its peak, never
+// more, and joins them; the analysis's peak is pass 3's range count,
+// one per P (three here), once pass 3 runs, and the read-ahead's when
+// pass 1 fails first.
 func TestReadAheadGoroutines(t *testing.T) {
 	readAhead(t, true)
+	prev := runtime.GOMAXPROCS(3)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	tr := simTrace(t, "radiosity", 0, 1)
 	good, err := core.AnalyzeStream(core.TraceSegments(tr), core.Config{Options: core.DefaultOptions()})
 	if err != nil {
@@ -247,7 +267,13 @@ func TestReadAheadGoroutines(t *testing.T) {
 		fail, bad int
 	}{{"success", -1, -1}, {"load error", 2, -1}, {"rejected event", -1, 2}} {
 		src := &probe{SegmentSource: segmented(t, tr, 1024, 0, false), fail: c.fail, bad: c.bad}
-		for k, err := range sweepErrors(src, good) {
+		ranges := core.Pass3Ranges(src, core.Config{Options: core.DefaultOptions()})
+		if ranges != 3 {
+			t.Fatalf("pass 3 splits into %d ranges at 3 Ps, want 3", ranges)
+		}
+		for k, run := range sweeps(src, good) {
+			src.peak.Store(0)
+			err := run()
 			// Slack (1) and the timelines (4) pass over events of a
 			// kind they do not know.
 			wantErr := c.fail >= 0 || c.bad >= 0 && k != 1 && k != 4
@@ -257,9 +283,16 @@ func TestReadAheadGoroutines(t *testing.T) {
 			if n := src.active.Load(); n != 0 {
 				t.Errorf("%s, sweep %d: %d loads still running", c.name, k, n)
 			}
-		}
-		if n := src.peak.Load(); n != 2 {
-			t.Errorf("%s: at most %d loads ran at once, want 2", c.name, n)
+			// The load error fails pass 1; the rejected event, an
+			// acquire whose obtain pass 3 then finds orphaned, fails
+			// pass 3's head range while the other ranges run on.
+			want := int32(core.ReadAheadDepth)
+			if k == 0 && c.fail < 0 {
+				want = int32(ranges)
+			}
+			if n := src.peak.Load(); n != want {
+				t.Errorf("%s, sweep %d: %d loads ran at once at the peak, want %d", c.name, k, n, want)
+			}
 		}
 		if n := settledGoroutines(base); n != base {
 			t.Errorf("%s: %d goroutines after the sweeps, %d before", c.name, n, base)

@@ -58,7 +58,9 @@ type Options struct {
 	Window int
 	// ParallelSegments is the default worker count for the streaming
 	// forward passes, overridable per request (?par=N). 0 or 1 =
-	// sequential; results are identical at any setting.
+	// pass 1 sequential, pass 3 one range per core on a trace of 128K
+	// events or more (core.Config.ParallelSegments); results are
+	// identical at any setting.
 	ParallelSegments int
 	// NoMmap disables memory-mapping segment files by default,
 	// overridable per request (?mmap=BOOL).
