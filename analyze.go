@@ -114,9 +114,9 @@ func WithTmpDir(dir string) Option {
 	return func(c *core.Config) { c.TmpDir = dir }
 }
 
-// WithParallelSegments runs passes 1 and 3 over disjoint segment
-// ranges on up to n goroutines, merged deterministically. At 0 or 1,
-// pass 1 is sequential and pass 3 splits into one range per core
+// WithParallelSegments runs pass 3 over disjoint segment ranges on up
+// to n goroutines, merged deterministically; pass 1 is always one
+// sequential range. At 0 or 1, pass 3 splits into one range per core
 // (GOMAXPROCS) on a source of 128K events or more, given 2 or more
 // cores, and is sequential otherwise. Results are bit-identical at any
 // setting; the source must support concurrent segment loads (segment

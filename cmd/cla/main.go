@@ -123,7 +123,7 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 	var hazRep *hazard.Report
 	var lo *hazard.LockOrder
 	if *hazards || *lockOrder {
-		rep, order, err := hazard.Fold(src, *parSeg)
+		rep, order, err := hazard.Fold(src)
 		if err != nil {
 			return fmt.Errorf("hazard analysis of %s: %w", name, err)
 		}

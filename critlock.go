@@ -183,7 +183,7 @@ type LockOrder = hazard.LockOrder
 // LockOrderOf builds the acquisition-order graph (A→B when a thread
 // acquired B while holding A) of src and detects inversion cycles.
 func LockOrderOf(src SegmentReader) (*LockOrder, error) {
-	_, lo, err := hazard.Fold(src, 1)
+	_, lo, err := hazard.Fold(src)
 	return lo, err
 }
 

@@ -1,8 +1,9 @@
 // Package cliflags registers the flags every cla* command spells the
 // same way, so the tools agree on names, defaults and usage text:
 // -segdir (segmented trace directory), -window (streaming walk
-// residency), -spill (collector spill threshold) and -j (parallel
-// workers). Commands register only the subset they support.
+// residency), -spill (collector spill threshold), -j (parallel
+// workers), -par (pass 3's segment ranges), -mmap, -annbudget and
+// -tests. Commands register only the subset they support.
 package cliflags
 
 import (
@@ -33,10 +34,12 @@ func Jobs(fs *flag.FlagSet) *int {
 	return fs.Int("j", runtime.NumCPU(), "parallel workers")
 }
 
-// Par registers -par: how many goroutines the streaming analysis runs
-// its forward passes on. Results are bit-identical at any setting.
+// Par registers -par: how many segment ranges the streaming analysis
+// splits pass 3 into (at 1, the default, one per core on a large
+// source); pass 1 is always one range. Results are bit-identical at
+// any setting.
 func Par(fs *flag.FlagSet) *int {
-	return fs.Int("par", 1, "parallel segment-range workers for streaming passes (results identical at any setting)")
+	return fs.Int("par", 1, "segment ranges for the streaming analysis's pass 3 (1 = one per core on a large source; results identical at any setting)")
 }
 
 // Mmap registers -mmap: whether segment files are memory-mapped (the

@@ -54,9 +54,10 @@ const DefaultAnnotationBudget int64 = 256 << 20
 // all-or-nothing and known up front, so both modes behave identically —
 // including the patches that land after deferred wakers resolve.
 //
-// Concurrency: shard/commit touch only segment s's slots, so parallel
-// pass-1 workers over disjoint segment ranges never race; patches and
-// reads happen in single-threaded phases.
+// Concurrency: pass 1 writes (shard, commit, patch) from one goroutine
+// and finishes before anything reads. Pass 3's ranges read and release
+// concurrently, each touching only its own segments' slots, so they
+// never race.
 type annStore struct {
 	firsts []int // global first event index per segment
 	counts []int
@@ -156,9 +157,8 @@ func (a *annStore) segOf(idx int32) int {
 	return sort.SearchInts(a.firsts, int(idx)+1) - 1
 }
 
-// patch overwrites the waker and flags of record idx (its prev is
-// patched only by patchPrev). Only valid after the owning shard was
-// committed.
+// patch overwrites the waker and flags of record idx (never its prev).
+// Only valid after the owning shard was committed.
 func (a *annStore) patch(idx int32, waker int32, flags byte) error {
 	if a.inMemory() {
 		s := a.segOf(idx)
@@ -173,23 +173,6 @@ func (a *annStore) patch(idx int32, waker int32, flags byte) error {
 		return fmt.Errorf("core: patching annotation %d: %w", idx, err)
 	}
 	if _, err := a.f.WriteAt([]byte{flags}, int64(a.n)*annLinkSize+int64(idx)); err != nil {
-		return fmt.Errorf("core: patching annotation %d: %w", idx, err)
-	}
-	return nil
-}
-
-// patchPrev overwrites the prev link of record idx — the cross-range
-// stitch pass 1's merge applies.
-func (a *annStore) patchPrev(idx int32, prev int32) error {
-	if a.inMemory() {
-		s := a.segOf(idx)
-		off := (int(idx) - a.firsts[s]) * annLinkSize
-		binary.LittleEndian.PutUint32(a.links[s][off:off+4], uint32(prev))
-		return nil
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(prev))
-	if _, err := a.f.WriteAt(b[:], int64(idx)*annLinkSize); err != nil {
 		return fmt.Errorf("core: patching annotation %d: %w", idx, err)
 	}
 	return nil

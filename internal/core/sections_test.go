@@ -177,7 +177,7 @@ func checkLockOrder(t *testing.T, tr *trace.Trace) {
 	t.Helper()
 	want := lockOrderOracle(tr)
 	for label, src := range sectionSources(t, tr) {
-		_, lo, err := hazard.Fold(src, 1)
+		_, lo, err := hazard.Fold(src)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -73,7 +73,7 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 	}
 	defer ann.remove()
 	cols := new(trace.Columns)
-	if _, err := pass1(src, skel, ann, 1, nil, cols); err != nil {
+	if _, err := pass1(src, skel, ann, nil, cols); err != nil {
 		return nil, err
 	}
 

@@ -286,7 +286,7 @@ func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) 
 		return nil, nil, nil, err
 	}
 	defer ann.remove()
-	if _, err := pass1(src, src.Skeleton(), ann, 1, nil, new(trace.Columns)); err != nil {
+	if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
 		return nil, nil, nil, err
 	}
 	prev, waker, blocked = make([]int32, n), make([]int32, n), make([]bool, n)

@@ -21,15 +21,15 @@ type Config struct {
 	CacheSegments int
 	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
 	TmpDir string
-	// ParallelSegments splits passes 1 and 3 into up to this many
-	// contiguous segment ranges scanned on their own goroutines. The
-	// head range resolves everything inline and the rest merge
-	// deterministically behind it, so results are bit-identical at any
-	// setting. At 0 or 1, pass 1 is one range, the plain forward scan;
-	// on a source of 2 or more segments and 128K events or more, on 2
-	// or more cores, the next two segments decode on helper goroutines
-	// while pass 1 and the walk work, and pass 3 splits into one range
-	// per core (GOMAXPROCS).
+	// ParallelSegments splits pass 3 into up to this many contiguous
+	// segment ranges scanned on their own goroutines. The head range
+	// resolves everything inline and the rest merge deterministically
+	// behind it, so results are bit-identical at any setting. Pass 1 is
+	// always one range, the plain forward scan. At 0 or 1, pass 3
+	// splits into one range per core (GOMAXPROCS) on a source of 2 or
+	// more segments and 128K events or more, on 2 or more cores; on
+	// such a source, at any setting, the next two segments decode on
+	// helper goroutines while pass 1 and the walk work.
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Only sources that open a segment directory
@@ -322,9 +322,9 @@ func (h *obsHook) phaseDone(name string, d time.Duration, events int64) {
 
 // scanned records one segment load of n events (bytes encoded body
 // bytes, 0 if unknown) and emits a snapshot. Must be called from one
-// goroutine at a time: a pass's head range reports each segment as it
-// goes, and the later ranges accumulate locally and report through
-// scannedBulk after their barrier.
+// goroutine at a time: pass 1, the walk and pass 3's head range report
+// each segment as they go, and pass 3's later ranges accumulate
+// locally and report through scannedBulk after their barrier.
 func (h *obsHook) scanned(n int, bytes int64) {
 	if h == nil {
 		return
@@ -335,8 +335,8 @@ func (h *obsHook) scanned(n int, bytes int64) {
 	h.o.OnProgress(h.p)
 }
 
-// scannedBulk folds the later ranges' totals into the snapshot in one
-// step — they must not touch the hook concurrently.
+// scannedBulk folds pass 3's later ranges' totals into the snapshot in
+// one step — they must not touch the hook concurrently.
 func (h *obsHook) scannedBulk(segments int, events int64, bytes int64) {
 	if h == nil {
 		return

@@ -62,16 +62,14 @@ const DefaultCacheSegments = 4
 //  3. forward again — TYPE 1/TYPE 2 metric accumulation, streaming
 //     invocations per thread in acquire order against the walked path.
 //
-// Passes 1 and 3 split the segments into contiguous ranges
-// (stream_par.go). The head range resolves everything inline; ranges
-// after it relay what depends on earlier ranges to a merge that
-// replays it in order. One range is the plain forward scan, and the
-// result is bit-identical at any range count. cfg.ParallelSegments
-// above 1 sets the count for both passes. Otherwise, on a source of 2
-// or more segments and 128K events or more, on 2 or more cores, pass 1
-// and the walk each run as one range with the next two segments
-// decoding beside them (readAhead), and pass 3 splits into one range
-// per core (pass3Ranges).
+// Pass 1 and the walk are one range each; pass 3 splits the segments
+// into contiguous ranges (stream_par.go), and the result is
+// bit-identical at any range count. On a source of 2 or more segments
+// and 128K events or more, on 2 or more cores, pass 1 and the walk read
+// with the next two segments decoding beside them (readAhead).
+// cfg.ParallelSegments above 1 sets pass 3's range count; otherwise
+// pass 3 splits into one range per core on such a source
+// (pass3Ranges).
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	return analyzeStream(src, cfg, newObsHook(cfg.Observer, src.NumEvents()))
 }
@@ -79,10 +77,7 @@ func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 // pass3Ranges is how many ranges pass 3 splits src into under cfg:
 // cfg.ParallelSegments' count when it is above 1, one range per P when
 // the source has cores to spare (spareCores), and one range otherwise.
-// Pass 1 splits only on request: its later ranges relay every channel
-// and cond event to the merge, which on channel-heavy traces costs
-// more than the split saves, while pass 3's relay only what crosses a
-// range's head.
+// It is the analysis's only range count: pass 1 is always one range.
 func pass3Ranges(src SegmentSource, cfg Config) int {
 	if cfg.ParallelSegments <= 1 && spareCores(src) {
 		return min(runtime.GOMAXPROCS(0), src.NumSegments())
@@ -103,14 +98,10 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	if cfg.CacheSegments <= 0 {
 		cfg.CacheSegments = DefaultCacheSegments
 	}
-	workers := max(1, min(cfg.ParallelSegments, src.NumSegments()))
 	skel := src.Skeleton()
-	// Pass 1 and the walk read sweep: src behind a read-ahead when they
-	// run as one range and the source has cores to spare.
-	sweep, join := src, func() {}
-	if workers == 1 {
-		sweep, join = sweepSource(src)
-	}
+	// Pass 1 and the walk read sweep: src behind a read-ahead when the
+	// source has cores to spare.
+	sweep, join := sweepSource(src)
 	defer join()
 
 	ann, err := newAnnStore(src, n, cfg.TmpDir, cfg.AnnotationBudget)
@@ -119,13 +110,13 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	}
 	defer ann.remove()
 
-	// Column sets pass from pass 1's head range to the walk's first
-	// window and from the walk's largest window to pass 3's head range,
-	// so each pass reuses the last one's capacity instead of allocating
-	// (and zeroing) its own.
+	// Column sets pass from pass 1 to the walk's first window and from
+	// the walk's largest window to pass 3's head range, so each pass
+	// reuses the last one's capacity instead of allocating (and
+	// zeroing) its own.
 	cols := new(trace.Columns)
 	start := h.phaseStart("pass1")
-	p1, err := pass1(sweep, skel, ann, workers, h, cols)
+	p1, err := pass1(sweep, skel, ann, h, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +173,92 @@ func newPass1Result(nThreads int) *pass1Result {
 	return p1
 }
 
+// pass1 is the forward waker-resolution pass, one scan in trace order:
+// one annotation record per event written to per-segment shards,
+// deferred resolutions applied as patches after the scan. It keeps
+// O(threads + objects + one decoded segment), and the sync machine adds
+// O(open barrier episodes + waiting cond threads), so the working set
+// is independent of trace length. Segments decode into cols.
+func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
+	nThreads, nObjs := len(skel.Threads), len(skel.Objects)
+	p1 := newPass1Result(nThreads)
+	sync := newPass1Sync(skel, p1)
+	lastOf, lastRel := filled(nThreads, -1), filled(nObjs, -1)
+	sawEvents := false
+	var lkScratch, flScratch []byte
+	for s := 0; s < src.NumSegments(); s++ {
+		first, _ := src.SegmentBounds(s)
+		bytes, err := src.LoadColumns(s, cols)
+		if err != nil {
+			return nil, err
+		}
+		count := cols.Len()
+		lk, fl := ann.shard(s, lkScratch, flScratch)
+		cT, cSeq, cTh, cKind, cObj, cArg := cols.T, cols.Seq, cols.Thread, cols.Kind, cols.Obj, cols.Arg
+		for k := 0; k < count; k++ {
+			gi := int32(first + k)
+			th := cTh[k]
+			if th < 0 || int(th) >= nThreads {
+				return nil, fmt.Errorf("core: event %d references thread %d out of range", gi, th)
+			}
+			kind := trace.EventKind(cKind[k])
+			obj := cObj[k]
+			if uint32(obj) >= uint32(nObjs) && indexesObj(kind) {
+				return nil, fmt.Errorf("core: event %d: %s references object %d out of range", gi, kind, obj)
+			}
+			rec := annRec{prev: lastOf[th], waker: -1}
+			lastOf[th] = gi
+
+			switch kind {
+			case trace.EvLockObtain:
+				if cArg[k]&trace.LockArgContended != 0 {
+					rec.flags |= annBlocked
+					rec.waker = lastRel[obj]
+				}
+			case trace.EvLockRelease:
+				lastRel[obj] = gi
+			default:
+				if isSyncKind(kind) {
+					sync.step(gi, kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cSeq[k], &rec)
+				}
+			}
+
+			putAnnLink(lk[k*annLinkSize:], rec.prev, rec.waker)
+			fl[k] = rec.flags
+		}
+		if count > 0 {
+			if !sawEvents {
+				p1.firstT, sawEvents = cT[0], true
+			}
+			p1.lastT = cT[count-1]
+		}
+		spilled, err := ann.commit(s, lk, fl)
+		if err != nil {
+			return nil, err
+		}
+		if !ann.inMemory() {
+			lkScratch, flScratch = lk, fl
+		}
+		h.spilled(spilled)
+		h.scanned(count, bytes)
+	}
+	for _, p := range sync.finish() {
+		if err := ann.patch(p.idx, p.waker, annBlocked); err != nil {
+			return nil, err
+		}
+	}
+	return p1, nil
+}
+
+// filled returns n copies of v.
+func filled(n int, v int32) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
 // barEpisode tracks one barrier episode until its wakers resolve.
 type barEpisode struct {
 	lastArrive       int32
@@ -220,11 +297,9 @@ type annPatch struct {
 
 // pass1Sync is the waker state machine for every synchronization kind
 // whose resolution needs global order: thread lifecycle, barriers,
-// conds, channels and joins. Pass 1's head range steps it inline; the
-// merge then replays the (rare) sync events the later ranges relayed,
-// in global order, so it steps every sync event in trace order at any
-// range count. Lock release→obtain wakers are NOT handled here — every range
-// resolves them locally (see pass1).
+// conds, channels and joins. Pass 1 steps it inline on every sync
+// event, in trace order. Lock release→obtain wakers are NOT handled
+// here — pass 1 resolves them against each lock's latest release.
 type pass1Sync struct {
 	skel         *trace.Trace
 	p1           *pass1Result
@@ -468,8 +543,7 @@ func indexesObj(kind trace.EventKind) bool {
 }
 
 // isSyncKind reports whether kind routes through pass1Sync. Lock
-// events are excluded: obtain wakers resolve against lastRelease
-// within each range.
+// events are excluded: obtain wakers resolve against lastRelease.
 func isSyncKind(kind trace.EventKind) bool {
 	switch kind {
 	case trace.EvThreadStart, trace.EvThreadExit, trace.EvThreadCreate,

@@ -7,272 +7,27 @@ import (
 	"critlock/internal/trace"
 )
 
-// Passes 1 and 3 split the segments into contiguous ranges, one per
-// worker, and scan the ranges concurrently. Range 0, the head range,
-// starts from the empty state a forward scan starts from, so it settles
-// everything on the spot: it steps pass 1's sync machine itself, and in
-// pass 3 a thread's first event is its first in the trace. Ranges 1..k
-// start blind to the events before them; they settle what their own
-// events decide and relay the rest. A sequential merge then takes the
-// head range's final state as the global state and replays ranges 1..k
-// into it in order. With one worker there is only the head range, and
-// nothing is relayed or replayed. The merge is exact, not approximate,
-// because everything crossing a range boundary is either
+// Pass 3 splits the segments into contiguous ranges, one per worker,
+// and scans the ranges concurrently. (Pass 1 is one forward scan in
+// trace order, in stream.go.) Range 0, the head range, starts from the
+// empty state a forward scan starts from, so a thread's first event in
+// it is its first in the trace and it settles everything on the spot.
+// Ranges 1..k start blind to the events before them; they settle what
+// their own events decide and relay the rest. A sequential merge then
+// takes the head range's final state as the global state and replays
+// ranges 1..k into it in order. With one worker there is only the head
+// range, and nothing is relayed or replayed. The merge is exact, not
+// approximate, because everything crossing a range boundary is either
 //
-//   - resolvable locally with a carried prefix (lock wakers: the waker
-//     of a contended obtain is the latest earlier release, so an
-//     in-range release settles it and only range-head obtains wait for
-//     the carry), or
 //   - rare enough to relay verbatim and replay in global order through
-//     the same code the head range runs (thread lifecycle, barriers,
-//     condition variables, channels, joins — pass1Sync; orphaned
-//     obtain/release pairs and first-in-range accounting — p3Range), or
+//     the same code the head range runs (a thread's first event in the
+//     range, cond-wait ends whose begin lies earlier, and obtains or
+//     releases whose acquire does — p3Range), or
 //   - commutative (per-lock sums, maxima and bools fold in fixed range
 //     order; hot intervals are normalized by mergeIntervals).
 //
 // The walk stays sequential: it is a pointer chase along the critical
 // path with no independent subproblems.
-
-// syncEv relays one synchronization event from a pass-1 range to the
-// merge replay.
-type syncEv struct {
-	idx    int32
-	t      trace.Time
-	seq    uint64
-	arg    int64
-	obj    trace.ObjID
-	thread trace.ThreadID
-	kind   trace.EventKind
-}
-
-// boundaryObtain is a contended obtain whose waker (the latest earlier
-// release of its lock) lies before its range.
-type boundaryObtain struct {
-	idx int32
-	obj trace.ObjID
-}
-
-// p1Range is one pass-1 range's output. The head range relays nothing:
-// boundary and sync stay empty and firstOfThread nil.
-type p1Range struct {
-	err           error
-	firstT, lastT trace.Time
-	hasEvents     bool
-	firstOfThread []int32 // thread's first in-range event (prev patched at merge)
-	lastOfThread  []int32 // carry-out prev-chain tails
-	lastRelease   []int32 // carry-out last release per lock, -1 = none
-	boundary      []boundaryObtain
-	sync          []syncEv
-	segments      int
-	events        int64
-	bytes         int64
-	spilled       int64
-}
-
-// filled returns n copies of v.
-func filled(n int, v int32) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-// pass1 is the forward waker-resolution pass: one annotation record per
-// event written to per-segment shards, deferred resolutions applied as
-// patches. Each range keeps O(threads + objects + one decoded segment);
-// the sync machine adds O(open barrier episodes + waiting cond
-// threads), and ranges after the head add their relayed sync events.
-// With one worker the working set is independent of trace length.
-//
-// The head range decodes into cols.
-func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, workers int, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
-	p1 := newPass1Result(len(skel.Threads))
-	sync := newPass1Sync(skel, p1)
-	ranges := make([]p1Range, workers)
-	par.Chunks(src.NumSegments(), workers, func(chunk, lo, hi int) {
-		r := &ranges[chunk]
-		if chunk == 0 {
-			// Only the head range touches the sync machine and the hook
-			// while the ranges run; the merge takes both over after.
-			r.err = r.scan(src, skel, ann, lo, hi, sync, h, cols)
-		} else {
-			r.err = r.scan(src, skel, ann, lo, hi, nil, nil, new(trace.Columns))
-		}
-	})
-	for i := range ranges {
-		if ranges[i].err != nil {
-			return nil, ranges[i].err
-		}
-	}
-
-	// Merge: the head range's tails are the global state after it.
-	// Later ranges, in order: boundary obtains resolve against the
-	// carried release tails, sync events replay through the machine,
-	// prev chains stitch across the boundary.
-	hr := &ranges[0]
-	lastOf, lastRel := hr.lastOfThread, hr.lastRelease
-	p1.firstT, p1.lastT = hr.firstT, hr.lastT
-	sawEvents := hr.hasEvents
-	segments := 0
-	var events, bytes, spilled int64
-	for ri := 1; ri < len(ranges); ri++ {
-		r := &ranges[ri]
-		for th, fi := range r.firstOfThread {
-			if fi >= 0 && lastOf[th] >= 0 {
-				if err := ann.patchPrev(fi, lastOf[th]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// Boundary obtains saw no in-range release, so they all resolve
-		// against the pre-range state — no interleaving with the
-		// range's own releases is needed.
-		for _, b := range r.boundary {
-			if w := lastRel[b.obj]; w >= 0 {
-				if err := ann.patch(b.idx, w, annBlocked); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, se := range r.sync {
-			rec := annRec{prev: -1, waker: -1}
-			sync.step(se.idx, se.kind, se.thread, se.obj, se.arg, se.t, se.seq, &rec)
-			// The range wrote sync records with zero flags; whenever the
-			// machine blocks one, patch the resolution in.
-			if rec.flags != 0 {
-				if err := ann.patch(se.idx, rec.waker, rec.flags); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for th, li := range r.lastOfThread {
-			if li >= 0 {
-				lastOf[th] = li
-			}
-		}
-		for o, li := range r.lastRelease {
-			if li >= 0 {
-				lastRel[o] = li
-			}
-		}
-		if r.hasEvents {
-			if !sawEvents {
-				p1.firstT = r.firstT
-				sawEvents = true
-			}
-			p1.lastT = r.lastT
-		}
-		segments += r.segments
-		events += r.events
-		bytes += r.bytes
-		spilled += r.spilled
-	}
-	for _, p := range sync.finish() {
-		if err := ann.patch(p.idx, p.waker, annBlocked); err != nil {
-			return nil, err
-		}
-	}
-	if segments > 0 {
-		h.spilled(spilled)
-		h.scannedBulk(segments, events, bytes)
-	}
-	return p1, nil
-}
-
-// scan annotates segments [lo, hi), decoding each into cols. The head
-// range passes the sync machine and steps it inline, reporting each
-// segment to h; later ranges pass nil for both and relay instead.
-func (r *p1Range) scan(src SegmentSource, skel *trace.Trace, ann *annStore, lo, hi int, sync *pass1Sync, h *obsHook, cols *trace.Columns) error {
-	nThreads, nObjs := len(skel.Threads), len(skel.Objects)
-	head := sync != nil
-	r.lastOfThread = filled(nThreads, -1)
-	r.lastRelease = filled(nObjs, -1)
-	if !head {
-		r.firstOfThread = filled(nThreads, -1)
-	}
-	lastOf, lastRel := r.lastOfThread, r.lastRelease
-	var lkScratch, flScratch []byte
-	for s := lo; s < hi; s++ {
-		first, _ := src.SegmentBounds(s)
-		bytes, err := src.LoadColumns(s, cols)
-		if err != nil {
-			return err
-		}
-		count := cols.Len()
-		lk, fl := ann.shard(s, lkScratch, flScratch)
-		cT, cSeq, cTh, cKind, cObj, cArg := cols.T, cols.Seq, cols.Thread, cols.Kind, cols.Obj, cols.Arg
-		for k := 0; k < count; k++ {
-			gi := int32(first + k)
-			th := cTh[k]
-			if th < 0 || int(th) >= nThreads {
-				return fmt.Errorf("core: event %d references thread %d out of range", gi, th)
-			}
-			kind := trace.EventKind(cKind[k])
-			obj := cObj[k]
-			if uint32(obj) >= uint32(nObjs) && indexesObj(kind) {
-				return fmt.Errorf("core: event %d: %s references object %d out of range", gi, kind, obj)
-			}
-			rec := annRec{prev: lastOf[th], waker: -1}
-			if rec.prev < 0 && !head {
-				r.firstOfThread[th] = gi
-			}
-			lastOf[th] = gi
-
-			switch kind {
-			case trace.EvLockObtain:
-				if cArg[k]&trace.LockArgContended != 0 {
-					rec.flags |= annBlocked
-					if lr := lastRel[obj]; lr >= 0 {
-						rec.waker = lr
-					} else if !head {
-						r.boundary = append(r.boundary, boundaryObtain{idx: gi, obj: trace.ObjID(obj)})
-					}
-				}
-			case trace.EvLockRelease:
-				lastRel[obj] = gi
-			default:
-				if !isSyncKind(kind) {
-					break
-				}
-				if head {
-					sync.step(gi, kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cSeq[k], &rec)
-				} else {
-					r.sync = append(r.sync, syncEv{
-						idx: gi, t: cT[k], seq: cSeq[k], arg: cArg[k],
-						obj: trace.ObjID(obj), thread: trace.ThreadID(th), kind: kind,
-					})
-				}
-			}
-
-			putAnnLink(lk[k*annLinkSize:], rec.prev, rec.waker)
-			fl[k] = rec.flags
-		}
-		if count > 0 {
-			if !r.hasEvents {
-				r.firstT, r.hasEvents = cT[0], true
-			}
-			r.lastT = cT[count-1]
-		}
-		spilled, err := ann.commit(s, lk, fl)
-		if err != nil {
-			return err
-		}
-		if !ann.inMemory() {
-			lkScratch, flScratch = lk, fl
-		}
-		if head {
-			h.spilled(spilled)
-			h.scanned(count, bytes)
-		} else {
-			r.spilled += spilled
-			r.segments++
-			r.events += int64(count)
-			r.bytes += bytes
-		}
-	}
-	return nil
-}
 
 // relayEv is an event a pass-3 range after the head could not settle:
 // the thread's first event in the range (first: its wait interval

@@ -318,10 +318,12 @@ func TestTraceSourceSegmentBoundaries(t *testing.T) {
 // source with cores to spare (the gate lowered to every size) splits
 // pass 3 into one range per P, and the analysis equals the reference
 // and the one-range analysis with the gate closed: the same export
-// bytes, slack, composition and hot windows. It covers mapped and
-// buffered segment directories, resident and spilled annotations,
-// TraceSource validating first and beside the passes, and one P, where
-// nothing splits.
+// bytes, slack, composition and hot windows. So does the analysis at
+// ParallelSegments 2 and 8, where pass 3 takes that many ranges and
+// pass 1 and the walk still read ahead. It covers mapped and buffered
+// segment directories, resident and spilled annotations, TraceSource
+// validating first and beside the passes, and one P, where nothing
+// splits.
 func TestDefaultSplitMatchesReference(t *testing.T) {
 	mixed, err := tracetest.Mixed(40_000, 1) // channels, a cond, an RWMutex, a barrier
 	if err != nil {
@@ -361,6 +363,19 @@ func TestDefaultSplitMatchesReference(t *testing.T) {
 				}
 				if !reflect.DeepEqual(split.an.Windows(5), one.an.Windows(5)) || split.an.Composition() != one.an.Composition() {
 					t.Errorf("%s: windows or composition differ split and in one range", label)
+				}
+				for _, par := range []int{2, 8} {
+					pcfg := cfg
+					pcfg.ParallelSegments = par
+					plabel := fmt.Sprintf("%s par=%d", label, par)
+					got := defaultSplitRun(t, s.src, s.segs, pcfg, min(par, s.segs.NumSegments()), plabel)
+					requireIdentical(t, ref, got.an)
+					if got.export != one.export || !reflect.DeepEqual(got.slack, one.slack) {
+						t.Errorf("%s: export or slack differ from one range", plabel)
+					}
+					if !reflect.DeepEqual(got.an.Windows(5), one.an.Windows(5)) || got.an.Composition() != one.an.Composition() {
+						t.Errorf("%s: windows or composition differ from one range", plabel)
+					}
 				}
 				prev := runtime.GOMAXPROCS(1)
 				single := defaultSplitRun(t, s.src, s.segs, cfg, 1, label+" one P")
@@ -576,7 +591,8 @@ func TestCompositionAnySource(t *testing.T) {
 // TestAnalyzeStreamRejectsUnknownObjects: segment input is not
 // validated, and segment files accept lock and channel events naming an
 // object past the skeleton's table, so pass 1 must fail such a trace
-// with an error, sequential or parallel, instead of letting pass 3
+// with an error at every ParallelSegments (pass 1 is one range at all
+// of them, and only pass 3's split varies), instead of letting pass 3
 // index its per-object state out of range.
 func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 	for name, emit := range map[string]func(b *trace.Builder, th trace.ThreadID){
@@ -593,7 +609,7 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 		emit(b, main)
 		b.Exit(4, main)
 		r := segmented(t, b.Trace(), 1, 1, false)
-		for _, par := range []int{1, 2} {
+		for _, par := range []int{1, 2, 8} {
 			_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
 			if err == nil || !strings.Contains(err.Error(), "references object 99") {
 				t.Errorf("%s, par=%d: err = %v, want an out-of-range object error", name, par, err)
@@ -602,13 +618,14 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 	}
 }
 
-// TestLockErrorsAtAnyParallelism: pass 3 rejects an
-// unpaired release, an unpaired obtain and an obtain with no acquire
-// with the same error at every worker count, with the read-ahead on
-// and off (on, the default configuration splits pass 3 into one range
-// per P), whether the bad event lies in the head range, which fails on
-// the spot, or past it, where the merge's replay of the relayed event
-// fails.
+// TestLockErrorsAtAnyParallelism: pass 3 rejects an unpaired release,
+// an unpaired obtain and an obtain with no acquire with the same error
+// at every range count, with the read-ahead on and off (on, the
+// default configuration splits pass 3 into one range per P), whether
+// the bad event lies in pass 3's head range, which fails on the spot,
+// or past it, where the merge's replay of the relayed event fails.
+// Pass 3 is the only pass that relays; pass 1 is one range at every
+// ParallelSegments.
 func TestLockErrorsAtAnyParallelism(t *testing.T) {
 	const pad = 64 // padding critical sections, three events each
 	cases := []struct {

@@ -15,6 +15,7 @@ import (
 
 	"critlock/internal/core"
 	"critlock/internal/hazard"
+	"critlock/internal/obs"
 	"critlock/internal/report"
 	"critlock/internal/segment"
 	"critlock/internal/trace"
@@ -40,14 +41,14 @@ func readAhead(t *testing.T, on bool) {
 }
 
 // sweepOutputs is everything a sequential sweep produces for one
-// source: the analysis export, slack, both views of the hazard fold
-// (at one worker and at two) and the timelines.
+// source: the analysis export, slack, both views of the hazard fold and
+// the timelines.
 type sweepOutputs struct {
 	Export     string
 	Slack      *core.SlackAnalysis
-	Hazards    [2]string
-	Edges      [2][]hazard.LockOrderEdge
-	Cycles     [2][][]trace.ObjID
+	Hazards    string
+	Edges      []hazard.LockOrderEdge
+	Cycles     [][]trace.ObjID
 	Gantt, SVG string
 }
 
@@ -66,17 +67,15 @@ func sweep(t *testing.T, src core.SegmentSource, cfg core.Config) sweepOutputs {
 	if out.Slack, err = an.Slack(src); err != nil {
 		t.Fatalf("Slack: %v", err)
 	}
-	for k, workers := range []int{1, 2} {
-		rep, lo, err := hazard.Fold(src, workers)
-		if err != nil {
-			t.Fatalf("Fold(%d): %v", workers, err)
-		}
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Hazards[k], out.Edges[k], out.Cycles[k] = string(js), lo.Edges, lo.Cycles
+	rep, lo, err := hazard.Fold(src)
+	if err != nil {
+		t.Fatalf("Fold: %v", err)
 	}
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Hazards, out.Edges, out.Cycles = string(js), lo.Edges, lo.Cycles
 	if out.Gantt, err = report.Gantt(an, src, 80); err != nil {
 		t.Fatalf("Gantt: %v", err)
 	}
@@ -115,9 +114,6 @@ func TestReadAheadMatchesSequential(t *testing.T) {
 				want := sweep(t, s.src, cfg)
 				readAhead(t, true)
 				got := sweep(t, s.src, cfg)
-				if want.Hazards[0] != want.Hazards[1] {
-					t.Errorf("%s %s: hazard reports differ at 1 and 2 workers", name, s.label)
-				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s %s cache=%d: outputs differ with the read-ahead on", name, s.label, cache)
 				}
@@ -144,7 +140,7 @@ func badSegments(t *testing.T, tr *trace.Trace, segs ...int) (core.SegmentSource
 
 // sweeps returns every sweep over src, each reporting its error: the
 // analysis at the default configuration (0), slack (1), the hazard fold
-// at one and two workers (2, 3) and the timelines (4).
+// (2) and the timelines (3).
 func sweeps(src core.SegmentSource, an *core.Analysis) []func() error {
 	return []func() error{
 		func() error {
@@ -152,8 +148,7 @@ func sweeps(src core.SegmentSource, an *core.Analysis) []func() error {
 			return err
 		},
 		func() error { _, err := an.Slack(src); return err },
-		func() error { _, _, err := hazard.Fold(src, 1); return err },
-		func() error { _, _, err := hazard.Fold(src, 2); return err },
+		func() error { _, _, err := hazard.Fold(src); return err },
 		func() error { _, err := report.Gantt(an, src, 80); return err },
 	}
 }
@@ -251,7 +246,9 @@ func (p *probe) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 // keeps exactly ReadAheadDepth decodes in flight at its peak, never
 // more, and joins them; the analysis's peak is pass 3's range count,
 // one per P (three here), once pass 3 runs, and the read-ahead's when
-// pass 1 fails first.
+// pass 1 fails first. At ParallelSegments 2, pass 1 and the walk still
+// read ahead, each peaking at ReadAheadDepth loads, and pass 3 at its
+// two ranges.
 func TestReadAheadGoroutines(t *testing.T) {
 	readAhead(t, true)
 	prev := runtime.GOMAXPROCS(3)
@@ -274,9 +271,9 @@ func TestReadAheadGoroutines(t *testing.T) {
 		for k, run := range sweeps(src, good) {
 			src.peak.Store(0)
 			err := run()
-			// Slack (1) and the timelines (4) pass over events of a
+			// Slack (1) and the timelines (3) pass over events of a
 			// kind they do not know.
-			wantErr := c.fail >= 0 || c.bad >= 0 && k != 1 && k != 4
+			wantErr := c.fail >= 0 || c.bad >= 0 && k != 1 && k != 3
 			if (err != nil) != wantErr {
 				t.Errorf("%s, sweep %d: err = %v", c.name, k, err)
 			}
@@ -297,6 +294,27 @@ func TestReadAheadGoroutines(t *testing.T) {
 		if n := settledGoroutines(base); n != base {
 			t.Errorf("%s: %d goroutines after the sweeps, %d before", c.name, n, base)
 		}
+	}
+
+	src := &probe{SegmentSource: segmented(t, tr, 1024, 0, false), fail: -1, bad: -1}
+	peaks := map[string]int32{}
+	opts := core.DefaultOptions()
+	opts.Observer = obs.Funcs{
+		Start: func(string) { src.peak.Store(0) },
+		Done:  func(phase string, _ time.Duration) { peaks[phase] = src.peak.Load() },
+	}
+	if _, err := core.AnalyzeStream(src, core.Config{Options: opts, ParallelSegments: 2}); err != nil {
+		t.Fatalf("ParallelSegments 2: %v", err)
+	}
+	want := map[string]int32{"pass1": core.ReadAheadDepth, "walk": core.ReadAheadDepth, "pass3": 2}
+	if !reflect.DeepEqual(peaks, want) {
+		t.Errorf("ParallelSegments 2: loads at once at each phase's peak %v, want %v", peaks, want)
+	}
+	if n := src.active.Load(); n != 0 {
+		t.Errorf("ParallelSegments 2: %d loads still running", n)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("ParallelSegments 2: %d goroutines after the analysis, %d before", n, base)
 	}
 }
 
@@ -378,7 +396,7 @@ func TestFoldColumnsParity(t *testing.T) {
 					readAhead(t, on)
 					src := rawSegments{&bad, per}
 					_, got := hazard.FromSegments(src, 1)
-					_, _, got2 := hazard.Fold(src, 1)
+					_, _, got2 := hazard.Fold(src)
 					for _, g := range []error{got, got2} {
 						if g == nil || g.Error() != err.Error() {
 							t.Errorf("per=%d %s at the %s event, read-ahead %t: err = %v, want %q", per, b.name, at.name, on, g, err)

@@ -11,7 +11,7 @@ import (
 // lockOrderOf is Fold's lock order over an in-memory trace.
 func lockOrderOf(t *testing.T, tr *trace.Trace) *LockOrder {
 	t.Helper()
-	_, lo, err := Fold(core.TraceSegments(tr), 1)
+	_, lo, err := Fold(core.TraceSegments(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

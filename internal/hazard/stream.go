@@ -26,7 +26,7 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 // Fold runs one hazard fold over src, as FromSegments does, and returns
 // both views of its result: the hazard report and the intra-thread lock
 // order. A caller that wants both pays for one pass over the events.
-func Fold(src core.SegmentSource, workers int) (*Report, *LockOrder, error) {
+func Fold(src core.SegmentSource) (*Report, *LockOrder, error) {
 	m, err := fold(src)
 	if err != nil {
 		return nil, nil, err

@@ -144,8 +144,8 @@ func (s *slowSource) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 	return n, err
 }
 
-// TestFoldJoinsDecodes: FromSegments and Fold return only once no
-// segment decode they started is running, at any worker count, when a
+// TestFoldJoinsDecodes: FromSegments (at any worker count) and Fold
+// return only once no segment decode they started is running, when a
 // load fails and when the machine rejects an event — callers unmap the
 // segments right after. (This source is below the read-ahead's size
 // floor; core's TestReadAheadGoroutines folds with it forced on.)
@@ -179,13 +179,14 @@ func TestFoldJoinsDecodes(t *testing.T) {
 			if n := src.active.Load(); n != 0 {
 				t.Errorf("%s: FromSegments(%d) returned with %d loads running", c.name, workers, n)
 			}
-			_, _, err = Fold(src, workers)
-			if err == nil || err.Error() != c.want {
-				t.Errorf("%s, Fold(%d): err = %v, want %q", c.name, workers, err, c.want)
-			}
-			if n := src.active.Load(); n != 0 {
-				t.Errorf("%s: Fold(%d) returned with %d loads running", c.name, workers, n)
-			}
+		}
+		src := &slowSource{SegmentSource: rdr, fail: c.fail, bad: c.bad, slow: 3}
+		_, _, err = Fold(src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s, Fold: err = %v, want %q", c.name, err, c.want)
+		}
+		if n := src.active.Load(); n != 0 {
+			t.Errorf("%s: Fold returned with %d loads running", c.name, n)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func LoadReport(path string) (*report.Export, error) {
 // producer format, sniffed from the argument:
 //
 //   - a segment directory: the bounded-memory analysis pipeline plus
-//     the segment-range hazard pass stream it,
+//     the sequential hazard fold stream it,
 //   - a JSON analysis report (cla -jsonreport / clasrv): parsed as-is —
 //     it carries a hazards section only if its producer ran the pass
 //     (cla -hazards -jsonreport, clasrv /v1/hazards),

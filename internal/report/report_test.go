@@ -223,7 +223,7 @@ func TestTableMarkdown(t *testing.T) {
 
 func TestFullReport(t *testing.T) {
 	an, src := buildAnalysis(t)
-	_, lo, err := hazard.Fold(src, 1)
+	_, lo, err := hazard.Fold(src)
 	if err != nil {
 		t.Fatal(err)
 	}

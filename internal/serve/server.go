@@ -56,11 +56,11 @@ type Options struct {
 	// Window is the default streaming walk residency for segment-dir
 	// analyses, overridable per request (?window=N). 0 = core default.
 	Window int
-	// ParallelSegments is the default worker count for the streaming
-	// forward passes, overridable per request (?par=N). 0 or 1 =
-	// pass 1 sequential, pass 3 one range per core on a trace of 128K
-	// events or more (core.Config.ParallelSegments); results are
-	// identical at any setting.
+	// ParallelSegments is the default range count for the streaming
+	// analysis's pass 3, overridable per request (?par=N); pass 1 is
+	// always one range. 0 or 1 = pass 3 one range per core on a trace
+	// of 128K events or more (core.Config.ParallelSegments); results
+	// are identical at any setting.
 	ParallelSegments int
 	// NoMmap disables memory-mapping segment files by default,
 	// overridable per request (?mmap=BOOL).
@@ -356,8 +356,8 @@ func (s *Server) analyzeSegdir(ctx context.Context, params analyzeParams) (*Repo
 	if params.hazards {
 		hazards = func() (*hazard.Report, error) {
 			// The analysis source closed its reader; the hazard pass
-			// streams the directory again on a fresh one
-			// (segment-range parallel).
+			// streams the directory again on a fresh one, as one
+			// sequential fold (FromSegments does not read par).
 			hrdr, err := segment.OpenWith(params.segdir, segment.ReadOptions{NoMmap: !params.mmap})
 			if err != nil {
 				return nil, fmt.Errorf("reopening %s: %w", params.segdir, err)
