@@ -73,8 +73,9 @@ fuzz-smoke:
 # Reference oracle: the analysis of segmented, spilled and in-memory
 # (TraceSource) traces must be bit-identical to the test-only reference
 # transcription of the paper's algorithm (internal/core/reference_test.go)
-# at every segmentation, parallelism, window and spill setting, and a
-# malformed lock event must fail with the same error at any parallelism,
+# at every segmentation, pass-3 range count, walk window and spill
+# setting, and a malformed lock event must fail with the same error in
+# any number of ranges,
 # under the race detector. The event-replaying sections get the same
 # treatment: TestSlackMatchesOracle and TestLockOrderMatchesOracle hold
 # the streamed slack and the lock-order view of the hazard fold to the
@@ -83,7 +84,7 @@ fuzz-smoke:
 # prints the same from a segment directory as from the trace file.
 # TestCompositionMatchesHolds holds the composition, read off the
 # hot-interval index, to the reference's per-thread holds formula on
-# every workload (simulated and live) at par 1/2/8, and
+# every workload (simulated and live) in 1, 2 and 8 pass-3 ranges, and
 # TestCompositionAnySource requires a segment directory at the default
 # configuration to report the composition TraceSource reports.
 # TestBufferedReadsBounded (internal/segment) loads buffered segments

@@ -15,7 +15,7 @@ import (
 //
 //	an, err := critlock.Analyze(critlock.TraceSource(tr))
 //	an, err := critlock.Analyze(critlock.SegmentDirSource("segs/"),
-//	        critlock.WithWindow(8), critlock.WithProgress(show))
+//	        critlock.WithProgress(show))
 
 // AnalysisSource is where Analyze reads a recorded execution from.
 // Built-in constructors: TraceSource (in-memory events),
@@ -102,27 +102,19 @@ func WithClipHold(on bool) Option {
 	return func(c *core.Config) { c.ClipHold = on }
 }
 
-// WithWindow sets the backward walk's window: how many decoded
-// segments stay resident at once (0 = default).
-func WithWindow(segments int) Option {
-	return func(c *core.Config) { c.CacheSegments = segments }
-}
-
 // WithTmpDir hosts the waker-annotation spill file
 // ("" = os.TempDir).
 func WithTmpDir(dir string) Option {
 	return func(c *core.Config) { c.TmpDir = dir }
 }
 
-// WithParallelSegments runs pass 3 over disjoint segment ranges on up
-// to n goroutines, merged deterministically; pass 1 is always one
-// sequential range. At 0 or 1, pass 3 splits into one range per core
-// (GOMAXPROCS) on a source of 128K events or more, given 2 or more
-// cores, and is sequential otherwise. Results are bit-identical at any
-// setting; the source must support concurrent segment loads (segment
-// directories and in-memory traces do).
+// WithParallelSegments does nothing. The analysis sizes pass 3 itself:
+// one range per core on a source of 128K events or more, given 2 or
+// more cores, and one range otherwise.
+//
+// Deprecated: results never depended on it; drop the option.
 func WithParallelSegments(n int) Option {
-	return func(c *core.Config) { c.ParallelSegments = n }
+	return func(*core.Config) {}
 }
 
 // WithMmap selects how SegmentDirSource reads segment files: true (the

@@ -50,7 +50,6 @@ func TestAnalyzeSourcesAgree(t *testing.T) {
 			}
 			var snapshots int
 			streamed, err := critlock.Analyze(critlock.SegmentDirSource(dir),
-				critlock.WithWindow(3),
 				critlock.WithProgress(func(critlock.Progress) { snapshots++ }))
 			if err != nil {
 				t.Fatalf("SegmentDirSource: %v", err)
@@ -147,7 +146,6 @@ func TestAnalyzeOptionSpellingsAgree(t *testing.T) {
 	}
 
 	tuned, err := critlock.Analyze(critlock.SegmentDirSource(dir),
-		critlock.WithParallelSegments(8),
 		critlock.WithMmap(false),
 		critlock.WithAnnotationBudget(-1))
 	if err != nil {

@@ -58,8 +58,6 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 		jsonReport = fs.String("jsonreport", "", "write the analysis as JSON (the clasrv format; clalint -report input) to this file")
 		narrate    = fs.Int("narrate", -1, "narrate the critical path's thread hops (0 = all, N = cap)")
 		segdir     = cliflags.SegDir(fs)
-		window     = cliflags.Window(fs)
-		parSeg     = cliflags.Par(fs)
 		mmap       = cliflags.Mmap(fs)
 		annBudget  = cliflags.AnnBudget(fs)
 	)
@@ -111,8 +109,6 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 	}
 	an, err := critlock.Analyze(source,
 		critlock.WithClipHold(!*noClip),
-		critlock.WithWindow(*window),
-		critlock.WithParallelSegments(*parSeg),
 		critlock.WithAnnotationBudget(*annBudget))
 	if err != nil {
 		return fmt.Errorf("analyzing %s: %w", name, err)

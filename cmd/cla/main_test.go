@@ -289,7 +289,7 @@ func TestHazardFoldOnce(t *testing.T) {
 				got := captureOn(t, func(src core.SegmentSource) core.SegmentSource {
 					counter = &loadCounter{SegmentSource: src, loads: make([]atomic.Int32, src.NumSegments())}
 					return counter
-				}, append(args, "-par", "2", file)...)
+				}, append(args, file)...)
 				if len(counter.loads) < 2 && w == "radiosity" {
 					t.Fatalf("radiosity has %d segments, want several", len(counter.loads))
 				}

@@ -34,7 +34,6 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("clagen", flag.ContinueOnError)
 	segdir := cliflags.SegDir(fs)
-	parSeg := cliflags.Par(fs)
 	mmap := cliflags.Mmap(fs)
 	annBudget := cliflags.AnnBudget(fs)
 	if err := fs.Parse(args); err != nil {
@@ -48,7 +47,6 @@ func run(args []string, out *os.File) error {
 		}
 		var err error
 		an, err = critlock.Analyze(critlock.SegmentDirSource(*segdir),
-			critlock.WithParallelSegments(*parSeg),
 			critlock.WithMmap(*mmap),
 			critlock.WithAnnotationBudget(*annBudget))
 		if err != nil {

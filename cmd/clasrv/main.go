@@ -5,7 +5,7 @@
 //
 //	clasrv -addr :8126
 //	curl -X POST --data-binary @trace.cltr localhost:8126/v1/analyze
-//	curl -X POST 'localhost:8126/v1/analyze?segdir=/var/traces/segs&window=8'
+//	curl -X POST 'localhost:8126/v1/analyze?segdir=/var/traces/segs'
 //	curl localhost:8126/v1/reports
 //	curl localhost:8126/metrics
 //	curl localhost:8126/debug/progress
@@ -41,8 +41,6 @@ func run(args []string) error {
 	var (
 		addr    = fs.String("addr", ":8126", "listen address")
 		jobs    = cliflags.Jobs(fs)
-		window  = cliflags.Window(fs)
-		parSeg  = cliflags.Par(fs)
 		mmap    = cliflags.Mmap(fs)
 		annBud  = cliflags.AnnBudget(fs)
 		timeout = fs.Duration("timeout", 60*time.Second, "per-request analysis budget (queueing included)")
@@ -60,8 +58,6 @@ func run(args []string) error {
 		MaxUploadBytes:   *upload,
 		Timeout:          *timeout,
 		TmpDir:           *tmpdir,
-		Window:           *window,
-		ParallelSegments: *parSeg,
 		NoMmap:           !*mmap,
 		AnnotationBudget: *annBud,
 		CacheReports:     *cache,

@@ -1,9 +1,8 @@
 // Package cliflags registers the flags every cla* command spells the
 // same way, so the tools agree on names, defaults and usage text:
-// -segdir (segmented trace directory), -window (streaming walk
-// residency), -spill (collector spill threshold), -j (parallel
-// workers), -par (pass 3's segment ranges), -mmap, -annbudget and
-// -tests. Commands register only the subset they support.
+// -segdir (segmented trace directory), -spill (collector spill
+// threshold), -j (parallel workers), -mmap, -annbudget and -tests.
+// Commands register only the subset they support.
 package cliflags
 
 import (
@@ -17,12 +16,6 @@ func SegDir(fs *flag.FlagSet) *string {
 	return fs.String("segdir", "", "segmented trace directory (bounded-memory streaming format)")
 }
 
-// Window registers -window: how many decoded segments stay resident
-// during the streaming backward walk.
-func Window(fs *flag.FlagSet) *int {
-	return fs.Int("window", 0, "segments resident during the streaming backward walk (0 = default)")
-}
-
 // Spill registers -spill: the collector's per-thread buffered-event
 // threshold beyond which events spill to segment run files.
 func Spill(fs *flag.FlagSet) *int {
@@ -32,14 +25,6 @@ func Spill(fs *flag.FlagSet) *int {
 // Jobs registers -j: the parallel worker count for sweeps and fan-out.
 func Jobs(fs *flag.FlagSet) *int {
 	return fs.Int("j", runtime.NumCPU(), "parallel workers")
-}
-
-// Par registers -par: how many segment ranges the streaming analysis
-// splits pass 3 into (at 1, the default, one per core on a large
-// source); pass 1 is always one range. Results are bit-identical at
-// any setting.
-func Par(fs *flag.FlagSet) *int {
-	return fs.Int("par", 1, "segment ranges for the streaming analysis's pass 3 (1 = one per core on a large source; results identical at any setting)")
 }
 
 // Mmap registers -mmap: whether segment files are memory-mapped (the

@@ -29,7 +29,7 @@ func besideSplit(t *testing.T, tr *trace.Trace) {
 	t.Helper()
 	withCores(t)
 	core.SetReadAheadFrom(t, 0)
-	if n := core.Pass3Ranges(core.TraceSegments(tr), core.Config{}); n < 2 {
+	if n := core.Pass3Ranges(core.TraceSegments(tr)); n < 2 {
 		t.Fatalf("pass 3 runs as %d range", n)
 	}
 }
@@ -59,23 +59,24 @@ func (l *phaseLog) OnProgress(p obs.Progress) { l.last = p.Phase }
 func TestValidateBesideObserver(t *testing.T) {
 	tr := simTrace(t, "uts", 6, 1) // more than three in-memory segments
 	besideSplit(t, tr)
-	for _, par := range []int{1, 2} {
+	for _, procs := range []int{2, 3} {
+		runtime.GOMAXPROCS(procs) // pass 3 splits into procs ranges
 		log := &phaseLog{took: map[string]time.Duration{}}
 		opts := core.DefaultOptions()
 		opts.Observer = log
-		cfg := core.Config{Options: opts, ParallelSegments: par}
+		cfg := core.Config{Options: opts}
 		if _, err := core.AnalyzeSource(core.TraceSourceBesideFrom(tr, 1), cfg); err != nil {
 			t.Fatal(err)
 		}
 		want := "pass1 walk pass3 validate"
 		if got := strings.Join(log.starts, " "); got != want {
-			t.Errorf("par=%d: phases started %q, want %q", par, got, want)
+			t.Errorf("procs=%d: phases started %q, want %q", procs, got, want)
 		}
 		if got := strings.Join(log.dones, " "); got != want {
-			t.Errorf("par=%d: phases done %q, want %q", par, got, want)
+			t.Errorf("procs=%d: phases done %q, want %q", procs, got, want)
 		}
 		if log.took["validate"] <= 0 || log.last != "validate" {
-			t.Errorf("par=%d: validate took %v, last snapshot in %q", par, log.took["validate"], log.last)
+			t.Errorf("procs=%d: validate took %v, last snapshot in %q", procs, log.took["validate"], log.last)
 		}
 	}
 

@@ -21,9 +21,21 @@ func SetReadAheadFrom(t testing.TB, n int) {
 	t.Cleanup(func() { readAheadFrom = prev })
 }
 
+// DefaultWalkWindow is the walk window the analysis runs at.
+var DefaultWalkWindow = walkWindow
+
+// SetWalkWindow sets how many decoded segments the backward walk keeps
+// resident to w until t ends. Tests that call it must not run in
+// parallel with others.
+func SetWalkWindow(t testing.TB, w int) {
+	prev := walkWindow
+	walkWindow = w
+	t.Cleanup(func() { walkWindow = prev })
+}
+
 // Pass3Ranges is how many ranges the analysis splits pass 3 of src
-// into under cfg.
-func Pass3Ranges(src SegmentSource, cfg Config) int { return pass3Ranges(src, cfg) }
+// into.
+func Pass3Ranges(src SegmentSource) int { return pass3Ranges(src) }
 
 // ReadAheadDepth is how many segment decodes a sequential sweep keeps
 // running beside its caller.

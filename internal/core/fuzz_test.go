@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -27,6 +26,7 @@ func FuzzAnalyzeSegments(f *testing.F) {
 	f.Add(int64(-3), uint8(255), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, count uint8, spread uint8) {
 		tr := soup(seed, int(count)%64+1, spread)
+		core.SetWalkWindow(t, 1)
 
 		type outcome struct {
 			label string
@@ -45,11 +45,8 @@ func FuzzAnalyzeSegments(f *testing.F) {
 			}
 			defer r.Close()
 			for _, par := range []int{1, 2, 8} {
-				an, err := core.AnalyzeSource(core.StreamSource(r), core.Config{
-					Options:          core.DefaultOptions(),
-					CacheSegments:    1,
-					ParallelSegments: par,
-				})
+				splitPass3(t, par)
+				an, err := core.AnalyzeSource(core.StreamSource(r), core.DefaultConfig())
 				runs = append(runs, outcome{fmt.Sprintf("seg=%d par=%d", seg, par), an, err})
 			}
 		}
@@ -109,17 +106,19 @@ func rawSoup(tr *trace.Trace, seed int64) *trace.Trace {
 }
 
 // checkUnvalidated runs tr, which nothing has validated, through the
-// passes without validation (AnalyzeStream over TraceSegments) and
-// through TraceSource with validation before and beside the passes.
+// passes without validation (AnalyzeStream over TraceSegments, pass 3
+// in one range and two) and through TraceSource with validation before
+// and beside the passes, with a one-segment walk window.
 // The passes must end in an error or a result, never a panic or a
 // hang. Where trace.Validate rejects tr, TraceSource must return the
 // validator's error on both sides of the threshold, and where it
 // accepts tr, both sides must agree.
 func checkUnvalidated(t *testing.T, tr *trace.Trace) {
 	t.Helper()
-	cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: 1}
+	cfg := core.DefaultConfig()
+	core.SetWalkWindow(t, 1)
 	for _, par := range []int{1, 2} {
-		cfg.ParallelSegments = par
+		splitPass3(t, par)
 		var panicked any
 		done := make(chan struct{})
 		go func() {
@@ -137,7 +136,10 @@ func checkUnvalidated(t *testing.T, tr *trace.Trace) {
 		}
 	}
 
-	cfg.ParallelSegments = 1
+	// Validation beside the passes needs two Ps; pass 3 runs as one
+	// range.
+	withCores(t)
+	readAhead(t, false)
 	verr := trace.Validate(tr)
 	first, ferr := core.AnalyzeSource(core.TraceSourceBesideFrom(tr, len(tr.Events)+1), cfg)
 	beside, berr := core.AnalyzeSource(core.TraceSourceBesideFrom(tr, 1), cfg)
@@ -164,7 +166,7 @@ func checkUnvalidated(t *testing.T, tr *trace.Trace) {
 // seam, with 2 or more cores so validation really runs beside the
 // passes.
 func TestUnvalidatedTraceNeverPanics(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	withCores(t)
 	for seed := int64(1); seed <= 200; seed++ {
 		n := 64
 		if seed%20 == 0 {

@@ -16,21 +16,8 @@ import (
 // defaults.
 type Config struct {
 	Options
-	// CacheSegments is the backward walk's window: how many decoded
-	// segments stay resident at once (0 = default, minimum 1).
-	CacheSegments int
 	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
 	TmpDir string
-	// ParallelSegments splits pass 3 into up to this many contiguous
-	// segment ranges scanned on their own goroutines. The head range
-	// resolves everything inline and the rest merge deterministically
-	// behind it, so results are bit-identical at any setting. Pass 1 is
-	// always one range, the plain forward scan. At 0 or 1, pass 3
-	// splits into one range per core (GOMAXPROCS) on a source of 2 or
-	// more segments and 128K events or more, on 2 or more cores; on
-	// such a source, at any setting, the next two segments decode on
-	// helper goroutines while pass 1 and the walk work.
-	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Only sources that open a segment directory
 	// themselves (the facade's SegmentDirSource) consult it; the passes

@@ -36,8 +36,9 @@ type SegmentSource interface {
 	LoadColumns(i int, cols *trace.Columns) (int64, error)
 }
 
-// DefaultCacheSegments is the default backward-walk window.
-const DefaultCacheSegments = 4
+// walkWindow is how many decoded segments the backward walk keeps
+// resident. Tests lower it.
+var walkWindow = 4
 
 // AnalyzeStream runs critical lock analysis over a segmented trace in
 // bounded memory. It is the one analysis pipeline: in-memory traces
@@ -66,23 +67,20 @@ const DefaultCacheSegments = 4
 // into contiguous ranges (stream_par.go), and the result is
 // bit-identical at any range count. On a source of 2 or more segments
 // and 128K events or more, on 2 or more cores, pass 1 and the walk read
-// with the next two segments decoding beside them (readAhead).
-// cfg.ParallelSegments above 1 sets pass 3's range count; otherwise
-// pass 3 splits into one range per core on such a source
-// (pass3Ranges).
+// with the next two segments decoding beside them (readAhead), and
+// pass 3 splits into one range per core (pass3Ranges).
 func AnalyzeStream(src SegmentSource, cfg Config) (*Analysis, error) {
 	return analyzeStream(src, cfg, newObsHook(cfg.Observer, src.NumEvents()))
 }
 
-// pass3Ranges is how many ranges pass 3 splits src into under cfg:
-// cfg.ParallelSegments' count when it is above 1, one range per P when
-// the source has cores to spare (spareCores), and one range otherwise.
+// pass3Ranges is how many ranges pass 3 splits src into: one per P
+// when the source has cores to spare (spareCores), and one otherwise.
 // It is the analysis's only range count: pass 1 is always one range.
-func pass3Ranges(src SegmentSource, cfg Config) int {
-	if cfg.ParallelSegments <= 1 && spareCores(src) {
+func pass3Ranges(src SegmentSource) int {
+	if spareCores(src) {
 		return min(runtime.GOMAXPROCS(0), src.NumSegments())
 	}
-	return max(1, min(cfg.ParallelSegments, src.NumSegments()))
+	return 1
 }
 
 // analyzeStream is AnalyzeStream reporting to h, which TraceSource
@@ -94,9 +92,6 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	}
 	if n > math.MaxInt32-1 {
 		return nil, fmt.Errorf("core: trace has %d events, beyond the streaming index range", n)
-	}
-	if cfg.CacheSegments <= 0 {
-		cfg.CacheSegments = DefaultCacheSegments
 	}
 	skel := src.Skeleton()
 	// Pass 1 and the walk read sweep: src behind a read-ahead when the
@@ -123,7 +118,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	h.phaseDone("pass1", time.Since(start), int64(n))
 
 	start = h.phaseStart("walk")
-	loader := newSegLoader(sweep, ann, cfg.CacheSegments, cols)
+	loader := newSegLoader(sweep, ann, cols)
 	loader.hook = h
 	cp, err := streamWalk(loader, p1, n)
 	if err != nil {
@@ -141,7 +136,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	}
 	start = h.phaseStart("pass3")
 	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp}
-	if err := pass3(src, skel, ann, p1, an, cfg, pass3Ranges(src, cfg), h, cols3); err != nil {
+	if err := pass3(src, skel, ann, p1, an, cfg, pass3Ranges(src), h, cols3); err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass3", time.Since(start), int64(n))
@@ -581,16 +576,16 @@ type segWindow struct {
 	flags []byte
 }
 
-// newSegLoader returns a loader whose first window decodes into spare
-// (nil = a fresh column set).
-func newSegLoader(src SegmentSource, ann *annStore, cacheSegments int, spare *trace.Columns) *segLoader {
+// newSegLoader returns a loader of walkWindow segments whose first
+// window decodes into spare (nil = a fresh column set).
+func newSegLoader(src SegmentSource, ann *annStore, spare *trace.Columns) *segLoader {
 	n := src.NumSegments()
 	l := &segLoader{
 		src:    src,
 		ann:    ann,
 		firsts: make([]int, n),
 		cache:  map[int]*segWindow{},
-		max:    cacheSegments,
+		max:    walkWindow,
 		spare:  spare,
 	}
 	for i := 0; i < n; i++ {

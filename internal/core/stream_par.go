@@ -175,6 +175,7 @@ func pass3(src SegmentSource, skel *trace.Trace, ann *annStore, p1 *pass1Result,
 	if segments > 0 {
 		h.scannedBulk(segments, events, bytes)
 	}
+	foldHot(ranges)
 	finalizeMetrics(an, g.sink, src.NumEvents())
 	return nil
 }
@@ -373,9 +374,10 @@ func addThreadTotals(dst, d *ThreadStats) {
 	dst.Invocations += d.Invocations
 }
 
-// foldSink merges src into dst entry-by-entry; all quantities are
-// integer sums, maxima or bools, so the result does not depend on the
-// order sinks are folded in.
+// foldSink merges src's per-lock and per-channel entries into dst;
+// all quantities are integer sums, maxima or bools, so the result does
+// not depend on the order sinks are folded in. Hot intervals fold
+// separately (foldHot).
 func foldSink(dst, src *lockSink) {
 	for lock, acc := range src.accs {
 		if acc == nil {
@@ -397,9 +399,27 @@ func foldSink(dst, src *lockSink) {
 			dst.chans[ch] = cs
 		}
 	}
-	for lock, ivs := range src.hot {
-		if len(ivs) > 0 {
-			dst.hot[lock] = append(dst.hot[lock], ivs...)
+}
+
+// foldHot gathers every range's hot intervals into the head range's
+// sink in range order, in one slice per lock sized once to the sum of
+// its ranges' lengths (finalizeMetrics sorts them).
+func foldHot(ranges []p3Range) {
+	dst := ranges[0].sink.hot
+	for lock, hot := range dst {
+		n := len(hot)
+		for ri := 1; ri < len(ranges); ri++ {
+			n += len(ranges[ri].sink.hot[lock])
 		}
+		if n == len(hot) {
+			continue
+		}
+		if cap(hot) < n {
+			hot = append(make([]interval, 0, n), hot...)
+		}
+		for ri := 1; ri < len(ranges); ri++ {
+			hot = append(hot, ranges[ri].sink.hot[lock]...)
+		}
+		dst[lock] = hot
 	}
 }

@@ -145,9 +145,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 		{"fanin", 6, 3},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.workload+"/"+string(rune('0'+c.threads))+"t", func(t *testing.T) {
-			t.Parallel()
 			tr := simTrace(t, c.workload, c.threads, c.seed)
 			mem := core.ReferenceAnalysis(tr, core.DefaultOptions())
 			n := len(tr.Events)
@@ -157,8 +155,12 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				// Small traces earn the pathological shapes.
 				segSizes = append(segSizes, 7, 1)
 			}
-			check := func(src core.Source, cfg core.Config, label string) {
+			// check analyzes src with pass 3 in par ranges and a walk
+			// window of window segments.
+			check := func(src core.Source, par, window int, cfg core.Config, label string) {
 				t.Helper()
+				splitPass3(t, par)
+				core.SetWalkWindow(t, window)
 				str, err := core.AnalyzeSource(src, cfg)
 				if err != nil {
 					t.Fatalf("AnalyzeSource(%s): %v", label, err)
@@ -172,11 +174,8 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				for _, noMmap := range []bool{false, true} {
 					r := segmented(t, tr, segEvents, 16, noMmap)
 					for _, par := range []int{1, 2, 8} {
-						check(core.StreamSource(r), core.Config{
-							Options:          core.DefaultOptions(),
-							CacheSegments:    2,
-							ParallelSegments: par,
-						}, fmt.Sprintf("seg=%d mmap=%t par=%d", segEvents, !noMmap, par))
+						check(core.StreamSource(r), par, 2, core.DefaultConfig(),
+							fmt.Sprintf("seg=%d mmap=%t par=%d", segEvents, !noMmap, par))
 					}
 				}
 			}
@@ -184,27 +183,21 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 			// it must land on the same result through every knob.
 			mt := core.TraceSource(tr)
 			for _, par := range []int{1, 2, 8} {
-				check(mt, core.Config{Options: core.DefaultOptions(), ParallelSegments: par},
-					fmt.Sprintf("trace par=%d", par))
+				check(mt, par, core.DefaultWalkWindow, core.DefaultConfig(), fmt.Sprintf("trace par=%d", par))
 			}
 			// Walk-window sweep (the backward walk is sequential at
 			// any parallelism; vary its residency separately).
 			r := core.StreamSource(segmented(t, tr, segSizes[0], 16, false))
 			for _, window := range []int{1, 2, 4} {
-				cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: window}
-				check(r, cfg, fmt.Sprintf("window=%d", window))
-				check(mt, cfg, fmt.Sprintf("trace window=%d", window))
+				check(r, 1, window, core.DefaultConfig(), fmt.Sprintf("window=%d", window))
+				check(mt, 1, window, core.DefaultConfig(), fmt.Sprintf("trace window=%d", window))
 			}
 			// Spill mode: a negative annotation budget forces the
 			// temp-file path, sequential and parallel.
+			cfg := core.Config{Options: core.DefaultOptions(), AnnotationBudget: -1}
 			for _, par := range []int{1, 8} {
-				cfg := core.Config{
-					Options:          core.DefaultOptions(),
-					ParallelSegments: par,
-					AnnotationBudget: -1,
-				}
-				check(r, cfg, fmt.Sprintf("spill par=%d", par))
-				check(mt, cfg, fmt.Sprintf("trace spill par=%d", par))
+				check(r, par, core.DefaultWalkWindow, cfg, fmt.Sprintf("spill par=%d", par))
+				check(mt, par, core.DefaultWalkWindow, cfg, fmt.Sprintf("trace spill par=%d", par))
 			}
 		})
 	}
@@ -253,9 +246,10 @@ func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	}
 	requireIdentical(t, mem, str)
 
-	// The spiller's reader supports concurrent loads too: the parallel
-	// passes must agree byte-for-byte.
-	par, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: 4})
+	// The spiller's reader supports concurrent loads too: pass 3 in
+	// four ranges must agree byte-for-byte.
+	splitPass3(t, 4)
+	par, err := core.AnalyzeStream(r, core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("AnalyzeStream(par=4): %v", err)
 	}
@@ -293,12 +287,13 @@ func TestTraceSourceSegmentBoundaries(t *testing.T) {
 		ref := core.ReferenceAnalysis(tr, opts)
 		for _, par := range []int{1, 2, 8} {
 			// Validating first at par 1, beside the passes otherwise
-			// (given 2 or more cores).
+			// (on par Ps).
+			splitPass3(t, par)
 			src := core.TraceSource(tr)
 			if par > 1 {
 				src = core.TraceSourceBesideFrom(tr, 1)
 			}
-			an, err := core.AnalyzeSource(src, core.Config{Options: opts, ParallelSegments: par})
+			an, err := core.AnalyzeSource(src, core.Config{Options: opts})
 			if err != nil {
 				t.Fatalf("clip=%t par=%d: %v", clip, par, err)
 			}
@@ -319,8 +314,8 @@ func TestTraceSourceSegmentBoundaries(t *testing.T) {
 // pass 3 into one range per P, and the analysis equals the reference
 // and the one-range analysis with the gate closed: the same export
 // bytes, slack, composition and hot windows. So does the analysis at
-// ParallelSegments 2 and 8, where pass 3 takes that many ranges and
-// pass 1 and the walk still read ahead. It covers mapped and buffered
+// 2 and 8 Ps, where pass 3 takes that many ranges and pass 1 and the
+// walk read ahead. It covers mapped and buffered
 // segment directories, resident and spilled annotations, TraceSource
 // validating first and beside the passes, and one P, where nothing
 // splits.
@@ -365,10 +360,10 @@ func TestDefaultSplitMatchesReference(t *testing.T) {
 					t.Errorf("%s: windows or composition differ split and in one range", label)
 				}
 				for _, par := range []int{2, 8} {
-					pcfg := cfg
-					pcfg.ParallelSegments = par
 					plabel := fmt.Sprintf("%s par=%d", label, par)
-					got := defaultSplitRun(t, s.src, s.segs, pcfg, min(par, s.segs.NumSegments()), plabel)
+					prev := runtime.GOMAXPROCS(par)
+					got := defaultSplitRun(t, s.src, s.segs, cfg, min(par, s.segs.NumSegments()), plabel)
+					runtime.GOMAXPROCS(prev)
 					requireIdentical(t, ref, got.an)
 					if got.export != one.export || !reflect.DeepEqual(got.slack, one.slack) {
 						t.Errorf("%s: export or slack differ from one range", plabel)
@@ -403,7 +398,7 @@ type splitRun struct {
 // splits segs into ranges ranges, and computes the export and slack.
 func defaultSplitRun(t *testing.T, src core.Source, segs core.SegmentSource, cfg core.Config, ranges int, label string) splitRun {
 	t.Helper()
-	if got := core.Pass3Ranges(segs, cfg); got != ranges {
+	if got := core.Pass3Ranges(segs); got != ranges {
 		t.Fatalf("%s: pass 3 splits into %d ranges, want %d", label, got, ranges)
 	}
 	an, err := core.AnalyzeSource(src, cfg)
@@ -513,7 +508,6 @@ func TestCompositionMatchesHolds(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			name, seed := name, seed
 			t.Run(fmt.Sprintf("sim/%s/%d", name, seed), func(t *testing.T) {
-				t.Parallel()
 				requireCompositionMatchesHolds(t, simTrace(t, name, 0, seed))
 			})
 		}
@@ -552,7 +546,8 @@ func requireCompositionMatchesHolds(t *testing.T, tr *trace.Trace) {
 	}
 	for _, clip := range []bool{true, false} {
 		for _, par := range []int{1, 2, 8} {
-			cfg := core.Config{Options: core.Options{ClipHold: clip}, ParallelSegments: par}
+			splitPass3(t, par)
+			cfg := core.Config{Options: core.Options{ClipHold: clip}}
 			for _, s := range sources {
 				an, err := core.AnalyzeSource(s.src, cfg)
 				if err != nil {
@@ -591,9 +586,9 @@ func TestCompositionAnySource(t *testing.T) {
 // TestAnalyzeStreamRejectsUnknownObjects: segment input is not
 // validated, and segment files accept lock and channel events naming an
 // object past the skeleton's table, so pass 1 must fail such a trace
-// with an error at every ParallelSegments (pass 1 is one range at all
-// of them, and only pass 3's split varies), instead of letting pass 3
-// index its per-object state out of range.
+// with an error whatever pass 3's range count (pass 1 is one range at
+// all of them), instead of letting pass 3 index its per-object state
+// out of range.
 func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 	for name, emit := range map[string]func(b *trace.Builder, th trace.ThreadID){
 		"lock": func(b *trace.Builder, th trace.ThreadID) { b.CS(th, 99, 1, 2, 3) },
@@ -610,7 +605,8 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 		b.Exit(4, main)
 		r := segmented(t, b.Trace(), 1, 1, false)
 		for _, par := range []int{1, 2, 8} {
-			_, err := core.AnalyzeStream(r, core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
+			splitPass3(t, par)
+			_, err := core.AnalyzeStream(r, core.DefaultConfig())
 			if err == nil || !strings.Contains(err.Error(), "references object 99") {
 				t.Errorf("%s, par=%d: err = %v, want an out-of-range object error", name, par, err)
 			}
@@ -620,12 +616,11 @@ func TestAnalyzeStreamRejectsUnknownObjects(t *testing.T) {
 
 // TestLockErrorsAtAnyParallelism: pass 3 rejects an unpaired release,
 // an unpaired obtain and an obtain with no acquire with the same error
-// at every range count, with the read-ahead on and off (on, the
-// default configuration splits pass 3 into one range per P), whether
-// the bad event lies in pass 3's head range, which fails on the spot,
-// or past it, where the merge's replay of the relayed event fails.
-// Pass 3 is the only pass that relays; pass 1 is one range at every
-// ParallelSegments.
+// in 1, 2 and 8 ranges (one range per P, with the read-ahead on from
+// 2), whether the bad event lies in pass 3's head range, which fails
+// on the spot, or past it, where the merge's replay of the relayed
+// event fails. Pass 3 is the only pass that relays; pass 1 is always
+// one range.
 func TestLockErrorsAtAnyParallelism(t *testing.T) {
 	const pad = 64 // padding critical sections, three events each
 	cases := []struct {
@@ -682,17 +677,14 @@ func TestLockErrorsAtAnyParallelism(t *testing.T) {
 			}
 			want := fmt.Sprintf("core: event %d: %s", bad, c.want)
 			r := segmented(t, tr, 1, 1, false)
-			for _, ahead := range []bool{false, true} {
-				readAhead(t, ahead)
-				for _, par := range []int{1, 2, 8} {
-					cfg := core.Config{Options: core.DefaultOptions(), ParallelSegments: par}
-					if ranges := core.Pass3Ranges(r, cfg); par == 1 && ahead && (ranges < 2 || ranges > 8) {
-						t.Fatalf("the default configuration splits pass 3 into %d ranges, want 2 to 8", ranges)
-					}
-					_, err := core.AnalyzeStream(r, cfg)
-					if err == nil || err.Error() != want {
-						t.Errorf("%s (head=%t), par=%d, read-ahead %t: err = %v, want %q", c.name, inHead, par, ahead, err, want)
-					}
+			for _, par := range []int{1, 2, 8} {
+				splitPass3(t, par)
+				if ranges := core.Pass3Ranges(r); ranges != par {
+					t.Fatalf("pass 3 splits into %d ranges at %d Ps", ranges, par)
+				}
+				_, err := core.AnalyzeStream(r, core.DefaultConfig())
+				if err == nil || err.Error() != want {
+					t.Errorf("%s (head=%t), par=%d: err = %v, want %q", c.name, inHead, par, err, want)
 				}
 			}
 		}

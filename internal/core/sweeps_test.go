@@ -40,6 +40,18 @@ func readAhead(t *testing.T, on bool) {
 	}
 }
 
+// splitPass3 runs the rest of the test with pass 3 split into k ranges
+// (fewer on a source of fewer segments) the way the analysis splits a
+// large source: k Ps, and the read-ahead's gate lowered to every
+// source, so at k ≥ 2 pass 1 and the walk read ahead too. At k = 1
+// pass 3 is one range and nothing reads ahead. Tests that call it must
+// not run in parallel with others.
+func splitPass3(t testing.TB, k int) {
+	core.SetReadAheadFrom(t, 0)
+	prev := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // sweepOutputs is everything a sequential sweep produces for one
 // source: the analysis export, slack, both views of the hazard fold and
 // the timelines.
@@ -108,14 +120,14 @@ func TestReadAheadMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, s := range sources {
-			for _, cache := range []int{1, 0} {
-				cfg := core.Config{Options: core.DefaultOptions(), CacheSegments: cache}
+			for _, window := range []int{1, core.DefaultWalkWindow} {
+				core.SetWalkWindow(t, window)
 				readAhead(t, false)
-				want := sweep(t, s.src, cfg)
+				want := sweep(t, s.src, core.DefaultConfig())
 				readAhead(t, true)
-				got := sweep(t, s.src, cfg)
+				got := sweep(t, s.src, core.DefaultConfig())
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %s cache=%d: outputs differ with the read-ahead on", name, s.label, cache)
+					t.Errorf("%s %s window=%d: outputs differ with the read-ahead on", name, s.label, window)
 				}
 			}
 		}
@@ -246,9 +258,8 @@ func (p *probe) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 // keeps exactly ReadAheadDepth decodes in flight at its peak, never
 // more, and joins them; the analysis's peak is pass 3's range count,
 // one per P (three here), once pass 3 runs, and the read-ahead's when
-// pass 1 fails first. At ParallelSegments 2, pass 1 and the walk still
-// read ahead, each peaking at ReadAheadDepth loads, and pass 3 at its
-// two ranges.
+// pass 1 fails first. At two Ps, pass 1 and the walk read ahead, each
+// peaking at ReadAheadDepth loads, and pass 3 at its two ranges.
 func TestReadAheadGoroutines(t *testing.T) {
 	readAhead(t, true)
 	prev := runtime.GOMAXPROCS(3)
@@ -264,7 +275,7 @@ func TestReadAheadGoroutines(t *testing.T) {
 		fail, bad int
 	}{{"success", -1, -1}, {"load error", 2, -1}, {"rejected event", -1, 2}} {
 		src := &probe{SegmentSource: segmented(t, tr, 1024, 0, false), fail: c.fail, bad: c.bad}
-		ranges := core.Pass3Ranges(src, core.Config{Options: core.DefaultOptions()})
+		ranges := core.Pass3Ranges(src)
 		if ranges != 3 {
 			t.Fatalf("pass 3 splits into %d ranges at 3 Ps, want 3", ranges)
 		}
@@ -296,6 +307,7 @@ func TestReadAheadGoroutines(t *testing.T) {
 		}
 	}
 
+	runtime.GOMAXPROCS(2)
 	src := &probe{SegmentSource: segmented(t, tr, 1024, 0, false), fail: -1, bad: -1}
 	peaks := map[string]int32{}
 	opts := core.DefaultOptions()
@@ -303,18 +315,18 @@ func TestReadAheadGoroutines(t *testing.T) {
 		Start: func(string) { src.peak.Store(0) },
 		Done:  func(phase string, _ time.Duration) { peaks[phase] = src.peak.Load() },
 	}
-	if _, err := core.AnalyzeStream(src, core.Config{Options: opts, ParallelSegments: 2}); err != nil {
-		t.Fatalf("ParallelSegments 2: %v", err)
+	if _, err := core.AnalyzeStream(src, core.Config{Options: opts}); err != nil {
+		t.Fatalf("two Ps: %v", err)
 	}
 	want := map[string]int32{"pass1": core.ReadAheadDepth, "walk": core.ReadAheadDepth, "pass3": 2}
 	if !reflect.DeepEqual(peaks, want) {
-		t.Errorf("ParallelSegments 2: loads at once at each phase's peak %v, want %v", peaks, want)
+		t.Errorf("two Ps: loads at once at each phase's peak %v, want %v", peaks, want)
 	}
 	if n := src.active.Load(); n != 0 {
-		t.Errorf("ParallelSegments 2: %d loads still running", n)
+		t.Errorf("two Ps: %d loads still running", n)
 	}
 	if n := settledGoroutines(base); n != base {
-		t.Errorf("ParallelSegments 2: %d goroutines after the analysis, %d before", n, base)
+		t.Errorf("two Ps: %d goroutines after the analysis, %d before", n, base)
 	}
 }
 

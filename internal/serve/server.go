@@ -53,15 +53,6 @@ type Options struct {
 	Timeout time.Duration
 	// TmpDir hosts streaming spill files ("" = os.TempDir).
 	TmpDir string
-	// Window is the default streaming walk residency for segment-dir
-	// analyses, overridable per request (?window=N). 0 = core default.
-	Window int
-	// ParallelSegments is the default range count for the streaming
-	// analysis's pass 3, overridable per request (?par=N); pass 1 is
-	// always one range. 0 or 1 = pass 3 one range per core on a trace
-	// of 128K events or more (core.Config.ParallelSegments); results
-	// are identical at any setting.
-	ParallelSegments int
 	// NoMmap disables memory-mapping segment files by default,
 	// overridable per request (?mmap=BOOL).
 	NoMmap bool
@@ -185,8 +176,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // analyzeParams are the per-request knobs, parsed from the query.
 type analyzeParams struct {
 	segdir    string // server-local segment directory
-	window    int
-	par       int
 	mmap      bool
 	annBudget int64
 	clip      bool
@@ -199,25 +188,9 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 	q := r.URL.Query()
 	p := analyzeParams{
 		segdir:    q.Get("segdir"),
-		window:    defaults.Window,
-		par:       defaults.ParallelSegments,
 		mmap:      !defaults.NoMmap,
 		annBudget: defaults.AnnotationBudget,
 		clip:      true,
-	}
-	if v := q.Get("window"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return p, httpErrorf(http.StatusBadRequest, "bad window=%q: want a non-negative integer", v)
-		}
-		p.window = n
-	}
-	if v := q.Get("par"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return p, httpErrorf(http.StatusUnprocessableEntity, "bad par=%q: want a non-negative integer", v)
-		}
-		p.par = n
 	}
 	if v := q.Get("mmap"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -244,8 +217,8 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 }
 
 // fingerprint folds the options that change analysis output into the
-// cache key; the performance knobs (window, par, mmap, annbudget) do
-// not alter results and are excluded. Composition is not a knob (every
+// cache key; the performance knobs (mmap, annbudget) do not alter
+// results and are excluded. Composition is not a knob (every
 // analysis computes it), but "composition=false" stays in the string:
 // it is what every default request's fingerprint has carried, and
 // dropping it would move every cache ID, the goldens' id lines too.
@@ -325,7 +298,7 @@ func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyz
 	if params.hazards {
 		hazards = func() (*hazard.Report, error) { return hazardResult(hazard.FromTrace(tr)) }
 	}
-	an, hz, err := s.run(ctx, id, "trace", core.TraceSource(tr), params, hazards)
+	an, hz, err := s.run(ctx, id, "trace", core.TraceSource(tr), params, hazards, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -354,21 +327,13 @@ func (s *Server) analyzeSegdir(ctx context.Context, params analyzeParams) (*Repo
 	}
 	var hazards func() (*hazard.Report, error)
 	if params.hazards {
-		hazards = func() (*hazard.Report, error) {
-			// The analysis source closed its reader; the hazard pass
-			// streams the directory again on a fresh one, as one
-			// sequential fold (FromSegments does not read par).
-			hrdr, err := segment.OpenWith(params.segdir, segment.ReadOptions{NoMmap: !params.mmap})
-			if err != nil {
-				return nil, fmt.Errorf("reopening %s: %w", params.segdir, err)
-			}
-			defer hrdr.Close()
-			return hazardResult(hazard.FromSegments(hrdr, params.par))
-		}
+		// The fold reads the reader the analysis read.
+		hazards = func() (*hazard.Report, error) { return hazardResult(hazard.FromSegments(rdr, 1)) }
 	}
-	// closingSource releases the reader's mappings when the analysis
-	// goroutine finishes, even if the request deadline abandoned it.
-	an, hz, err := s.run(ctx, id, source, closingSource{rdr}, params, hazards)
+	// run closes the reader once the analysis and the fold are done,
+	// even if the request deadline abandoned them, so every run
+	// releases its mappings.
+	an, hz, err := s.run(ctx, id, source, core.StreamSource(rdr), params, hazards, rdr.Close)
 	if err != nil {
 		return nil, err
 	}
@@ -389,12 +354,17 @@ func hazardResult(hz *hazard.Report, err error) (*hazard.Report, error) {
 // run executes one analysis, then the hazard pass when hazards is
 // non-nil, under the concurrency budget, the request deadline and full
 // observation (shared instruments + progress tracker). The hazard pass
-// reports to the run's observer as the "hazard" phase.
+// reports to the run's observer as the "hazard" phase. A non-nil
+// release runs on the analysis goroutine once both are done, before
+// the result is delivered.
 func (s *Server) run(ctx context.Context, id, source string, src core.Source, params analyzeParams,
-	hazards func() (*hazard.Report, error)) (*core.Analysis, *hazard.Report, error) {
+	hazards func() (*hazard.Report, error), release func() error) (*core.Analysis, *hazard.Report, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
+		if release != nil {
+			release()
+		}
 		return nil, nil, httpErrorf(http.StatusServiceUnavailable, "timed out waiting for an analysis slot")
 	}
 
@@ -411,9 +381,7 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 			ClipHold: params.clip,
 			Observer: obs.Combine(s.ins.Run(), tracked),
 		},
-		CacheSegments:    params.window,
 		TmpDir:           s.opts.TmpDir,
-		ParallelSegments: params.par,
 		AnnotationBudget: params.annBudget,
 	}
 
@@ -438,6 +406,9 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 				cfg.Observer.PhaseDone("hazard", time.Since(start))
 			}
 		}
+		if release != nil {
+			release()
+		}
 		ch <- result{an, hz, err}
 	}()
 	select {
@@ -448,16 +419,6 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 		go func() { <-ch; cleanup() }()
 		return nil, nil, httpErrorf(http.StatusGatewayTimeout, "analysis exceeded the %s request budget", s.opts.Timeout)
 	}
-}
-
-// closingSource streams from an open segment reader and closes it when
-// the analysis returns, so abandoned (timed-out) runs still release
-// their file mappings.
-type closingSource struct{ rdr *segment.Reader }
-
-func (c closingSource) Run(cfg core.Config) (*core.Analysis, error) {
-	defer c.rdr.Close()
-	return core.StreamSource(c.rdr).Run(cfg)
 }
 
 // cached returns the report for id, or nil.

@@ -171,7 +171,7 @@ func TestSegdirMatchesUpload(t *testing.T) {
 	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 64}); err != nil {
 		t.Fatal(err)
 	}
-	status, raw2 := post(t, ts, "?segdir="+dir+"&window=3", nil)
+	status, raw2 := post(t, ts, "?segdir="+dir, nil)
 	if status != http.StatusOK {
 		t.Fatalf("POST ?segdir = %d\n%s", status, raw2)
 	}
@@ -240,6 +240,24 @@ func TestObservability(t *testing.T) {
 	}
 }
 
+// TestSizingKeysIgnored: ?par= and ?window= are ignored keys whatever
+// their value, since the analysis sizes its pass-3 ranges and walk
+// window itself. A request carrying them is served as it is without
+// them, under the same report ID.
+func TestSizingKeysIgnored(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	body := traceBytes(t, microTrace(t))
+	_, raw := post(t, ts, "", body)
+	want := decodeReport(t, raw)
+	status, raw2 := post(t, ts, "?par=x&window=-1", body)
+	if status != http.StatusOK {
+		t.Fatalf("POST ?par=x&window=-1 = %d, want 200\n%s", status, raw2)
+	}
+	if got := decodeReport(t, raw2); got.ID != want.ID {
+		t.Errorf("report ID %s with ?par=x&window=-1, %s without", got.ID, want.ID)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{MaxUploadBytes: 1 << 20})
 
@@ -250,9 +268,6 @@ func TestErrorPaths(t *testing.T) {
 	// stream-format header is no trace.
 	if status, _ := post(t, ts, "?format=stream", []byte("CLTS\x01")); status != http.StatusUnprocessableEntity {
 		t.Errorf("CLTS-magic body = %d, want 422", status)
-	}
-	if status, _ := post(t, ts, "?window=-1", []byte("x")); status != http.StatusBadRequest {
-		t.Errorf("bad window = %d, want 400", status)
 	}
 	if status, _ := post(t, ts, "?clip=maybe", []byte("x")); status != http.StatusBadRequest {
 		t.Errorf("bad clip = %d, want 400", status)
@@ -449,7 +464,7 @@ func TestHazardsEndpoint(t *testing.T) {
 	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 64}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(ts.URL+"/v1/hazards?segdir="+dir+"&par=4", "application/octet-stream", nil)
+	resp, err = http.Post(ts.URL+"/v1/hazards?segdir="+dir, "application/octet-stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
