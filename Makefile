@@ -7,9 +7,9 @@
 
 GO ?= go
 
-# Seconds per fuzz target in fuzz-smoke. 30s each keeps the eleven
-# targets near six minutes while still exercising the mutation engine
-# beyond the seed corpus.
+# Seconds per fuzz target in fuzz-smoke. 30s each keeps the twelve
+# targets a little over six minutes while still exercising the
+# mutation engine beyond the seed corpus.
 FUZZTIME ?= 30s
 
 .PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check cross-build bench bench-compare bench-smoke instr-smoke docs-check guide ci
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzHazard -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pairing -run '^$$' -fuzz FuzzPairing -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAnalyzeSegments -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/report -run '^$$' -fuzz FuzzWriteExport -fuzztime $(FUZZTIME)
 
 # Reference oracle: the analysis of segmented, spilled and in-memory
 # (TraceSource) traces must be bit-identical to the test-only reference
@@ -107,12 +108,16 @@ stream-diff:
 	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v
 
 # Serving-path smoke: spin up the analysis server in-process, POST the
-# checked-in synth workload and byte-diff the JSON report against its
-# golden (testdata/smoke_report.golden), plus the source-level
-# differential oracle behind the unified Analyze API. Refresh the
-# golden with UPDATE_SERVE_GOLDEN=1 after an intended change.
+# checked-in synth, pipeline and deadlock-prone workloads and byte-diff
+# the JSON reports against their goldens (testdata/*_report.golden; the
+# last one through /v1/hazards), plus the source-level differential
+# oracle behind the unified Analyze API and the report writer's
+# differential test against encoding/json (under -race: writers share
+# a buffer pool). Refresh the goldens with UPDATE_SERVE_GOLDEN=1 after
+# an intended change.
 serve-smoke:
-	$(GO) test ./internal/serve -run 'TestServeSmokeGolden|TestSegdirMatchesUpload' -count=1 -v
+	$(GO) test ./internal/serve -run 'TestServeSmokeGolden|TestServeChanGolden|TestServeHazardsGolden|TestSegdirMatchesUpload' -count=1 -v
+	$(GO) test -race ./internal/report -run TestWriteExportMatchesEncodingJSON -count=1 -v
 	$(GO) test . -run TestAnalyzeSourcesAgree -count=1
 
 # Hazard-prediction smoke: the planted deadlock and lost-signal

@@ -114,15 +114,6 @@ func BuildExport(id, source string, streamed bool, an *core.Analysis) *Export {
 	return rep
 }
 
-// WriteExport writes the indented JSON form (the cla -jsonreport
-// format, byte-identical to what clasrv serves for the same trace and
-// options apart from ID/Source).
-func WriteExport(w io.Writer, rep *Export) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // ReadExport parses a JSON analysis report (clalint -report input).
 func ReadExport(r io.Reader) (*Export, error) {
 	var rep Export

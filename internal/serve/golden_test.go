@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,6 +11,28 @@ import (
 	"critlock"
 	"critlock/internal/serve"
 )
+
+// checkGolden diffs a served body byte-for-byte against
+// testdata/name, or rewrites the file when UPDATE_SERVE_GOLDEN is set.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	goldenPath := filepath.Join("testdata", name)
+	if os.Getenv("UPDATE_SERVE_GOLDEN") != "" {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_SERVE_GOLDEN=1 to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("served report differs from %s (%d vs %d bytes); rerun with UPDATE_SERVE_GOLDEN=1 if the change is intended",
+			goldenPath, len(got), len(want))
+	}
+}
 
 // TestServeSmokeGolden drives the full serving path — synth workload →
 // simulator → binary trace → HTTP upload → JSON report — and diffs the
@@ -39,23 +62,7 @@ func TestServeSmokeGolden(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/analyze = %d\n%s", status, got)
 	}
-
-	goldenPath := filepath.Join("testdata", "smoke_report.golden")
-	if os.Getenv("UPDATE_SERVE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with UPDATE_SERVE_GOLDEN=1 to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("served report differs from %s (%d vs %d bytes); rerun with UPDATE_SERVE_GOLDEN=1 if the change is intended",
-			goldenPath, len(got), len(want))
-	}
+	checkGolden(t, "smoke_report.golden", got)
 }
 
 // TestServeChanGolden does the same for a channel-dominated workload:
@@ -73,24 +80,37 @@ func TestServeChanGolden(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/analyze = %d\n%s", status, got)
 	}
-
-	goldenPath := filepath.Join("testdata", "pipeline_report.golden")
-	if os.Getenv("UPDATE_SERVE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with UPDATE_SERVE_GOLDEN=1 to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("served report differs from %s (%d vs %d bytes); rerun with UPDATE_SERVE_GOLDEN=1 if the change is intended",
-			goldenPath, len(got), len(want))
-	}
+	checkGolden(t, "pipeline_report.golden", got)
 	if !bytes.Contains(got, []byte(`"chans"`)) {
 		t.Error("served pipeline report has no chans section")
+	}
+}
+
+// TestServeHazardsGolden pins the /v1/hazards body: the deadlock-prone
+// workload's report with its hazards section (a feasible cycle whose
+// witness crosses threads) spliced in after the jumps.
+func TestServeHazardsGolden(t *testing.T) {
+	sim := critlock.NewSimulator(critlock.SimConfig{Contexts: 8, Seed: 1})
+	tr, _, err := critlock.RunWorkload(sim, "deadlockprone", critlock.WorkloadParams{Seed: 1})
+	if err != nil {
+		t.Fatalf("running deadlockprone: %v", err)
+	}
+
+	_, ts := newTestServer(t, serve.Options{})
+	resp, err := http.Post(ts.URL+"/v1/hazards", "application/octet-stream", bytes.NewReader(traceBytes(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/hazards = %d\n%s", resp.StatusCode, got)
+	}
+	checkGolden(t, "hazards_report.golden", got)
+	if !bytes.Contains(got, []byte(`"cross_thread": true`)) {
+		t.Error("served hazards report has no cross-thread witness")
 	}
 }

@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -37,6 +38,7 @@ import (
 	"critlock/internal/core"
 	"critlock/internal/hazard"
 	"critlock/internal/obs"
+	"critlock/internal/report"
 	"critlock/internal/segment"
 	"critlock/internal/trace"
 )
@@ -165,6 +167,35 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// writeReport serves rep in the report's one JSON form
+// (report.WriteExport) and records the write as the "report" phase. A
+// report that cannot be encoded fails before its first byte, and is
+// answered with a 500 instead.
+func (s *Server) writeReport(w http.ResponseWriter, rep *Report) {
+	start := time.Now()
+	w.Header().Set("Content-Type", "application/json")
+	sw := &sentWriter{w: w}
+	if err := report.WriteExport(sw, rep); err != nil {
+		if !sw.sent {
+			writeError(w, fmt.Errorf("encoding report %s: %w", rep.ID, err))
+		}
+		return
+	}
+	s.ins.Run().PhaseDone("report", time.Since(start))
+}
+
+// sentWriter notes whether any byte reached the response, after which
+// the status can no longer change.
+type sentWriter struct {
+	w    io.Writer
+	sent bool
+}
+
+func (sw *sentWriter) Write(p []byte) (int, error) {
+	sw.sent = true
+	return sw.w.Write(p)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -264,12 +295,21 @@ func (s *Server) serveAnalysis(w http.ResponseWriter, r *http.Request, hazards b
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	s.writeReport(w, rep)
 }
+
+// uploadPrealloc caps the buffer an upload reserves from its
+// Content-Length before any byte arrives, so a lying header cannot
+// reserve more than this; a larger body grows the buffer as it reads.
+const uploadPrealloc = 4 << 20
 
 // analyzeBody ingests a trace from the request body.
 func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyzeParams) (*Report, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.opts.MaxUploadBytes))
+	// bytes.MinRead spare bytes let the read that meets EOF fit without
+	// regrowing a buffer the body fills exactly.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), uploadPrealloc)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, s.opts.MaxUploadBytes))
+	body := buf.Bytes()
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -288,11 +328,13 @@ func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyz
 		return rep, nil
 	}
 
+	start := time.Now()
 	tr, err := trace.Decode(body)
 	if err != nil {
 		// An undecodable upload is the client's problem, not ours.
 		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("decoding trace: %v", err)}
 	}
+	s.ins.Run().PhaseDone("decode", time.Since(start))
 
 	var hazards func() (*hazard.Report, error)
 	if params.hazards {
@@ -459,7 +501,7 @@ func (s *Server) handleReportGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusNotFound, "no report %q (it may have been evicted; re-POST the trace)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	s.writeReport(w, rep)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -200,6 +200,8 @@ func TestSegdirMatchesUpload(t *testing.T) {
 	}
 }
 
+// TestObservability: one upload shows in /metrics as the analysis
+// phases plus the server's own decode and report phases.
 func TestObservability(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{})
 	post(t, ts, "", traceBytes(t, microTrace(t)))
@@ -212,6 +214,8 @@ func TestObservability(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE critlock_phase_seconds histogram",
 		`critlock_phase_seconds_count{phase="walk"}`,
+		`critlock_phase_seconds_count{phase="decode"} 1`,
+		`critlock_phase_seconds_count{phase="report"} 1`,
 		"critlock_analysis_events_total",
 		"critlock_server_requests_total",
 		"critlock_server_active_analyses 0",
@@ -289,6 +293,29 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if status, _ := post(t, ts, "", []byte("CL")); status != http.StatusUnprocessableEntity {
 		t.Errorf("trace cut inside the magic = %d, want 422", status)
+	}
+}
+
+// TestUploadContentLengthUntrusted: the upload buffer is sized from
+// Content-Length, but a header that claims far more than the body (or
+// less) only changes the reservation: the report is the one a truthful
+// upload gets.
+func TestUploadContentLengthUntrusted(t *testing.T) {
+	srv, ts := newTestServer(t, serve.Options{MaxUploadBytes: 1 << 20})
+	body := traceBytes(t, microTrace(t))
+	_, raw := post(t, ts, "", body)
+	want := decodeReport(t, raw).ID
+	for _, claim := range []int64{1 << 40, 10, -1} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
+		req.ContentLength = claim
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("Content-Length %d: status %d\n%s", claim, rec.Code, rec.Body.Bytes())
+		}
+		if got := decodeReport(t, rec.Body.Bytes()).ID; got != want {
+			t.Errorf("Content-Length %d: report %s, want %s", claim, got, want)
+		}
 	}
 }
 
