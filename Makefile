@@ -99,9 +99,16 @@ fuzz-smoke:
 # sweeps: TestReadAhead* hold every sweep's output and errors to the
 # sequential reads and leave no decode or goroutine behind, and
 # TestFoldJoinsDecodes (internal/hazard) requires the hazard fold to
-# return with no decode running at any worker count.
+# return with no decode running at any worker count. A zero-length
+# critical section is on the path only when the walk visited its
+# obtain (by event index, in pass 3 and the reference alike): the
+# seeds of FuzzSections (critical locks whose sections enclose no
+# other lock have zero slack) and TestPropertyZeroLengthSectionSeeds
+# (internal/sim) replay programs where the path left a thread at the
+# very timestamp of such a section.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections' -count=1 -v
+	$(GO) test -race ./internal/sim -run 'TestPropertyZeroLengthSectionSeeds' -count=1 -v
 	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
 	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded' -count=1 -v
 	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v
@@ -113,10 +120,18 @@ stream-diff:
 # last one through /v1/hazards), plus the source-level differential
 # oracle behind the unified Analyze API and the report writer's
 # differential test against encoding/json (under -race: writers share
-# a buffer pool). Refresh the goldens with UPDATE_SERVE_GOLDEN=1 after
-# an intended change.
+# a buffer pool). Every program opens its input through internal/input,
+# so its tests run here under -race too: every input kind of one trace
+# gives the same report bytes and lock order, failures keep their types
+# and texts, and clasrv closes an input on every path (200, 503, 504
+# and a 422 from the hazard fold; the 504 closes from the abandoned
+# analysis goroutine), ignores ?mmap= and ?annbudget=, and words
+# failures as before. Refresh the goldens with UPDATE_SERVE_GOLDEN=1
+# after an intended change.
 serve-smoke:
 	$(GO) test ./internal/serve -run 'TestServeSmokeGolden|TestServeChanGolden|TestServeHazardsGolden|TestSegdirMatchesUpload' -count=1 -v
+	$(GO) test -race ./internal/input -count=1 -v
+	$(GO) test -race ./internal/serve -run 'TestRunClosesInput|TestSizingKeysIgnored|TestErrorTexts' -count=1 -v
 	$(GO) test -race ./internal/report -run TestWriteExportMatchesEncodingJSON -count=1 -v
 	$(GO) test . -run TestAnalyzeSourcesAgree -count=1
 

@@ -10,6 +10,11 @@
 //	cla -segdir segs/              # stream a segmented trace, bounded memory
 //	cla -hazards trace.cltr        # predict feasible deadlocks and lost signals
 //	cla -jsonreport analysis.json trace.cltr   # JSON analysis for clalint -report
+//	cla -segdir segs/ trace.cltr   # also write the file as a segment directory
+//
+// A file or a segment directory is opened and analyzed through
+// internal/input, as in every other tool, so both print the same
+// report; -hazards folds a file's decoded events in place.
 package main
 
 import (
@@ -17,13 +22,12 @@ import (
 	"fmt"
 	"os"
 
-	"critlock"
 	"critlock/internal/cliflags"
 	"critlock/internal/core"
 	"critlock/internal/hazard"
+	"critlock/internal/input"
 	"critlock/internal/report"
 	"critlock/internal/segment"
-	"critlock/internal/trace"
 )
 
 func main() {
@@ -65,70 +69,54 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 		return err
 	}
 
-	// Both input kinds run one path: the analysis, and every section
-	// that replays events, read the same segment source — the open
-	// directory, or the decoded file viewed as in-memory segments.
-	var name string
-	var src core.SegmentSource
-	var source critlock.AnalysisSource
+	// Both input kinds run one path (internal/input): the analysis,
+	// and every section that replays events, read the same segment
+	// source — the open directory, or the decoded file viewed as
+	// in-memory segments.
+	var in *input.Input
+	var err error
 	streamed := *segdir != "" && fs.NArg() == 0
 	if streamed {
-		name = *segdir
-		rdr, err := segment.OpenWith(*segdir, segment.ReadOptions{NoMmap: !*mmap})
-		if err != nil {
-			return fmt.Errorf("analyzing %s: %w", name, err)
-		}
-		defer rdr.Close()
-		src, source = rdr, critlock.SegmentsSource(rdr)
+		in, err = input.Dir(*segdir, *mmap)
 	} else {
 		if fs.NArg() != 1 {
 			fs.Usage()
 			return fmt.Errorf("expected exactly one trace file argument (or -segdir DIR alone)")
 		}
-		name = fs.Arg(0)
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return err
+		in, err = input.File(fs.Arg(0))
+	}
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	if !streamed && *segdir != "" {
+		// Conversion mode: a trace file plus -segdir rewrites the
+		// trace as a segmented directory for later streaming runs.
+		if err := segment.WriteTrace(*segdir, in.Trace, segment.Options{}); err != nil {
+			return fmt.Errorf("writing segments to %s: %w", *segdir, err)
 		}
-		tr, err := trace.Decode(data)
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", name, err)
-		}
-		if *segdir != "" {
-			// Conversion mode: a trace file plus -segdir rewrites the
-			// trace as a segmented directory for later streaming runs.
-			if err := segment.WriteTrace(*segdir, tr, segment.Options{}); err != nil {
-				return fmt.Errorf("writing segments to %s: %w", *segdir, err)
-			}
-			fmt.Printf("wrote segmented trace to %s (%d events)\n", *segdir, len(tr.Events))
-		}
-		src, source = critlock.TraceSegments(tr), critlock.TraceSource(tr)
+		fmt.Printf("wrote segmented trace to %s (%d events)\n", *segdir, len(in.Trace.Events))
 	}
 	if wrap != nil {
-		src = wrap(src)
+		in.Segments = wrap(in.Segments)
 	}
-	an, err := critlock.Analyze(source,
-		critlock.WithClipHold(!*noClip),
-		critlock.WithAnnotationBudget(*annBudget))
-	if err != nil {
-		return fmt.Errorf("analyzing %s: %w", name, err)
-	}
+	src := in.Segments
 
 	// One hazard fold serves -hazards, -lockorder and the report's
 	// lock-order section.
-	var hazRep *hazard.Report
-	var lo *hazard.LockOrder
-	if *hazards || *lockOrder {
-		rep, order, err := hazard.Fold(src)
-		if err != nil {
-			return fmt.Errorf("hazard analysis of %s: %w", name, err)
-		}
-		if *hazards {
-			hazRep = rep
-		}
-		if *lockOrder {
-			lo = order
-		}
+	cfg := core.DefaultConfig()
+	cfg.ClipHold = !*noClip
+	cfg.AnnotationBudget = *annBudget
+	res, err := in.Analyze(cfg, *hazards || *lockOrder)
+	if err != nil {
+		return err
+	}
+	an, hazRep, lo := res.Analysis, res.Hazards, res.LockOrder
+	if !*hazards {
+		hazRep = nil
+	}
+	if !*lockOrder {
+		lo = nil
 	}
 
 	if *csvOut {
@@ -219,7 +207,7 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 		if err != nil {
 			return err
 		}
-		rep := report.BuildExport("cla", name, streamed, an)
+		rep := report.BuildExport("cla", in.Name, in.Streamed, an)
 		rep.Hazards = hazRep
 		if err := report.WriteExport(rf, rep); err != nil {
 			rf.Close()

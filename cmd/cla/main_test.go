@@ -12,6 +12,7 @@ import (
 	"critlock"
 	"critlock/internal/core"
 	"critlock/internal/report"
+	"critlock/internal/segment"
 	"critlock/internal/sim"
 	"critlock/internal/trace"
 	"critlock/internal/workloads"
@@ -253,73 +254,107 @@ func writeWorkloadTrace(t *testing.T, w, dir string) string {
 }
 
 // TestHazardFoldOnce: -hazards, -lockorder and the report's lock-order
-// section share one hazard fold, so each segment of the trace is loaded
-// once for them whichever of the flags are given (the analysis itself
-// runs over its own source). -slack and the report's slack section
-// share one slack computation (a pass 1 and a backward sweep), so each
-// segment is loaded twice for them. With all three hazard flags the
-// output is pinned by testdata/foldonce_<workload>.golden, and with
+// section share one hazard fold, so each segment of a segment directory
+// is loaded once for them whichever of the flags are given (the
+// analysis itself runs over its own source), and the fold of a trace
+// file steps its decoded events without loading the file's in-memory
+// segments at all. -slack and the report's slack section share one
+// slack computation (a pass 1 and a backward sweep), so each segment is
+// loaded twice for them from either input. With all three hazard flags
+// the output is pinned by testdata/foldonce_<workload>.golden, and with
 // -slack -report by testdata/slackonce_<workload>.golden.
 func TestHazardFoldOnce(t *testing.T) {
 	cases := []struct {
-		flags  []string
-		loads  int32
-		golden string
+		flags               []string
+		dirLoads, fileLoads int32
+		golden              string
 	}{
-		{[]string{"-hazards"}, 1, ""},
-		{[]string{"-lockorder"}, 1, ""},
-		{[]string{"-report", "report.md", "-lockorder"}, 1, ""},
-		{[]string{"-hazards", "-lockorder", "-report", "report.md"}, 1, "foldonce"},
-		{[]string{"-slack"}, 2, ""},
-		{[]string{"-slack", "-report", "report.md"}, 2, "slackonce"},
+		{[]string{"-hazards"}, 1, 0, ""},
+		{[]string{"-lockorder"}, 1, 0, ""},
+		{[]string{"-report", "report.md", "-lockorder"}, 1, 0, ""},
+		{[]string{"-hazards", "-lockorder", "-report", "report.md"}, 1, 0, "foldonce"},
+		{[]string{"-slack"}, 2, 2, ""},
+		{[]string{"-slack", "-report", "report.md"}, 2, 2, "slackonce"},
 	}
 	for _, w := range []string{"deadlockprone", "radiosity"} {
 		dir := t.TempDir()
 		file := writeWorkloadTrace(t, w, dir)
+		segs := filepath.Join(dir, "segs")
+		writeSegdir(t, file, segs)
 		for _, c := range cases {
+			legs := []struct {
+				name  string
+				input []string
+				loads int32
+			}{
+				{"segdir", []string{"-segdir", segs}, c.dirLoads},
+				{"file", []string{file}, c.fileLoads},
+			}
 			t.Run(w+"/"+strings.Join(c.flags, ""), func(t *testing.T) {
-				out := t.TempDir()
-				args := append([]string(nil), c.flags...)
-				for i, a := range args {
-					if a == "report.md" {
-						args[i] = filepath.Join(out, a)
-					}
-				}
-				var counter *loadCounter
-				got := captureOn(t, func(src core.SegmentSource) core.SegmentSource {
-					counter = &loadCounter{SegmentSource: src, loads: make([]atomic.Int32, src.NumSegments())}
-					return counter
-				}, append(args, file)...)
-				if len(counter.loads) < 2 && w == "radiosity" {
-					t.Fatalf("radiosity has %d segments, want several", len(counter.loads))
-				}
-				for i := range counter.loads {
-					if n := counter.loads[i].Load(); n != c.loads {
-						t.Errorf("segment %d loaded %d times, want %d", i, n, c.loads)
-					}
-				}
-				if c.golden == "" {
-					return
-				}
-				doc, err := os.ReadFile(filepath.Join(out, "report.md"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = strings.ReplaceAll(got, out, "OUT") + "--- report.md ---\n" + string(doc)
-				golden := filepath.Join("testdata", c.golden+"_"+w+".golden")
-				if *update {
-					if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want, err := os.ReadFile(golden)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != string(want) {
-					t.Errorf("cla %v differs from %s:\n%s", c.flags, golden, got)
+				for _, leg := range legs {
+					t.Run(leg.name, func(t *testing.T) {
+						out := t.TempDir()
+						args := append([]string(nil), c.flags...)
+						for i, a := range args {
+							if a == "report.md" {
+								args[i] = filepath.Join(out, a)
+							}
+						}
+						var counter *loadCounter
+						got := captureOn(t, func(src core.SegmentSource) core.SegmentSource {
+							counter = &loadCounter{SegmentSource: src, loads: make([]atomic.Int32, src.NumSegments())}
+							return counter
+						}, append(args, leg.input...)...)
+						if len(counter.loads) < 2 && w == "radiosity" {
+							t.Fatalf("radiosity has %d segments, want several", len(counter.loads))
+						}
+						for i := range counter.loads {
+							if n := counter.loads[i].Load(); n != leg.loads {
+								t.Errorf("segment %d loaded %d times, want %d", i, n, leg.loads)
+							}
+						}
+						if c.golden == "" {
+							return
+						}
+						doc, err := os.ReadFile(filepath.Join(out, "report.md"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = strings.ReplaceAll(got, out, "OUT") + "--- report.md ---\n" + string(doc)
+						golden := filepath.Join("testdata", c.golden+"_"+w+".golden")
+						if *update && leg.name == "file" {
+							if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+								t.Fatal(err)
+							}
+						}
+						want, err := os.ReadFile(golden)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != string(want) {
+							t.Errorf("cla %v differs from %s:\n%s", c.flags, golden, got)
+						}
+					})
 				}
 			})
 		}
+	}
+}
+
+// writeSegdir writes the trace file at file as a segment directory of
+// 4,096-event segments, the size a trace file's in-memory segments
+// have.
+func writeSegdir(t *testing.T, file, segs string) {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := segment.WriteTrace(segs, tr, segment.Options{SegmentEvents: 4096}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"critlock/internal/core"
+	"critlock/internal/input"
 	"critlock/internal/report"
 	"critlock/internal/trace"
 )
@@ -42,19 +43,16 @@ func run(args []string) error {
 	}
 
 	load := func(path string) (*core.Analysis, trace.Time, error) {
-		data, err := os.ReadFile(path)
+		in, err := input.File(path)
 		if err != nil {
 			return nil, 0, err
 		}
-		tr, err := trace.Decode(data)
+		defer in.Close()
+		res, err := in.Analyze(core.DefaultConfig(), false)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading %s: %w", path, err)
+			return nil, 0, err
 		}
-		an, err := core.AnalyzeDefault(tr)
-		if err != nil {
-			return nil, 0, fmt.Errorf("analyzing %s: %w", path, err)
-		}
-		return an, tr.Duration(), nil
+		return res.Analysis, in.Trace.Duration(), nil
 	}
 
 	before, beforeTime, err := load(fs.Arg(0))

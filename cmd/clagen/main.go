@@ -9,6 +9,9 @@
 //	clagen rad.cltr > rad-model.json
 //	clasim -synth rad-model.json
 //	clagen -segdir segs/ > model.json     # from a segmented trace
+//
+// The trace is opened and analyzed through internal/input, as in cla,
+// so -annbudget applies to trace files too.
 package main
 
 import (
@@ -17,11 +20,10 @@ import (
 	"fmt"
 	"os"
 
-	"critlock"
 	"critlock/internal/cliflags"
 	"critlock/internal/core"
+	"critlock/internal/input"
 	"critlock/internal/synth"
-	"critlock/internal/trace"
 )
 
 func main() {
@@ -40,37 +42,31 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 
-	var an *core.Analysis
+	var in *input.Input
+	var err error
 	if *segdir != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("-segdir replaces the trace file argument")
 		}
-		var err error
-		an, err = critlock.Analyze(critlock.SegmentDirSource(*segdir),
-			critlock.WithMmap(*mmap),
-			critlock.WithAnnotationBudget(*annBudget))
-		if err != nil {
-			return fmt.Errorf("analyzing %s: %w", *segdir, err)
-		}
+		in, err = input.Dir(*segdir, *mmap)
 	} else {
 		if fs.NArg() != 1 {
 			fs.Usage()
 			return fmt.Errorf("expected exactly one trace file argument (or -segdir DIR)")
 		}
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Decode(data)
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", fs.Arg(0), err)
-		}
-		an, err = core.AnalyzeDefault(tr)
-		if err != nil {
-			return fmt.Errorf("analyzing: %w", err)
-		}
+		in, err = input.File(fs.Arg(0))
 	}
-	cfg, err := synth.FromAnalysis(an)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	acfg := core.DefaultConfig()
+	acfg.AnnotationBudget = *annBudget
+	res, err := in.Analyze(acfg, false)
+	if err != nil {
+		return err
+	}
+	cfg, err := synth.FromAnalysis(res.Analysis)
 	if err != nil {
 		return err
 	}

@@ -27,8 +27,9 @@
 // critical sections, lost signals, guard inconsistencies), and merges
 // those findings into the static list: a dynamic deadlock names the
 // static lockorder cycle it corroborates, and the whole view re-ranks
-// by measured CP Time %. Exit status: 0 clean, 1 findings, 2
-// usage/internal error.
+// by measured CP Time %. A trace or a segment directory is opened,
+// analyzed and folded for hazards through internal/input, as cla does.
+// Exit status: 0 clean, 1 findings, 2 usage/internal error.
 //
 // Findings are suppressed with a justified comment on the same or the
 // preceding line:

@@ -10,6 +10,11 @@
 //	curl localhost:8126/metrics
 //	curl localhost:8126/debug/progress
 //
+// Uploads and segment directories are opened and analyzed through
+// internal/input, as cla opens files and directories. -mmap and
+// -annbudget set how segment files are read and the annotation budget
+// for every request; the query's one analysis knob is ?clip=.
+//
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests finish (up to the drain timeout) before the process exits.
 package main

@@ -177,8 +177,14 @@ const (
 
 // Piece is one contiguous per-thread interval on the critical path.
 type Piece struct {
-	Thread   trace.ThreadID
+	Thread trace.ThreadID
+	// first and last are the event indices of the stretch of its
+	// thread the walk visited for this piece: its endpoints, widened
+	// over zero-time steps so the pieces of one visit to a thread tile
+	// it. Reports show times only.
+	first    int32
 	From, To trace.Time
+	last     int32
 	Kind     PieceKind
 }
 

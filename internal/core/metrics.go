@@ -225,7 +225,7 @@ func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
 // emit order only by accident of the sort, but clipAgainst sums over
 // overlapping pieces and mergeIntervals canonicalizes the emitted
 // intervals, so tie order cannot reach the output).
-func sortClipIndex(clips []interval) {
+func sortClipIndex(clips []clip) {
 	// The walk emits pieces in forward time order, so a thread's index
 	// subsequence is nearly always sorted already; verify in one scan
 	// before paying for a sort.
@@ -239,7 +239,7 @@ func sortClipIndex(clips []interval) {
 	if sorted {
 		return
 	}
-	slices.SortFunc(clips, func(a, b interval) int {
+	slices.SortFunc(clips, func(a, b clip) int {
 		switch {
 		case a.From < b.From:
 			return -1
@@ -256,7 +256,7 @@ func sortClipIndex(clips []interval) {
 // caller's advancing cursor. Invocations of a thread must arrive in
 // obtain order. Pass 3's ranges and its merge replay all deliver
 // through it.
-func accumulateInvocation(sink *lockSink, ts *ThreadStats, inv *invocation, name string, opts Options, clips []interval, cursor *int) {
+func accumulateInvocation(sink *lockSink, ts *ThreadStats, inv *invocation, name string, opts Options, clips []clip, cursor *int) {
 	a := sink.accOf(inv.lock, name)
 	st := &a.stats
 	tid := int(inv.thread)
@@ -284,7 +284,7 @@ func accumulateInvocation(sink *lockSink, ts *ThreadStats, inv *invocation, name
 	ts.LockHold += h
 	ts.Invocations++
 
-	onCP, clipped := clipAgainst(clips, cursor, inv.obtT, inv.relT,
+	onCP, clipped := clipAgainst(clips, cursor, inv.obtT, inv.relT, inv.obtainIdx,
 		func(lo, hi trace.Time) {
 			sink.hot[inv.lock] = append(sink.hot[inv.lock], interval{lo, hi})
 		})
@@ -303,14 +303,27 @@ func accumulateInvocation(sink *lockSink, ts *ThreadStats, inv *invocation, name
 	}
 }
 
-// clipAgainst intersects [from, to] with the sorted clip intervals,
+// clip is one critical-path piece in a thread's clip index: its time
+// interval and the event-index stretch the walk visited for it (see
+// Piece).
+type clip struct {
+	From, To    trace.Time
+	first, last int32
+}
+
+// clipAgainst intersects the hold [from, to] of the critical section
+// obtained at event index obtain with the sorted clip intervals,
 // advancing the caller's cursor (invocations arrive in increasing
 // obtain order, so the sweep is O(pieces + invocations) per thread).
-// It returns whether the interval touches the critical path and the
+// It returns whether the section lies on the critical path and the
 // total intersection length; each nonzero intersection is also
 // reported to emit (used to build the per-lock on-path interval
-// index).
-func clipAgainst(clips []interval, cursor *int, from, to trace.Time, emit func(lo, hi trace.Time)) (bool, trace.Time) {
+// index). A section with a nonzero intersection is on the path. A
+// zero-length one is on it when the walk visited its obtain: the
+// index, not the time, decides, since the path may leave (or enter)
+// the thread at the very timestamp of the section without passing
+// through it.
+func clipAgainst(clips []clip, cursor *int, from, to trace.Time, obtain int32, emit func(lo, hi trace.Time)) (bool, trace.Time) {
 	// Advance past pieces that end before this invocation begins. The
 	// cursor only moves forward: a later invocation can never overlap
 	// a piece that ended before an earlier one began.
@@ -337,9 +350,9 @@ func clipAgainst(clips []interval, cursor *int, from, to trace.Time, emit func(l
 			if emit != nil {
 				emit(lo, hi)
 			}
-		} else if from == to && p.From <= from && from <= p.To {
-			// Zero-length critical section at a point the walked path
-			// passes through.
+		} else if from == to && p.first <= obtain && obtain <= p.last {
+			// Zero-length critical section the walked path passes
+			// through.
 			onCP = true
 		}
 	}

@@ -246,6 +246,16 @@ func refWalk(tr *trace.Trace, d *refDeps) CriticalPath {
 	var pieces []Piece
 	var jumps []Jump
 	cur := anchor
+	// A visit to a thread runs from the event the walk enters it at
+	// (hi) back to the event it leaves it at; its pieces tile that
+	// stretch of events (leave widens the earliest one down to it).
+	hi, open := anchor, -1
+	leave := func() {
+		if open >= 0 {
+			pieces[open].first = int32(cur)
+		}
+		open = -1
+	}
 	for steps := 0; ; steps++ {
 		if steps > 2*len(evs)+2 {
 			panic("reference walk did not terminate")
@@ -253,15 +263,18 @@ func refWalk(tr *trace.Trace, d *refDeps) CriticalPath {
 		cp.Steps = steps
 		e := evs[cur]
 		if e.Kind == trace.EvThreadStart {
+			leave()
 			if d.waker[cur] < 0 {
 				break // the program's beginning
 			}
 			jumps = append(jumps, Jump{T: e.T, From: e.Thread, To: evs[d.waker[cur]].Thread, Kind: JumpStart, Obj: trace.NoObj})
 			cur = d.waker[cur]
+			hi = cur
 			continue
 		}
 		prev := d.prev[cur]
 		if prev < 0 {
+			leave()
 			break
 		}
 		if w := d.waker[cur]; d.blocked[cur] && w >= 0 {
@@ -275,7 +288,9 @@ func refWalk(tr *trace.Trace, d *refDeps) CriticalPath {
 			}
 			jumps = append(jumps, Jump{T: e.T, From: e.Thread, To: evs[w].Thread,
 				Kind: refJumpKinds[e.Kind], Obj: e.Obj, Wait: e.T - evs[prev].T})
+			leave()
 			cur = w
+			hi = cur
 			continue
 		}
 		if e.T > evs[prev].T {
@@ -283,7 +298,9 @@ func refWalk(tr *trace.Trace, d *refDeps) CriticalPath {
 			if d.blocked[cur] {
 				kind = PieceWait // blocked, but the waker is unknown
 			}
-			pieces = append(pieces, Piece{Thread: e.Thread, From: evs[prev].T, To: e.T, Kind: kind})
+			pieces = append(pieces, Piece{Thread: e.Thread, From: evs[prev].T, To: e.T, Kind: kind,
+				first: int32(prev), last: int32(hi)})
+			open, hi = len(pieces)-1, prev
 		}
 		cur = prev
 	}
@@ -313,6 +330,7 @@ type refInvocation struct {
 	lock                trace.ObjID
 	thread              trace.ThreadID
 	acqT, obtT, relT    trace.Time
+	obtIdx              int // the obtain's event index
 	obtained, released  bool
 	contended, isShared bool
 }
@@ -423,7 +441,7 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 		ts.Invocations++
 
 		// TYPE 1: the hold's overlap with the thread's own path pieces.
-		// A zero-length hold counts when the path passes through it.
+		// A zero-length hold counts when the walk visited its obtain.
 		onCP := false
 		var onPath trace.Time
 		for _, p := range piecesOf[inv.thread] {
@@ -432,7 +450,7 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 				onCP = true
 				onPath += hi - lo
 				sink.hot[inv.lock] = append(sink.hot[inv.lock], interval{lo, hi})
-			} else if hold == 0 && p.From <= inv.obtT && inv.obtT <= p.To {
+			} else if hold == 0 && int(p.first) <= inv.obtIdx && inv.obtIdx <= int(p.last) {
 				onCP = true
 			}
 		}
@@ -459,7 +477,7 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 func refCriticalSections(tr *trace.Trace) []*refInvocation {
 	var invs []*refInvocation
 	open := map[refKey]*refInvocation{}
-	for _, e := range tr.Events {
+	for i, e := range tr.Events {
 		key := refKey{e.Obj, e.Thread}
 		switch e.Kind {
 		case trace.EvLockAcquire:
@@ -468,7 +486,7 @@ func refCriticalSections(tr *trace.Trace) []*refInvocation {
 			open[key] = inv
 		case trace.EvLockObtain:
 			inv := open[key]
-			inv.obtained, inv.obtT = true, e.T
+			inv.obtained, inv.obtIdx, inv.obtT = true, i, e.T
 			inv.contended, inv.isShared = e.Contended(), e.Shared()
 		case trace.EvLockRelease:
 			inv := open[key]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -58,14 +59,17 @@ func TestLockOrderMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzSections runs both differentials on random programs: workers
+// FuzzSections runs both differentials, and checks that critical
+// locks have zero slack, on random programs: workers
 // that take repeatedly named mutexes exclusively, shared and nested (in
 // either order), send on a channel a collector drains, and meet at a
 // barrier every round, on few or many contexts, with or without time
 // slicing. Interleavings that deadlock are skipped; every trace the
 // simulator completes must validate.
 func FuzzSections(f *testing.F) {
-	for _, seed := range []int64{1, 2, 3, 42, -7} {
+	// 5156 and 5164 each run a zero-length section at the timestamp
+	// where the path leaves its thread.
+	for _, seed := range []int64{1, 2, 3, 42, -7, 5156, 5164} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -77,8 +81,57 @@ func FuzzSections(f *testing.F) {
 			t.Fatalf("simulated trace does not validate: %v", err)
 		}
 		checkSlack(t, tr)
+		checkCriticalZeroSlack(t, tr)
 		checkLockOrder(t, tr)
 	})
+}
+
+// checkCriticalZeroSlack: the walked path is one of the longest paths,
+// so a lock the walk marks critical has zero slack — for every lock
+// whose sections enclose no other lock operation of their thread. A
+// thread inside such a section wakes no one before its release, so a
+// path that passes through the section reaches the release, and a
+// lock's slack is the least over its releases. (An outer section can
+// be on the path up to an inner release the path leaves from, with its
+// own release off the path.)
+func checkCriticalZeroSlack(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	an, err := core.AnalyzeSource(core.TraceSource(tr), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := an.Slack(core.TraceSegments(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := enclosingLocks(tr)
+	for _, l := range sa.Locks {
+		if l.OnCP && l.MinSlack != 0 && !outer[l.Lock] {
+			t.Errorf("critical lock %s (%d) has slack %d", l.Name, l.Lock, l.MinSlack)
+		}
+	}
+}
+
+// enclosingLocks returns the locks held by a thread while it acquires
+// another lock.
+func enclosingLocks(tr *trace.Trace) map[trace.ObjID]bool {
+	held := map[trace.ThreadID][]trace.ObjID{}
+	outer := map[trace.ObjID]bool{}
+	for _, e := range tr.Events {
+		switch e.Kind {
+		case trace.EvLockAcquire:
+			for _, l := range held[e.Thread] {
+				outer[l] = true
+			}
+			held[e.Thread] = append(held[e.Thread], e.Obj)
+		case trace.EvLockRelease:
+			h := held[e.Thread]
+			if i := slices.Index(h, e.Obj); i >= 0 {
+				held[e.Thread] = slices.Delete(h, i, i+1)
+			}
+		}
+	}
+	return outer
 }
 
 func randomProgram(seed int64) (*trace.Trace, error) {

@@ -694,6 +694,10 @@ func (r *revChunks[T]) push(v T) {
 	r.n++
 }
 
+// last returns the value pushed last. It stays in place while later
+// values are pushed.
+func (r *revChunks[T]) last() *T { return &r.cur[len(r.cur)-1] }
+
 // forward returns the pushed values in reverse push order (the walk
 // pushes newest-first, so this is forward time order).
 func (r *revChunks[T]) forward() []T {
@@ -765,6 +769,13 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	var jumps revChunks[Jump]
 
 	cur := anchor
+	// hi is the latest event of the walk's current visit to a thread
+	// not yet inside a piece, and open the piece last pushed on that
+	// visit: a piece spans, by index, from its start event up to hi, and
+	// the visit's earliest piece reaches down to the event where the
+	// walk leaves the thread.
+	hi := anchor
+	var open *Piece
 	// Each iteration either jumps (always followed by a non-jump step,
 	// since waker events are never unblock events) or consumes one
 	// per-thread predecessor, so 2·n+2 bounds any terminating walk; the
@@ -792,6 +803,9 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 		rec.flags = w.flags[j]
 
 		if kind == trace.EvThreadStart {
+			if open != nil {
+				open.first, open = cur, nil
+			}
 			if rec.waker < 0 {
 				break // root thread's start: the program's beginning
 			}
@@ -804,12 +818,15 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 				T: t, From: thread, To: weThread,
 				Kind: JumpStart, Obj: trace.NoObj,
 			})
-			cur = rec.waker
+			cur, hi = rec.waker, rec.waker
 			continue
 		}
 
 		prev := rec.prev
 		if prev < 0 {
+			if open != nil {
+				open.first, open = cur, nil
+			}
 			break // malformed thread without a start event
 		}
 
@@ -856,7 +873,10 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 				Kind: jumpKindOf(kind), Obj: obj,
 				Wait: t - peT,
 			})
-			cur = rec.waker
+			if open != nil {
+				open.first, open = cur, nil
+			}
+			cur, hi = rec.waker, rec.waker
 			continue
 		}
 
@@ -872,7 +892,8 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 				// the critical path.
 				kind = PieceWait
 			}
-			pieces.push(Piece{Thread: thread, From: from, To: to, Kind: kind})
+			pieces.push(Piece{Thread: thread, first: prev, From: from, To: to, last: hi, Kind: kind})
+			open, hi = pieces.last(), prev
 		}
 		cur = prev
 	}
@@ -955,9 +976,9 @@ type streamThread struct {
 	condBegin map[trace.ObjID]condMark
 	pend      []invocation
 	head      int
-	base      int        // absolute queue position of pend[0]
-	open      openSet    // lock → absolute queue position
-	clips     []interval // clip index: (From, To) of this thread's CP pieces
+	base      int     // absolute queue position of pend[0]
+	open      openSet // lock → absolute queue position
+	clips     []clip  // clip index: this thread's CP pieces
 	cursor    int
 }
 
@@ -1053,12 +1074,12 @@ func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []strea
 	}
 	for tid, n := range counts {
 		if n > 0 {
-			threads[tid].clips = make([]interval, 0, n)
+			threads[tid].clips = make([]clip, 0, n)
 		}
 	}
 	for pi := range an.CP.Pieces {
 		p := &an.CP.Pieces[pi]
-		threads[p.Thread].clips = append(threads[p.Thread].clips, interval{p.From, p.To})
+		threads[p.Thread].clips = append(threads[p.Thread].clips, clip{p.From, p.To, p.first, p.last})
 		an.Threads[p.Thread].TimeOnCP += p.Dur()
 	}
 	for tid := range threads {

@@ -169,6 +169,22 @@ type GuardSite struct {
 
 // FromTrace runs the hazard pass over an in-memory trace.
 func FromTrace(tr *trace.Trace) (*Report, error) {
+	m, err := foldTrace(tr)
+	if err != nil {
+		return nil, err
+	}
+	return m.finish(m.edgeKeys()), nil
+}
+
+// FoldTrace is Fold over an in-memory trace: one pass that steps the
+// trace's events in place, as FromTrace does, and returns both the
+// hazard report and the intra-thread lock order.
+func FoldTrace(tr *trace.Trace) (*Report, *LockOrder, error) {
+	return views(foldTrace(tr))
+}
+
+// foldTrace steps a fresh machine through every event of tr.
+func foldTrace(tr *trace.Trace) (*machine, error) {
 	if tr == nil {
 		return nil, errors.New("hazard: nil trace")
 	}
@@ -181,7 +197,7 @@ func FromTrace(tr *trace.Trace) (*Report, error) {
 			return nil, err
 		}
 	}
-	return m.finish(m.edgeKeys()), nil
+	return m, nil
 }
 
 // WriteText renders the report in the human-readable form used by

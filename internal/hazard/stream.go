@@ -27,7 +27,11 @@ func FromSegments(src core.SegmentSource, workers int) (*Report, error) {
 // both views of its result: the hazard report and the intra-thread lock
 // order. A caller that wants both pays for one pass over the events.
 func Fold(src core.SegmentSource) (*Report, *LockOrder, error) {
-	m, err := fold(src)
+	return views(fold(src))
+}
+
+// views builds a folded machine's hazard report and lock order.
+func views(m *machine, err error) (*Report, *LockOrder, error) {
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,8 @@ package lint_test
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,5 +190,73 @@ func TestCrossReferenceHazardsLostSignal(t *testing.T) {
 	}
 	if lost != 1 {
 		t.Errorf("lostsignal findings = %d, want 1 (had %d findings before merge)", lost, before)
+	}
+}
+
+// TestLoadDynamicErrors: a missing path, a directory that does not
+// open, an empty or truncated trace file and a corrupt segment fail
+// with the typed error underneath and clalint's wording.
+func TestLoadDynamicErrors(t *testing.T) {
+	tr := deadlockProneTrace(t)
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := critlock.WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	cut, empty := filepath.Join(dir, "cut.cltr"), filepath.Join(dir, "empty.cltr")
+	if err := os.WriteFile(cut, body[:len(body)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := filepath.Join(dir, "segs")
+	if err := segment.WriteTrace(corrupt, tr, segment.Options{SegmentEvents: 64}); err != nil {
+		t.Fatal(err)
+	}
+	rdr, err := segment.Open(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg0 := filepath.Join(corrupt, rdr.Segment(0).Name)
+	rdr.Close()
+	img, err := os.ReadFile(seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 0xff
+	if err := os.WriteFile(seg0, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noManifest := t.TempDir()
+	missing := filepath.Join(dir, "nope")
+
+	for _, c := range []struct {
+		path string
+		is   error
+		text string // the whole text, or its prefix when it ends in ": "
+	}{
+		{missing, fs.ErrNotExist, "stat " + missing + ": no such file or directory"},
+		{noManifest, fs.ErrNotExist, "open segment directory " + noManifest + ": "},
+		{empty, critlock.ErrTruncated, "read " + empty + ": trace: reading magic: truncated"},
+		{cut, critlock.ErrTruncated, "read " + cut + ": trace: "},
+		{corrupt, critlock.ErrChecksum, "analyze " + corrupt + ": segment: body checksum mismatch"},
+	} {
+		_, err := lint.LoadDynamic(c.path)
+		switch {
+		case err == nil:
+			t.Errorf("%s: no error", c.path)
+			continue
+		case !errors.Is(err, c.is):
+			t.Errorf("%s: %v is not %v", c.path, err, c.is)
+		}
+		if strings.HasSuffix(c.text, ": ") {
+			if !strings.HasPrefix(err.Error(), c.text) {
+				t.Errorf("error %q, want it to start %q", err, c.text)
+			}
+		} else if err.Error() != c.text {
+			t.Errorf("error %q, want %q", err, c.text)
+		}
 	}
 }

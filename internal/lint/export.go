@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -9,10 +10,8 @@ import (
 	"os"
 
 	"critlock/internal/core"
-	"critlock/internal/hazard"
+	"critlock/internal/input"
 	"critlock/internal/report"
-	"critlock/internal/segment"
-	"critlock/internal/trace"
 )
 
 // Package is one loaded, best-effort type-checked directory package,
@@ -81,60 +80,61 @@ func LoadReport(path string) (*report.Export, error) {
 //   - a trace file (binary .cltr or JSON): analyzed in memory, with
 //     the hazard pass.
 //
-// Traces and segment directories always yield a freshly computed
-// hazards section, so `clalint -dynamic` on either joins both the
-// criticality ranking and the dynamic hazard findings.
+// Traces and segment directories are opened and analyzed through
+// internal/input and always yield a freshly computed hazards section,
+// so `clalint -dynamic` on either joins both the criticality ranking
+// and the dynamic hazard findings.
 func LoadDynamic(path string) (*report.Export, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
+	var in *input.Input
+	source := path
 	if st.IsDir() {
-		rdr, err := segment.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open segment directory %s: %w", path, err)
+		in, err = input.Dir(path, true)
+		source = "segments:" + path
+	} else {
+		var data []byte
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, err
 		}
-		defer rdr.Close()
-		an, err := core.AnalyzeSource(core.StreamSource(rdr), core.Config{Options: core.DefaultOptions()})
-		if err != nil {
-			return nil, fmt.Errorf("analyze %s: %w", path, err)
+		// An analysis report is a JSON object with a "summary" key;
+		// divert it before decoding the file as a binary or JSON trace.
+		var probe map[string]json.RawMessage
+		if json.Unmarshal(data, &probe) == nil {
+			if _, ok := probe["summary"]; ok {
+				return LoadReport(path)
+			}
 		}
-		hz, err := hazard.FromSegments(rdr, 0)
-		if err != nil {
-			return nil, fmt.Errorf("hazard analysis of %s: %w", path, err)
-		}
-		rep := report.BuildExport("", "segments:"+path, true, an)
-		rep.Hazards = hz
-		return rep, nil
+		in, err = input.Bytes(path, data)
 	}
-
-	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, dynamicError(err)
 	}
-	// An analysis report is a JSON object with a "summary" key; divert
-	// it before decoding the file as a binary or JSON trace.
-	var probe map[string]json.RawMessage
-	if json.Unmarshal(data, &probe) == nil {
-		if _, ok := probe["summary"]; ok {
-			return LoadReport(path)
-		}
-	}
-	tr, err := trace.Decode(data)
+	defer in.Close()
+	res, err := in.Analyze(core.DefaultConfig(), true)
 	if err != nil {
-		return nil, fmt.Errorf("read %s: %w", path, err)
+		return nil, dynamicError(err)
 	}
-	an, err := core.AnalyzeSource(core.TraceSource(tr), core.Config{Options: core.DefaultOptions()})
-	if err != nil {
-		return nil, fmt.Errorf("analyze %s: %w", path, err)
-	}
-	hz, err := hazard.FromTrace(tr)
-	if err != nil {
-		return nil, fmt.Errorf("hazard analysis of %s: %w", path, err)
-	}
-	rep := report.BuildExport("", path, false, an)
-	rep.Hazards = hz
+	rep := report.BuildExport("", source, in.Streamed, res.Analysis)
+	rep.Hazards = res.Hazards
 	return rep, nil
+}
+
+// dynamicError words an input failure the way clalint reports it.
+func dynamicError(err error) error {
+	var ie *input.Error
+	if !errors.As(err, &ie) {
+		return err
+	}
+	verb := map[input.Stage]string{
+		input.StageOpen:    "open segment directory",
+		input.StageDecode:  "read",
+		input.StageAnalyze: "analyze",
+		input.StageHazard:  "hazard analysis of",
+	}[ie.Stage]
+	return fmt.Errorf("%s %s: %w", verb, ie.Name, ie.Err)
 }
 
 // LoadPackages expands opts.Patterns, parses and best-effort

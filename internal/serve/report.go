@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"critlock/internal/core"
-	"critlock/internal/report"
-)
+import "critlock/internal/report"
 
 // Report is the JSON analysis result clasrv serves. The shape lives
 // in internal/report (report.Export) so that cla -jsonreport writes
@@ -18,8 +15,3 @@ type (
 	TimelinePiece = report.TimelinePiece
 	TimelineJump  = report.TimelineJump
 )
-
-// buildReport flattens an analysis into the served report.
-func buildReport(id, source string, streamed bool, an *core.Analysis) *Report {
-	return report.BuildExport(id, source, streamed, an)
-}

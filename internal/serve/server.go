@@ -36,7 +36,7 @@ import (
 	"time"
 
 	"critlock/internal/core"
-	"critlock/internal/hazard"
+	"critlock/internal/input"
 	"critlock/internal/obs"
 	"critlock/internal/report"
 	"critlock/internal/segment"
@@ -55,12 +55,11 @@ type Options struct {
 	Timeout time.Duration
 	// TmpDir hosts streaming spill files ("" = os.TempDir).
 	TmpDir string
-	// NoMmap disables memory-mapping segment files by default,
-	// overridable per request (?mmap=BOOL).
+	// NoMmap reads segment files into buffers instead of
+	// memory-mapping them.
 	NoMmap bool
-	// AnnotationBudget is the default resident waker-annotation ceiling
-	// in bytes, overridable per request (?annbudget=N). 0 = core
-	// default, negative = always spill.
+	// AnnotationBudget is the resident waker-annotation ceiling in
+	// bytes. 0 = core default, negative = always spill.
 	AnnotationBudget int64
 	// CacheReports caps retained reports (FIFO eviction). 0 = 64.
 	CacheReports int
@@ -205,38 +204,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // analyzeParams are the per-request knobs, parsed from the query.
+// Every other key is ignored: the server's own options set how segment
+// files are read and the annotation budget, which never change a
+// report, and the analysis sizes itself.
 type analyzeParams struct {
-	segdir    string // server-local segment directory
-	mmap      bool
-	annBudget int64
-	clip      bool
+	segdir string // server-local segment directory
+	clip   bool
 	// hazards runs the dynamic hazard pass and attaches its report
 	// (set by the /v1/hazards endpoint, not a query knob).
 	hazards bool
 }
 
-func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
+func parseParams(r *http.Request) (analyzeParams, error) {
 	q := r.URL.Query()
-	p := analyzeParams{
-		segdir:    q.Get("segdir"),
-		mmap:      !defaults.NoMmap,
-		annBudget: defaults.AnnotationBudget,
-		clip:      true,
-	}
-	if v := q.Get("mmap"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return p, httpErrorf(http.StatusUnprocessableEntity, "bad mmap=%q: want a boolean", v)
-		}
-		p.mmap = b
-	}
-	if v := q.Get("annbudget"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return p, httpErrorf(http.StatusUnprocessableEntity, "bad annbudget=%q: want an integer byte count", v)
-		}
-		p.annBudget = n
-	}
+	p := analyzeParams{segdir: q.Get("segdir"), clip: true}
 	if v := q.Get("clip"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
@@ -248,8 +229,7 @@ func parseParams(r *http.Request, defaults Options) (analyzeParams, error) {
 }
 
 // fingerprint folds the options that change analysis output into the
-// cache key; the performance knobs (mmap, annbudget) do not alter
-// results and are excluded. Composition is not a knob (every
+// cache key. Composition is not a knob (every
 // analysis computes it), but "composition=false" stays in the string:
 // it is what every default request's fingerprint has carried, and
 // dropping it would move every cache ID, the goldens' id lines too.
@@ -278,7 +258,7 @@ func (s *Server) serveAnalysis(w http.ResponseWriter, r *http.Request, hazards b
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
 
-	params, err := parseParams(r, s.opts)
+	params, err := parseParams(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -292,10 +272,30 @@ func (s *Server) serveAnalysis(w http.ResponseWriter, r *http.Request, hazards b
 		rep, err = s.analyzeBody(ctx, r, params)
 	}
 	if err != nil {
-		writeError(w, err)
+		writeError(w, inputError(err))
 		return
 	}
 	s.writeReport(w, rep)
+}
+
+// inputError words a failure of internal/input for the client: an
+// undecodable upload and a hazard pass that rejects the trace are the
+// client's problem (422), and an analysis error keeps its own text
+// (writeError tells its status from its type).
+func inputError(err error) error {
+	var ie *input.Error
+	if !errors.As(err, &ie) {
+		return err
+	}
+	switch ie.Stage {
+	case input.StageOpen:
+		return fmt.Errorf("opening %s: %w", ie.Name, ie.Err)
+	case input.StageDecode:
+		return &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("decoding trace: %v", ie.Err)}
+	case input.StageHazard:
+		return &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("hazard analysis: %v", ie.Err)}
+	}
+	return ie.Err
 }
 
 // uploadPrealloc caps the buffer an upload reserves from its
@@ -329,24 +329,12 @@ func (s *Server) analyzeBody(ctx context.Context, r *http.Request, params analyz
 	}
 
 	start := time.Now()
-	tr, err := trace.Decode(body)
-	if err != nil {
-		// An undecodable upload is the client's problem, not ours.
-		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("decoding trace: %v", err)}
-	}
-	s.ins.Run().PhaseDone("decode", time.Since(start))
-
-	var hazards func() (*hazard.Report, error)
-	if params.hazards {
-		hazards = func() (*hazard.Report, error) { return hazardResult(hazard.FromTrace(tr)) }
-	}
-	an, hz, err := s.run(ctx, id, "trace", core.TraceSource(tr), params, hazards, nil)
+	in, err := input.Bytes("trace", body)
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(id, "trace", false, an)
-	rep.Hazards = hz
-	return s.store(rep), nil
+	s.ins.Run().PhaseDone("decode", time.Since(start))
+	return s.analyze(ctx, id, "trace", in, params)
 }
 
 // analyzeSegdir ingests a server-local segment directory.
@@ -357,57 +345,48 @@ func (s *Server) analyzeSegdir(ctx context.Context, params analyzeParams) (*Repo
 	}
 	sum := sha256.Sum256(manifest)
 	id := hex.EncodeToString(sum[:8]) + "-" + shortHash(params.fingerprint())
-	source := "segments:" + params.segdir
 	if rep := s.cached(id); rep != nil {
 		s.cacheHits.Add(1)
 		return rep, nil
 	}
-
-	rdr, err := segment.OpenWith(params.segdir, segment.ReadOptions{NoMmap: !params.mmap})
-	if err != nil {
-		return nil, fmt.Errorf("opening %s: %w", params.segdir, err)
-	}
-	var hazards func() (*hazard.Report, error)
-	if params.hazards {
-		// The fold reads the reader the analysis read.
-		hazards = func() (*hazard.Report, error) { return hazardResult(hazard.FromSegments(rdr, 1)) }
-	}
-	// run closes the reader once the analysis and the fold are done,
-	// even if the request deadline abandoned them, so every run
-	// releases its mappings.
-	an, hz, err := s.run(ctx, id, source, core.StreamSource(rdr), params, hazards, rdr.Close)
+	in, err := input.Dir(params.segdir, !s.opts.NoMmap)
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(id, source, true, an)
-	rep.Hazards = hz
+	return s.analyze(ctx, id, "segments:"+params.segdir, in, params)
+}
+
+// analyze runs in and caches its report.
+func (s *Server) analyze(ctx context.Context, id, source string, in *input.Input, params analyzeParams) (*Report, error) {
+	res, err := s.run(ctx, id, source, in, params)
+	if err != nil {
+		return nil, err
+	}
+	rep := report.BuildExport(id, source, in.Streamed, res.Analysis)
+	rep.Hazards = res.Hazards
 	return s.store(rep), nil
 }
 
-// hazardResult passes a hazard report through and turns a hazard pass
-// failure into a 422.
-func hazardResult(hz *hazard.Report, err error) (*hazard.Report, error) {
-	if err != nil {
-		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("hazard analysis: %v", err)}
-	}
-	return hz, nil
+// analysisInput is what run analyzes: an *input.Input.
+type analysisInput interface {
+	Analyze(cfg core.Config, hazards bool) (*input.Result, error)
+	Close() error
 }
 
-// run executes one analysis, then the hazard pass when hazards is
-// non-nil, under the concurrency budget, the request deadline and full
-// observation (shared instruments + progress tracker). The hazard pass
-// reports to the run's observer as the "hazard" phase. A non-nil
-// release runs on the analysis goroutine once both are done, before
-// the result is delivered.
-func (s *Server) run(ctx context.Context, id, source string, src core.Source, params analyzeParams,
-	hazards func() (*hazard.Report, error), release func() error) (*core.Analysis, *hazard.Report, error) {
+// run executes one analysis of in, with the hazard pass when
+// params.hazards is set (reported as the "hazard" phase), under the
+// concurrency budget, the request deadline and full observation
+// (shared instruments + progress tracker). It closes in on every path:
+// at once when no slot frees before the deadline, otherwise on the
+// analysis goroutine once the analysis and the fold are done (even if
+// the deadline abandoned them), before the result is delivered, so
+// every run releases its mappings.
+func (s *Server) run(ctx context.Context, id, source string, in analysisInput, params analyzeParams) (*input.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		if release != nil {
-			release()
-		}
-		return nil, nil, httpErrorf(http.StatusServiceUnavailable, "timed out waiting for an analysis slot")
+		in.Close()
+		return nil, httpErrorf(http.StatusServiceUnavailable, "timed out waiting for an analysis slot")
 	}
 
 	tracked := s.tracker.Start(id, source)
@@ -424,7 +403,7 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 			Observer: obs.Combine(s.ins.Run(), tracked),
 		},
 		TmpDir:           s.opts.TmpDir,
-		AnnotationBudget: params.annBudget,
+		AnnotationBudget: s.opts.AnnotationBudget,
 	}
 
 	// The pipeline is not cancellable mid-pass, so a deadline abandons
@@ -433,33 +412,22 @@ func (s *Server) run(ctx context.Context, id, source string, src core.Source, pa
 	// entry are held until then, keeping the concurrency budget and
 	// /debug/progress honest.
 	type result struct {
-		an  *core.Analysis
-		hz  *hazard.Report
+		res *input.Result
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		an, err := core.AnalyzeSource(src, cfg)
-		var hz *hazard.Report
-		if err == nil && hazards != nil {
-			start := time.Now()
-			cfg.Observer.PhaseStart("hazard")
-			if hz, err = hazards(); err == nil {
-				cfg.Observer.PhaseDone("hazard", time.Since(start))
-			}
-		}
-		if release != nil {
-			release()
-		}
-		ch <- result{an, hz, err}
+		res, err := in.Analyze(cfg, params.hazards)
+		in.Close()
+		ch <- result{res, err}
 	}()
 	select {
-	case res := <-ch:
+	case r := <-ch:
 		cleanup()
-		return res.an, res.hz, res.err
+		return r.res, r.err
 	case <-ctx.Done():
 		go func() { <-ch; cleanup() }()
-		return nil, nil, httpErrorf(http.StatusGatewayTimeout, "analysis exceeded the %s request budget", s.opts.Timeout)
+		return nil, httpErrorf(http.StatusGatewayTimeout, "analysis exceeded the %s request budget", s.opts.Timeout)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -244,21 +246,40 @@ func TestObservability(t *testing.T) {
 	}
 }
 
-// TestSizingKeysIgnored: ?par= and ?window= are ignored keys whatever
-// their value, since the analysis sizes its pass-3 ranges and walk
-// window itself. A request carrying them is served as it is without
-// them, under the same report ID.
+// TestSizingKeysIgnored: ?par=, ?window=, ?mmap= and ?annbudget= are
+// ignored keys whatever their value, since the analysis sizes its
+// pass-3 ranges and walk window itself, and the server's own options
+// set how segment files are read and the annotation budget. A request
+// carrying them, upload or segment directory, is served as it is
+// without them, under the same report ID.
 func TestSizingKeysIgnored(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{})
-	body := traceBytes(t, microTrace(t))
-	_, raw := post(t, ts, "", body)
-	want := decodeReport(t, raw)
-	status, raw2 := post(t, ts, "?par=x&window=-1", body)
-	if status != http.StatusOK {
-		t.Fatalf("POST ?par=x&window=-1 = %d, want 200\n%s", status, raw2)
+	tr := microTrace(t)
+	body := traceBytes(t, tr)
+	dir := t.TempDir()
+	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 64}); err != nil {
+		t.Fatal(err)
 	}
-	if got := decodeReport(t, raw2); got.ID != want.ID {
-		t.Errorf("report ID %s with ?par=x&window=-1, %s without", got.ID, want.ID)
+	for _, in := range []struct {
+		query string
+		body  []byte
+	}{{"", body}, {"?segdir=" + dir, nil}} {
+		_, raw := post(t, ts, in.query, in.body)
+		want := decodeReport(t, raw)
+		sep := "&"
+		if in.query == "" {
+			sep = "?"
+		}
+		for _, keys := range []string{"par=x&window=-1", "mmap=false&annbudget=-1", "mmap=maybe&annbudget=lots"} {
+			q := in.query + sep + keys
+			status, raw2 := post(t, ts, q, in.body)
+			if status != http.StatusOK {
+				t.Fatalf("POST %s = %d, want 200\n%s", q, status, raw2)
+			}
+			if got := decodeReport(t, raw2); got.ID != want.ID {
+				t.Errorf("report ID %s with %s, %s without", got.ID, q, want.ID)
+			}
+		}
 	}
 }
 
@@ -624,5 +645,60 @@ func TestMalformedUploadsRejected(t *testing.T) {
 	}
 	if status, raw := get(t, ts, "/healthz"); status != http.StatusOK || string(raw) != "ok\n" {
 		t.Errorf("/healthz after malformed uploads = %d %q", status, raw)
+	}
+}
+
+// TestErrorTexts: what a client reads for an upload that does not
+// decode, a segment directory that does not open, and one whose
+// segment data is corrupt.
+func TestErrorTexts(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	tr := microTrace(t)
+	body := traceBytes(t, tr)
+	errorOf := func(query string, body []byte) (int, string) {
+		t.Helper()
+		status, raw := post(t, ts, query, body)
+		var msg struct{ Error string }
+		if err := json.Unmarshal(raw, &msg); err != nil {
+			t.Fatalf("POST %q: %v\n%s", query, err, raw)
+		}
+		return status, msg.Error
+	}
+
+	if status, msg := errorOf("", body[:len(body)-7]); status != http.StatusUnprocessableEntity ||
+		!strings.HasPrefix(msg, "decoding trace: trace: ") || !strings.Contains(msg, "truncated") {
+		t.Errorf("truncated upload = %d %q", status, msg)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segment.ManifestName), []byte("{not a manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, msg := errorOf("?segdir="+dir, nil); status != http.StatusInternalServerError ||
+		!strings.HasPrefix(msg, "opening "+dir+": ") {
+		t.Errorf("bad manifest = %d %q", status, msg)
+	}
+
+	segs := filepath.Join(t.TempDir(), "segs")
+	if err := segment.WriteTrace(segs, tr, segment.Options{SegmentEvents: 64}); err != nil {
+		t.Fatal(err)
+	}
+	rdr, err := segment.Open(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg0 := filepath.Join(segs, rdr.Segment(0).Name)
+	rdr.Close()
+	img, err := os.ReadFile(seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 0xff
+	if err := os.WriteFile(seg0, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, msg := errorOf("?segdir="+segs, nil); status != http.StatusUnprocessableEntity ||
+		msg != "segment: body checksum mismatch" {
+		t.Errorf("corrupt segment = %d %q", status, msg)
 	}
 }
