@@ -45,8 +45,10 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/clalint ./...
 
-# Short mutation run of every fuzz target: the segment frame/footer
-# decoders and manifest reader (hostile bytes must error, never panic),
+# Short mutation run of every fuzz target: the segment reader every
+# segment dir goes through (verifyImage and LoadColumns' frame decode,
+# on an in-memory image) and the manifest reader (hostile bytes must
+# error, never panic),
 # the trace codecs and the encoding-sniffing trace.Decode (the binary
 # event section decoded in parts must match the one-part decode), the batch
 # frame decoder against a plain DecodeEvent loop,
@@ -89,7 +91,12 @@ fuzz-smoke:
 # TestCompositionAnySource requires a segment directory at the default
 # configuration to report the composition TraceSource reports.
 # TestBufferedReadsBounded (internal/segment) loads buffered segments
-# from concurrent goroutines and bounds the heap they leave behind. The
+# from concurrent goroutines and bounds the heap they leave behind;
+# TestSpillerMergesRuns and TestSpillMergeBounded merge spilled runs
+# through the same reader and bound the merge's live heap at two run
+# segments per thread; TestSegmentTruncation and TestSegmentBitFlips
+# refuse every cut and flip of a segment file, in memory, mapped and
+# buffered. The
 # work a trace file spreads over the cores runs here too: validation
 # beside the passes (one validate phase, observer callbacks that never
 # overlap, no goroutine left behind, the validator's error on every
@@ -110,7 +117,7 @@ stream-diff:
 	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections' -count=1 -v
 	$(GO) test -race ./internal/sim -run 'TestPropertyZeroLengthSectionSeeds' -count=1 -v
 	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
-	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded' -count=1 -v
+	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded|TestSpillerMergesRuns|TestSpillMergeBounded|TestSegmentTruncation|TestSegmentBitFlips' -count=1 -v
 	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v
 	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v
 

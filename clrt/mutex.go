@@ -45,8 +45,11 @@ func (m *Mutex) handle(kind string) harness.Mutex {
 // wait and the hand-off edge are recorded.
 func (m *Mutex) Lock() { cur().Lock(m.handle("mutex")) }
 
-// Unlock releases the mutex. Unlocking a mutex the calling thread does
-// not hold panics, as sync.Mutex would (fatally) crash.
+// Unlock releases the mutex. Only the goroutine holding it may unlock
+// it: an Unlock from any other goroutine, or of an unlocked mutex,
+// panics before a release is recorded. This is stricter than
+// sync.Mutex, which lets any goroutine unlock a locked mutex and fails
+// (fatally) only on unlocking an unlocked one.
 func (m *Mutex) Unlock() { cur().Unlock(m.handle("mutex")) }
 
 // TryLock acquires the mutex if it is free and reports whether it did.

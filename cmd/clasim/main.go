@@ -117,7 +117,7 @@ func run(args []string) error {
 	var spiller *segment.Spiller
 	if *spill > 0 {
 		// Spilling keeps collection memory bounded: per-thread buffers
-		// flush to sorted run files mid-run and the full event array is
+		// flush to sorted run directories mid-run and the full event array is
 		// never materialized, so the trace must be analyzed by
 		// streaming and cannot also be written as one file.
 		if *out != "" || *jsonOut != "" || *gantt || *svgOut != "" {

@@ -17,7 +17,7 @@ func SegDir(fs *flag.FlagSet) *string {
 }
 
 // Spill registers -spill: the collector's per-thread buffered-event
-// threshold beyond which events spill to segment run files.
+// threshold beyond which events spill to segment run directories.
 func Spill(fs *flag.FlagSet) *int {
 	return fs.Int("spill", 0, "spill threshold in buffered events per thread (0 = off; requires -segdir)")
 }

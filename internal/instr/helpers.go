@@ -162,37 +162,3 @@ func isBuiltin(p *lint.Package, fun ast.Expr, name string) bool {
 	_, isB := obj.(*types.Builtin)
 	return isB
 }
-
-// importNameOf returns the local name under which file imports path,
-// or "" when it does not.
-func importNameOf(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		if imp.Path == nil {
-			continue
-		}
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := lastSlash(p); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
-}

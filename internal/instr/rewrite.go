@@ -9,6 +9,9 @@ import (
 	"go/types"
 	"path"
 	"strconv"
+	"strings"
+
+	"critlock/internal/lint"
 )
 
 // fileRewriter rewrites one file. All rewrites funnel through
@@ -36,8 +39,8 @@ func (ins *instrumenter) rewriteFile(p *lintPackage, f *lintFile) ([]byte, bool,
 		ins: ins, pkg: p, file: f,
 		syncName: f.SyncName,
 		timeName: f.TimeName,
-		osName:   importNameOf(f.AST, "os"),
-		logName:  importNameOf(f.AST, "log"),
+		osName:   lint.ImportName(f.AST, "os"),
+		logName:  lint.ImportName(f.AST, "log"),
 		clrt:     chooseClrtAlias(f.AST),
 	}
 	for _, d := range f.AST.Decls {
@@ -711,7 +714,7 @@ func (rw *fileRewriter) selectorRemains(name string) bool {
 
 func addImport(f *ast.File, alias, path string) {
 	spec := &ast.ImportSpec{Path: strLit(path)}
-	if alias != "" && alias != path[lastSlash(path)+1:] {
+	if alias != "" && alias != path[strings.LastIndex(path, "/")+1:] {
 		spec.Name = ident(alias)
 	}
 	for _, d := range f.Decls {

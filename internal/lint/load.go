@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -224,9 +225,9 @@ func (p *pkgInfo) typeCheck(imp types.Importer) {
 	var files []*ast.File
 	for _, f := range p.files {
 		files = append(files, f.ast)
-		f.syncName = importName(f.ast, "sync")
-		f.timeName = importName(f.ast, "time")
-		f.clrtName = importName(f.ast, "critlock/clrt")
+		f.syncName = ImportName(f.ast, "sync")
+		f.timeName = ImportName(f.ast, "time")
+		f.clrtName = ImportName(f.ast, "critlock/clrt")
 	}
 	// Check can in principle panic on pathological trees; a linter
 	// must never crash on its input, so treat type info as optional.
@@ -234,11 +235,14 @@ func (p *pkgInfo) typeCheck(imp types.Importer) {
 	p.tpkg, _ = conf.Check(p.name, p.fset, files, p.info)
 }
 
-// importName returns the local name under which file imports path, or
-// "" when it does not.
-func importName(f *ast.File, path string) string {
+// ImportName returns the local name under which file imports path, or
+// "" when it does not (or imports it as _ or .).
+func ImportName(f *ast.File, path string) string {
 	for _, imp := range f.Imports {
-		if imp.Path == nil || strings.Trim(imp.Path.Value, `"`) != path {
+		if imp.Path == nil {
+			continue
+		}
+		if p, err := strconv.Unquote(imp.Path.Value); err != nil || p != path {
 			continue
 		}
 		if imp.Name != nil {

@@ -24,7 +24,7 @@ type Progress struct {
 	// traces count their fixed-size in-memory segments).
 	Segments int64 `json:"segments"`
 	// BytesSpilled is the number of bytes written to spill storage
-	// (annotation temp file, collector run files).
+	// (annotation temp file, collector run directories).
 	BytesSpilled int64 `json:"bytes_spilled"`
 	// BytesRead is the number of encoded segment-body bytes decoded so
 	// far (0 for in-memory traces and for sources that do not

@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,35 +8,15 @@ import (
 	"critlock/internal/trace"
 )
 
-// fuzzSeedSegment builds a valid single-segment image for seeding.
-func fuzzSeedSegment(f *testing.F) []byte {
-	f.Helper()
-	tr := sampleTrace(80)
-	path := filepath.Join(f.TempDir(), "seed.clsg")
-	w, err := NewFileWriter(path, Options{FrameEvents: 16})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range tr.Events {
-		if err := w.Append(e); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return raw
-}
-
-// FuzzSegmentFile: arbitrary bytes must never panic the segment
-// decoder, and any event stream it accepts must be safe to hand to
-// trace.Validate.
+// FuzzSegmentFile: arbitrary bytes as a segment file image must never
+// panic the reader every segment directory is read through — the
+// whole-image check (verifyImage, the manifest cross-check) and the
+// frame decode and first-load checks of LoadColumns, run in memory as
+// on a mapped file — and any events it accepts must be safe to hand
+// to trace.Validate. The manifest entry is the image's own footer, as
+// a consistent hostile directory would have it.
 func FuzzSegmentFile(f *testing.F) {
-	valid := fuzzSeedSegment(f)
+	_, _, valid := oneSegment(f, sampleTrace(80))
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
@@ -47,32 +26,33 @@ func FuzzSegmentFile(f *testing.F) {
 		mutated[len(mutated)/2] ^= 0xff
 	}
 	f.Add(mutated)
+	v2 := sampleTrace(30).Events
+	f.Add(handImage(v2, segVersionV2, append(appendFooter(nil, footerOf(v2)), 0, 0, 0)))
 
+	const threads = 8
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := NewFileReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return // rejection is fine; panics are not
+		s, _, _, err := verifyImage(data)
+		if err != nil || s.Count <= 0 {
+			return // rejection is fine (Open refuses an empty entry); panics are not
 		}
-		events, err := fr.ReadAll(nil)
+		s.Name = "fuzz.clsg"
+		cols, err := loadImage(data, s, threads)
 		if err != nil {
 			return
 		}
-		// Accepted events must be safely validatable: build a skeleton
-		// wide enough for every referenced ID.
-		maxThr, maxObj := trace.ThreadID(-1), trace.ObjID(-1)
-		for _, e := range events {
-			if e.Thread > maxThr {
-				maxThr = e.Thread
-			}
-			if e.Obj > maxObj {
-				maxObj = e.Obj
-			}
+		// Accepted events must be safely validatable: register every
+		// thread the reader allowed and objects up to the largest
+		// referenced ID (at most 1024; the validator reports the rest).
+		maxObj := trace.ObjID(-1)
+		tr := &trace.Trace{Events: make([]trace.Event, cols.Len())}
+		for j := range tr.Events {
+			tr.Events[j] = cols.Event(j)
+			maxObj = max(maxObj, tr.Events[j].Obj)
 		}
-		tr := &trace.Trace{Events: events}
-		for i := trace.ThreadID(0); i <= maxThr; i++ {
+		for i := trace.ThreadID(0); i < threads; i++ {
 			tr.Threads = append(tr.Threads, trace.ThreadInfo{ID: i, Creator: trace.NoThread})
 		}
-		for i := trace.ObjID(0); i <= maxObj; i++ {
+		for i := trace.ObjID(0); i <= min(maxObj, 1023); i++ {
 			tr.Objects = append(tr.Objects, trace.ObjectInfo{ID: i, Kind: trace.ObjMutex})
 		}
 		_ = trace.Validate(tr) // must not panic

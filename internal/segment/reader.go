@@ -1,12 +1,9 @@
 package segment
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,234 +12,6 @@ import (
 
 	"critlock/internal/trace"
 )
-
-// FileReader decodes one segment file. The footer is parsed and
-// CRC-verified up front; events then stream out frame by frame via
-// Next, with the body CRC verified when the last frame is consumed —
-// so a fully drained reader guarantees the file was intact.
-type FileReader struct {
-	ftr       *Footer
-	footerOff int64
-	crcBody   uint32
-
-	br        *bufio.Reader
-	crc       hash.Hash32
-	decoded   int
-	frame     []byte
-	framePos  int
-	frameLeft int
-	framePrev trace.Event
-	prev      trace.Event
-	done      bool
-
-	closer io.Closer
-}
-
-// NewFileReader parses the trailer and footer of a segment held by r.
-func NewFileReader(r io.ReaderAt, size int64) (*FileReader, error) {
-	if size < int64(len(segMagic))+1+trailerSize {
-		return nil, fmt.Errorf("segment: file %w (%d bytes)", trace.ErrTruncated, size)
-	}
-	var tr [trailerSize]byte
-	if _, err := r.ReadAt(tr[:], size-trailerSize); err != nil {
-		return nil, fmt.Errorf("segment: reading trailer: %w", err)
-	}
-	if string(tr[16:20]) != segEndMagic {
-		return nil, fmt.Errorf("segment: bad end magic %q", tr[16:20])
-	}
-	crcBody := binary.LittleEndian.Uint32(tr[0:4])
-	crcFooter := binary.LittleEndian.Uint32(tr[4:8])
-	footerOff := int64(binary.LittleEndian.Uint64(tr[8:16]))
-	if footerOff < int64(len(segMagic))+1 || footerOff >= size-trailerSize {
-		return nil, fmt.Errorf("segment: footer offset %d out of range", footerOff)
-	}
-
-	// Footer region: [footerOff, size-trailerSize).
-	fbuf := make([]byte, size-trailerSize-footerOff)
-	if _, err := r.ReadAt(fbuf, footerOff); err != nil {
-		return nil, fmt.Errorf("segment: reading footer: %w", err)
-	}
-	if fbuf[0] != footerTag {
-		return nil, fmt.Errorf("segment: bad footer tag 0x%02x", fbuf[0])
-	}
-	plen, n := binary.Uvarint(fbuf[1:])
-	if n <= 0 || plen > maxCount {
-		return nil, errors.New("segment: bad footer length")
-	}
-	payload := fbuf[1+n:]
-	if uint64(len(payload)) != plen {
-		return nil, fmt.Errorf("segment: footer length %d does not match region %d", plen, len(payload))
-	}
-	if crcOf(payload) != crcFooter {
-		return nil, fmt.Errorf("segment: footer %w", trace.ErrChecksum)
-	}
-	ftr, err := decodeFooter(payload)
-	if err != nil {
-		return nil, err
-	}
-
-	body := io.NewSectionReader(r, 0, footerOff)
-	fr := &FileReader{
-		ftr:       ftr,
-		footerOff: footerOff,
-		crcBody:   crcBody,
-		crc:       crc32.NewIEEE(),
-	}
-	fr.br = bufio.NewReaderSize(io.TeeReader(body, fr.crc), 1<<16)
-
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(fr.br, magic); err != nil || string(magic) != segMagic {
-		return nil, fmt.Errorf("segment: bad magic %q", magic)
-	}
-	version, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return nil, fmt.Errorf("segment: reading version: %w", err)
-	}
-	if version != segVersion {
-		return nil, fmt.Errorf("segment: unsupported version %d", version)
-	}
-	return fr, nil
-}
-
-// OpenFile opens a segment file from disk.
-func OpenFile(path string) (*FileReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	fr, err := NewFileReader(f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	fr.closer = f
-	return fr, nil
-}
-
-// Footer returns the segment's index.
-func (fr *FileReader) Footer() *Footer { return fr.ftr }
-
-// Next returns the next event, or io.EOF after the last one. The
-// final Next that returns io.EOF also verifies the event count and
-// the body checksum.
-func (fr *FileReader) Next() (trace.Event, error) {
-	if fr.done {
-		return trace.Event{}, io.EOF
-	}
-	for fr.frameLeft == 0 {
-		if err := fr.nextFrame(); err != nil {
-			return trace.Event{}, err
-		}
-		if fr.done {
-			return trace.Event{}, io.EOF
-		}
-	}
-	e, n, err := trace.DecodeEvent(fr.frame[fr.framePos:], fr.framePrev)
-	if err != nil {
-		return trace.Event{}, fmt.Errorf("segment: event %d: %w", fr.decoded, err)
-	}
-	fr.framePos += n
-	fr.framePrev = e
-	fr.frameLeft--
-	if fr.frameLeft == 0 && fr.framePos != len(fr.frame) {
-		return trace.Event{}, fmt.Errorf("segment: frame has %d trailing bytes", len(fr.frame)-fr.framePos)
-	}
-	if fr.decoded == 0 {
-		if e.T != fr.ftr.MinT || e.Seq != fr.ftr.FirstSeq {
-			return trace.Event{}, errors.New("segment: first event disagrees with footer range")
-		}
-	} else if !trace.Less(fr.prev, e) {
-		return trace.Event{}, fmt.Errorf("segment: event %d out of order", fr.decoded)
-	}
-	fr.prev = e
-	fr.decoded++
-	if fr.decoded > fr.ftr.Count {
-		return trace.Event{}, fmt.Errorf("segment: more events than footer count %d", fr.ftr.Count)
-	}
-	return e, nil
-}
-
-// nextFrame reads the next frame header+payload, or detects the clean
-// end of the body and verifies count and CRC.
-func (fr *FileReader) nextFrame() error {
-	tag, err := fr.br.ReadByte()
-	if err == io.EOF {
-		// End of body: everything must check out.
-		if fr.decoded != fr.ftr.Count {
-			return fmt.Errorf("segment: decoded %d events, footer says %d", fr.decoded, fr.ftr.Count)
-		}
-		if fr.decoded > 0 && (fr.prev.T != fr.ftr.MaxT || fr.prev.Seq != fr.ftr.LastSeq) {
-			return errors.New("segment: last event disagrees with footer range")
-		}
-		if fr.crc.Sum32() != fr.crcBody {
-			return fmt.Errorf("segment: body %w", trace.ErrChecksum)
-		}
-		fr.done = true
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("segment: reading frame tag: %w", err)
-	}
-	if tag != frameTag {
-		return fmt.Errorf("segment: bad frame tag 0x%02x", tag)
-	}
-	count, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return fmt.Errorf("segment: reading frame count: %w", err)
-	}
-	size, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return fmt.Errorf("segment: reading frame size: %w", err)
-	}
-	if count == 0 || count > maxCount {
-		return fmt.Errorf("segment: bad frame count %d", count)
-	}
-	if size > uint64(fr.footerOff) {
-		return fmt.Errorf("segment: frame size %d exceeds body", size)
-	}
-	if cap(fr.frame) < int(size) {
-		fr.frame = make([]byte, size)
-	}
-	fr.frame = fr.frame[:size]
-	if _, err := io.ReadFull(fr.br, fr.frame); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("segment: frame payload %w: %v", trace.ErrTruncated, err)
-		}
-		return fmt.Errorf("segment: reading frame payload: %w", err)
-	}
-	fr.framePos = 0
-	fr.frameLeft = int(count)
-	fr.framePrev = trace.Event{}
-	return nil
-}
-
-// ReadAll appends every remaining event to buf and fully verifies the
-// file.
-func (fr *FileReader) ReadAll(buf []trace.Event) ([]trace.Event, error) {
-	for {
-		e, err := fr.Next()
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-		buf = append(buf, e)
-	}
-}
-
-// Close releases the underlying file, if the reader owns one.
-func (fr *FileReader) Close() error {
-	if fr.closer != nil {
-		return fr.closer.Close()
-	}
-	return nil
-}
 
 // Reader reads a segmented trace directory. It implements the
 // analyzer's SegmentSource: the skeleton (registrations, metadata, no
@@ -374,7 +143,7 @@ func OpenWith(dir string, opts ReadOptions) (*Reader, error) {
 		s.First = r.total
 		if len(r.segs) > 0 {
 			p := &r.segs[len(r.segs)-1]
-			if s.MinT < p.MaxT || (s.MinT == p.MaxT && s.FirstSeq <= p.LastSeq) {
+			if !precedes(p.MaxT, p.LastSeq, s.MinT, s.FirstSeq) {
 				return nil, fmt.Errorf("segment: %s out of order after %s", s.Name, p.Name)
 			}
 		}
@@ -423,8 +192,9 @@ func (r *Reader) handle(i int) (*segHandle, error) {
 
 // openSegment maps (or reads) segment i's file and verifies, once for
 // the reader's lifetime: trailer, footer CRC, body CRC, magic/version
-// header and the footer-vs-manifest cross-check. A read image is
-// dropped after verification; loads read the frame region again.
+// header and the footer-vs-manifest cross-check. A read image goes
+// back to the buffer pool after verification; loads read the frame
+// region again.
 func (r *Reader) openSegment(i int, h *segHandle) error {
 	s := r.segs[i]
 	f, err := os.Open(filepath.Join(r.dir, s.Name))
@@ -437,41 +207,55 @@ func (r *Reader) openSegment(i int, h *segHandle) error {
 		return err
 	}
 	size := st.Size()
-	if size < int64(len(segMagic))+1+trailerSize {
-		return fmt.Errorf("segment: file %w (%d bytes)", trace.ErrTruncated, size)
-	}
 	if size > int64(maxCount) {
 		return fmt.Errorf("segment: %s is implausibly large (%d bytes)", s.Name, size)
 	}
-	var data []byte
-	mapped := false
 	if !r.opts.NoMmap {
-		if m, merr := mmapFile(f, size); merr == nil {
-			data, mapped = m, true
+		if data, err := mmapFile(f, size); err == nil {
+			if err := r.verify(i, h, data); err != nil {
+				munmapFile(data)
+				return err
+			}
+			h.data = data
+			return nil
 		}
 	}
-	if !mapped {
-		data = make([]byte, size)
-		if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-			return fmt.Errorf("segment: reading %s: %w", s.Name, err)
-		}
+	buf := r.buffer(int(size))
+	defer r.bufs.Put(buf)
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), *buf); err != nil {
+		return fmt.Errorf("segment: reading %s: %w", s.Name, err)
 	}
+	return r.verify(i, h, *buf)
+}
+
+// verify checks segment i's whole file image (verifyImage) and its
+// footer against the manifest entry, and records where the frames lie.
+func (r *Reader) verify(i int, h *segHandle, data []byte) error {
+	s := r.segs[i]
 	ftr, bodyOff, bodyLen, err := verifyImage(data)
-	if err == nil && (ftr.Count != s.Count || ftr.MinT != s.MinT || ftr.MaxT != s.MaxT ||
-		ftr.FirstSeq != s.FirstSeq || ftr.LastSeq != s.LastSeq) {
-		err = fmt.Errorf("segment: %s footer disagrees with manifest", s.Name)
-	}
 	if err != nil {
-		if mapped {
-			munmapFile(data)
-		}
 		return err
 	}
-	h.bodyOff, h.bodyLen = bodyOff, bodyLen
-	if mapped {
-		h.data = data
+	ftr.Name, ftr.First = s.Name, s.First
+	if ftr != s {
+		return fmt.Errorf("segment: %s footer disagrees with manifest", s.Name)
 	}
+	h.bodyOff, h.bodyLen = bodyOff, bodyLen
 	return nil
+}
+
+// buffer returns a pooled buffer of n bytes. The caller puts it back
+// in r.bufs when done with it.
+func (r *Reader) buffer(n int) *[]byte {
+	buf, _ := r.bufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
 }
 
 // frames returns segment i's frame region: the mapped slice, or the
@@ -482,14 +266,8 @@ func (r *Reader) frames(i int, h *segHandle) ([]byte, *[]byte, error) {
 	if h.data != nil {
 		return h.data[h.bodyOff : h.bodyOff+int64(h.bodyLen)], nil, nil
 	}
-	buf, _ := r.bufs.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	if cap(*buf) < h.bodyLen {
-		*buf = make([]byte, h.bodyLen)
-	}
-	body := (*buf)[:h.bodyLen]
+	buf := r.buffer(h.bodyLen)
+	body := *buf
 	f, err := os.Open(filepath.Join(r.dir, r.segs[i].Name))
 	if err == nil {
 		_, err = f.ReadAt(body, h.bodyOff)
@@ -502,55 +280,66 @@ func (r *Reader) frames(i int, h *segHandle) ([]byte, *[]byte, error) {
 	return body, buf, nil
 }
 
-// verifyImage checks a whole segment file image — trailer, footer CRC
-// and decode, body CRC, magic and version — and returns the decoded
-// footer plus the frame region's offset and length in the image.
-func verifyImage(data []byte) (*Footer, int64, int, error) {
+// verifyImage checks a whole segment file image — trailer, footer
+// CRC, body CRC, magic, version and footer decode — and returns the
+// footer's count and range plus the frame region's offset and length
+// in the image.
+func verifyImage(data []byte) (SegmentInfo, int64, int, error) {
+	var none SegmentInfo
 	size := int64(len(data))
+	if size < int64(len(segMagic))+1+trailerSize {
+		return none, 0, 0, fmt.Errorf("segment: file %w (%d bytes)", trace.ErrTruncated, size)
+	}
 	tr := data[size-trailerSize:]
 	if string(tr[16:20]) != segEndMagic {
-		return nil, 0, 0, fmt.Errorf("segment: bad end magic %q", tr[16:20])
+		return none, 0, 0, fmt.Errorf("segment: bad end magic %q", tr[16:20])
 	}
 	crcBody := binary.LittleEndian.Uint32(tr[0:4])
 	crcFooter := binary.LittleEndian.Uint32(tr[4:8])
 	footerOff := int64(binary.LittleEndian.Uint64(tr[8:16]))
 	if footerOff < int64(len(segMagic))+1 || footerOff >= size-trailerSize {
-		return nil, 0, 0, fmt.Errorf("segment: footer offset %d out of range", footerOff)
+		return none, 0, 0, fmt.Errorf("segment: footer offset %d out of range", footerOff)
 	}
 	fbuf := data[footerOff : size-trailerSize]
 	if fbuf[0] != footerTag {
-		return nil, 0, 0, fmt.Errorf("segment: bad footer tag 0x%02x", fbuf[0])
+		return none, 0, 0, fmt.Errorf("segment: bad footer tag 0x%02x", fbuf[0])
 	}
 	plen, n := binary.Uvarint(fbuf[1:])
 	if n <= 0 || plen > maxCount {
-		return nil, 0, 0, errors.New("segment: bad footer length")
+		return none, 0, 0, errors.New("segment: bad footer length")
 	}
 	payload := fbuf[1+n:]
 	if uint64(len(payload)) != plen {
-		return nil, 0, 0, fmt.Errorf("segment: footer length %d does not match region %d", plen, len(payload))
+		return none, 0, 0, fmt.Errorf("segment: footer length %d does not match region %d", plen, len(payload))
 	}
 	if crcOf(payload) != crcFooter {
-		return nil, 0, 0, fmt.Errorf("segment: footer %w", trace.ErrChecksum)
-	}
-	ftr, err := decodeFooter(payload)
-	if err != nil {
-		return nil, 0, 0, err
+		return none, 0, 0, fmt.Errorf("segment: footer %w", trace.ErrChecksum)
 	}
 	if crcOf(data[:footerOff]) != crcBody {
-		return nil, 0, 0, fmt.Errorf("segment: body %w", trace.ErrChecksum)
+		return none, 0, 0, fmt.Errorf("segment: body %w", trace.ErrChecksum)
 	}
 	if string(data[:len(segMagic)]) != segMagic {
-		return nil, 0, 0, fmt.Errorf("segment: bad magic %q", data[:len(segMagic)])
+		return none, 0, 0, fmt.Errorf("segment: bad magic %q", data[:len(segMagic)])
 	}
 	version, n := binary.Uvarint(data[len(segMagic):footerOff])
 	if n <= 0 {
-		return nil, 0, 0, fmt.Errorf("segment: reading version: %w", trace.ErrTruncated)
+		return none, 0, 0, fmt.Errorf("segment: reading version: %w", trace.ErrTruncated)
 	}
-	if version != segVersion {
-		return nil, 0, 0, fmt.Errorf("segment: unsupported version %d", version)
+	if version != segVersion && version != segVersionV2 {
+		return none, 0, 0, fmt.Errorf("segment: unsupported version %d", version)
+	}
+	ftr, err := decodeFooter(payload, version)
+	if err != nil {
+		return none, 0, 0, err
 	}
 	bodyOff := int64(len(segMagic) + n)
-	return ftr, bodyOff, int(footerOff - bodyOff), nil
+	bodyLen := int(footerOff - bodyOff)
+	if ftr.Count > bodyLen {
+		// Every event record takes at least a byte; a larger count
+		// would size the decode buffers far beyond the file.
+		return none, 0, 0, fmt.Errorf("segment: footer count %d exceeds a %d-byte body", ftr.Count, bodyLen)
+	}
+	return ftr, bodyOff, bodyLen, nil
 }
 
 // LoadColumns batch-decodes segment i into cols (reusing its
@@ -621,10 +410,7 @@ func (r *Reader) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 			return 0, errors.New("segment: last event disagrees with footer range")
 		}
 		for j := 1; j < s.Count; j++ {
-			// Canonical (T, Seq, Thread) order, matching trace.Less.
-			if cols.T[j] < cols.T[j-1] ||
-				(cols.T[j] == cols.T[j-1] && (cols.Seq[j] < cols.Seq[j-1] ||
-					(cols.Seq[j] == cols.Seq[j-1] && cols.Thread[j] <= cols.Thread[j-1]))) {
+			if !precedes(cols.T[j-1], cols.Seq[j-1], cols.T[j], cols.Seq[j]) {
 				return 0, fmt.Errorf("segment: event %d out of order", j)
 			}
 		}

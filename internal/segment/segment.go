@@ -13,7 +13,7 @@
 // other file:
 //
 //	magic   "CLSG"          4 bytes
-//	version uvarint         currently 1
+//	version uvarint         currently 3
 //	frames  repeated:
 //	        byte    0xF1
 //	        uvarint event count (≥ 1)
@@ -26,24 +26,24 @@
 //	        uvarint event count
 //	        varint  minT, varint maxT
 //	        uvarint firstSeq, uvarint lastSeq
-//	        uvarint thread-count entries: (uvarint thread, uvarint n)
-//	        uvarint lock-summary entries: (uvarint obj, uvarint
-//	                acquires, uvarint obtains, uvarint contended,
-//	                uvarint releases)
-//	        uvarint chan-summary entries: (uvarint obj, uvarint sends,
-//	                uvarint blockedSends, uvarint recvs, uvarint
-//	                blockedRecvs, uvarint closes)
 //	trailer fixed 20 bytes:
 //	        uint32 LE crc32/IEEE of bytes [0, footer offset)
 //	        uint32 LE crc32/IEEE of the footer payload
 //	        uint64 LE footer offset
 //	        magic "GSLC"
 //
-// The footer is the per-segment index: readers locate it via the
-// trailer, learn the segment's time/sequence range and per-thread and
-// per-lock event counts without touching the frames, and the two CRCs
-// turn any truncation or bit corruption into an error instead of a
-// silently wrong analysis.
+// Readers locate the footer via the trailer and check its count and
+// range against the manifest entry; the two CRCs turn any truncation
+// or bit corruption into an error instead of a silently wrong
+// analysis. Version-2 footers carried per-thread, per-lock and
+// per-channel event counts after the range; the reader still accepts
+// version 2 and skips those bytes. Within a file, as across the
+// directory, events are in strictly increasing (T, Seq) order.
+//
+// There is one decoder: Reader verifies a segment file once and
+// batch-decodes its frames into columns (LoadColumns). Writer is the
+// one encoder, and the Spiller writes and reads its per-thread runs
+// through both.
 //
 // The manifest carries what the trace carries besides events
 // (metadata, thread and object registrations) plus the segment list:
@@ -71,8 +71,10 @@ import (
 const (
 	segMagic    = "CLSG"
 	segEndMagic = "GSLC"
-	// segVersion 2 added channel summaries to the footer.
-	segVersion = 2
+	// segVersion 3 dropped the footer's per-thread, per-lock and
+	// per-channel summaries (version 2); both versions read.
+	segVersion   = 3
+	segVersionV2 = 2
 
 	manifestMagic   = "CLSM"
 	manifestVersion = 1
@@ -123,127 +125,44 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ThreadCount is one footer entry: how many of a segment's events
-// belong to a thread.
-type ThreadCount struct {
-	Thread trace.ThreadID
-	Count  int
+// appendFooter encodes s's footer payload (without tag/length) to
+// dst: the event count and the (T, Seq) range.
+func appendFooter(dst []byte, s SegmentInfo) []byte {
+	dst = binary.AppendUvarint(dst, uint64(s.Count))
+	dst = binary.AppendVarint(dst, int64(s.MinT))
+	dst = binary.AppendVarint(dst, int64(s.MaxT))
+	dst = binary.AppendUvarint(dst, s.FirstSeq)
+	return binary.AppendUvarint(dst, s.LastSeq)
 }
 
-// LockSummary is one footer entry: a segment's lock-event counts for
-// one mutex — enough to aggregate classical (TYPE 2) invocation and
-// contention counts without decoding frames.
-type LockSummary struct {
-	Obj       trace.ObjID
-	Acquires  int
-	Obtains   int
-	Contended int
-	Releases  int
-}
-
-// ChanSummary is one footer entry: a segment's channel-event counts
-// for one channel — completed operations and how many of them parked.
-type ChanSummary struct {
-	Obj          trace.ObjID
-	Sends        int
-	BlockedSends int
-	Recvs        int
-	BlockedRecvs int
-	Closes       int
-}
-
-// Footer is the per-segment index.
-type Footer struct {
-	// Count is the number of events in the segment.
-	Count int
-	// MinT/MaxT bound the segment's timestamps, FirstSeq/LastSeq its
-	// sequence numbers (all zero for an empty segment).
-	MinT, MaxT        trace.Time
-	FirstSeq, LastSeq uint64
-	// ThreadCounts lists per-thread event counts, ascending by thread.
-	ThreadCounts []ThreadCount
-	// Locks lists per-mutex event summaries, ascending by object.
-	Locks []LockSummary
-	// Chans lists per-channel event summaries, ascending by object.
-	Chans []ChanSummary
-}
-
-// appendFooter encodes f's payload (without tag/length) to dst.
-func appendFooter(dst []byte, f *Footer) []byte {
-	dst = binary.AppendUvarint(dst, uint64(f.Count))
-	dst = binary.AppendVarint(dst, int64(f.MinT))
-	dst = binary.AppendVarint(dst, int64(f.MaxT))
-	dst = binary.AppendUvarint(dst, f.FirstSeq)
-	dst = binary.AppendUvarint(dst, f.LastSeq)
-	dst = binary.AppendUvarint(dst, uint64(len(f.ThreadCounts)))
-	for _, tc := range f.ThreadCounts {
-		dst = binary.AppendUvarint(dst, uint64(tc.Thread))
-		dst = binary.AppendUvarint(dst, uint64(tc.Count))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(f.Locks)))
-	for _, ls := range f.Locks {
-		dst = binary.AppendUvarint(dst, uint64(ls.Obj))
-		dst = binary.AppendUvarint(dst, uint64(ls.Acquires))
-		dst = binary.AppendUvarint(dst, uint64(ls.Obtains))
-		dst = binary.AppendUvarint(dst, uint64(ls.Contended))
-		dst = binary.AppendUvarint(dst, uint64(ls.Releases))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(f.Chans)))
-	for _, cs := range f.Chans {
-		dst = binary.AppendUvarint(dst, uint64(cs.Obj))
-		dst = binary.AppendUvarint(dst, uint64(cs.Sends))
-		dst = binary.AppendUvarint(dst, uint64(cs.BlockedSends))
-		dst = binary.AppendUvarint(dst, uint64(cs.Recvs))
-		dst = binary.AppendUvarint(dst, uint64(cs.BlockedRecvs))
-		dst = binary.AppendUvarint(dst, uint64(cs.Closes))
-	}
-	return dst
-}
-
-// decodeFooter parses a footer payload.
-func decodeFooter(buf []byte) (*Footer, error) {
+// decodeFooter parses the footer payload of a segment file of the
+// given version into the count and range fields of a SegmentInfo. A
+// version-2 payload goes on with per-thread, per-lock and per-channel
+// summaries, which are skipped: nothing reads them, and the footer CRC
+// already covers them.
+func decodeFooter(buf []byte, version uint64) (SegmentInfo, error) {
 	d := byteDecoder{buf: buf}
-	f := &Footer{}
-	f.Count = int(d.count("event"))
-	f.MinT = trace.Time(d.varint())
-	f.MaxT = trace.Time(d.varint())
-	f.FirstSeq = d.uvarint()
-	f.LastSeq = d.uvarint()
-	nThreads := d.count("thread")
-	for i := uint64(0); i < nThreads && d.err == nil; i++ {
-		f.ThreadCounts = append(f.ThreadCounts, ThreadCount{
-			Thread: trace.ThreadID(d.id("thread")),
-			Count:  int(d.count("thread event")),
-		})
-	}
-	nLocks := d.count("lock")
-	for i := uint64(0); i < nLocks && d.err == nil; i++ {
-		f.Locks = append(f.Locks, LockSummary{
-			Obj:       trace.ObjID(d.id("lock")),
-			Acquires:  int(d.count("acquire")),
-			Obtains:   int(d.count("obtain")),
-			Contended: int(d.count("contended")),
-			Releases:  int(d.count("release")),
-		})
-	}
-	nChans := d.count("chan")
-	for i := uint64(0); i < nChans && d.err == nil; i++ {
-		f.Chans = append(f.Chans, ChanSummary{
-			Obj:          trace.ObjID(d.id("chan")),
-			Sends:        int(d.count("send")),
-			BlockedSends: int(d.count("blocked send")),
-			Recvs:        int(d.count("recv")),
-			BlockedRecvs: int(d.count("blocked recv")),
-			Closes:       int(d.count("close")),
-		})
+	s := SegmentInfo{
+		Count:    int(d.count("event")),
+		MinT:     trace.Time(d.varint()),
+		MaxT:     trace.Time(d.varint()),
+		FirstSeq: d.uvarint(),
+		LastSeq:  d.uvarint(),
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("segment: footer: %w", d.err)
+		return SegmentInfo{}, fmt.Errorf("segment: footer: %w", d.err)
 	}
-	if d.pos != len(buf) {
-		return nil, fmt.Errorf("segment: footer has %d trailing bytes", len(buf)-d.pos)
+	if version == segVersion && d.pos != len(buf) {
+		return SegmentInfo{}, fmt.Errorf("segment: footer has %d trailing bytes", len(buf)-d.pos)
 	}
-	return f, nil
+	return s, nil
+}
+
+// precedes reports whether (t0, seq0) comes strictly before (t1, seq1).
+// Inside a segment directory every event's (T, Seq) pair is unique and
+// increasing, as trace.DecodeBinary and trace.Validate require.
+func precedes(t0 trace.Time, seq0 uint64, t1 trace.Time, seq1 uint64) bool {
+	return t0 < t1 || (t0 == t1 && seq0 < seq1)
 }
 
 // byteDecoder reads varint fields off a byte slice, latching the first
@@ -304,16 +223,6 @@ func (d *byteDecoder) count(what string) uint64 {
 	v := d.uvarint()
 	if d.err == nil && v > maxCount {
 		d.fail(fmt.Errorf("%s count %d too large", what, v))
-		return 0
-	}
-	return v
-}
-
-// id reads a uvarint bounded to the int32 ID space.
-func (d *byteDecoder) id(what string) uint64 {
-	v := d.uvarint()
-	if d.err == nil && v > 1<<31-1 {
-		d.fail(fmt.Errorf("%s id %d out of range", what, v))
 		return 0
 	}
 	return v

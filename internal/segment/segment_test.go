@@ -2,11 +2,13 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,113 +85,37 @@ func sampleTrace(n int) *trace.Trace {
 	return tr
 }
 
-func TestFileWriterRoundTrip(t *testing.T) {
+// TestSegmentFileRoundTrip: one segment file is version 3, its footer
+// holds its event count and (T, Seq) range, and it decodes to the
+// events written.
+func TestSegmentFileRoundTrip(t *testing.T) {
 	tr := sampleTrace(100)
-	path := filepath.Join(t.TempDir(), "one.clsg")
-	w, err := NewFileWriter(path, Options{FrameEvents: 16})
+	_, s, img := oneSegment(t, tr)
+	if v := img[len(segMagic)]; v != segVersion {
+		t.Errorf("version %d, want %d", v, segVersion)
+	}
+	ftr, _, _, err := verifyImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tr.Events {
-		if err := w.Append(e); err != nil {
-			t.Fatal(err)
-		}
+	want := footerOf(tr.Events)
+	if ftr != want {
+		t.Errorf("footer = %+v, want %+v", ftr, want)
 	}
-	ftr, err := w.Close()
+	if s.Name != "seg-000000.clsg" || s.First != 0 {
+		t.Errorf("manifest entry = %+v", s)
+	}
+	s.Name, s.First = "", 0
+	if s != want {
+		t.Errorf("manifest entry = %+v, want %+v", s, want)
+	}
+	cols, err := loadImage(img, ftr, len(tr.Threads))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if ftr.Count != len(tr.Events) {
-		t.Errorf("footer count = %d, want %d", ftr.Count, len(tr.Events))
-	}
-	first, last := tr.Events[0], tr.Events[len(tr.Events)-1]
-	if ftr.MinT != first.T || ftr.FirstSeq != first.Seq || ftr.MaxT != last.T || ftr.LastSeq != last.Seq {
-		t.Errorf("footer range = (%d,%d)..(%d,%d), want (%d,%d)..(%d,%d)",
-			ftr.MinT, ftr.FirstSeq, ftr.MaxT, ftr.LastSeq, first.T, first.Seq, last.T, last.Seq)
-	}
-
-	// Footer per-thread counts and per-lock summaries must match a
-	// direct tally of the input.
-	wantThr := map[trace.ThreadID]int{}
-	wantLock := map[trace.ObjID]LockSummary{}
-	wantChan := map[trace.ObjID]ChanSummary{}
-	for _, e := range tr.Events {
-		wantThr[e.Thread]++
-		switch e.Kind {
-		case trace.EvChanSend:
-			cs := wantChan[e.Obj]
-			cs.Obj = e.Obj
-			cs.Sends++
-			if e.ChanBlocked() {
-				cs.BlockedSends++
-			}
-			wantChan[e.Obj] = cs
-		case trace.EvChanRecv:
-			cs := wantChan[e.Obj]
-			cs.Obj = e.Obj
-			cs.Recvs++
-			if e.ChanBlocked() {
-				cs.BlockedRecvs++
-			}
-			wantChan[e.Obj] = cs
-		case trace.EvChanClose:
-			cs := wantChan[e.Obj]
-			cs.Obj = e.Obj
-			cs.Closes++
-			wantChan[e.Obj] = cs
-		}
-		switch e.Kind {
-		case trace.EvLockAcquire:
-			ls := wantLock[e.Obj]
-			ls.Obj = e.Obj
-			ls.Acquires++
-			wantLock[e.Obj] = ls
-		case trace.EvLockObtain:
-			ls := wantLock[e.Obj]
-			ls.Obj = e.Obj
-			ls.Obtains++
-			if e.Contended() {
-				ls.Contended++
-			}
-			wantLock[e.Obj] = ls
-		case trace.EvLockRelease:
-			ls := wantLock[e.Obj]
-			ls.Obj = e.Obj
-			ls.Releases++
-			wantLock[e.Obj] = ls
-		}
-	}
-	if len(ftr.ThreadCounts) != len(wantThr) {
-		t.Errorf("footer has %d thread counts, want %d", len(ftr.ThreadCounts), len(wantThr))
-	}
-	for _, tc := range ftr.ThreadCounts {
-		if tc.Count != wantThr[tc.Thread] {
-			t.Errorf("thread %d count = %d, want %d", tc.Thread, tc.Count, wantThr[tc.Thread])
-		}
-	}
-	for _, ls := range ftr.Locks {
-		if ls != wantLock[ls.Obj] {
-			t.Errorf("lock %d summary = %+v, want %+v", ls.Obj, ls, wantLock[ls.Obj])
-		}
-	}
-	if len(ftr.Chans) != len(wantChan) {
-		t.Errorf("footer has %d chan summaries, want %d", len(ftr.Chans), len(wantChan))
-	}
-	for _, cs := range ftr.Chans {
-		if cs != wantChan[cs.Obj] {
-			t.Errorf("chan %d summary = %+v, want %+v", cs.Obj, cs, wantChan[cs.Obj])
-		}
-	}
-
-	fr, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	got, err := fr.ReadAll(nil)
-	if err != nil {
-		t.Fatal(err)
+	got := make([]trace.Event, cols.Len())
+	for j := range got {
+		got[j] = cols.Event(j)
 	}
 	if !reflect.DeepEqual(got, tr.Events) {
 		t.Fatalf("round trip changed events: got %d, want %d", len(got), len(tr.Events))
@@ -254,10 +180,11 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestAppendOutOfOrder(t *testing.T) {
-	w, err := NewFileWriter(filepath.Join(t.TempDir(), "x.clsg"), Options{})
+	w, err := NewWriter(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	if err := w.Append(trace.Event{T: 10, Seq: 2, Kind: trace.EvThreadStart}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,79 +193,256 @@ func TestAppendOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestAppendNegativeSummarizedObject: the footer stores lock and
-// channel IDs unsigned, so the writer refuses a lock or channel event
-// on a negative object instead of writing a segment its reader rejects.
+// TestRepeatedPairRefused: events inside a segment file are in strict
+// (T, Seq) order, as across segments and in the binary trace format.
+// A repeated pair is refused even where the thread ID grows (which
+// trace.Less alone would order): by the writer, by the reader on a
+// hand-built image and by trace.DecodeBinary.
+func TestRepeatedPairRefused(t *testing.T) {
+	tr := &trace.Trace{
+		Threads: []trace.ThreadInfo{
+			{ID: 0, Name: "main", Creator: trace.NoThread},
+			{ID: 1, Name: "w", Creator: 0},
+		},
+		Meta: map[string]string{},
+		Events: []trace.Event{
+			{T: 1, Seq: 1, Thread: 0, Kind: trace.EvThreadStart, Obj: trace.NoObj},
+			{T: 2, Seq: 2, Thread: 0, Kind: trace.EvThreadCreate, Obj: trace.NoObj, Arg: 1},
+			{T: 2, Seq: 2, Thread: 1, Kind: trace.EvThreadStart, Obj: trace.NoObj},
+		},
+	}
+	if !trace.Less(tr.Events[1], tr.Events[2]) {
+		t.Fatal("the repeated pair is not in trace.Less order")
+	}
+	const want = "out of order"
+	if err := WriteTrace(t.TempDir(), tr, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("WriteTrace: err = %v, want %q", err, want)
+	}
+	img := handImage(tr.Events, segVersion, appendFooter(nil, footerOf(tr.Events)))
+	ftr, _, _, err := verifyImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadImage(img, ftr, len(tr.Threads)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("reader: err = %v, want %q", err, want)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.DecodeBinary(buf.Bytes()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("DecodeBinary: err = %v, want %q", err, want)
+	}
+}
+
+// TestAppendNegativeSummarizedObject: the analysis indexes per-lock and
+// per-channel state by object ID, so the writer refuses a lock or
+// channel event on a negative object.
 func TestAppendNegativeSummarizedObject(t *testing.T) {
 	for _, k := range []trace.EventKind{trace.EvLockObtain, trace.EvChanSend} {
-		w, err := NewFileWriter(filepath.Join(t.TempDir(), "x.clsg"), Options{})
+		w, err := NewWriter(t.TempDir(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Append(trace.Event{T: 1, Seq: 1, Kind: k, Obj: trace.NoObj}); err == nil {
 			t.Errorf("%s on object -1 accepted", k)
 		}
+		w.Close()
 	}
 }
 
-// segBytes writes the sample trace into one segment file and returns
-// its raw bytes.
-func segBytes(t *testing.T, n int) []byte {
-	t.Helper()
-	tr := sampleTrace(n)
-	path := filepath.Join(t.TempDir(), "one.clsg")
-	w, err := NewFileWriter(path, Options{FrameEvents: 16})
+// TestReadsVersion2: a directory written before the footer dropped its
+// summaries (testdata/v2segdir: deadlockprone in 8-event segments of
+// 4-event frames, segment version 2) loads the events of its source
+// trace, mapped and buffered. A version-2 footer's bytes after the
+// range are skipped; a version-3 footer must end there.
+func TestReadsVersion2(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "deadlockprone.cltr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tr.Events {
-		if err := w.Append(e); err != nil {
+	want, err := trace.DecodeBinary(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("testdata", "v2segdir")
+	for _, opts := range []ReadOptions{{}, {NoMmap: true}} {
+		r, err := OpenWith(dir, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if r.NumSegments() < 2 {
+			t.Fatalf("%d segments, want several", r.NumSegments())
+		}
+		for i := 0; i < r.NumSegments(); i++ {
+			img, err := os.ReadFile(filepath.Join(dir, r.Segment(i).Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := img[len(segMagic)]; v != segVersionV2 {
+				t.Fatalf("%s has version %d, want %d", r.Segment(i).Name, v, segVersionV2)
+			}
+		}
+		got, err := r.ReadAll()
+		r.Close()
+		if err != nil {
+			t.Fatalf("NoMmap=%v: %v", opts.NoMmap, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("NoMmap=%v: v2 directory does not load its source trace", opts.NoMmap)
+		}
 	}
-	if _, err := w.Close(); err != nil {
-		t.Fatal(err)
+
+	evs := sampleTrace(40).Events
+	summaries := []byte{1, 0, 5, 0} // one thread count, no locks, no channels
+	for _, c := range []struct {
+		version uint64
+		ok      bool
+	}{{segVersionV2, true}, {segVersion, false}} {
+		img := handImage(evs, c.version, append(appendFooter(nil, footerOf(evs)), summaries...))
+		_, _, _, err := verifyImage(img)
+		if (err == nil) != c.ok {
+			t.Errorf("version %d footer with summaries: err = %v, want ok=%v", c.version, err, c.ok)
+		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
-// drainBytes fully decodes a segment image, returning the first error.
-func drainBytes(raw []byte) error {
-	fr, err := NewFileReader(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return err
+// oneSegment writes tr as a directory of one segment in 16-event
+// frames and returns the directory, the segment's manifest entry and
+// its file image.
+func oneSegment(tb testing.TB, tr *trace.Trace) (string, SegmentInfo, []byte) {
+	tb.Helper()
+	dir := filepath.Join(tb.TempDir(), "segs")
+	if err := WriteTrace(dir, tr, Options{FrameEvents: 16}); err != nil {
+		tb.Fatal(err)
 	}
-	_, err = fr.ReadAll(nil)
-	return err
+	r, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+	if r.NumSegments() != 1 {
+		tb.Fatalf("%d segments, want 1", r.NumSegments())
+	}
+	s := r.Segment(0)
+	img, err := os.ReadFile(filepath.Join(dir, s.Name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dir, s, img
+}
+
+// handImage encodes events as one segment file image of the given
+// version in a single frame, with the given footer payload, without
+// the writer's order checks.
+func handImage(evs []trace.Event, version uint64, footer []byte) []byte {
+	var frame []byte
+	var prev trace.Event
+	for _, e := range evs {
+		frame = trace.AppendEvent(frame, e, prev)
+		prev = e
+	}
+	img := binary.AppendUvarint([]byte(segMagic), version)
+	img = append(img, frameTag)
+	img = binary.AppendUvarint(img, uint64(len(evs)))
+	img = binary.AppendUvarint(img, uint64(len(frame)))
+	img = append(img, frame...)
+	footerOff := len(img)
+	img = append(img, footerTag)
+	img = binary.AppendUvarint(img, uint64(len(footer)))
+	img = append(img, footer...)
+	img = binary.LittleEndian.AppendUint32(img, crcOf(img[:footerOff]))
+	img = binary.LittleEndian.AppendUint32(img, crcOf(footer))
+	img = binary.LittleEndian.AppendUint64(img, uint64(footerOff))
+	return append(img, segEndMagic...)
+}
+
+// footerOf returns the footer fields of a segment holding evs.
+func footerOf(evs []trace.Event) SegmentInfo {
+	first, last := evs[0], evs[len(evs)-1]
+	return SegmentInfo{Count: len(evs), MinT: first.T, MaxT: last.T, FirstSeq: first.Seq, LastSeq: last.Seq}
+}
+
+// TestFooterCountBounded: a footer (and manifest) may not claim more
+// events than the body has bytes, or a tiny hostile file would size
+// the decode columns at up to 2^30 events.
+func TestFooterCountBounded(t *testing.T) {
+	evs := sampleTrace(40).Events
+	s := footerOf(evs)
+	s.Count = 1 << 30
+	img := handImage(evs, segVersion, appendFooter(nil, s))
+	if _, _, _, err := verifyImage(img); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("err = %v, want a footer count that exceeds the body", err)
+	}
+}
+
+// loadImage verifies and decodes a segment file image held in memory,
+// as a Reader does with a mapped file: verifyImage and the check
+// against manifest entry s on first access, then the frame decode and
+// first-load checks of LoadColumns, with threads threads registered.
+func loadImage(img []byte, s SegmentInfo, threads int) (*trace.Columns, error) {
+	skel := &trace.Trace{Meta: map[string]string{}}
+	for i := 0; i < threads; i++ {
+		skel.Threads = append(skel.Threads, trace.ThreadInfo{ID: trace.ThreadID(i), Creator: trace.NoThread})
+	}
+	r := &Reader{skel: skel, segs: []SegmentInfo{s}, total: s.Count, handles: make([]segHandle, 1)}
+	h := &r.handles[0]
+	h.once.Do(func() {
+		if h.err = r.verify(0, h, img); h.err == nil {
+			h.data = img
+		}
+	})
+	var cols trace.Columns
+	if _, err := r.LoadColumns(0, &cols); err != nil {
+		return nil, err
+	}
+	return &cols, nil
+}
+
+// refused requires a corrupted image of the one-segment directory dir
+// (manifest entry s) to be refused in memory and from the file, mapped
+// and buffered.
+func refused(t *testing.T, dir string, s SegmentInfo, img []byte, what string) {
+	t.Helper()
+	if _, err := loadImage(img, s, 3); err == nil {
+		t.Fatalf("%s accepted in memory", what)
+	}
+	if err := os.WriteFile(filepath.Join(dir, s.Name), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []ReadOptions{{}, {NoMmap: true}} {
+		r, err := OpenWith(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cols trace.Columns
+		_, err = r.LoadColumns(0, &cols)
+		r.Close()
+		if err == nil {
+			t.Fatalf("%s accepted (NoMmap=%v)", what, opts.NoMmap)
+		}
+	}
 }
 
 // TestSegmentTruncation: every proper prefix of a segment file must be
 // rejected — the trailer-anchored layout cannot mistake a cut for a
 // shorter valid file.
 func TestSegmentTruncation(t *testing.T) {
-	raw := segBytes(t, 120)
+	dir, s, raw := oneSegment(t, sampleTrace(120))
 	for cut := 0; cut < len(raw); cut++ {
-		if err := drainBytes(raw[:cut]); err == nil {
-			t.Fatalf("truncation to %d/%d bytes accepted", cut, len(raw))
-		}
+		refused(t, dir, s, raw[:cut], fmt.Sprintf("truncation to %d/%d bytes", cut, len(raw)))
 	}
 }
 
 // TestSegmentBitFlips: every single-byte corruption must be rejected —
 // the body and footer CRCs leave no unprotected region.
 func TestSegmentBitFlips(t *testing.T) {
-	raw := segBytes(t, 120)
+	dir, s, raw := oneSegment(t, sampleTrace(120))
 	mut := make([]byte, len(raw))
 	for i := 0; i < len(raw); i++ {
 		copy(mut, raw)
 		mut[i] ^= 0xff
-		if err := drainBytes(mut); err == nil {
-			t.Fatalf("flip at byte %d/%d accepted", i, len(raw))
-		}
+		refused(t, dir, s, mut, fmt.Sprintf("flip at byte %d/%d", i, len(raw)))
 	}
 }
 
@@ -432,14 +536,100 @@ func TestSpillerMergesRuns(t *testing.T) {
 	if !reflect.DeepEqual(got.Events, tr.Events) {
 		t.Fatalf("merged events differ: got %d, want %d", len(got.Events), len(tr.Events))
 	}
-	// Run files must be cleaned up.
+	// Run directories must be cleaned up.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if len(e.Name()) >= 4 && e.Name()[:4] == "run-" {
-			t.Errorf("run file %s left behind", e.Name())
+		if strings.HasPrefix(e.Name(), "run-") {
+			t.Errorf("run directory %s left behind", e.Name())
+		}
+	}
+}
+
+// TestSpillMergeBounded: Finish merges the runs of a many-thread spill
+// holding one decoded DefaultFrameEvents run segment (and its encoded
+// image) per thread, so its live heap grows by at most about two such
+// segments per thread however long the runs are: here a fifth of the
+// decoded trace. A sampler collects garbage and reads the live heap
+// while Finish runs.
+func TestSpillMergeBounded(t *testing.T) {
+	const threads, perThread, chunk = 16, 10 * DefaultFrameEvents, 1024
+	dir := filepath.Join(t.TempDir(), "spill")
+	sp, err := NewSpiller(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := trace.NewCollector()
+	for th := 0; th < threads; th++ {
+		col.RegisterThread(fmt.Sprint("t", th), trace.NoThread)
+	}
+	col.RegisterObject(trace.ObjMutex, "m", 0)
+	// Thread th's i-th event is at T = i*threads + th, so the merged
+	// trace's k-th event is at T = k on thread k%threads.
+	kinds := []trace.EventKind{trace.EvLockAcquire, trace.EvLockObtain, trace.EvLockRelease}
+	buf := make([]trace.Event, chunk)
+	for base := 0; base < perThread; base += chunk {
+		for th := 0; th < threads; th++ {
+			for j := range buf {
+				k := (base+j)*threads + th
+				buf[j] = trace.Event{T: trace.Time(k), Seq: uint64(k + 1), Thread: trace.ThreadID(th),
+					Kind: kinds[k%3], Arg: int64(k % 7)}
+			}
+			if err := sp.SpillRun(trace.ThreadID(th), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var before runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		var m runtime.MemStats
+		var most uint64
+		for {
+			runtime.GC()
+			runtime.ReadMemStats(&m)
+			most = max(most, m.HeapAlloc)
+			select {
+			case <-done:
+				peak <- most
+				return
+			default:
+			}
+		}
+	}()
+	r, err := sp.Finish(col)
+	close(done)
+	grew := int64(<-peak) - int64(before.HeapAlloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	t.Logf("Finish grew the live heap by %d bytes", grew)
+	// One decoded event takes 33 bytes in columns.
+	segment := int64(DefaultFrameEvents) * 33
+	if bound := 2 * threads * segment; grew > bound {
+		t.Errorf("Finish grew the live heap by %d bytes; want at most %d (two run segments per thread; the decoded trace is %d)",
+			grew, bound, threads*perThread*33)
+	}
+	if r.NumEvents() != threads*perThread {
+		t.Fatalf("merged %d events, want %d", r.NumEvents(), threads*perThread)
+	}
+	var cols trace.Columns
+	for i := 0; i < r.NumSegments(); i++ {
+		if _, err := r.LoadColumns(i, &cols); err != nil {
+			t.Fatal(err)
+		}
+		first, _ := r.SegmentBounds(i)
+		for j := range cols.Len() {
+			if k := first + j; cols.T[j] != trace.Time(k) || int(cols.Thread[j]) != k%threads {
+				t.Fatalf("merged event %d is at t=%d on thread %d", k, cols.T[j], cols.Thread[j])
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,10 +10,15 @@ import (
 )
 
 // Spiller bounds trace-generation memory: it implements
-// trace.SpillSink by appending each thread's spilled runs to a
-// per-thread run file (a thread's events are already canonically
-// ordered, so a run file is one long sorted run), then Finish k-way
-// merges the runs into a sorted segment directory.
+// trace.SpillSink by appending each thread's spilled runs through a
+// Writer into a per-thread run directory of DefaultFrameEvents-event
+// segments (a thread's events are already canonically ordered, so a
+// run directory is one long sorted run). Finish reopens the runs with
+// buffered reads and k-way merges them into a sorted segment
+// directory. The merge holds one decoded run segment per thread, plus
+// that segment's encoded image, and maps nothing: its memory is
+// bounded by threads × one DefaultFrameEvents segment, whatever the
+// length of the trace.
 //
 // Usage:
 //
@@ -30,21 +34,21 @@ type Spiller struct {
 	opts Options
 
 	mu   sync.Mutex
-	runs map[trace.ThreadID]*FileWriter
+	runs map[trace.ThreadID]*Writer
 	err  error
 	done bool
 }
 
 // NewSpiller creates dir (if needed) and returns a Spiller writing
-// run files into it.
+// run directories into it.
 func NewSpiller(dir string, opts Options) (*Spiller, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Spiller{dir: dir, opts: opts.withDefaults(), runs: map[trace.ThreadID]*FileWriter{}}, nil
+	return &Spiller{dir: dir, opts: opts.withDefaults(), runs: map[trace.ThreadID]*Writer{}}, nil
 }
 
-// SpillRun appends one thread's buffered events to its run file.
+// SpillRun appends one thread's buffered events to its run directory.
 func (s *Spiller) SpillRun(thread trace.ThreadID, events []trace.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -58,7 +62,7 @@ func (s *Spiller) SpillRun(thread trace.ThreadID, events []trace.Event) error {
 	w := s.runs[thread]
 	if w == nil {
 		var err error
-		w, err = NewFileWriter(filepath.Join(s.dir, fmt.Sprintf("run-t%d.clsg", thread)), s.opts)
+		w, err = NewWriter(filepath.Join(s.dir, fmt.Sprintf("run-t%d", thread)), Options{SegmentEvents: DefaultFrameEvents})
 		if err != nil {
 			s.err = err
 			return err
@@ -81,10 +85,10 @@ func (s *Spiller) Err() error {
 	return s.err
 }
 
-// Finish drains the collector's remaining buffers, merges all run
-// files into a sorted segment directory with the collector's
-// registrations and metadata, deletes the run files and returns a
-// Reader over the result. Call once, after the run has completed.
+// Finish drains the collector's remaining buffers, merges all runs
+// into a sorted segment directory with the collector's registrations
+// and metadata, deletes the run directories and returns a Reader over
+// the result. Call once, after the run has completed.
 func (s *Spiller) Finish(c *trace.Collector) (*Reader, error) {
 	if err := c.DrainSpill(); err != nil {
 		return nil, err
@@ -97,22 +101,33 @@ func (s *Spiller) Finish(c *trace.Collector) (*Reader, error) {
 		return nil, fmt.Errorf("segment: Finish called twice")
 	}
 	s.done = true
+	runs := make([]*Reader, 0, len(s.runs))
+	defer func() {
+		for _, r := range runs {
+			r.Close()
+		}
+		for _, w := range s.runs {
+			w.Close()
+			os.RemoveAll(w.dir)
+		}
+		s.runs = nil
+	}()
 	if s.err != nil {
-		s.closeRunsLocked()
 		return nil, s.err
 	}
 
-	// Close run writers and reopen them as readers in thread order.
-	paths := make([]string, 0, len(s.runs))
+	// Close the run writers with the registrations their readers
+	// check thread IDs against, and reopen them.
 	for _, w := range s.runs {
-		if _, err := w.Close(); err != nil {
-			s.err = err
+		w.SetSkeleton(skel.Threads, nil, nil)
+		if err := w.Close(); err != nil {
+			return nil, err
 		}
-		paths = append(paths, w.Path())
-	}
-	s.runs = nil
-	if s.err != nil {
-		return nil, s.err
+		r, err := OpenWith(w.dir, ReadOptions{NoMmap: true})
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, r)
 	}
 
 	w, err := NewWriter(s.dir, s.opts)
@@ -120,59 +135,57 @@ func (s *Spiller) Finish(c *trace.Collector) (*Reader, error) {
 		return nil, err
 	}
 	w.SetSkeleton(skel.Threads, skel.Objects, skel.Meta)
-	if err := mergeRuns(w, paths); err != nil {
+	if err := mergeRuns(w, runs); err != nil {
 		w.Close()
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	for _, p := range paths {
-		os.Remove(p)
-	}
 	return Open(s.dir)
 }
 
-func (s *Spiller) closeRunsLocked() {
-	for _, w := range s.runs {
-		w.Close()
-		os.Remove(w.Path())
-	}
-	s.runs = nil
-}
-
-// runHead is one source in the k-way merge heap.
-type runHead struct {
+// runCursor is one source in the k-way merge: a run's next event, in
+// the decoded columns of the run segment that holds it.
+type runCursor struct {
+	r    *Reader
+	cols trace.Columns
+	seg  int // next segment to load
+	i    int // index of head in cols
 	head trace.Event
-	fr   *FileReader
 }
 
-// mergeRuns streams the k-way merge of the sorted run files into w.
-func mergeRuns(w *Writer, paths []string) error {
-	h := make([]runHead, 0, len(paths))
-	defer func() {
-		for _, rh := range h {
-			rh.fr.Close()
+// next moves the cursor to the run's next event, loading the next
+// segment when the current one is spent. It reports false at the end
+// of the run.
+func (c *runCursor) next() (bool, error) {
+	c.i++
+	if c.i >= c.cols.Len() {
+		if c.seg == c.r.NumSegments() {
+			return false, nil
 		}
-	}()
-	for _, p := range paths {
-		fr, err := OpenFile(p)
-		if err != nil {
+		if _, err := c.r.LoadColumns(c.seg, &c.cols); err != nil {
+			return false, err
+		}
+		c.seg, c.i = c.seg+1, 0
+	}
+	c.head = c.cols.Event(c.i)
+	return true, nil
+}
+
+// mergeRuns streams the k-way merge of the sorted runs into w.
+func mergeRuns(w *Writer, runs []*Reader) error {
+	h := make([]*runCursor, 0, len(runs))
+	for _, r := range runs {
+		c := &runCursor{r: r, i: -1}
+		if ok, err := c.next(); err != nil {
 			return err
+		} else if ok {
+			h = append(h, c)
 		}
-		e, err := fr.Next()
-		if err == io.EOF {
-			fr.Close()
-			continue
-		}
-		if err != nil {
-			fr.Close()
-			return err
-		}
-		h = append(h, runHead{head: e, fr: fr})
 	}
 	// Binary min-heap keyed by head event (same shape as
-	// trace.MergeSorted, but pulling from file readers).
+	// trace.MergeSorted, but pulling from run cursors).
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDownRuns(h, i)
 	}
@@ -180,22 +193,20 @@ func mergeRuns(w *Writer, paths []string) error {
 		if err := w.Append(h[0].head); err != nil {
 			return err
 		}
-		e, err := h[0].fr.Next()
-		if err == io.EOF {
-			h[0].fr.Close()
+		ok, err := h[0].next()
+		if err != nil {
+			return err
+		}
+		if !ok {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
-		} else if err != nil {
-			return err
-		} else {
-			h[0].head = e
 		}
 		siftDownRuns(h, 0)
 	}
 	return nil
 }
 
-func siftDownRuns(h []runHead, i int) {
+func siftDownRuns(h []*runCursor, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i

@@ -8,236 +8,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"critlock/internal/trace"
 )
-
-// FileWriter writes one segment file. Events must be appended in
-// canonical (T, Seq) order; the writer frames them, maintains the
-// footer index and finishes the file with footer and trailer on Close.
-type FileWriter struct {
-	f    *os.File
-	bw   *bufio.Writer
-	crc  hash.Hash32
-	path string
-	off  int64 // bytes emitted into the body (header + frames)
-
-	frame       []byte // current frame's encoded payload
-	frameCount  int
-	framePrev   trace.Event
-	frameEvents int
-
-	ftr       Footer
-	prev      trace.Event
-	thrCounts map[trace.ThreadID]int
-	locks     map[trace.ObjID]*LockSummary
-	chans     map[trace.ObjID]*ChanSummary
-	err       error
-}
-
-// NewFileWriter creates (truncating) a segment file at path.
-func NewFileWriter(path string, opts Options) (*FileWriter, error) {
-	opts = opts.withDefaults()
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := &FileWriter{
-		f:           f,
-		bw:          bufio.NewWriter(f),
-		crc:         crc32.NewIEEE(),
-		path:        path,
-		frameEvents: opts.FrameEvents,
-		thrCounts:   map[trace.ThreadID]int{},
-		locks:       map[trace.ObjID]*LockSummary{},
-		chans:       map[trace.ObjID]*ChanSummary{},
-	}
-	w.body([]byte(segMagic))
-	w.body(binary.AppendUvarint(nil, segVersion))
-	return w, nil
-}
-
-// body writes p to the file and folds it into the body CRC.
-func (w *FileWriter) body(p []byte) {
-	if w.err != nil {
-		return
-	}
-	if _, err := w.bw.Write(p); err != nil {
-		w.err = err
-		return
-	}
-	w.crc.Write(p)
-	w.off += int64(len(p))
-}
-
-// Path returns the file's path.
-func (w *FileWriter) Path() string { return w.path }
-
-// Count returns the number of events appended so far.
-func (w *FileWriter) Count() int { return w.ftr.Count }
-
-// Append adds one event. Events must arrive in strictly increasing
-// (T, Seq) order.
-func (w *FileWriter) Append(e trace.Event) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.ftr.Count > 0 && !trace.Less(w.prev, e) {
-		w.err = fmt.Errorf("segment: %s: event out of order (t=%d seq=%d after t=%d seq=%d)",
-			filepath.Base(w.path), e.T, e.Seq, w.prev.T, w.prev.Seq)
-		return w.err
-	}
-	if e.Obj < 0 && summarized(e.Kind) {
-		// The footer stores lock and channel IDs unsigned; the reader
-		// would reject the segment.
-		w.err = fmt.Errorf("segment: %s: %s event on object %d",
-			filepath.Base(w.path), e.Kind, e.Obj)
-		return w.err
-	}
-	if w.frameCount == 0 {
-		w.framePrev = trace.Event{}
-	}
-	w.frame = trace.AppendEvent(w.frame, e, w.framePrev)
-	w.framePrev = e
-	w.frameCount++
-
-	if w.ftr.Count == 0 {
-		w.ftr.MinT, w.ftr.FirstSeq = e.T, e.Seq
-	}
-	w.ftr.MaxT, w.ftr.LastSeq = e.T, e.Seq
-	w.ftr.Count++
-	w.prev = e
-	w.thrCounts[e.Thread]++
-	switch e.Kind {
-	case trace.EvLockAcquire:
-		w.lockSum(e.Obj).Acquires++
-	case trace.EvLockObtain:
-		ls := w.lockSum(e.Obj)
-		ls.Obtains++
-		if e.Contended() {
-			ls.Contended++
-		}
-	case trace.EvLockRelease:
-		w.lockSum(e.Obj).Releases++
-	case trace.EvChanSend:
-		cs := w.chanSum(e.Obj)
-		cs.Sends++
-		if e.ChanBlocked() {
-			cs.BlockedSends++
-		}
-	case trace.EvChanRecv:
-		cs := w.chanSum(e.Obj)
-		cs.Recvs++
-		if e.ChanBlocked() {
-			cs.BlockedRecvs++
-		}
-	case trace.EvChanClose:
-		w.chanSum(e.Obj).Closes++
-	}
-
-	if w.frameCount >= w.frameEvents {
-		w.flushFrame()
-	}
-	return w.err
-}
-
-// summarized reports whether the footer counts events of kind k per
-// object.
-func summarized(k trace.EventKind) bool {
-	switch k {
-	case trace.EvLockAcquire, trace.EvLockObtain, trace.EvLockRelease,
-		trace.EvChanSend, trace.EvChanRecv, trace.EvChanClose:
-		return true
-	}
-	return false
-}
-
-func (w *FileWriter) lockSum(obj trace.ObjID) *LockSummary {
-	ls := w.locks[obj]
-	if ls == nil {
-		ls = &LockSummary{Obj: obj}
-		w.locks[obj] = ls
-	}
-	return ls
-}
-
-func (w *FileWriter) chanSum(obj trace.ObjID) *ChanSummary {
-	cs := w.chans[obj]
-	if cs == nil {
-		cs = &ChanSummary{Obj: obj}
-		w.chans[obj] = cs
-	}
-	return cs
-}
-
-func (w *FileWriter) flushFrame() {
-	if w.frameCount == 0 {
-		return
-	}
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	hdr[0] = frameTag
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(w.frameCount))
-	n += binary.PutUvarint(hdr[n:], uint64(len(w.frame)))
-	w.body(hdr[:n])
-	w.body(w.frame)
-	w.frame = w.frame[:0]
-	w.frameCount = 0
-}
-
-// Close flushes the last frame, writes footer and trailer and closes
-// the file, returning the final footer.
-func (w *FileWriter) Close() (*Footer, error) {
-	if w.err != nil {
-		w.f.Close()
-		return nil, w.err
-	}
-	w.flushFrame()
-
-	w.ftr.ThreadCounts = w.ftr.ThreadCounts[:0]
-	for tid, c := range w.thrCounts {
-		w.ftr.ThreadCounts = append(w.ftr.ThreadCounts, ThreadCount{Thread: tid, Count: c})
-	}
-	slices.SortFunc(w.ftr.ThreadCounts, func(a, b ThreadCount) int { return int(a.Thread) - int(b.Thread) })
-	w.ftr.Locks = w.ftr.Locks[:0]
-	for _, ls := range w.locks {
-		w.ftr.Locks = append(w.ftr.Locks, *ls)
-	}
-	slices.SortFunc(w.ftr.Locks, func(a, b LockSummary) int { return int(a.Obj) - int(b.Obj) })
-	w.ftr.Chans = w.ftr.Chans[:0]
-	for _, cs := range w.chans {
-		w.ftr.Chans = append(w.ftr.Chans, *cs)
-	}
-	slices.SortFunc(w.ftr.Chans, func(a, b ChanSummary) int { return int(a.Obj) - int(b.Obj) })
-
-	footerOff := w.off
-	payload := appendFooter(nil, &w.ftr)
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+len(payload)+trailerSize)
-	out = append(out, footerTag)
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, w.crc.Sum32())
-	out = binary.LittleEndian.AppendUint32(out, crcOf(payload))
-	out = binary.LittleEndian.AppendUint64(out, uint64(footerOff))
-	out = append(out, segEndMagic...)
-	if w.err == nil {
-		if _, err := w.bw.Write(out); err != nil {
-			w.err = err
-		}
-	}
-	if err := w.bw.Flush(); err != nil && w.err == nil {
-		w.err = err
-	}
-	if err := w.f.Close(); err != nil && w.err == nil {
-		w.err = err
-	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return &w.ftr, nil
-}
 
 // SegmentInfo is one manifest entry: a segment file and its index
 // summary. First is the global index of the segment's first event,
@@ -261,12 +35,23 @@ type Writer struct {
 	meta   map[string]string
 	thrs   []trace.ThreadInfo
 	objs   []trace.ObjectInfo
-	cur    *FileWriter
 	segs   []SegmentInfo
 	prev   trace.Event
 	total  int
 	closed bool
 	err    error
+
+	// The open segment file (f is nil between segments): its entry so
+	// far, the bytes written into its body (header and frames) and
+	// their CRC, and the open frame.
+	f          *os.File
+	bw         *bufio.Writer
+	crc        hash.Hash32
+	cur        SegmentInfo
+	off        int64
+	frame      []byte
+	frameCount int
+	framePrev  trace.Event
 }
 
 // NewWriter creates dir (if needed) and returns a Writer into it.
@@ -274,7 +59,7 @@ func NewWriter(dir string, opts Options) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Writer{dir: dir, opts: opts.withDefaults(), meta: map[string]string{}}, nil
+	return &Writer{dir: dir, opts: opts.withDefaults(), meta: map[string]string{}, crc: crc32.NewIEEE()}, nil
 }
 
 // SetMeta records a metadata pair for the manifest.
@@ -296,47 +81,130 @@ func (w *Writer) Append(e trace.Event) error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.total > 0 && !trace.Less(w.prev, e) {
+	if w.total > 0 && !precedes(w.prev.T, w.prev.Seq, e.T, e.Seq) {
 		w.err = fmt.Errorf("segment: event out of order (t=%d seq=%d after t=%d seq=%d)",
 			e.T, e.Seq, w.prev.T, w.prev.Seq)
 		return w.err
 	}
-	if w.cur == nil {
-		name := fmt.Sprintf("seg-%06d.clsg", len(w.segs))
-		fw, err := NewFileWriter(filepath.Join(w.dir, name), w.opts)
-		if err != nil {
-			w.err = err
-			return err
+	if e.Obj < 0 && objectEvent(e.Kind) {
+		// The analysis indexes per-lock and per-channel state by
+		// object ID.
+		w.err = fmt.Errorf("segment: %s event on object %d", e.Kind, e.Obj)
+		return w.err
+	}
+	if w.f == nil {
+		if w.err = w.openSegment(); w.err != nil {
+			return w.err
 		}
-		w.cur = fw
 	}
-	if err := w.cur.Append(e); err != nil {
-		w.err = err
-		return err
+	if w.frameCount == 0 {
+		w.framePrev = trace.Event{}
 	}
+	w.frame = trace.AppendEvent(w.frame, e, w.framePrev)
+	w.framePrev = e
+	w.frameCount++
+	if w.cur.Count == 0 {
+		w.cur.MinT, w.cur.FirstSeq = e.T, e.Seq
+	}
+	w.cur.MaxT, w.cur.LastSeq = e.T, e.Seq
+	w.cur.Count++
 	w.prev = e
 	w.total++
-	if w.cur.Count() >= w.opts.SegmentEvents {
-		w.err = w.rollSegment()
+	if w.frameCount >= w.opts.FrameEvents {
+		w.flushFrame()
+	}
+	if w.err == nil && w.cur.Count >= w.opts.SegmentEvents {
+		w.err = w.closeSegment()
 	}
 	return w.err
 }
 
-func (w *Writer) rollSegment() error {
-	ftr, err := w.cur.Close()
+// objectEvent reports whether events of kind k name a lock or channel
+// in Obj.
+func objectEvent(k trace.EventKind) bool {
+	switch k {
+	case trace.EvLockAcquire, trace.EvLockObtain, trace.EvLockRelease,
+		trace.EvChanSend, trace.EvChanRecv, trace.EvChanClose:
+		return true
+	}
+	return false
+}
+
+// openSegment creates the next segment file and writes its header.
+func (w *Writer) openSegment() error {
+	name := fmt.Sprintf("seg-%06d.clsg", len(w.segs))
+	f, err := os.Create(filepath.Join(w.dir, name))
 	if err != nil {
 		return err
 	}
-	w.segs = append(w.segs, SegmentInfo{
-		Name:     filepath.Base(w.cur.Path()),
-		First:    w.total - ftr.Count,
-		Count:    ftr.Count,
-		MinT:     ftr.MinT,
-		MaxT:     ftr.MaxT,
-		FirstSeq: ftr.FirstSeq,
-		LastSeq:  ftr.LastSeq,
-	})
-	w.cur = nil
+	if w.bw == nil {
+		w.bw = bufio.NewWriter(f)
+	} else {
+		w.bw.Reset(f)
+	}
+	w.f, w.cur, w.off = f, SegmentInfo{Name: name, First: w.total}, 0
+	w.crc.Reset()
+	w.body([]byte(segMagic))
+	w.body(binary.AppendUvarint(nil, segVersion))
+	return w.err
+}
+
+// body writes p to the open segment and folds it into the body CRC.
+func (w *Writer) body(p []byte) {
+	if w.err != nil {
+		return
+	}
+	if _, err := w.bw.Write(p); err != nil {
+		w.err = err
+		return
+	}
+	w.crc.Write(p)
+	w.off += int64(len(p))
+}
+
+func (w *Writer) flushFrame() {
+	if w.frameCount == 0 {
+		return
+	}
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	hdr[0] = frameTag
+	n := 1
+	n += binary.PutUvarint(hdr[n:], uint64(w.frameCount))
+	n += binary.PutUvarint(hdr[n:], uint64(len(w.frame)))
+	w.body(hdr[:n])
+	w.body(w.frame)
+	w.frame = w.frame[:0]
+	w.frameCount = 0
+}
+
+// closeSegment flushes the last frame of the open segment, writes its
+// footer and trailer, closes the file and adds it to the manifest.
+func (w *Writer) closeSegment() error {
+	w.flushFrame()
+	payload := appendFooter(nil, w.cur)
+	out := make([]byte, 0, 1+binary.MaxVarintLen64+len(payload)+trailerSize)
+	out = append(out, footerTag)
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	out = append(out, payload...)
+	out = binary.LittleEndian.AppendUint32(out, w.crc.Sum32())
+	out = binary.LittleEndian.AppendUint32(out, crcOf(payload))
+	out = binary.LittleEndian.AppendUint64(out, uint64(w.off))
+	out = append(out, segEndMagic...)
+	err := w.err
+	if err == nil {
+		_, err = w.bw.Write(out)
+	}
+	if ferr := w.bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.f = nil
+	if err != nil {
+		return err
+	}
+	w.segs = append(w.segs, w.cur)
 	return nil
 }
 
@@ -346,18 +214,12 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.closed = true
-	if w.err != nil {
-		if w.cur != nil {
-			w.cur.Close()
+	if w.f != nil {
+		if w.err != nil {
+			w.f.Close()
+			return w.err
 		}
-		return w.err
-	}
-	if w.cur != nil && w.cur.Count() > 0 {
-		w.err = w.rollSegment()
-	} else if w.cur != nil {
-		w.cur.Close()
-		os.Remove(w.cur.Path())
-		w.cur = nil
+		w.err = w.closeSegment()
 	}
 	if w.err != nil {
 		return w.err
