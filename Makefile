@@ -47,8 +47,9 @@ lint:
 
 # Short mutation run of every fuzz target: the segment reader every
 # segment dir goes through (verifyImage and LoadColumns' frame decode,
-# on an in-memory image) and the manifest reader (hostile bytes must
-# error, never panic),
+# on an in-memory image) and the manifest parse (hostile bytes, parsed
+# in memory as Open parses the file's, must error, never panic, and the
+# missing segments of a manifest that parses must fail to load cleanly),
 # the trace codecs and the encoding-sniffing trace.Decode (the binary
 # event section decoded in parts must match the one-part decode), the batch
 # frame decoder against a plain DecodeEvent loop,
@@ -91,7 +92,9 @@ fuzz-smoke:
 # TestCompositionAnySource requires a segment directory at the default
 # configuration to report the composition TraceSource reports.
 # TestBufferedReadsBounded (internal/segment) loads buffered segments
-# from concurrent goroutines and bounds the heap they leave behind;
+# from concurrent goroutines and bounds the heap they leave behind, and
+# TestBufferedFirstLoadReadsOnce requires a buffered segment's first
+# load to read its file once;
 # TestSpillerMergesRuns and TestSpillMergeBounded merge spilled runs
 # through the same reader and bound the merge's live heap at two run
 # segments per thread; TestSegmentTruncation and TestSegmentBitFlips
@@ -117,7 +120,7 @@ stream-diff:
 	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections' -count=1 -v
 	$(GO) test -race ./internal/sim -run 'TestPropertyZeroLengthSectionSeeds' -count=1 -v
 	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
-	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded|TestSpillerMergesRuns|TestSpillMergeBounded|TestSegmentTruncation|TestSegmentBitFlips' -count=1 -v
+	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded|TestBufferedFirstLoadReadsOnce|TestSpillerMergesRuns|TestSpillMergeBounded|TestSegmentTruncation|TestSegmentBitFlips' -count=1 -v
 	$(GO) test -race ./internal/trace -run 'TestSplitDecode|TestDecodeBinaryGoroutines' -count=1 -v
 	$(GO) test -race ./cmd/cla -run 'TestEverySectionAnySource' -count=1 -v
 

@@ -8,15 +8,15 @@ import (
 )
 
 // Annotations: pass 1's per-event output — each event's same-thread
-// predecessor, waker and blocked flag — stored as two per-event planes
-// with different lifetimes:
+// predecessor, waker and blocked flag — stored as two per-event planes:
 //
 //   - links — prev (int32 LE, previous event on the same thread or -1)
-//     and waker (int32 LE or -1), 8 bytes per event. Only the backward
-//     walk reads them, so the whole plane is released the moment the
-//     walk finishes — before pass 3's output peaks.
-//   - flags — 1 byte per event (bit 0 = blocked). Pass 3 still needs
-//     it, and at a ninth of the record it stays cheap to keep.
+//     and waker (int32 LE or -1), 8 bytes per event;
+//   - flags — 1 byte per event (bit 0 = blocked).
+//
+// The backward walk is their only reader in an analysis, so both die
+// with it: the store is removed the moment the walk returns, before
+// pass 3's output peaks. Slack's backward sweep reads its own store.
 const (
 	annLinkSize = 8
 	annRecSize  = annLinkSize + 1 // both planes, for budget/spill sizing
@@ -48,16 +48,15 @@ const DefaultAnnotationBudget int64 = 256 << 20
 
 // annStore holds pass 1's per-event annotations, sharded by segment.
 // When the whole run fits the budget (9 bytes × events) the shards live
-// in memory and passes 2 and 3 read them with zero copies; otherwise
+// in memory and the walk reads them with zero copies; otherwise
 // every shard spills to a temp file (links at idx*8, flags at
 // n*8 + idx), restoring PR 2's bounded-memory behavior. The choice is
 // all-or-nothing and known up front, so both modes behave identically —
 // including the patches that land after deferred wakers resolve.
 //
 // Concurrency: pass 1 writes (shard, commit, patch) from one goroutine
-// and finishes before anything reads. Pass 3's ranges read and release
-// concurrently, each touching only its own segments' slots, so they
-// never race.
+// and finishes before anything reads; the reader (the walk, or slack's
+// sweep) is one goroutine too.
 type annStore struct {
 	firsts []int // global first event index per segment
 	counts []int
@@ -131,19 +130,8 @@ func (a *annStore) commit(s int, links, flags []byte) (int64, error) {
 	return int64(len(links) + len(flags)), nil
 }
 
-// releaseLinks drops the resident link plane — prev/waker are only read
-// by the backward walk, so once it finishes the links are dead weight
-// (a no-op in spill mode).
-func (a *annStore) releaseLinks() {
-	if a.inMemory() {
-		for s := range a.links {
-			a.links[s] = nil
-		}
-	}
-}
-
-// release drops segment s's resident shards once the final pass has
-// consumed them, shrinking the live heap as pass 3 advances (a no-op in
+// release drops segment s's resident shards once slack's sweep has
+// consumed them, shrinking the live heap as it advances (a no-op in
 // spill mode, where the deferred remove reclaims the file).
 func (a *annStore) release(s int) {
 	if a.inMemory() {

@@ -41,21 +41,6 @@ func (a *lockAcc) merge(src *lockAcc) {
 	}
 }
 
-// mergeChan folds src (accumulated over a disjoint segment range)
-// into dst; every quantity is an integer sum or maximum.
-func mergeChan(dst, src *ChanStats) {
-	dst.Sends += src.Sends
-	dst.Recvs += src.Recvs
-	dst.Closes += src.Closes
-	dst.BlockedSends += src.BlockedSends
-	dst.BlockedRecvs += src.BlockedRecvs
-	dst.SendWait += src.SendWait
-	dst.RecvWait += src.RecvWait
-	if src.MaxWait > dst.MaxWait {
-		dst.MaxWait = src.MaxWait
-	}
-}
-
 // lockSink is one accumulation domain: pass 3 gives each segment range
 // its own and folds the later ranges' into the head range's in range
 // order, so results are bit-identical at any range count (all merged
@@ -66,16 +51,14 @@ type lockSink struct {
 	// are plain slices — the metric pass touches one per critical
 	// section, and a map lookup there costs more than the whole
 	// arithmetic update. A nil entry means the object was never hit.
-	accs  []*lockAcc
-	chans []*ChanStats
-	hot   [][]interval
+	accs []*lockAcc
+	hot  [][]interval
 }
 
 func newLockSink(nThreads, nObjs int) *lockSink {
 	return &lockSink{
 		nThreads: nThreads,
 		accs:     make([]*lockAcc, nObjs),
-		chans:    make([]*ChanStats, nObjs),
 		hot:      make([][]interval, nObjs),
 	}
 }
@@ -93,22 +76,27 @@ func (s *lockSink) accOf(lock trace.ObjID, name string) *lockAcc {
 	return a
 }
 
-func (s *lockSink) chanOf(ch trace.ObjID, name string) *ChanStats {
-	c := s.chans[ch]
-	if c == nil {
-		c = &ChanStats{Chan: ch, Name: name}
-		s.chans[ch] = c
+// chanTally is the per-channel counts, indexed by object; an entry is
+// made on the channel's first use.
+type chanTally []*ChanStats
+
+func (c chanTally) of(ch trace.ObjID, name string) *ChanStats {
+	cs := c[ch]
+	if cs == nil {
+		cs = &ChanStats{Chan: ch, Name: name}
+		c[ch] = cs
 	}
-	return c
+	return cs
 }
 
-// finalizeMetrics turns the merged accumulation sink into the
-// analysis's Locks, Totals and hot-interval index: it registers unused
-// mutexes, sums totals, merges per-lock on-path intervals and computes
-// the derived percentages. Every merged input is an integer
-// sum/maximum/bool and every float is computed here exactly once,
-// which is what makes the result bit-identical at any range count.
-func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
+// finalizeMetrics turns the merged accumulation sink and the channel
+// counts into the analysis's Locks, Chans, Totals and hot-interval
+// index: it registers unused mutexes and channels, sums totals, merges
+// per-lock on-path intervals and computes the derived percentages.
+// Every merged input is an integer sum/maximum/bool and every float is
+// computed here exactly once, which is what makes the result
+// bit-identical at any range count.
+func finalizeMetrics(an *Analysis, merged *lockSink, chans chanTally, nEvents int) {
 	tr := an.Trace
 	nThreads := len(tr.Threads)
 
@@ -119,7 +107,7 @@ func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
 		case trace.ObjMutex:
 			merged.accOf(o.ID, o.Name)
 		case trace.ObjChan:
-			merged.chanOf(o.ID, o.Name)
+			chans.of(o.ID, o.Name)
 		}
 	}
 
@@ -204,11 +192,11 @@ func finalizeMetrics(an *Analysis, merged *lockSink, nEvents int) {
 		if j.Kind != JumpChan {
 			continue
 		}
-		cs := merged.chanOf(j.Obj, tr.ObjName(j.Obj))
+		cs := chans.of(j.Obj, tr.ObjName(j.Obj))
 		cs.JumpsOnCP++
 		cs.WaitOnCP += j.Wait
 	}
-	for _, cs := range merged.chans {
+	for _, cs := range chans {
 		if cs == nil {
 			continue
 		}

@@ -363,6 +363,7 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 	}
 
 	sink := newLockSink(len(tr.Threads), len(tr.Objects))
+	chans := make(chanTally, len(tr.Objects))
 
 	// Blocking time: the interval before an event on its thread (a
 	// thread's first event has none).
@@ -392,9 +393,9 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 				ts.JoinWait += gap
 			}
 		case trace.EvChanClose:
-			sink.chanOf(e.Obj, tr.ObjName(e.Obj)).Closes++
+			chans.of(e.Obj, tr.ObjName(e.Obj)).Closes++
 		case trace.EvChanSend, trace.EvChanRecv:
-			cs := sink.chanOf(e.Obj, tr.ObjName(e.Obj))
+			cs := chans.of(e.Obj, tr.ObjName(e.Obj))
 			if e.Kind == trace.EvChanSend {
 				cs.Sends++
 			} else {
@@ -469,7 +470,7 @@ func refMetrics(an *Analysis, d *refDeps, opts Options) {
 		}
 	}
 
-	finalizeMetrics(an, sink, len(evs))
+	finalizeMetrics(an, sink, chans, len(evs))
 }
 
 // refCriticalSections returns the trace's obtained critical sections in

@@ -57,11 +57,15 @@ var walkWindow = 4
 //  1. forward over segments — waker resolution (§IV.B) written as a
 //     fixed-size annotation record per event to per-segment shards
 //     (in memory under cfg.AnnotationBudget, spilled to a temp file
-//     over it), plus the incremental per-thread lifecycle state;
+//     over it), plus the incremental per-thread lifecycle state and
+//     every tally that needs no walked path: per-thread barrier, cond,
+//     channel and join waits and the channel counts;
 //  2. backward — the critical-path walk of Fig. 2 over segments loaded
-//     window-by-window in reverse through an LRU cache;
-//  3. forward again — TYPE 1/TYPE 2 metric accumulation, streaming
-//     invocations per thread in acquire order against the walked path.
+//     window-by-window in reverse through an LRU cache, the
+//     annotations' last reader: it removes them as soon as it is done;
+//  3. forward again — lock pairing: TYPE 1/TYPE 2 lock metrics,
+//     streaming invocations per thread in acquire order against the
+//     walked path.
 //
 // Pass 1 and the walk are one range each; pass 3 splits the segments
 // into contiguous ranges (stream_par.go), and the result is
@@ -136,14 +140,17 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	}
 	start = h.phaseStart("pass3")
 	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp}
-	if err := pass3(src, skel, ann, p1, an, cfg, pass3Ranges(src), h, cols3); err != nil {
+	if err := pass3(src, skel, p1, an, cfg, pass3Ranges(src), h, cols3); err != nil {
 		return nil, err
 	}
 	h.phaseDone("pass3", time.Since(start), int64(n))
 	return an, nil
 }
 
-// pass1Result carries the O(threads) lifecycle state pass 1 derives.
+// pass1Result carries the O(threads + objects) state pass 1 derives:
+// thread lifecycles, and the tallies that need no walked path — each
+// thread's barrier, cond, channel and join waits (threads; no other
+// field is set) and each channel's counts (chans).
 type pass1Result struct {
 	firstT, lastT trace.Time
 	startIdx      []int32
@@ -151,15 +158,19 @@ type pass1Result struct {
 	exitIdx       []int32
 	exitT         []trace.Time
 	exitSeq       []uint64
+	threads       []ThreadStats
+	chans         chanTally
 }
 
-func newPass1Result(nThreads int) *pass1Result {
+func newPass1Result(nThreads, nObjs int) *pass1Result {
 	p1 := &pass1Result{
 		startIdx: make([]int32, nThreads),
 		startT:   make([]trace.Time, nThreads),
 		exitIdx:  make([]int32, nThreads),
 		exitT:    make([]trace.Time, nThreads),
 		exitSeq:  make([]uint64, nThreads),
+		threads:  make([]ThreadStats, nThreads),
+		chans:    make(chanTally, nObjs),
 	}
 	for tid := 0; tid < nThreads; tid++ {
 		p1.startIdx[tid] = -1
@@ -170,15 +181,17 @@ func newPass1Result(nThreads int) *pass1Result {
 
 // pass1 is the forward waker-resolution pass, one scan in trace order:
 // one annotation record per event written to per-segment shards,
-// deferred resolutions applied as patches after the scan. It keeps
+// deferred resolutions applied as patches after the scan, and the
+// path-free tallies taken on the spot (pass1Sync.tally). It keeps
 // O(threads + objects + one decoded segment), and the sync machine adds
 // O(open barrier episodes + waiting cond threads), so the working set
 // is independent of trace length. Segments decode into cols.
 func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
 	nThreads, nObjs := len(skel.Threads), len(skel.Objects)
-	p1 := newPass1Result(nThreads)
+	p1 := newPass1Result(nThreads, nObjs)
 	sync := newPass1Sync(skel, p1)
 	lastOf, lastRel := filled(nThreads, -1), filled(nObjs, -1)
+	prevT := make([]trace.Time, nThreads)
 	sawEvents := false
 	var lkScratch, flScratch []byte
 	for s := 0; s < src.NumSegments(); s++ {
@@ -215,8 +228,12 @@ func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols
 			default:
 				if isSyncKind(kind) {
 					sync.step(gi, kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cSeq[k], &rec)
+					if rec.prev >= 0 {
+						sync.tally(kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cT[k]-prevT[th], rec.flags&annBlocked != 0)
+					}
 				}
 			}
+			prevT[th] = cT[k]
 
 			putAnnLink(lk[k*annLinkSize:], rec.prev, rec.waker)
 			fl[k] = rec.flags
@@ -305,6 +322,15 @@ type pass1Sync struct {
 	conds        map[trace.ObjID]*pairing.Cond[int32]
 	chans        map[trace.ObjID]*pairing.Chan[int32]
 	patches      []annPatch
+	// condBegin holds each thread's pending cond-wait begins, for
+	// tally.
+	condBegin map[threadObj]trace.Time
+}
+
+// threadObj keys per-thread, per-object state.
+type threadObj struct {
+	thread trace.ThreadID
+	obj    trace.ObjID
 }
 
 func newPass1Sync(skel *trace.Trace, p1 *pass1Result) *pass1Sync {
@@ -318,6 +344,7 @@ func newPass1Sync(skel *trace.Trace, p1 *pass1Result) *pass1Sync {
 		barriers:     map[trace.ObjID]*barStream{},
 		conds:        map[trace.ObjID]*pairing.Cond[int32]{},
 		chans:        map[trace.ObjID]*pairing.Chan[int32]{},
+		condBegin:    map[threadObj]trace.Time{},
 	}
 	for tid := 0; tid < nThreads; tid++ {
 		m.createIdx[tid] = -1
@@ -504,6 +531,56 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 			m.p1.exitT[target] > m.joinBeginT[thread] {
 			rec.flags |= annBlocked
 			rec.waker = m.p1.exitIdx[target]
+		}
+	}
+}
+
+// tally adds one sync event to the path-free tallies: its thread's
+// barrier, cond, channel and join waits and its channel's counts. wait
+// is the time since the thread's previous event, and a thread's first
+// event is not tallied. A barrier depart or a channel operation is
+// blocked by its arg bits, a join end by its annotation (blocked); a
+// cond wait counts from its begin, and an end with no begin counts
+// nothing.
+func (m *pass1Sync) tally(kind trace.EventKind, thread trace.ThreadID, obj trace.ObjID, arg int64, t, wait trace.Time, blocked bool) {
+	ts := &m.p1.threads[thread]
+	switch kind {
+	case trace.EvBarrierDepart:
+		if arg == 0 {
+			ts.BarrierWait += wait
+		}
+	case trace.EvCondWaitBegin:
+		m.condBegin[threadObj{thread, obj}] = t
+	case trace.EvCondWaitEnd:
+		key := threadObj{thread, obj}
+		if begin, ok := m.condBegin[key]; ok {
+			ts.CondWait += t - begin
+			delete(m.condBegin, key)
+		}
+	case trace.EvChanSend, trace.EvChanRecv:
+		cs := m.p1.chans.of(obj, m.skel.ObjName(obj))
+		send := kind == trace.EvChanSend
+		if send {
+			cs.Sends++
+		} else {
+			cs.Recvs++
+		}
+		if arg&trace.ChanArgBlocked != 0 {
+			if send {
+				cs.BlockedSends++
+				cs.SendWait += wait
+			} else {
+				cs.BlockedRecvs++
+				cs.RecvWait += wait
+			}
+			cs.MaxWait = max(cs.MaxWait, wait)
+			ts.ChanWait += wait
+		}
+	case trace.EvChanClose:
+		m.p1.chans.of(obj, m.skel.ObjName(obj)).Closes++
+	case trace.EvJoinEnd:
+		if blocked {
+			ts.JoinWait += wait
 		}
 	}
 }
@@ -899,19 +976,19 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	}
 
 	// Pieces and jumps were generated back-to-front; assemble into
-	// forward order. The window cache and the annotation link plane
-	// (prev/waker — only the walk reads them) are dead weight from here
-	// on — drop both first so the assembly's transient (chunks plus the
-	// final slices) replaces them in the live set instead of stacking
-	// on top of them. The largest column set stays behind as the spare
-	// pass 3 decodes into.
+	// forward order. The window cache and the annotations (the walk is
+	// their last reader) are dead weight from here on — drop both first
+	// so the assembly's transient (chunks plus the final slices)
+	// replaces them in the live set instead of stacking on top of them.
+	// The largest column set stays behind as the spare pass 3 decodes
+	// into.
 	for _, w := range l.cache {
 		if l.spare == nil || cap(w.cols.T) > cap(l.spare.T) {
 			l.spare = w.cols
 		}
 	}
 	l.cache, l.lru, l.cur = nil, nil, nil
-	l.ann.releaseLinks()
+	l.ann.remove()
 	cp.Pieces = pieces.forward()
 	if jumps.n > 0 {
 		cp.JumpLog = jumps.forward()
@@ -966,20 +1043,16 @@ type invocation struct {
 func (inv *invocation) wait() trace.Time { return inv.obtT - inv.acqT }
 func (inv *invocation) hold() trace.Time { return inv.relT - inv.obtT }
 
-// streamThread is pass 3's per-thread state: the previous event's
-// timestamp, cond-wait begins, the FIFO of in-flight lock invocations
-// (acquire order) and the thread's critical-path clip cursor.
-// Everything is O(in-flight), not O(history).
+// streamThread is pass 3's per-thread state: the FIFO of in-flight
+// lock invocations (acquire order) and the thread's critical-path clip
+// cursor. Everything is O(in-flight), not O(history).
 type streamThread struct {
-	seen      bool
-	prevT     trace.Time
-	condBegin map[trace.ObjID]condMark
-	pend      []invocation
-	head      int
-	base      int     // absolute queue position of pend[0]
-	open      openSet // lock → absolute queue position
-	clips     []clip  // clip index: this thread's CP pieces
-	cursor    int
+	pend   []invocation
+	head   int
+	base   int     // absolute queue position of pend[0]
+	open   openSet // lock → absolute queue position
+	clips  []clip  // clip index: this thread's CP pieces
+	cursor int
 }
 
 // openSet maps a held lock to its queue position with map semantics —
@@ -1044,12 +1117,13 @@ func (st *streamThread) compact() {
 	}
 }
 
-// initStreamThreads fills the analysis's ThreadStats from pass 1 and
-// builds the per-thread clip index from the walked path. The result is
-// pass 3's head-range state; later ranges share its clip index.
+// initStreamThreads fills the analysis's ThreadStats from pass 1's
+// lifecycles and waits and builds the per-thread clip index from the
+// walked path. The result is pass 3's head-range state; later ranges
+// share its clip index.
 func initStreamThreads(an *Analysis, skel *trace.Trace, p1 *pass1Result) []streamThread {
 	nThreads := len(skel.Threads)
-	an.Threads = make([]ThreadStats, nThreads)
+	an.Threads = p1.threads
 	for tid := 0; tid < nThreads; tid++ {
 		ts := &an.Threads[tid]
 		ts.Thread = trace.ThreadID(tid)

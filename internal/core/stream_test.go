@@ -271,42 +271,88 @@ type emptySource struct{ *segment.Reader }
 
 func (emptySource) NumEvents() int { return 0 }
 
-// TestTraceSourceSegmentBoundaries runs TraceSource on a trace longer
+// TestTraceSourceSegmentBoundaries runs TraceSource on traces longer
 // than three of its in-memory segments and not a multiple of their
 // size, so every pass crosses segment boundaries and ends on a partial
 // segment, at several pass parallelisms and with both hold accountings,
-// validating first and beside the passes.
+// validating first and beside the passes. The mixed trace has cond
+// waits and blocked channel receives that straddle a segment boundary,
+// and blocked joins: the waits pass 1 tallies.
 func TestTraceSourceSegmentBoundaries(t *testing.T) {
 	const memSegment = 4096
-	tr := simTrace(t, "uts", 6, 1)
-	if n := len(tr.Events); n <= 3*memSegment || n%memSegment == 0 {
-		t.Fatalf("trace has %d events; want more than %d and not a multiple of %d", n, 3*memSegment, memSegment)
+	mixed, err := tracetest.Mixed(40_000, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, clip := range []bool{true, false} {
-		opts := core.Options{ClipHold: clip}
-		ref := core.ReferenceAnalysis(tr, opts)
-		for _, par := range []int{1, 2, 8} {
-			// Validating first at par 1, beside the passes otherwise
-			// (on par Ps).
-			splitPass3(t, par)
-			src := core.TraceSource(tr)
-			if par > 1 {
-				src = core.TraceSourceBesideFrom(tr, 1)
+	if condWait, recv := straddlingWaits(mixed, memSegment); condWait == 0 || recv == 0 {
+		t.Fatalf("mixed: %d cond waits and %d blocked receives straddle a segment boundary; want some of each", condWait, recv)
+	}
+	for _, w := range []struct {
+		name string
+		tr   *trace.Trace
+	}{{"uts", simTrace(t, "uts", 6, 1)}, {"mixed", mixed}} {
+		tr := w.tr
+		if n := len(tr.Events); n <= 3*memSegment || n%memSegment == 0 {
+			t.Fatalf("%s: trace has %d events; want more than %d and not a multiple of %d", w.name, n, 3*memSegment, memSegment)
+		}
+		for _, clip := range []bool{true, false} {
+			opts := core.Options{ClipHold: clip}
+			ref := core.ReferenceAnalysis(tr, opts)
+			if w.name == "mixed" && (ref.Totals.TotalCondWait == 0 || ref.Totals.TotalChanWait == 0 || !slices.ContainsFunc(ref.Threads, func(ts core.ThreadStats) bool { return ts.JoinWait > 0 })) {
+				t.Fatalf("mixed: want cond, channel and join waits: %+v", ref.Totals)
 			}
-			an, err := core.AnalyzeSource(src, core.Config{Options: opts})
-			if err != nil {
-				t.Fatalf("clip=%t par=%d: %v", clip, par, err)
-			}
-			if an.Trace.Events != nil || !reflect.DeepEqual(an.Trace.Threads, tr.Threads) ||
-				!reflect.DeepEqual(an.Trace.Objects, tr.Objects) {
-				t.Fatalf("clip=%t par=%d: Analysis.Trace is not the analyzed trace's skeleton", clip, par)
-			}
-			requireIdentical(t, ref, an)
-			if t.Failed() {
-				t.Fatalf("divergence at clip=%t par=%d", clip, par)
+			for _, par := range []int{1, 2, 4, 8} {
+				// Validating first at par 1, beside the passes otherwise
+				// (on par Ps).
+				label := fmt.Sprintf("%s clip=%t par=%d", w.name, clip, par)
+				splitPass3(t, par)
+				src := core.TraceSource(tr)
+				if par > 1 {
+					src = core.TraceSourceBesideFrom(tr, 1)
+				}
+				an, err := core.AnalyzeSource(src, core.Config{Options: opts})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if an.Trace.Events != nil || !reflect.DeepEqual(an.Trace.Threads, tr.Threads) ||
+					!reflect.DeepEqual(an.Trace.Objects, tr.Objects) {
+					t.Fatalf("%s: Analysis.Trace is not the analyzed trace's skeleton", label)
+				}
+				requireIdentical(t, ref, an)
+				if t.Failed() {
+					t.Fatalf("divergence at %s", label)
+				}
 			}
 		}
 	}
+}
+
+// straddlingWaits counts tr's cond waits whose begin and end, and its
+// blocked channel receives whose wait (from the thread's previous
+// event), lie in different segments of seg events.
+func straddlingWaits(tr *trace.Trace, seg int) (condWaits, recvs int) {
+	type key struct {
+		thread trace.ThreadID
+		obj    trace.ObjID
+	}
+	begin := map[key]int{}
+	prev := map[trace.ThreadID]int{}
+	for i, e := range tr.Events {
+		switch e.Kind {
+		case trace.EvCondWaitBegin:
+			begin[key{e.Thread, e.Obj}] = i
+		case trace.EvCondWaitEnd:
+			if b, ok := begin[key{e.Thread, e.Obj}]; ok && b/seg != i/seg {
+				condWaits++
+			}
+		case trace.EvChanRecv:
+			if p, ok := prev[e.Thread]; ok && e.Arg&trace.ChanArgBlocked != 0 && p/seg != i/seg {
+				recvs++
+			}
+		}
+		prev[e.Thread] = i
+	}
+	return condWaits, recvs
 }
 
 // TestDefaultSplitMatchesReference: at the default configuration, a
@@ -420,7 +466,9 @@ func defaultSplitRun(t *testing.T, src core.Source, segs core.SegmentSource, cfg
 // of a closed channel on the critical path, which the sim workloads do
 // not: main's second send on the one-slot channel c waits for worker
 // w1's first receive, main later closes done, and worker w2 — blocked
-// receiving from done — finishes last.
+// receiving from done — finishes last. main joins w1 long after w1
+// exited, a join that did not block although its end trails its begin,
+// so no join wait may count it.
 func chanHandoffTrace() *trace.Trace {
 	b := trace.NewBuilder()
 	main := b.Thread("main", trace.NoThread)
@@ -442,7 +490,7 @@ func chanHandoffTrace() *trace.Trace {
 	b.Exit(12, w1)
 	b.Event(40, main, trace.EvChanClose, done, 0)
 	op(3, 40, w2, trace.EvChanRecv, done, trace.ChanArgBlocked|trace.ChanArgClosed)
-	b.Join(main, w1, 41, 41)
+	b.Join(main, w1, 41, 43)
 	b.Exit(50, main)
 	b.Exit(100, w2)
 	return b.Trace()

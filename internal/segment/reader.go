@@ -22,10 +22,12 @@ import (
 // mapped, so repeated passes over the same segment never reopen,
 // reseek or re-verify them. Under ReadOptions.NoMmap (or where the
 // platform cannot map) the reader keeps only each file's frame-region
-// offsets, and every load reads that region into a pooled buffer it
-// returns when the decode is done, so a buffered analysis holds about
-// one encoded segment per loading goroutine rather than the whole
-// trace. Checksums, the footer-vs-manifest cross-check and the
+// offsets: a segment's first load decodes from the whole image it read
+// to verify, and every later load reads just the frame region, each
+// into a pooled buffer it returns when the decode is done. So a
+// buffered analysis holds about one encoded segment per loading
+// goroutine rather than the whole trace, and a first load reads no
+// byte twice. Checksums, the footer-vs-manifest cross-check and the
 // magic/version header are verified exactly once per segment either
 // way. Distinct segments may be loaded from distinct goroutines
 // concurrently; Close releases every mapping.
@@ -75,6 +77,17 @@ func OpenWith(dir string, opts ReadOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	r, err := parseManifest(dir, buf)
+	if err != nil {
+		return nil, err
+	}
+	r.opts = opts
+	return r, nil
+}
+
+// parseManifest verifies and decodes the manifest bytes buf of the
+// segment directory dir into a Reader with default options.
+func parseManifest(dir string, buf []byte) (*Reader, error) {
 	if len(buf) < len(manifestMagic)+1+4 {
 		return nil, fmt.Errorf("segment: manifest %w (%d bytes)", trace.ErrTruncated, len(buf))
 	}
@@ -120,7 +133,7 @@ func OpenWith(dir string, opts ReadOptions) (*Reader, error) {
 			})
 		}
 	}
-	r := &Reader{dir: dir, opts: opts, skel: skel}
+	r := &Reader{dir: dir, skel: skel}
 	nSegs := d.count("segment")
 	for i := uint64(0); i < nSegs && d.err == nil; i++ {
 		s := SegmentInfo{
@@ -179,53 +192,46 @@ func (r *Reader) SegmentBounds(i int) (first, count int) {
 	return r.segs[i].First, r.segs[i].Count
 }
 
-// handle returns segment i's verified file image, opening and
-// checking it on first access. Safe for concurrent use.
-func (r *Reader) handle(i int) (*segHandle, error) {
-	h := &r.handles[i]
-	h.once.Do(func() { h.err = r.openSegment(i, h) })
-	if h.err != nil {
-		return nil, h.err
-	}
-	return h, nil
-}
-
 // openSegment maps (or reads) segment i's file and verifies, once for
 // the reader's lifetime: trailer, footer CRC, body CRC, magic/version
-// header and the footer-vs-manifest cross-check. A read image goes
-// back to the buffer pool after verification; loads read the frame
-// region again.
-func (r *Reader) openSegment(i int, h *segHandle) error {
+// header and the footer-vs-manifest cross-check. A read image is
+// returned in a pooled buffer for the caller to decode from and put
+// back (nil when mapped or on error).
+func (r *Reader) openSegment(i int, h *segHandle) (*[]byte, error) {
 	s := r.segs[i]
 	f, err := os.Open(filepath.Join(r.dir, s.Name))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	size := st.Size()
 	if size > int64(maxCount) {
-		return fmt.Errorf("segment: %s is implausibly large (%d bytes)", s.Name, size)
+		return nil, fmt.Errorf("segment: %s is implausibly large (%d bytes)", s.Name, size)
 	}
 	if !r.opts.NoMmap {
 		if data, err := mmapFile(f, size); err == nil {
 			if err := r.verify(i, h, data); err != nil {
 				munmapFile(data)
-				return err
+				return nil, err
 			}
 			h.data = data
-			return nil
+			return nil, nil
 		}
 	}
 	buf := r.buffer(int(size))
-	defer r.bufs.Put(buf)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), *buf); err != nil {
-		return fmt.Errorf("segment: reading %s: %w", s.Name, err)
+		r.bufs.Put(buf)
+		return nil, fmt.Errorf("segment: reading %s: %w", s.Name, err)
 	}
-	return r.verify(i, h, *buf)
+	if err := r.verify(i, h, *buf); err != nil {
+		r.bufs.Put(buf)
+		return nil, err
+	}
+	return buf, nil
 }
 
 // verify checks segment i's whole file image (verifyImage) and its
@@ -258,13 +264,23 @@ func (r *Reader) buffer(n int) *[]byte {
 	return buf
 }
 
-// frames returns segment i's frame region: the mapped slice, or the
-// region read from the file into a pooled buffer. The caller puts the
-// returned buffer (nil when mapped) back in r.bufs once it has decoded
-// the region.
-func (r *Reader) frames(i int, h *segHandle) ([]byte, *[]byte, error) {
+// frames returns segment i's verified handle and frame region: the
+// mapped slice, the region of the image the segment's first load read
+// to verify, or the region read from the file into a pooled buffer.
+// The caller puts the returned buffer (nil when mapped) back in r.bufs
+// once it has decoded the region. Safe for concurrent use.
+func (r *Reader) frames(i int) (*segHandle, []byte, *[]byte, error) {
+	h := &r.handles[i]
+	var image *[]byte
+	h.once.Do(func() { image, h.err = r.openSegment(i, h) })
+	if h.err != nil {
+		return nil, nil, nil, h.err
+	}
 	if h.data != nil {
-		return h.data[h.bodyOff : h.bodyOff+int64(h.bodyLen)], nil, nil
+		return h, h.data[h.bodyOff : h.bodyOff+int64(h.bodyLen)], nil, nil
+	}
+	if image != nil {
+		return h, (*image)[h.bodyOff : h.bodyOff+int64(h.bodyLen)], image, nil
 	}
 	buf := r.buffer(h.bodyLen)
 	body := *buf
@@ -275,9 +291,9 @@ func (r *Reader) frames(i int, h *segHandle) ([]byte, *[]byte, error) {
 	}
 	if err != nil {
 		r.bufs.Put(buf)
-		return nil, nil, fmt.Errorf("segment: reading %s: %w", r.segs[i].Name, err)
+		return nil, nil, nil, fmt.Errorf("segment: reading %s: %w", r.segs[i].Name, err)
 	}
-	return body, buf, nil
+	return h, body, buf, nil
 }
 
 // verifyImage checks a whole segment file image — trailer, footer
@@ -350,11 +366,7 @@ func verifyImage(data []byte) (SegmentInfo, int64, int, error) {
 // accounting).
 func (r *Reader) LoadColumns(i int, cols *trace.Columns) (int64, error) {
 	s := r.segs[i]
-	h, err := r.handle(i)
-	if err != nil {
-		return 0, err
-	}
-	body, buf, err := r.frames(i, h)
+	h, body, buf, err := r.frames(i)
 	if err != nil {
 		return 0, err
 	}

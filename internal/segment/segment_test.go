@@ -717,3 +717,76 @@ func TestBufferedReadsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferedFirstLoadReadsOnce: a buffered reader's first load of a
+// segment decodes from the image it read to verify, so loading every
+// segment once reads each file's bytes once, and a second sweep reads
+// only the frame regions. It counts the bytes the process reads
+// (rchar in /proc/self/io) and skips where that is not available.
+func TestBufferedFirstLoadReadsOnce(t *testing.T) {
+	if _, err := readChars(); err != nil {
+		t.Skipf("no read accounting: %v", err)
+	}
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := WriteTrace(dir, sampleTrace(50_000), Options{SegmentEvents: 8192}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenWith(dir, ReadOptions{NoMmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var files int64
+	for i := 0; i < r.NumSegments(); i++ {
+		st, err := os.Stat(filepath.Join(dir, r.Segment(i).Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += st.Size()
+	}
+	// sweep loads every segment and returns the bytes read and decoded.
+	sweep := func() (read, body int64) {
+		var cols trace.Columns
+		before, err := readChars()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < r.NumSegments(); i++ {
+			n, err := r.LoadColumns(i, &cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body += n
+		}
+		after, err := readChars()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after - before, body
+	}
+	// The slack covers the read of /proc/self/io itself.
+	const slack = 4096
+	if read, _ := sweep(); read < files || read > files+slack {
+		t.Errorf("first loads of %d segments read %d bytes; want the files' %d", r.NumSegments(), read, files)
+	}
+	if read, body := sweep(); read < body || read > body+slack {
+		t.Errorf("second loads read %d bytes; want the frame regions' %d", read, body)
+	}
+}
+
+// readChars returns the bytes this process has read so far, from
+// rchar in /proc/self/io.
+func readChars() (int64, error) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "rchar: "); ok {
+			var n int64
+			_, err := fmt.Sscan(v, &n)
+			return n, err
+		}
+	}
+	return 0, fmt.Errorf("no rchar in /proc/self/io")
+}
