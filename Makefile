@@ -115,9 +115,16 @@ fuzz-smoke:
 # seeds of FuzzSections (critical locks whose sections enclose no
 # other lock have zero slack) and TestPropertyZeroLengthSectionSeeds
 # (internal/sim) replay programs where the path left a thread at the
-# very timestamp of such a section.
+# very timestamp of such a section. The sparse annotations are pinned
+# too: TestWalkPrevMatchesScan holds the walk's derived same-thread
+# predecessors to a naive scan at segment sizes 1 to 65,536, resident
+# and spilled, TestAnnotationBytes holds the resident store to its
+# records and entry links (at most 2.5 bytes per event on a convoy) and
+# a one-byte-short budget to the same export and slack, and
+# TestSlackUsesRunTmpDir requires slack's store to keep the analysis's
+# budget and TmpDir.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections|TestWalkPrevMatchesScan|TestAnnotationBytes|TestSlackUsesRunTmpDir' -count=1 -v
 	$(GO) test -race ./internal/sim -run 'TestPropertyZeroLengthSectionSeeds' -count=1 -v
 	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
 	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded|TestBufferedFirstLoadReadsOnce|TestSpillerMergesRuns|TestSpillMergeBounded|TestSegmentTruncation|TestSegmentBitFlips' -count=1 -v

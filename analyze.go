@@ -126,9 +126,10 @@ func WithMmap(on bool) Option {
 }
 
 // WithAnnotationBudget caps the memory the analysis spends keeping
-// waker annotations resident (9 bytes per event); runs over budget
-// spill them to a temp file. 0 = the default budget, negative = always
-// spill.
+// waker annotations resident (8 bytes per blocked event and per thread
+// in a segment, about 1.3 bytes per event on lock-heavy traces); the
+// segments past the budget spill to a temp file. 0 = the default
+// budget, negative = always spill.
 func WithAnnotationBudget(bytes int64) Option {
 	return func(c *core.Config) { c.AnnotationBudget = bytes }
 }

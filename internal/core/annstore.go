@@ -7,200 +7,231 @@ import (
 	"sort"
 )
 
-// Annotations: pass 1's per-event output — each event's same-thread
-// predecessor, waker and blocked flag — stored as two per-event planes:
+// Annotations: pass 1's output for the backward walk and slack's
+// sweep, kept sparse, per segment:
 //
-//   - links — prev (int32 LE, previous event on the same thread or -1)
-//     and waker (int32 LE or -1), 8 bytes per event;
-//   - flags — 1 byte per event (bit 0 = blocked).
+//   - records — (index, waker) for each blocked event, the only events
+//     whose waker the readers look up (every resolution site marks its
+//     event blocked, so an event with no record was not blocked and has
+//     no waker; waker -1 is blocked with the waker unknown), 8 bytes
+//     each, in index order;
+//   - entry links — for each thread with events in the segment, the
+//     global index of its last event before the segment (-1 if none),
+//     8 bytes each. A reader derives every event's same-thread
+//     predecessor from them and the segment's thread column.
 //
-// The backward walk is their only reader in an analysis, so both die
-// with it: the store is removed the moment the walk returns, before
-// pass 3's output peaks. Slack's backward sweep reads its own store.
+// Blocked events are about one in six in lock-heavy traces and entry
+// links one per thread per segment, so the store costs about 1.4 bytes
+// per event there, against the 9 of a dense per-event plane. The walk
+// is their only reader in an analysis and removes them the moment it
+// returns. Slack's backward sweep reads its own store.
 const (
-	annLinkSize = 8
-	annRecSize  = annLinkSize + 1 // both planes, for budget/spill sizing
+	annRecSize   = 8
+	annEntrySize = 8
 )
 
-const annBlocked = 1 << 0
-
+// annRec is one blocked event: its global index and its waker (-1 if
+// unknown).
 type annRec struct {
-	prev  int32
+	idx   int32
 	waker int32
-	flags byte
 }
 
-func putAnnLink(dst []byte, prev, waker int32) {
-	binary.LittleEndian.PutUint32(dst[0:4], uint32(prev))
-	binary.LittleEndian.PutUint32(dst[4:8], uint32(waker))
-}
-
-func getAnnLink(src []byte) (prev, waker int32) {
-	return int32(binary.LittleEndian.Uint32(src[0:4])),
-		int32(binary.LittleEndian.Uint32(src[4:8]))
+// annEntry is a thread's last event before a segment (-1 if none).
+type annEntry struct {
+	thread int32
+	prev   int32
 }
 
 // DefaultAnnotationBudget is the resident-annotation ceiling below
-// which pass 1 keeps its per-segment shards in memory: 9 bytes per
-// event, so the default covers traces up to ~29M events before
-// spilling to a temp file.
+// which pass 1 keeps its per-segment records and entry links in
+// memory: about 1.4 bytes per event on a lock convoy, so the default
+// covers traces of well over 100M events before spilling to a temp
+// file.
 const DefaultAnnotationBudget int64 = 256 << 20
 
-// annStore holds pass 1's per-event annotations, sharded by segment.
-// When the whole run fits the budget (9 bytes × events) the shards live
-// in memory and the walk reads them with zero copies; otherwise
-// every shard spills to a temp file (links at idx*8, flags at
-// n*8 + idx), restoring PR 2's bounded-memory behavior. The choice is
-// all-or-nothing and known up front, so both modes behave identically —
-// including the patches that land after deferred wakers resolve.
+// annStore holds pass 1's annotations, one annSeg per segment. Segments
+// stay resident, as exact-size copies, while the running total of
+// their bytes fits the budget; from the first segment that does not
+// fit on, every segment is appended to a temp file in TmpDir, created
+// on that first spill. Deferred resolutions (pass1Sync.finish) are a
+// sorted patch list merged into a segment's records as they are read,
+// so both modes read identically.
 //
-// Concurrency: pass 1 writes (shard, commit, patch) from one goroutine
+// Concurrency: pass 1 writes (commit, setPatches) from one goroutine
 // and finishes before anything reads; the reader (the walk, or slack's
 // sweep) is one goroutine too.
 type annStore struct {
-	firsts []int // global first event index per segment
-	counts []int
-	n      int      // total events (spill-file plane offsets)
-	links  [][]byte // memory mode: per-segment link records
-	flags  [][]byte // memory mode: per-segment flag bytes
-	f      *os.File // spill mode
+	firsts   []int // global first event index per segment
+	counts   []int
+	segs     []annSeg
+	budget   int64 // < 0: spill every segment
+	resident int64 // bytes of resident records and entry links
+	spilling bool  // a segment has spilled, so every later one does
+	tmpDir   string
+	f        *os.File
+	end      int64    // spill file length
+	patches  []annRec // sorted by idx
+	buf      []byte   // spill encode/decode scratch
+	recBuf   []annRec // load's decoded records and entry links
+	entBuf   []annEntry
+	merged   []annRec // load's patched records
 }
 
-// newAnnStore sizes the store for src's n events under budget
-// (0 = DefaultAnnotationBudget, negative = always spill).
-func newAnnStore(src SegmentSource, n int, tmpDir string, budget int64) (*annStore, error) {
+// annSeg is one segment's annotations: resident slices, or the spill
+// file offset of its records followed by its entry links.
+type annSeg struct {
+	recs     []annRec
+	entries  []annEntry
+	off      int64
+	nRecs    int
+	nEntries int
+	spilled  bool
+}
+
+// newAnnStore sizes the store for src's segments under budget
+// (0 = DefaultAnnotationBudget, negative = always spill), spilling to
+// tmpDir ("" = os.TempDir).
+func newAnnStore(src SegmentSource, tmpDir string, budget int64) *annStore {
 	if budget == 0 {
 		budget = DefaultAnnotationBudget
 	}
 	nSegs := src.NumSegments()
-	a := &annStore{firsts: make([]int, nSegs), counts: make([]int, nSegs), n: n}
+	a := &annStore{firsts: make([]int, nSegs), counts: make([]int, nSegs), segs: make([]annSeg, nSegs),
+		budget: budget, tmpDir: tmpDir}
 	for s := 0; s < nSegs; s++ {
 		a.firsts[s], a.counts[s] = src.SegmentBounds(s)
 	}
-	if int64(n)*annRecSize <= budget {
-		a.links = make([][]byte, nSegs)
-		a.flags = make([][]byte, nSegs)
-		return a, nil
-	}
-	f, err := os.CreateTemp(tmpDir, "cla-ann-*.tmp")
-	if err != nil {
-		return nil, fmt.Errorf("core: creating annotation file: %w", err)
-	}
-	a.f = f
-	return a, nil
+	return a
 }
 
-// inMemory reports whether shards stay resident.
-func (a *annStore) inMemory() bool { return a.f == nil }
-
-// shard returns link and flag buffers for segment s, reusing the
-// scratch buffers where the store does not take ownership (spill
-// mode). The caller fills every record, then commits.
-func (a *annStore) shard(s int, lkScratch, flScratch []byte) (links, flags []byte) {
-	count := a.counts[s]
-	if a.inMemory() || cap(lkScratch) < count*annLinkSize {
-		links = make([]byte, count*annLinkSize)
-	} else {
-		links = lkScratch[:count*annLinkSize]
-	}
-	if a.inMemory() || cap(flScratch) < count {
-		flags = make([]byte, count)
-	} else {
-		flags = flScratch[:count]
-	}
-	return links, flags
-}
-
-// commit stores segment s's filled shard, returning how many bytes
-// were spilled (0 in memory mode). In memory mode the store takes
-// ownership of the buffers.
-func (a *annStore) commit(s int, links, flags []byte) (int64, error) {
-	if a.inMemory() {
-		a.links[s] = links
-		a.flags[s] = flags
+// commit stores segment s's records and entry links, which the caller
+// may reuse afterwards, and reports how many bytes were spilled (0
+// when the segment stays resident).
+func (a *annStore) commit(s int, recs []annRec, entries []annEntry) (int64, error) {
+	size := int64(len(recs)*annRecSize + len(entries)*annEntrySize)
+	seg := &a.segs[s]
+	seg.nRecs, seg.nEntries = len(recs), len(entries)
+	if !a.spilling && a.budget >= 0 && a.resident+size <= a.budget {
+		a.resident += size
+		seg.recs = make([]annRec, len(recs))
+		copy(seg.recs, recs)
+		seg.entries = make([]annEntry, len(entries))
+		copy(seg.entries, entries)
 		return 0, nil
 	}
-	first := int64(a.firsts[s])
-	if _, err := a.f.WriteAt(links, first*annLinkSize); err != nil {
+	a.spilling = true
+	if a.f == nil {
+		f, err := os.CreateTemp(a.tmpDir, "cla-ann-*.tmp")
+		if err != nil {
+			return 0, fmt.Errorf("core: creating annotation file: %w", err)
+		}
+		a.f = f
+	}
+	b := sized(a.buf, int(size))
+	a.buf = b
+	for k, r := range recs {
+		binary.LittleEndian.PutUint32(b[k*annRecSize:], uint32(r.idx))
+		binary.LittleEndian.PutUint32(b[k*annRecSize+4:], uint32(r.waker))
+	}
+	e := b[len(recs)*annRecSize:]
+	for k, en := range entries {
+		binary.LittleEndian.PutUint32(e[k*annEntrySize:], uint32(en.thread))
+		binary.LittleEndian.PutUint32(e[k*annEntrySize+4:], uint32(en.prev))
+	}
+	if _, err := a.f.WriteAt(b, a.end); err != nil {
 		return 0, fmt.Errorf("core: writing annotations: %w", err)
 	}
-	if _, err := a.f.WriteAt(flags, int64(a.n)*annLinkSize+first); err != nil {
-		return 0, fmt.Errorf("core: writing annotations: %w", err)
-	}
-	return int64(len(links) + len(flags)), nil
+	seg.off, seg.spilled = a.end, true
+	a.end += size
+	return size, nil
 }
 
-// release drops segment s's resident shards once slack's sweep has
-// consumed them, shrinking the live heap as it advances (a no-op in
-// spill mode, where the deferred remove reclaims the file).
+// setPatches records pass 1's deferred resolutions: each marks its
+// event blocked with the given waker, adding a record or replacing the
+// waker of the one already there.
+func (a *annStore) setPatches(p []annRec) {
+	sort.Slice(p, func(i, j int) bool { return p[i].idx < p[j].idx })
+	a.patches = p
+}
+
+// load returns segment s's records, patches merged in, and its entry
+// links. Resident, unpatched segments come back with no copy; either
+// way the slices are valid until the next load.
+func (a *annStore) load(s int) ([]annRec, []annEntry, error) {
+	seg := &a.segs[s]
+	recs, entries := seg.recs, seg.entries
+	if seg.spilled {
+		size := seg.nRecs*annRecSize + seg.nEntries*annEntrySize
+		b := sized(a.buf, size)
+		a.buf = b
+		if _, err := a.f.ReadAt(b, seg.off); err != nil {
+			return nil, nil, fmt.Errorf("core: reading annotations: %w", err)
+		}
+		recs = a.recBuf[:0]
+		for k := 0; k < seg.nRecs; k++ {
+			recs = append(recs, annRec{
+				idx:   int32(binary.LittleEndian.Uint32(b[k*annRecSize:])),
+				waker: int32(binary.LittleEndian.Uint32(b[k*annRecSize+4:])),
+			})
+		}
+		a.recBuf = recs
+		e := b[seg.nRecs*annRecSize:]
+		entries = a.entBuf[:0]
+		for k := 0; k < seg.nEntries; k++ {
+			entries = append(entries, annEntry{
+				thread: int32(binary.LittleEndian.Uint32(e[k*annEntrySize:])),
+				prev:   int32(binary.LittleEndian.Uint32(e[k*annEntrySize+4:])),
+			})
+		}
+		a.entBuf = entries
+	}
+	first, end := int32(a.firsts[s]), int32(a.firsts[s]+a.counts[s])
+	lo := sort.Search(len(a.patches), func(k int) bool { return a.patches[k].idx >= first })
+	hi := lo + sort.Search(len(a.patches)-lo, func(k int) bool { return a.patches[lo+k].idx >= end })
+	if lo < hi {
+		recs = mergePatches(a.merged[:0], recs, a.patches[lo:hi])
+		a.merged = recs
+	}
+	return recs, entries, nil
+}
+
+// mergePatches appends to out the merge of sorted records and sorted
+// patches, a patch replacing the record of its event.
+func mergePatches(out, recs, patches []annRec) []annRec {
+	for len(recs) > 0 || len(patches) > 0 {
+		switch {
+		case len(patches) == 0 || len(recs) > 0 && recs[0].idx < patches[0].idx:
+			out = append(out, recs[0])
+			recs = recs[1:]
+		case len(recs) > 0 && recs[0].idx == patches[0].idx:
+			out = append(out, patches[0])
+			recs, patches = recs[1:], patches[1:]
+		default:
+			out = append(out, patches[0])
+			patches = patches[1:]
+		}
+	}
+	return out
+}
+
+// release drops segment s's resident annotations once slack's sweep
+// has consumed them, shrinking the live heap as it advances (a no-op
+// for a spilled segment: remove reclaims the file).
 func (a *annStore) release(s int) {
-	if a.inMemory() {
-		a.links[s] = nil
-		a.flags[s] = nil
-	}
+	a.segs[s].recs, a.segs[s].entries = nil, nil
 }
 
-// segOf locates the segment containing global event index idx.
-func (a *annStore) segOf(idx int32) int {
-	return sort.SearchInts(a.firsts, int(idx)+1) - 1
-}
-
-// patch overwrites the waker and flags of record idx (never its prev).
-// Only valid after the owning shard was committed.
-func (a *annStore) patch(idx int32, waker int32, flags byte) error {
-	if a.inMemory() {
-		s := a.segOf(idx)
-		off := int(idx) - a.firsts[s]
-		binary.LittleEndian.PutUint32(a.links[s][off*annLinkSize+4:], uint32(waker))
-		a.flags[s][off] = flags
-		return nil
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(waker))
-	if _, err := a.f.WriteAt(b[:], int64(idx)*annLinkSize+4); err != nil {
-		return fmt.Errorf("core: patching annotation %d: %w", idx, err)
-	}
-	if _, err := a.f.WriteAt([]byte{flags}, int64(a.n)*annLinkSize+int64(idx)); err != nil {
-		return fmt.Errorf("core: patching annotation %d: %w", idx, err)
-	}
-	return nil
-}
-
-// readLinks returns segment s's link records. In memory mode they come
-// straight out of the resident shard with no copy; buf is reused
-// otherwise.
-func (a *annStore) readLinks(s int, buf []byte) ([]byte, error) {
-	if a.inMemory() {
-		return a.links[s], nil
-	}
-	buf = sizeBuf(buf, a.counts[s]*annLinkSize)
-	if _, err := a.f.ReadAt(buf, int64(a.firsts[s])*annLinkSize); err != nil {
-		return nil, fmt.Errorf("core: reading annotations: %w", err)
-	}
-	return buf, nil
-}
-
-// readFlags returns segment s's flag bytes, with the same zero-copy
-// memory mode as readLinks.
-func (a *annStore) readFlags(s int, buf []byte) ([]byte, error) {
-	if a.inMemory() {
-		return a.flags[s], nil
-	}
-	buf = sizeBuf(buf, a.counts[s])
-	if _, err := a.f.ReadAt(buf, int64(a.n)*annLinkSize+int64(a.firsts[s])); err != nil {
-		return nil, fmt.Errorf("core: reading annotations: %w", err)
-	}
-	return buf, nil
-}
-
-func sizeBuf(buf []byte, need int) []byte {
+// sized returns buf resized to need elements, reallocated only when
+// its capacity is short.
+func sized[T any](buf []T, need int) []T {
 	if cap(buf) < need {
-		return make([]byte, need)
+		return make([]T, need)
 	}
 	return buf[:need]
 }
 
-// remove releases the spill file, if any.
+// remove releases the spill file, if any, and every resident segment.
 func (a *annStore) remove() {
 	if a.f != nil {
 		name := a.f.Name()
@@ -208,6 +239,5 @@ func (a *annStore) remove() {
 		os.Remove(name)
 		a.f = nil
 	}
-	a.links = nil
-	a.flags = nil
+	a.segs, a.patches, a.buf, a.recBuf, a.entBuf, a.merged = nil, nil, nil, nil, nil, nil
 }

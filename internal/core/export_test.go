@@ -40,3 +40,27 @@ func Pass3Ranges(src SegmentSource) int { return pass3Ranges(src) }
 // ReadAheadDepth is how many segment decodes a sequential sweep keeps
 // running beside its caller.
 const ReadAheadDepth = readAheadDepth
+
+// AnnRecSize and AnnEntrySize are the bytes a resident annotation
+// record and entry link take.
+const (
+	AnnRecSize   = annRecSize
+	AnnEntrySize = annEntrySize
+)
+
+// Annotations runs pass 1 of src into an annotation store under budget
+// that spills to tmpDir, and reports the bytes it keeps resident, its
+// records and entry links, and whether any segment spilled.
+func Annotations(src SegmentSource, tmpDir string, budget int64) (resident int64, recs, entries int, spilled bool, err error) {
+	ann := newAnnStore(src, tmpDir, budget)
+	defer ann.remove()
+	if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
+		return 0, 0, 0, false, err
+	}
+	for _, s := range ann.segs {
+		recs += s.nRecs
+		entries += s.nEntries
+		spilled = spilled || s.spilled
+	}
+	return ann.resident, recs, entries, spilled, nil
+}

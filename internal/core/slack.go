@@ -50,15 +50,16 @@ type slackTail struct {
 
 // Slack computes slack for every lock of the analysis by replaying src,
 // the source the analysis ran over (TraceSegments(tr) for an in-memory
-// trace). It runs pass 1 into a fresh annotation store, then sweeps the
-// segments backward once in reverse (T, Seq) order — a valid reverse
-// topological order, since every edge points forward in time. The
-// sweep keeps one entry per thread (the event after the current one on
-// its thread) and one per wake whose woken event was swept but whose
-// waker was not yet, so beyond pass 1's annotations (9 bytes per event,
-// released segment by segment as the sweep passes) its state is
-// O(threads + pending wakes). Both sweeps read through one read-ahead
-// (sweepSource).
+// trace). It runs pass 1 into a fresh annotation store, under the
+// analysis's annotation budget and spilling to its TmpDir, then sweeps
+// the segments backward once in reverse (T, Seq) order — a valid
+// reverse topological order, since every edge points forward in time.
+// The sweep keeps one entry per thread (the event after the current one
+// on its thread) and one per wake whose woken event was swept but whose
+// waker was not yet, so beyond pass 1's annotations (8 bytes per
+// blocked event and per thread in a segment, released segment by
+// segment as the sweep passes) its state is O(threads + pending
+// wakes). Both sweeps read through one read-ahead (sweepSource).
 func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 	n := src.NumEvents()
 	if n == 0 {
@@ -67,10 +68,7 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 	src, done := sweepSource(src)
 	defer done()
 	skel := src.Skeleton()
-	ann, err := newAnnStore(src, n, "", 0)
-	if err != nil {
-		return nil, err
-	}
+	ann := newAnnStore(src, a.tmpDir, a.annBudget)
 	defer ann.remove()
 	cols := new(trace.Columns)
 	if _, err := pass1(src, skel, ann, nil, cols); err != nil {
@@ -84,23 +82,25 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 	// without delaying the events it woke that were already swept.
 	pending := map[int32]int64{}
 	minSlack := map[trace.ObjID]trace.Time{}
-	var lk, fl []byte
 	for s := src.NumSegments() - 1; s >= 0; s-- {
 		first, _ := src.SegmentBounds(s)
 		if _, err := src.LoadColumns(s, cols); err != nil {
 			return nil, err
 		}
-		if lk, err = ann.readLinks(s, lk); err != nil {
+		recs, _, err := ann.load(s)
+		if err != nil {
 			return nil, err
 		}
-		if fl, err = ann.readFlags(s, fl); err != nil {
-			return nil, err
-		}
+		r := len(recs) - 1 // the latest record not yet swept
 		for j := cols.Len() - 1; j >= 0; j-- {
 			i := int32(first + j)
 			t := cols.T[j]
 			kind := trace.EventKind(cols.Kind[j])
-			_, waker := getAnnLink(lk[j*annLinkSize:])
+			waker := int32(-1)
+			if r >= 0 && recs[r].idx == i {
+				waker = recs[r].waker
+				r--
+			}
 			late := int64(inf)
 			if kind == trace.EvThreadExit {
 				// Sinks: a thread's exit may be as late as the
@@ -132,7 +132,7 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 				// program end.
 				late = endT
 			}
-			*tail = slackTail{seen: true, late: late, t: t, bound: fl[j]&annBlocked != 0 && waker >= 0}
+			*tail = slackTail{seen: true, late: late, t: t, bound: waker >= 0}
 			// A waker that sorts after its woken event (a barrier
 			// depart tied with its last arrive) was swept already and
 			// is not constrained by it.

@@ -274,35 +274,47 @@ func slackOracle(a *Analysis, tr *trace.Trace) *SlackAnalysis {
 	return sa
 }
 
-// annotate runs pass 1 over an in-memory trace and unpacks its
-// annotations: per event, the preceding event on its thread (-1 if
-// none), the waker (-1 if none), and whether the interval before it
-// was spent blocked.
+// annotate unpacks what the slack oracle needs per event: the
+// preceding event on its thread (-1 if none), from a naive scan of
+// tr.Events (scanPrev), and pass 1's waker (-1 if none) and whether the
+// interval before it was spent blocked, from the records of an
+// annotation store.
 func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) {
 	src := TraceSegments(tr)
 	n := src.NumEvents()
-	ann, err := newAnnStore(src, n, "", 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	ann := newAnnStore(src, "", 0)
 	defer ann.remove()
 	if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
 		return nil, nil, nil, err
 	}
-	prev, waker, blocked = make([]int32, n), make([]int32, n), make([]bool, n)
-	var lk, fl []byte
+	prev, waker, blocked = scanPrev(tr), make([]int32, n), make([]bool, n)
+	for i := range waker {
+		waker[i] = -1
+	}
 	for s := 0; s < src.NumSegments(); s++ {
-		if lk, err = ann.readLinks(s, lk); err != nil {
+		recs, _, err := ann.load(s)
+		if err != nil {
 			return nil, nil, nil, err
 		}
-		if fl, err = ann.readFlags(s, fl); err != nil {
-			return nil, nil, nil, err
-		}
-		first, _ := src.SegmentBounds(s)
-		for k := range fl {
-			prev[first+k], waker[first+k] = getAnnLink(lk[k*annLinkSize:])
-			blocked[first+k] = fl[k]&annBlocked != 0
+		for _, r := range recs {
+			waker[r.idx], blocked[r.idx] = r.waker, true
 		}
 	}
 	return prev, waker, blocked, nil
+}
+
+// scanPrev returns, per event of tr, the index of the preceding event
+// on its thread (-1 if none).
+func scanPrev(tr *trace.Trace) []int32 {
+	prev := make([]int32, len(tr.Events))
+	last := map[trace.ThreadID]int32{}
+	for i, e := range tr.Events {
+		p, ok := last[e.Thread]
+		if !ok {
+			p = -1
+		}
+		prev[i] = p
+		last[e.Thread] = int32(i)
+	}
+	return prev
 }

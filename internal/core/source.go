@@ -23,10 +23,11 @@ type Config struct {
 	// themselves (the facade's SegmentDirSource) consult it; the passes
 	// and already-open sources ignore it.
 	NoMmap bool
-	// AnnotationBudget caps the resident waker-annotation shards
-	// (9 bytes per event); a run over budget spills them to a TmpDir
-	// temp file instead. 0 = DefaultAnnotationBudget, negative =
-	// always spill.
+	// AnnotationBudget caps the resident waker annotations (8 bytes
+	// per blocked event and per thread in a segment, about 1.3 bytes
+	// per event on lock-heavy traces); once a segment's would pass it,
+	// that segment and every later one spill to a TmpDir temp file.
+	// 0 = DefaultAnnotationBudget, negative = always spill.
 	AnnotationBudget int64
 }
 

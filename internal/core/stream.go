@@ -54,15 +54,17 @@ var walkWindow = 4
 //
 // Three passes, per the paper's structure:
 //
-//  1. forward over segments — waker resolution (§IV.B) written as a
-//     fixed-size annotation record per event to per-segment shards
-//     (in memory under cfg.AnnotationBudget, spilled to a temp file
-//     over it), plus the incremental per-thread lifecycle state and
-//     every tally that needs no walked path: per-thread barrier, cond,
-//     channel and join waits and the channel counts;
+//  1. forward over segments — waker resolution (§IV.B) written per
+//     segment as a record for each blocked event and an entry link for
+//     each thread (in memory under cfg.AnnotationBudget, spilled to a
+//     temp file past it), plus the incremental per-thread lifecycle
+//     state and every tally that needs no walked path: per-thread
+//     barrier, cond, channel and join waits and the channel counts;
 //  2. backward — the critical-path walk of Fig. 2 over segments loaded
-//     window-by-window in reverse through an LRU cache, the
-//     annotations' last reader: it removes them as soon as it is done;
+//     window-by-window in reverse through an LRU cache, each window
+//     deriving its events' same-thread predecessors from its thread
+//     column and entry links; the annotations' last reader, it removes
+//     them as soon as it is done;
 //  3. forward again — lock pairing: TYPE 1/TYPE 2 lock metrics,
 //     streaming invocations per thread in acquire order against the
 //     walked path.
@@ -103,10 +105,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	sweep, join := sweepSource(src)
 	defer join()
 
-	ann, err := newAnnStore(src, n, cfg.TmpDir, cfg.AnnotationBudget)
-	if err != nil {
-		return nil, err
-	}
+	ann := newAnnStore(src, cfg.TmpDir, cfg.AnnotationBudget)
 	defer ann.remove()
 
 	// Column sets pass from pass 1 to the walk's first window and from
@@ -122,7 +121,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	h.phaseDone("pass1", time.Since(start), int64(n))
 
 	start = h.phaseStart("walk")
-	loader := newSegLoader(sweep, ann, cols)
+	loader := newSegLoader(sweep, ann, len(skel.Threads), cols)
 	loader.hook = h
 	cp, err := streamWalk(loader, p1, n)
 	if err != nil {
@@ -139,7 +138,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 		cols3 = append(cols3, r.columnSets()...)
 	}
 	start = h.phaseStart("pass3")
-	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp}
+	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp, tmpDir: cfg.TmpDir, annBudget: cfg.AnnotationBudget}
 	if err := pass3(src, skel, p1, an, cfg, pass3Ranges(src), h, cols3); err != nil {
 		return nil, err
 	}
@@ -180,20 +179,24 @@ func newPass1Result(nThreads, nObjs int) *pass1Result {
 }
 
 // pass1 is the forward waker-resolution pass, one scan in trace order:
-// one annotation record per event written to per-segment shards,
-// deferred resolutions applied as patches after the scan, and the
-// path-free tallies taken on the spot (pass1Sync.tally). It keeps
-// O(threads + objects + one decoded segment), and the sync machine adds
-// O(open barrier episodes + waiting cond threads), so the working set
-// is independent of trace length. Segments decode into cols.
+// per segment, a record for each blocked event and an entry link for
+// each thread in it (annStore), deferred resolutions handed over as
+// patches after the scan, and the path-free tallies taken on the spot
+// (pass1Sync.tally). It keeps O(threads + objects + one decoded
+// segment), and the sync machine adds O(open barrier episodes + waiting
+// cond threads), so the working set is independent of trace length.
+// Segments decode into cols.
 func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols *trace.Columns) (*pass1Result, error) {
 	nThreads, nObjs := len(skel.Threads), len(skel.Objects)
 	p1 := newPass1Result(nThreads, nObjs)
 	sync := newPass1Sync(skel, p1)
 	lastOf, lastRel := filled(nThreads, -1), filled(nObjs, -1)
+	// segOf is the last segment each thread had an event in.
+	segOf := filled(nThreads, -1)
 	prevT := make([]trace.Time, nThreads)
 	sawEvents := false
-	var lkScratch, flScratch []byte
+	var recs []annRec
+	var entries []annEntry
 	for s := 0; s < src.NumSegments(); s++ {
 		first, _ := src.SegmentBounds(s)
 		bytes, err := src.LoadColumns(s, cols)
@@ -201,7 +204,7 @@ func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols
 			return nil, err
 		}
 		count := cols.Len()
-		lk, fl := ann.shard(s, lkScratch, flScratch)
+		recs, entries = recs[:0], entries[:0]
 		cT, cSeq, cTh, cKind, cObj, cArg := cols.T, cols.Seq, cols.Thread, cols.Kind, cols.Obj, cols.Arg
 		for k := 0; k < count; k++ {
 			gi := int32(first + k)
@@ -214,29 +217,33 @@ func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols
 			if uint32(obj) >= uint32(nObjs) && indexesObj(kind) {
 				return nil, fmt.Errorf("core: event %d: %s references object %d out of range", gi, kind, obj)
 			}
-			rec := annRec{prev: lastOf[th], waker: -1}
+			prev := lastOf[th]
 			lastOf[th] = gi
+			if segOf[th] != int32(s) {
+				segOf[th] = int32(s)
+				entries = append(entries, annEntry{thread: th, prev: prev})
+			}
 
+			waker, blocked := int32(-1), false
 			switch kind {
 			case trace.EvLockObtain:
 				if cArg[k]&trace.LockArgContended != 0 {
-					rec.flags |= annBlocked
-					rec.waker = lastRel[obj]
+					waker, blocked = lastRel[obj], true
 				}
 			case trace.EvLockRelease:
 				lastRel[obj] = gi
 			default:
 				if isSyncKind(kind) {
-					sync.step(gi, kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cSeq[k], &rec)
-					if rec.prev >= 0 {
-						sync.tally(kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cT[k]-prevT[th], rec.flags&annBlocked != 0)
+					waker, blocked = sync.step(gi, kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cSeq[k])
+					if prev >= 0 {
+						sync.tally(kind, trace.ThreadID(th), trace.ObjID(obj), cArg[k], cT[k], cT[k]-prevT[th], blocked)
 					}
 				}
 			}
 			prevT[th] = cT[k]
-
-			putAnnLink(lk[k*annLinkSize:], rec.prev, rec.waker)
-			fl[k] = rec.flags
+			if blocked {
+				recs = append(recs, annRec{idx: gi, waker: waker})
+			}
 		}
 		if count > 0 {
 			if !sawEvents {
@@ -244,21 +251,14 @@ func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols
 			}
 			p1.lastT = cT[count-1]
 		}
-		spilled, err := ann.commit(s, lk, fl)
+		spilled, err := ann.commit(s, recs, entries)
 		if err != nil {
 			return nil, err
-		}
-		if !ann.inMemory() {
-			lkScratch, flScratch = lk, fl
 		}
 		h.spilled(spilled)
 		h.scanned(count, bytes)
 	}
-	for _, p := range sync.finish() {
-		if err := ann.patch(p.idx, p.waker, annBlocked); err != nil {
-			return nil, err
-		}
-	}
+	ann.setPatches(sync.finish())
 	return p1, nil
 }
 
@@ -301,12 +301,6 @@ type barStream struct {
 	arriveEp map[trace.ThreadID]*pairing.Queue[int]
 }
 
-// annPatch is a deferred waker resolution applied after the scan.
-type annPatch struct {
-	idx   int32
-	waker int32
-}
-
 // pass1Sync is the waker state machine for every synchronization kind
 // whose resolution needs global order: thread lifecycle, barriers,
 // conds, channels and joins. Pass 1 steps it inline on every sync
@@ -321,7 +315,7 @@ type pass1Sync struct {
 	barriers     map[trace.ObjID]*barStream
 	conds        map[trace.ObjID]*pairing.Cond[int32]
 	chans        map[trace.ObjID]*pairing.Chan[int32]
-	patches      []annPatch
+	patches      []annRec // deferred resolutions
 	// condBegin holds each thread's pending cond-wait begins, for
 	// tally.
 	condBegin map[threadObj]trace.Time
@@ -384,18 +378,19 @@ func (m *pass1Sync) chanOf(o trace.ObjID) *pairing.Chan[int32] {
 	return cs
 }
 
-// step advances the sync machine by one event, mutating rec's waker
-// and blocked flag where this event is a resolution site and queueing
-// patches where the resolution is deferred.
+// step advances the sync machine by one event, returning its waker (-1
+// if unknown) and whether it was blocked where this event is a
+// resolution site, and queueing patches where the resolution is
+// deferred. Every site that finds a waker marks its event blocked.
 func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
-	obj trace.ObjID, arg int64, t trace.Time, seq uint64, rec *annRec) {
+	obj trace.ObjID, arg int64, t trace.Time, seq uint64) (waker int32, blocked bool) {
+	waker = -1
 	switch kind {
 	case trace.EvThreadStart:
 		m.p1.startIdx[thread] = i
 		m.p1.startT[thread] = t
 		if c := m.createIdx[thread]; c >= 0 {
-			rec.flags |= annBlocked
-			rec.waker = c
+			waker, blocked = c, true
 		} else {
 			m.pendingStart[thread] = i
 		}
@@ -410,7 +405,7 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 		if int(child) >= 0 && int(child) < len(m.createIdx) && m.createIdx[child] == -1 {
 			m.createIdx[child] = i
 			if ps := m.pendingStart[child]; ps >= 0 {
-				m.patches = append(m.patches, annPatch{idx: ps, waker: i})
+				m.patches = append(m.patches, annRec{idx: ps, waker: i})
 				m.pendingStart[child] = -1
 			}
 		}
@@ -441,7 +436,7 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 			// deferred departs resolve now.
 			for _, d := range epi.pending {
 				if epi.lastArriveThread != d.thread {
-					m.patches = append(m.patches, annPatch{idx: d.idx, waker: epi.lastArrive})
+					m.patches = append(m.patches, annRec{idx: d.idx, waker: epi.lastArrive})
 				}
 			}
 			epi.pending = nil
@@ -462,10 +457,10 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 			epi.departs++
 		}
 		if arg == 0 && epi != nil {
-			rec.flags |= annBlocked
+			blocked = true
 			if bs.parties > 0 && epi.arrives >= bs.parties {
 				if epi.lastArriveThread != thread {
-					rec.waker = epi.lastArrive
+					waker = epi.lastArrive
 				}
 			} else {
 				epi.pending = append(epi.pending, pendingDepart{idx: i, thread: thread})
@@ -488,17 +483,17 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 		m.condOf(obj).Broadcast(i)
 
 	case trace.EvCondWaitEnd:
-		rec.flags |= annBlocked
+		blocked = true
 		if w, ok := m.condOf(obj).WaitEnd(thread); ok {
-			rec.waker = w
+			waker = w
 		}
 
 	case trace.EvChanSend:
 		cs := m.chanOf(obj)
 		if arg&trace.ChanArgBlocked != 0 {
-			rec.flags |= annBlocked
+			blocked = true
 			if w, ok := cs.Admitter(); ok {
-				rec.waker = w
+				waker = w
 			}
 		}
 		cs.Send(i)
@@ -513,9 +508,9 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 			w, ok = cs.Recv(i)
 		}
 		if arg&trace.ChanArgBlocked != 0 {
-			rec.flags |= annBlocked
+			blocked = true
 			if ok {
-				rec.waker = w
+				waker = w
 			}
 		}
 
@@ -529,10 +524,10 @@ func (m *pass1Sync) step(i int32, kind trace.EventKind, thread trace.ThreadID,
 		target := trace.ThreadID(arg)
 		if int(target) >= 0 && int(target) < len(m.p1.exitIdx) && m.p1.exitIdx[target] >= 0 &&
 			m.p1.exitT[target] > m.joinBeginT[thread] {
-			rec.flags |= annBlocked
-			rec.waker = m.p1.exitIdx[target]
+			waker, blocked = m.p1.exitIdx[target], true
 		}
 	}
+	return waker, blocked
 }
 
 // tally adds one sync event to the path-free tallies: its thread's
@@ -588,12 +583,12 @@ func (m *pass1Sync) tally(kind trace.EventKind, thread trace.ThreadID, obj trace
 // finish resolves barrier episodes that never completed (truncated
 // traces, zero-party barriers): their last arrive so far is the waker.
 // Returns all deferred patches.
-func (m *pass1Sync) finish() []annPatch {
+func (m *pass1Sync) finish() []annRec {
 	for _, bs := range m.barriers {
 		for _, epi := range bs.episodes {
 			for _, d := range epi.pending {
 				if epi.lastArriveThread != d.thread {
-					m.patches = append(m.patches, annPatch{idx: d.idx, waker: epi.lastArrive})
+					m.patches = append(m.patches, annRec{idx: d.idx, waker: epi.lastArrive})
 				}
 			}
 		}
@@ -643,19 +638,28 @@ type segLoader struct {
 	cur    *segWindow     // most recently used window
 	hook   *obsHook       // cache-miss load accounting (nil = none)
 	spare  *trace.Columns // for the next new window, then pass 3 (nil = none)
+	lastOf []int32        // per thread, -1 between loads
 }
 
+// segWindow is one decoded segment with its annotations expanded to
+// per-event columns: each event's same-thread predecessor (-1 if none)
+// and its waker (-1 if blocked with the waker unknown, notBlocked if
+// not blocked).
 type segWindow struct {
 	first int
 	end   int // first + count
 	cols  *trace.Columns
-	links []byte
-	flags []byte
+	prev  []int32
+	waker []int32
 }
 
-// newSegLoader returns a loader of walkWindow segments whose first
-// window decodes into spare (nil = a fresh column set).
-func newSegLoader(src SegmentSource, ann *annStore, spare *trace.Columns) *segLoader {
+// notBlocked is the waker column's value for an event with no record.
+const notBlocked = -2
+
+// newSegLoader returns a loader of walkWindow segments of a trace of
+// nThreads threads whose first window decodes into spare (nil = a
+// fresh column set).
+func newSegLoader(src SegmentSource, ann *annStore, nThreads int, spare *trace.Columns) *segLoader {
 	n := src.NumSegments()
 	l := &segLoader{
 		src:    src,
@@ -664,6 +668,7 @@ func newSegLoader(src SegmentSource, ann *annStore, spare *trace.Columns) *segLo
 		cache:  map[int]*segWindow{},
 		max:    walkWindow,
 		spare:  spare,
+		lastOf: filled(nThreads, -1),
 	}
 	for i := 0; i < n; i++ {
 		first, count := src.SegmentBounds(i)
@@ -711,15 +716,33 @@ func (l *segLoader) window(i int32) (*segWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	links, err := l.ann.readLinks(seg, reuse.links)
+	recs, entries, err := l.ann.load(seg)
 	if err != nil {
 		return nil, err
 	}
-	flags, err := l.ann.readFlags(seg, reuse.flags)
-	if err != nil {
-		return nil, err
+	reuse.first, reuse.end = first, first+count
+	// Each event's predecessor is the thread's event before it in the
+	// segment or, for its first, the entry link; pass 1 wrote one link
+	// per thread in the segment, so resetting through them leaves
+	// lastOf all -1 again.
+	for _, e := range entries {
+		l.lastOf[e.thread] = e.prev
 	}
-	reuse.first, reuse.end, reuse.links, reuse.flags = first, first+count, links, flags
+	reuse.prev = sized(reuse.prev, count)
+	for k, th := range reuse.cols.Thread {
+		reuse.prev[k] = l.lastOf[th]
+		l.lastOf[th] = int32(first + k)
+	}
+	for _, e := range entries {
+		l.lastOf[e.thread] = -1
+	}
+	reuse.waker = sized(reuse.waker, count)
+	for k := range reuse.waker {
+		reuse.waker[k] = notBlocked
+	}
+	for _, r := range recs {
+		reuse.waker[int(r.idx)-first] = r.waker
+	}
 	l.cache[seg] = reuse
 	l.lru = append(l.lru, seg)
 	l.cur = reuse
@@ -875,18 +898,16 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 		t := w.cols.T[j]
 		thread := trace.ThreadID(w.cols.Thread[j])
 		obj := trace.ObjID(w.cols.Obj[j])
-		var rec annRec
-		rec.prev, rec.waker = getAnnLink(w.links[j*annLinkSize : j*annLinkSize+annLinkSize])
-		rec.flags = w.flags[j]
+		prev, waker := w.prev[j], w.waker[j]
 
 		if kind == trace.EvThreadStart {
 			if open != nil {
 				open.first, open = cur, nil
 			}
-			if rec.waker < 0 {
+			if waker < 0 {
 				break // root thread's start: the program's beginning
 			}
-			weThread, err := l.threadAt(rec.waker)
+			weThread, err := l.threadAt(waker)
 			if err != nil {
 				return nil, err
 			}
@@ -895,11 +916,10 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 				T: t, From: thread, To: weThread,
 				Kind: JumpStart, Obj: trace.NoObj,
 			})
-			cur, hi = rec.waker, rec.waker
+			cur, hi = waker, waker
 			continue
 		}
 
-		prev := rec.prev
 		if prev < 0 {
 			if open != nil {
 				open.first, open = cur, nil
@@ -907,7 +927,7 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 			break // malformed thread without a start event
 		}
 
-		if rec.flags&annBlocked != 0 && rec.waker >= 0 {
+		if waker >= 0 {
 			// A condition wait that had to re-acquire a contended
 			// mutex has two dependencies: the signaller and the
 			// previous mutex holder. The binding one is whichever
@@ -922,21 +942,17 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 				}
 				pj := int(prev) - pw.first
 				peKind := trace.EventKind(pw.cols.Kind[pj])
-				peT := pw.cols.T[pj]
-				var prec annRec
-				prec.prev, prec.waker = getAnnLink(pw.links[pj*annLinkSize : pj*annLinkSize+annLinkSize])
-				prec.flags = pw.flags[pj]
-				weT, err := l.timeAt(rec.waker)
+				peT, peWaker := pw.cols.T[pj], pw.waker[pj]
+				weT, err := l.timeAt(waker)
 				if err != nil {
 					return nil, err
 				}
-				if peKind == trace.EvLockObtain && prec.flags&annBlocked != 0 && prec.waker >= 0 &&
-					peT >= weT {
+				if peKind == trace.EvLockObtain && peWaker >= 0 && peT >= weT {
 					cur = prev
 					continue
 				}
 			}
-			weThread, err := l.threadAt(rec.waker)
+			weThread, err := l.threadAt(waker)
 			if err != nil {
 				return nil, err
 			}
@@ -953,7 +969,7 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 			if open != nil {
 				open.first, open = cur, nil
 			}
-			cur, hi = rec.waker, rec.waker
+			cur, hi = waker, waker
 			continue
 		}
 
@@ -964,7 +980,7 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 		from, to := peT, t
 		if to > from {
 			kind := PieceExec
-			if rec.flags&annBlocked != 0 {
+			if waker != notBlocked {
 				// Blocked but waker unknown: the wait itself sits on
 				// the critical path.
 				kind = PieceWait

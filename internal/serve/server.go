@@ -59,7 +59,8 @@ type Options struct {
 	// memory-mapping them.
 	NoMmap bool
 	// AnnotationBudget is the resident waker-annotation ceiling in
-	// bytes. 0 = core default, negative = always spill.
+	// bytes (8 per blocked event and per thread in a segment). 0 =
+	// core default, negative = always spill.
 	AnnotationBudget int64
 	// CacheReports caps retained reports (FIFO eviction). 0 = 64.
 	CacheReports int
