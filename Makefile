@@ -77,9 +77,9 @@ fuzz-smoke:
 # Reference oracle: the analysis of segmented, spilled and in-memory
 # (TraceSource) traces must be bit-identical to the test-only reference
 # transcription of the paper's algorithm (internal/core/reference_test.go)
-# at every segmentation, pass-3 range count, walk window and spill
-# setting, and a malformed lock event must fail with the same error in
-# any number of ranges,
+# at every segmentation, pass-3 range count and walk window, and a
+# malformed lock event must fail with the same error in any number of
+# ranges,
 # under the race detector. The event-replaying sections get the same
 # treatment: TestSlackMatchesOracle and TestLockOrderMatchesOracle hold
 # the streamed slack and the lock-order view of the hazard fold to the
@@ -117,14 +117,16 @@ fuzz-smoke:
 # (internal/sim) replay programs where the path left a thread at the
 # very timestamp of such a section. The sparse annotations are pinned
 # too: TestWalkPrevMatchesScan holds the walk's derived same-thread
-# predecessors to a naive scan at segment sizes 1 to 65,536, resident
-# and spilled, TestAnnotationBytes holds the resident store to its
-# records and entry links (at most 2.5 bytes per event on a convoy) and
-# a one-byte-short budget to the same export and slack, and
-# TestSlackUsesRunTmpDir requires slack's store to keep the analysis's
-# budget and TmpDir.
+# predecessors to a naive scan at segment sizes 1 to 65,536, and
+# TestAnnotationBytes holds the store to its records and entry links
+# (at most 2.5 bytes per event on a convoy). Slack reads the records
+# the analysis keeps: TestSlackInputs refuses a source of another event
+# count and an analysis with no records and holds slack over 1-, 3- and
+# 64K-event segments to the oracle, and TestSlackConcurrent requires
+# two calls on one Analysis at once to read it race-free and agree with
+# a serial call.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections|TestWalkPrevMatchesScan|TestAnnotationBytes|TestSlackUsesRunTmpDir' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestTraceSource|MatchesReference|TestLockErrors|TestSlackMatchesOracle|TestLockOrderMatchesOracle|TestValidateBeside|TestTraceSegmentsChecks|TestUnvalidatedTraceNeverPanics|TestCompositionMatchesHolds|TestCompositionAnySource|TestReadAhead|TestFoldColumnsParity|TestDefaultSplitMatchesReference|FuzzSections|TestWalkPrevMatchesScan|TestAnnotationBytes|TestSlackInputs|TestSlackConcurrent' -count=1 -v
 	$(GO) test -race ./internal/sim -run 'TestPropertyZeroLengthSectionSeeds' -count=1 -v
 	$(GO) test -race ./internal/hazard -run 'TestFoldJoinsDecodes' -count=1 -v
 	$(GO) test -race ./internal/segment -run 'TestBufferedReadsBounded|TestBufferedFirstLoadReadsOnce|TestSpillerMergesRuns|TestSpillMergeBounded|TestSegmentTruncation|TestSegmentBitFlips' -count=1 -v

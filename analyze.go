@@ -29,7 +29,7 @@ type AnalysisSource = core.Source
 type SegmentReader = core.SegmentSource
 
 // Progress is a cumulative snapshot of a running analysis (current
-// phase, events processed, segments loaded, bytes spilled).
+// phase, events processed, segments loaded, segment bytes read).
 type Progress = obs.Progress
 
 // Observer receives analysis self-instrumentation callbacks: phase
@@ -102,12 +102,6 @@ func WithClipHold(on bool) Option {
 	return func(c *core.Config) { c.ClipHold = on }
 }
 
-// WithTmpDir hosts the waker-annotation spill file
-// ("" = os.TempDir).
-func WithTmpDir(dir string) Option {
-	return func(c *core.Config) { c.TmpDir = dir }
-}
-
 // WithParallelSegments does nothing. The analysis sizes pass 3 itself:
 // one range per core on a source of 128K events or more, given 2 or
 // more cores, and one range otherwise.
@@ -123,15 +117,6 @@ func WithParallelSegments(n int) Option {
 // mapping misbehaves). Sources that are already open ignore it.
 func WithMmap(on bool) Option {
 	return func(c *core.Config) { c.NoMmap = !on }
-}
-
-// WithAnnotationBudget caps the memory the analysis spends keeping
-// waker annotations resident (8 bytes per blocked event and per thread
-// in a segment, about 1.3 bytes per event on lock-heavy traces); the
-// segments past the budget spill to a temp file. 0 = the default
-// budget, negative = always spill.
-func WithAnnotationBudget(bytes int64) Option {
-	return func(c *core.Config) { c.AnnotationBudget = bytes }
 }
 
 // WithObserver attaches an instrumentation observer; multiple

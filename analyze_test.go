@@ -146,8 +146,7 @@ func TestAnalyzeOptionSpellingsAgree(t *testing.T) {
 	}
 
 	tuned, err := critlock.Analyze(critlock.SegmentDirSource(dir),
-		critlock.WithMmap(false),
-		critlock.WithAnnotationBudget(-1))
+		critlock.WithMmap(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,6 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 		narrate    = fs.Int("narrate", -1, "narrate the critical path's thread hops (0 = all, N = cap)")
 		segdir     = cliflags.SegDir(fs)
 		mmap       = cliflags.Mmap(fs)
-		annBudget  = cliflags.AnnBudget(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,7 +105,6 @@ func runOn(args []string, wrap func(core.SegmentSource) core.SegmentSource) erro
 	// lock-order section.
 	cfg := core.DefaultConfig()
 	cfg.ClipHold = !*noClip
-	cfg.AnnotationBudget = *annBudget
 	res, err := in.Analyze(cfg, *hazards || *lockOrder)
 	if err != nil {
 		return err

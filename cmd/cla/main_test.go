@@ -259,8 +259,9 @@ func writeWorkloadTrace(t *testing.T, w, dir string) string {
 // analysis itself runs over its own source), and the fold of a trace
 // file steps its decoded events without loading the file's in-memory
 // segments at all. -slack and the report's slack section share one
-// slack computation (a pass 1 and a backward sweep), so each segment is
-// loaded twice for them from either input. With all three hazard flags
+// slack computation, a backward sweep that reads the analysis's own
+// records, so each segment is loaded once for them from either input.
+// With all three hazard flags
 // the output is pinned by testdata/foldonce_<workload>.golden, and with
 // -slack -report by testdata/slackonce_<workload>.golden.
 func TestHazardFoldOnce(t *testing.T) {
@@ -273,8 +274,8 @@ func TestHazardFoldOnce(t *testing.T) {
 		{[]string{"-lockorder"}, 1, 0, ""},
 		{[]string{"-report", "report.md", "-lockorder"}, 1, 0, ""},
 		{[]string{"-hazards", "-lockorder", "-report", "report.md"}, 1, 0, "foldonce"},
-		{[]string{"-slack"}, 2, 2, ""},
-		{[]string{"-slack", "-report", "report.md"}, 2, 2, "slackonce"},
+		{[]string{"-slack"}, 1, 1, ""},
+		{[]string{"-slack", "-report", "report.md"}, 1, 1, "slackonce"},
 	}
 	for _, w := range []string{"deadlockprone", "radiosity"} {
 		dir := t.TempDir()

@@ -10,8 +10,7 @@
 //	clasim -synth rad-model.json
 //	clagen -segdir segs/ > model.json     # from a segmented trace
 //
-// The trace is opened and analyzed through internal/input, as in cla,
-// so -annbudget applies to trace files too.
+// The trace is opened and analyzed through internal/input, as in cla.
 package main
 
 import (
@@ -37,7 +36,6 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("clagen", flag.ContinueOnError)
 	segdir := cliflags.SegDir(fs)
 	mmap := cliflags.Mmap(fs)
-	annBudget := cliflags.AnnBudget(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -60,9 +58,7 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	defer in.Close()
-	acfg := core.DefaultConfig()
-	acfg.AnnotationBudget = *annBudget
-	res, err := in.Analyze(acfg, false)
+	res, err := in.Analyze(core.DefaultConfig(), false)
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,6 @@ func run(args []string) error {
 		svgOut   = fs.String("svg", "", "write an SVG timeline to this file")
 		segdir   = cliflags.SegDir(fs)
 		spill    = cliflags.Spill(fs)
-		annBud   = cliflags.AnnBudget(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -143,8 +142,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote segmented trace to %s (%d events, %d segments)\n",
 			*segdir, rdr.NumEvents(), rdr.NumSegments())
-		an, err := critlock.Analyze(critlock.SegmentsSource(rdr),
-			critlock.WithAnnotationBudget(*annBud))
+		an, err := critlock.Analyze(critlock.SegmentsSource(rdr))
 		if err != nil {
 			return fmt.Errorf("analyzing: %w", err)
 		}

@@ -11,9 +11,9 @@
 //	curl localhost:8126/debug/progress
 //
 // Uploads and segment directories are opened and analyzed through
-// internal/input, as cla opens files and directories. -mmap and
-// -annbudget set how segment files are read and the annotation budget
-// for every request; the query's one analysis knob is ?clip=.
+// internal/input, as cla opens files and directories. -mmap sets how
+// segment files are read for every request; the query's one analysis
+// knob is ?clip=.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests finish (up to the drain timeout) before the process exits.
@@ -47,10 +47,8 @@ func run(args []string) error {
 		addr    = fs.String("addr", ":8126", "listen address")
 		jobs    = cliflags.Jobs(fs)
 		mmap    = cliflags.Mmap(fs)
-		annBud  = cliflags.AnnBudget(fs)
 		timeout = fs.Duration("timeout", 60*time.Second, "per-request analysis budget (queueing included)")
 		upload  = fs.Int64("max-upload", 256<<20, "maximum trace upload size in bytes")
-		tmpdir  = fs.String("tmpdir", "", "spill directory for streamed analyses (default system temp)")
 		cache   = fs.Int("cache", 64, "analysis reports retained for GET /v1/reports/{id}")
 		drain   = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	)
@@ -59,13 +57,11 @@ func run(args []string) error {
 	}
 
 	srv := serve.New(serve.Options{
-		MaxConcurrent:    *jobs,
-		MaxUploadBytes:   *upload,
-		Timeout:          *timeout,
-		TmpDir:           *tmpdir,
-		NoMmap:           !*mmap,
-		AnnotationBudget: *annBud,
-		CacheReports:     *cache,
+		MaxConcurrent:  *jobs,
+		MaxUploadBytes: *upload,
+		Timeout:        *timeout,
+		NoMmap:         !*mmap,
+		CacheReports:   *cache,
 	})
 	hs := &http.Server{
 		Addr:              *addr,

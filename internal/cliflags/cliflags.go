@@ -1,7 +1,7 @@
 // Package cliflags registers the flags every cla* command spells the
 // same way, so the tools agree on names, defaults and usage text:
 // -segdir (segmented trace directory), -spill (collector spill
-// threshold), -j (parallel workers), -mmap, -annbudget and -tests.
+// threshold), -j (parallel workers), -mmap and -tests.
 // Commands register only the subset they support.
 package cliflags
 
@@ -31,12 +31,6 @@ func Jobs(fs *flag.FlagSet) *int {
 // default) or read through buffers.
 func Mmap(fs *flag.FlagSet) *bool {
 	return fs.Bool("mmap", true, "memory-map segment files (disable for filesystems where mapping misbehaves)")
-}
-
-// AnnBudget registers -annbudget: the resident waker-annotation ceiling
-// in bytes before the streaming analysis spills to a temp file.
-func AnnBudget(fs *flag.FlagSet) *int64 {
-	return fs.Int64("annbudget", 0, "resident annotation budget in bytes (0 = default, negative = always spill)")
 }
 
 // Tests registers -tests: whether source-reading tools (clalint,

@@ -72,10 +72,10 @@ type Analysis struct {
 	// hotByLock holds the on-path (clipped) hold intervals per lock;
 	// it feeds Composition and Windows.
 	hotByLock map[trace.ObjID][]interval
-	// tmpDir and annBudget are the run's Config.TmpDir and
-	// Config.AnnotationBudget, which Slack's annotation store keeps.
-	tmpDir    string
-	annBudget int64
+	// ann holds pass 1's records of the blocked events and their
+	// wakers, which Slack reads (nil on an Analysis that no pass 1
+	// built).
+	ann *annStore
 }
 
 // CriticalPath is the walked critical path.

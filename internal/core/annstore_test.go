@@ -66,8 +66,8 @@ func gapTrace() (tr *trace.Trace, patched int32) {
 
 // TestWalkPrevMatchesScan holds the predecessor the walk's windows
 // derive from entry links to a naive per-thread scan of the events, at
-// any segment size and in both storage modes, and requires the waker
-// column to agree across them, with the deferred start waker applied.
+// any segment size, and requires the waker column to agree across
+// them, with the deferred start waker applied.
 func TestWalkPrevMatchesScan(t *testing.T) {
 	tr, patched := gapTrace()
 	n := len(tr.Events)
@@ -83,40 +83,34 @@ func TestWalkPrevMatchesScan(t *testing.T) {
 	}
 	var wantWaker []int32
 	for _, size := range []int{1, 3, 4096, segment.DefaultSegmentEvents} {
-		for _, budget := range []int64{0, -1} {
-			label := fmt.Sprintf("size=%d budget=%d", size, budget)
-			src := sizedSegments{tr, size}
-			ann := newAnnStore(src, t.TempDir(), budget)
-			if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
+		label := fmt.Sprintf("size=%d", size)
+		src := sizedSegments{tr, size}
+		ann := newAnnStore(src)
+		if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		l := newSegLoader(src, ann, len(tr.Threads), nil)
+		waker := make([]int32, n)
+		for i := n - 1; i >= 0; i-- {
+			w, err := l.window(int32(i))
+			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if spilled := ann.f != nil; spilled != (budget < 0) {
-				t.Fatalf("%s: spilled = %v", label, spilled)
+			if got := w.prev[i-w.first]; got != want[i] {
+				t.Fatalf("%s: event %d: prev %d, want %d", label, i, got, want[i])
 			}
-			l := newSegLoader(src, ann, len(tr.Threads), nil)
-			waker := make([]int32, n)
-			for i := n - 1; i >= 0; i-- {
-				w, err := l.window(int32(i))
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got := w.prev[i-w.first]; got != want[i] {
-					t.Fatalf("%s: event %d: prev %d, want %d", label, i, got, want[i])
-				}
-				waker[i] = w.waker[i-w.first]
+			waker[i] = w.waker[i-w.first]
+		}
+		if wantWaker == nil {
+			wantWaker = waker
+			if got, create := waker[patched], int32(patched+1); got != create {
+				t.Fatalf("%s: patched start %d has waker %d, want %d", label, patched, got, create)
 			}
-			ann.remove()
-			if wantWaker == nil {
-				wantWaker = waker
-				if got, create := waker[patched], int32(patched+1); got != create {
-					t.Fatalf("%s: patched start %d has waker %d, want %d", label, patched, got, create)
-				}
-				continue
-			}
-			for i := range waker {
-				if waker[i] != wantWaker[i] {
-					t.Fatalf("%s: event %d: waker %d, want %d", label, i, waker[i], wantWaker[i])
-				}
+			continue
+		}
+		for i := range waker {
+			if waker[i] != wantWaker[i] {
+				t.Fatalf("%s: event %d: waker %d, want %d", label, i, waker[i], wantWaker[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"critlock/internal/trace"
 )
@@ -41,26 +42,25 @@ func Pass3Ranges(src SegmentSource) int { return pass3Ranges(src) }
 // running beside its caller.
 const ReadAheadDepth = readAheadDepth
 
-// AnnRecSize and AnnEntrySize are the bytes a resident annotation
-// record and entry link take.
+// AnnRecSize and AnnEntrySize are the bytes an annotation record and
+// entry link take.
 const (
-	AnnRecSize   = annRecSize
-	AnnEntrySize = annEntrySize
+	AnnRecSize   = int(unsafe.Sizeof(annRec{}))
+	AnnEntrySize = int(unsafe.Sizeof(annEntry{}))
 )
 
-// Annotations runs pass 1 of src into an annotation store under budget
-// that spills to tmpDir, and reports the bytes it keeps resident, its
-// records and entry links, and whether any segment spilled.
-func Annotations(src SegmentSource, tmpDir string, budget int64) (resident int64, recs, entries int, spilled bool, err error) {
-	ann := newAnnStore(src, tmpDir, budget)
-	defer ann.remove()
+// Annotations runs pass 1 of src into an annotation store and reports
+// the bytes its slices hold (by capacity) and its records and entry
+// links.
+func Annotations(src SegmentSource) (bytes int64, recs, entries int, err error) {
+	ann := newAnnStore(src)
 	if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
-		return 0, 0, 0, false, err
+		return 0, 0, 0, err
 	}
 	for _, s := range ann.segs {
-		recs += s.nRecs
-		entries += s.nEntries
-		spilled = spilled || s.spilled
+		recs += len(s.recs)
+		entries += len(s.entries)
+		bytes += int64(cap(s.recs)*AnnRecSize + cap(s.entries)*AnnEntrySize)
 	}
-	return ann.resident, recs, entries, spilled, nil
+	return bytes, recs, entries, nil
 }

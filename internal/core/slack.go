@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -49,31 +51,28 @@ type slackTail struct {
 }
 
 // Slack computes slack for every lock of the analysis by replaying src,
-// the source the analysis ran over (TraceSegments(tr) for an in-memory
-// trace). It runs pass 1 into a fresh annotation store, under the
-// analysis's annotation budget and spilling to its TmpDir, then sweeps
-// the segments backward once in reverse (T, Seq) order — a valid
-// reverse topological order, since every edge points forward in time.
-// The sweep keeps one entry per thread (the event after the current one
-// on its thread) and one per wake whose woken event was swept but whose
-// waker was not yet, so beyond pass 1's annotations (8 bytes per
-// blocked event and per thread in a segment, released segment by
-// segment as the sweep passes) its state is O(threads + pending
-// wakes). Both sweeps read through one read-ahead (sweepSource).
+// the events the analysis ran over in any segmentation
+// (TraceSegments(tr) for an in-memory trace). It sweeps the segments
+// backward once, in reverse (T, Seq) order — a valid reverse
+// topological order, since every edge points forward in time — through
+// a read-ahead (sweepSource), and takes each event's waker from the
+// records pass 1 left on the analysis, read by global event index. The
+// sweep keeps one entry per thread (the event after the current one on
+// its thread) and one per wake whose woken event was swept but whose
+// waker was not yet, so its state is O(threads + pending wakes). It
+// only reads the analysis: concurrent calls on one Analysis are safe.
 func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
-	n := src.NumEvents()
-	if n == 0 {
-		return &SlackAnalysis{}, nil
+	if a.ann == nil {
+		return nil, errors.New("core: slack needs the records of an analysis's pass 1, and this analysis has none")
+	}
+	if n := src.NumEvents(); n != a.ann.n {
+		return nil, fmt.Errorf("core: slack over %d events, but the analysis ran over %d", n, a.ann.n)
 	}
 	src, done := sweepSource(src)
 	defer done()
 	skel := src.Skeleton()
-	ann := newAnnStore(src, a.tmpDir, a.annBudget)
-	defer ann.remove()
 	cols := new(trace.Columns)
-	if _, err := pass1(src, skel, ann, nil, cols); err != nil {
-		return nil, err
-	}
+	recs := recCursor{segs: a.ann.segs, s: len(a.ann.segs)}
 
 	const inf = math.MaxInt64
 	endT := int64(a.Start + a.CP.WallTime)
@@ -87,27 +86,22 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 		if _, err := src.LoadColumns(s, cols); err != nil {
 			return nil, err
 		}
-		recs, _, err := ann.load(s)
-		if err != nil {
-			return nil, err
-		}
-		r := len(recs) - 1 // the latest record not yet swept
 		for j := cols.Len() - 1; j >= 0; j-- {
 			i := int32(first + j)
+			th := cols.Thread[j]
+			if th < 0 || int(th) >= len(tails) {
+				return nil, fmt.Errorf("core: event %d references thread %d out of range", i, th)
+			}
 			t := cols.T[j]
 			kind := trace.EventKind(cols.Kind[j])
-			waker := int32(-1)
-			if r >= 0 && recs[r].idx == i {
-				waker = recs[r].waker
-				r--
-			}
+			waker := recs.waker(i)
 			late := int64(inf)
 			if kind == trace.EvThreadExit {
 				// Sinks: a thread's exit may be as late as the
 				// program's completion time.
 				late = endT
 			}
-			tail := &tails[cols.Thread[j]]
+			tail := &tails[th]
 			if tail.seen {
 				// Intra-thread successor: the executed interval between
 				// the two events has fixed duration, so this event can
@@ -149,7 +143,6 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 				}
 			}
 		}
-		ann.release(s)
 	}
 
 	critical := map[trace.ObjID]bool{}
@@ -166,6 +159,29 @@ func (a *Analysis) Slack(src SegmentSource) (*SlackAnalysis, error) {
 	}
 	sortLockSlack(sa.Locks)
 	return sa, nil
+}
+
+// recCursor reads an analysis's records backward by global event
+// index.
+type recCursor struct {
+	segs []annSeg
+	s    int      // the segment recs belongs to
+	recs []annRec // its records not yet read, latest last
+}
+
+// waker returns event i's waker: -1 if it has no record or its waker
+// is unknown. Calls must come in descending i.
+func (c *recCursor) waker(i int32) int32 {
+	for len(c.recs) == 0 && c.s > 0 {
+		c.s--
+		c.recs = c.segs[c.s].recs
+	}
+	if k := len(c.recs) - 1; k >= 0 && c.recs[k].idx == i {
+		w := c.recs[k].waker
+		c.recs = c.recs[:k]
+		return w
+	}
+	return -1
 }
 
 // sortLockSlack orders locks by ascending slack, then name, then ID:

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"critlock/internal/trace"
+	"critlock/internal/tracetest"
 )
 
 // analyzeSlack analyzes tr and computes its slack over TraceSegments(tr).
@@ -21,6 +26,99 @@ func analyzeSlack(t *testing.T, tr *trace.Trace) *SlackAnalysis {
 		t.Fatal(err)
 	}
 	return sa
+}
+
+// mixedAnalysis analyzes a 40K-event mixed program (channels, a cond,
+// an RWMutex and a barrier) at the default configuration, in 4,096-event
+// segments.
+func mixedAnalysis(t *testing.T) (*trace.Trace, *Analysis) {
+	t.Helper()
+	tr, err := tracetest.Mixed(40_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := AnalyzeSource(TraceSource(tr), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, an
+}
+
+// TestSlackInputs: Slack refuses a source whose event count differs
+// from the analyzed trace's, an event on a thread the skeleton lacks
+// and an analysis with no pass-1 records, and over the analyzed trace
+// cut into any segment size it equals the oracle.
+func TestSlackInputs(t *testing.T) {
+	tr, an := mixedAnalysis(t)
+	n := len(tr.Events)
+	short := *tr
+	short.Events = tr.Events[:n-1]
+	long := *tr
+	long.Events = append(slices.Clone(tr.Events), tr.Events[n-1])
+	foreign := *tr
+	foreign.Events = slices.Clone(tr.Events)
+	foreign.Events[n/2].Thread = trace.ThreadID(len(tr.Threads))
+	want := slackOracle(an, tr)
+	for _, c := range []struct {
+		name    string
+		an      *Analysis
+		src     SegmentSource
+		wantErr string // "" = slack equals the oracle
+	}{
+		{"one event fewer", an, sizedSegments{&short, 4096}, fmt.Sprintf("slack over %d events, but the analysis ran over %d", n-1, n)},
+		{"one event more", an, sizedSegments{&long, 4096}, fmt.Sprintf("slack over %d events, but the analysis ran over %d", n+1, n)},
+		{"thread out of range", an, sizedSegments{&foreign, 4096}, fmt.Sprintf("event %d references thread %d out of range", n/2, len(tr.Threads))},
+		{"zero analysis", &Analysis{}, TraceSegments(tr), "this analysis has none"},
+		{"reference analysis", referenceAnalysis(tr, DefaultOptions()), TraceSegments(tr), "this analysis has none"},
+		{"1-event segments", an, sizedSegments{tr, 1}, ""},
+		{"3-event segments", an, sizedSegments{tr, 3}, ""},
+		{"64K-event segments", an, sizedSegments{tr, 64 << 10}, ""},
+	} {
+		got, err := c.an.Slack(c.src)
+		switch {
+		case c.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case !reflect.DeepEqual(got, want):
+			t.Errorf("%s: slack differs from the oracle\n got: %+v\nwant: %+v", c.name, got.Locks, want.Locks)
+		}
+	}
+}
+
+// TestSlackConcurrent: Slack only reads the analysis, so two calls on
+// one Analysis at once (under -race, with the read-ahead on where there
+// are cores for it) give what one call gives alone.
+func TestSlackConcurrent(t *testing.T) {
+	tr, an := mixedAnalysis(t)
+	prev := readAheadFrom
+	readAheadFrom = 0
+	t.Cleanup(func() { readAheadFrom = prev })
+	want, err := an.Slack(TraceSegments(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]*SlackAnalysis, 2)
+	errs := make([]error, 2)
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = an.Slack(TraceSegments(tr))
+		}()
+	}
+	wg.Wait()
+	for k := range got {
+		if errs[k] != nil {
+			t.Fatalf("goroutine %d: %v", k, errs[k])
+		}
+		if !reflect.DeepEqual(got[k], want) {
+			t.Errorf("goroutine %d: slack differs from a serial call", k)
+		}
+	}
 }
 
 func TestSlackFig1(t *testing.T) {
@@ -282,8 +380,7 @@ func slackOracle(a *Analysis, tr *trace.Trace) *SlackAnalysis {
 func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) {
 	src := TraceSegments(tr)
 	n := src.NumEvents()
-	ann := newAnnStore(src, "", 0)
-	defer ann.remove()
+	ann := newAnnStore(src)
 	if _, err := pass1(src, src.Skeleton(), ann, nil, new(trace.Columns)); err != nil {
 		return nil, nil, nil, err
 	}
@@ -291,12 +388,8 @@ func annotate(tr *trace.Trace) (prev, waker []int32, blocked []bool, err error) 
 	for i := range waker {
 		waker[i] = -1
 	}
-	for s := 0; s < src.NumSegments(); s++ {
-		recs, _, err := ann.load(s)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		for _, r := range recs {
+	for _, seg := range ann.segs {
+		for _, r := range seg.recs {
 			waker[r.idx], blocked[r.idx] = r.waker, true
 		}
 	}

@@ -11,24 +11,16 @@ import (
 )
 
 // Config is the analysis configuration: the Options every analysis
-// takes plus the pipeline's tuning knobs. The zero value means
+// takes plus how a segment directory is read. The zero value means
 // unclipped holds; start from DefaultConfig for the recommended
 // defaults.
 type Config struct {
 	Options
-	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
-	TmpDir string
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Only sources that open a segment directory
 	// themselves (the facade's SegmentDirSource) consult it; the passes
 	// and already-open sources ignore it.
 	NoMmap bool
-	// AnnotationBudget caps the resident waker annotations (8 bytes
-	// per blocked event and per thread in a segment, about 1.3 bytes
-	// per event on lock-heavy traces); once a segment's would pass it,
-	// that segment and every later one spill to a TmpDir temp file.
-	// 0 = DefaultAnnotationBudget, negative = always spill.
-	AnnotationBudget int64
 }
 
 // DefaultConfig returns the recommended configuration: clipped hold
@@ -265,7 +257,7 @@ func AnalyzeSource(src Source, cfg Config) (*Analysis, error) {
 // obsHook adapts an obs.Observer for the analysis hot path: nil-safe
 // (a nil hook is free), and it owns the run's cumulative Progress
 // snapshot. Events count per phase (each pass re-reads the trace);
-// Segments and BytesSpilled accumulate over the whole run.
+// Segments and BytesRead accumulate over the whole run.
 type obsHook struct {
 	o obs.Observer
 	p obs.Progress
@@ -333,12 +325,4 @@ func (h *obsHook) scannedBulk(segments int, events int64, bytes int64) {
 	h.p.Events += events
 	h.p.BytesRead += bytes
 	h.o.OnProgress(h.p)
-}
-
-// spilled records n bytes written to spill storage (snapshot emitted
-// with the next scanned/phaseDone, not per write).
-func (h *obsHook) spilled(n int64) {
-	if h != nil {
-		h.p.BytesSpilled += n
-	}
 }

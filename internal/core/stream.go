@@ -56,15 +56,16 @@ var walkWindow = 4
 //
 //  1. forward over segments — waker resolution (§IV.B) written per
 //     segment as a record for each blocked event and an entry link for
-//     each thread (in memory under cfg.AnnotationBudget, spilled to a
-//     temp file past it), plus the incremental per-thread lifecycle
-//     state and every tally that needs no walked path: per-thread
-//     barrier, cond, channel and join waits and the channel counts;
+//     each thread, in memory like the walked path, plus the
+//     incremental per-thread lifecycle state and every tally that
+//     needs no walked path: per-thread barrier, cond, channel and join
+//     waits and the channel counts;
 //  2. backward — the critical-path walk of Fig. 2 over segments loaded
 //     window-by-window in reverse through an LRU cache, each window
 //     deriving its events' same-thread predecessors from its thread
-//     column and entry links; the annotations' last reader, it removes
-//     them as soon as it is done;
+//     column and entry links; the entry links' last reader, it drops
+//     them as soon as it is done, and the Analysis keeps the records
+//     for Slack;
 //  3. forward again — lock pairing: TYPE 1/TYPE 2 lock metrics,
 //     streaming invocations per thread in acquire order against the
 //     walked path.
@@ -105,8 +106,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 	sweep, join := sweepSource(src)
 	defer join()
 
-	ann := newAnnStore(src, cfg.TmpDir, cfg.AnnotationBudget)
-	defer ann.remove()
+	ann := newAnnStore(src)
 
 	// Column sets pass from pass 1 to the walk's first window and from
 	// the walk's largest window to pass 3's head range, so each pass
@@ -138,7 +138,7 @@ func analyzeStream(src SegmentSource, cfg Config, h *obsHook) (*Analysis, error)
 		cols3 = append(cols3, r.columnSets()...)
 	}
 	start = h.phaseStart("pass3")
-	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp, tmpDir: cfg.TmpDir, annBudget: cfg.AnnotationBudget}
+	an := &Analysis{Trace: skel, Start: p1.firstT, CP: *cp, ann: ann}
 	if err := pass3(src, skel, p1, an, cfg, pass3Ranges(src), h, cols3); err != nil {
 		return nil, err
 	}
@@ -180,8 +180,8 @@ func newPass1Result(nThreads, nObjs int) *pass1Result {
 
 // pass1 is the forward waker-resolution pass, one scan in trace order:
 // per segment, a record for each blocked event and an entry link for
-// each thread in it (annStore), deferred resolutions handed over as
-// patches after the scan, and the path-free tallies taken on the spot
+// each thread in it (annStore), deferred resolutions merged into them
+// after the scan, and the path-free tallies taken on the spot
 // (pass1Sync.tally). It keeps O(threads + objects + one decoded
 // segment), and the sync machine adds O(open barrier episodes + waiting
 // cond threads), so the working set is independent of trace length.
@@ -251,14 +251,10 @@ func pass1(src SegmentSource, skel *trace.Trace, ann *annStore, h *obsHook, cols
 			}
 			p1.lastT = cT[count-1]
 		}
-		spilled, err := ann.commit(s, recs, entries)
-		if err != nil {
-			return nil, err
-		}
-		h.spilled(spilled)
+		ann.commit(s, recs, entries)
 		h.scanned(count, bytes)
 	}
-	ann.setPatches(sync.finish())
+	ann.patch(sync.finish())
 	return p1, nil
 }
 
@@ -716,10 +712,7 @@ func (l *segLoader) window(i int32) (*segWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, entries, err := l.ann.load(seg)
-	if err != nil {
-		return nil, err
-	}
+	recs, entries := l.ann.segs[seg].recs, l.ann.segs[seg].entries
 	reuse.first, reuse.end = first, first+count
 	// Each event's predecessor is the thread's event before it in the
 	// segment or, for its first, the entry link; pass 1 wrote one link
@@ -992,7 +985,7 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 	}
 
 	// Pieces and jumps were generated back-to-front; assemble into
-	// forward order. The window cache and the annotations (the walk is
+	// forward order. The window cache and the entry links (the walk is
 	// their last reader) are dead weight from here on — drop both first
 	// so the assembly's transient (chunks plus the final slices)
 	// replaces them in the live set instead of stacking on top of them.
@@ -1004,7 +997,7 @@ func streamWalk(l *segLoader, p1 *pass1Result, n int) (*CriticalPath, error) {
 		}
 	}
 	l.cache, l.lru, l.cur = nil, nil, nil
-	l.ann.remove()
+	l.ann.dropEntries()
 	cp.Pieces = pieces.forward()
 	if jumps.n > 0 {
 		cp.JumpLog = jumps.forward()

@@ -192,13 +192,6 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				check(r, 1, window, core.DefaultConfig(), fmt.Sprintf("window=%d", window))
 				check(mt, 1, window, core.DefaultConfig(), fmt.Sprintf("trace window=%d", window))
 			}
-			// Spill mode: a negative annotation budget forces the
-			// temp-file path, sequential and parallel.
-			cfg := core.Config{Options: core.DefaultOptions(), AnnotationBudget: -1}
-			for _, par := range []int{1, 8} {
-				check(r, par, core.DefaultWalkWindow, cfg, fmt.Sprintf("spill par=%d", par))
-				check(mt, par, core.DefaultWalkWindow, cfg, fmt.Sprintf("trace spill par=%d", par))
-			}
 		})
 	}
 }
@@ -361,10 +354,9 @@ func straddlingWaits(tr *trace.Trace, seg int) (condWaits, recvs int) {
 // and the one-range analysis with the gate closed: the same export
 // bytes, slack, composition and hot windows. So does the analysis at
 // 2 and 8 Ps, where pass 3 takes that many ranges and pass 1 and the
-// walk read ahead. It covers mapped and buffered
-// segment directories, resident and spilled annotations, TraceSource
-// validating first and beside the passes, and one P, where nothing
-// splits.
+// walk read ahead. It covers mapped and buffered segment directories,
+// TraceSource validating first and beside the passes, and one P, where
+// nothing splits.
 func TestDefaultSplitMatchesReference(t *testing.T) {
 	mixed, err := tracetest.Mixed(40_000, 1) // channels, a cond, an RWMutex, a barrier
 	if err != nil {
@@ -391,42 +383,40 @@ func TestDefaultSplitMatchesReference(t *testing.T) {
 			{"trace validating first", core.TraceSource(tr), core.TraceSegments(tr)},
 			{"trace validating beside", core.TraceSourceBesideFrom(tr, 1), core.TraceSegments(tr)},
 		} {
-			for _, budget := range []int64{0, -1} {
-				label := fmt.Sprintf("%s %s budget=%d", w.name, s.label, budget)
-				cfg := core.Config{Options: core.DefaultOptions(), AnnotationBudget: budget}
-				readAhead(t, false)
-				one := defaultSplitRun(t, s.src, s.segs, cfg, 1, label)
-				readAhead(t, true)
-				split := defaultSplitRun(t, s.src, s.segs, cfg, min(runtime.GOMAXPROCS(0), s.segs.NumSegments()), label)
-				requireIdentical(t, ref, split.an)
-				if split.export != one.export || !reflect.DeepEqual(split.slack, one.slack) {
-					t.Errorf("%s: export or slack differ split and in one range", label)
-				}
-				if !reflect.DeepEqual(split.an.Windows(5), one.an.Windows(5)) || split.an.Composition() != one.an.Composition() {
-					t.Errorf("%s: windows or composition differ split and in one range", label)
-				}
-				for _, par := range []int{2, 8} {
-					plabel := fmt.Sprintf("%s par=%d", label, par)
-					prev := runtime.GOMAXPROCS(par)
-					got := defaultSplitRun(t, s.src, s.segs, cfg, min(par, s.segs.NumSegments()), plabel)
-					runtime.GOMAXPROCS(prev)
-					requireIdentical(t, ref, got.an)
-					if got.export != one.export || !reflect.DeepEqual(got.slack, one.slack) {
-						t.Errorf("%s: export or slack differ from one range", plabel)
-					}
-					if !reflect.DeepEqual(got.an.Windows(5), one.an.Windows(5)) || got.an.Composition() != one.an.Composition() {
-						t.Errorf("%s: windows or composition differ from one range", plabel)
-					}
-				}
-				prev := runtime.GOMAXPROCS(1)
-				single := defaultSplitRun(t, s.src, s.segs, cfg, 1, label+" one P")
+			label := fmt.Sprintf("%s %s", w.name, s.label)
+			cfg := core.DefaultConfig()
+			readAhead(t, false)
+			one := defaultSplitRun(t, s.src, s.segs, cfg, 1, label)
+			readAhead(t, true)
+			split := defaultSplitRun(t, s.src, s.segs, cfg, min(runtime.GOMAXPROCS(0), s.segs.NumSegments()), label)
+			requireIdentical(t, ref, split.an)
+			if split.export != one.export || !reflect.DeepEqual(split.slack, one.slack) {
+				t.Errorf("%s: export or slack differ split and in one range", label)
+			}
+			if !reflect.DeepEqual(split.an.Windows(5), one.an.Windows(5)) || split.an.Composition() != one.an.Composition() {
+				t.Errorf("%s: windows or composition differ split and in one range", label)
+			}
+			for _, par := range []int{2, 8} {
+				plabel := fmt.Sprintf("%s par=%d", label, par)
+				prev := runtime.GOMAXPROCS(par)
+				got := defaultSplitRun(t, s.src, s.segs, cfg, min(par, s.segs.NumSegments()), plabel)
 				runtime.GOMAXPROCS(prev)
-				if single.export != one.export || !reflect.DeepEqual(single.slack, one.slack) {
-					t.Errorf("%s: export or slack differ on one P", label)
+				requireIdentical(t, ref, got.an)
+				if got.export != one.export || !reflect.DeepEqual(got.slack, one.slack) {
+					t.Errorf("%s: export or slack differ from one range", plabel)
 				}
-				if t.Failed() {
-					t.Fatalf("divergence at %s", label)
+				if !reflect.DeepEqual(got.an.Windows(5), one.an.Windows(5)) || got.an.Composition() != one.an.Composition() {
+					t.Errorf("%s: windows or composition differ from one range", plabel)
 				}
+			}
+			prev := runtime.GOMAXPROCS(1)
+			single := defaultSplitRun(t, s.src, s.segs, cfg, 1, label+" one P")
+			runtime.GOMAXPROCS(prev)
+			if single.export != one.export || !reflect.DeepEqual(single.slack, one.slack) {
+				t.Errorf("%s: export or slack differ on one P", label)
+			}
+			if t.Failed() {
+				t.Fatalf("divergence at %s", label)
 			}
 		}
 	}

@@ -176,19 +176,25 @@ func sweepErrors(src core.SegmentSource, an *core.Analysis) []error {
 
 // TestReadAheadErrorParity: a bad segment k+1 fails every sweep with
 // the text it fails with when nothing reads ahead, and when segments k
-// and k+1 are both bad, the error is k's — the read-ahead of k+1 never
-// replaces it. A corrupt segment file fails the same way on or off.
+// and k+1 are both bad, the error is that of the one the sweep reaches
+// first — k's for the forward sweeps, k+1's for slack's backward one —
+// and the read-ahead of the other never replaces it. A corrupt segment
+// file fails the same way on or off.
 func TestReadAheadErrorParity(t *testing.T) {
 	tr := simTrace(t, "radiosity", 0, 1) // five in-memory segments
 	good, err := core.AnalyzeStream(core.TraceSegments(tr), core.Config{Options: core.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string, src core.SegmentSource, want string) {
+	check := func(label string, src core.SegmentSource, errs ...string) {
 		t.Helper()
 		for _, on := range []bool{false, true} {
 			readAhead(t, on)
 			for k, err := range sweepErrors(src, good) {
+				want := errs[0]
+				if k == 1 { // slack sweeps backward
+					want = errs[len(errs)-1]
+				}
 				if err == nil || err.Error() != want {
 					t.Errorf("%s, read-ahead %t, sweep %d: err = %v, want %q", label, on, k, err, want)
 				}
@@ -196,9 +202,9 @@ func TestReadAheadErrorParity(t *testing.T) {
 		}
 	}
 	src, errs := badSegments(t, tr, 2)
-	check("bad segment 2", src, errs[0])
+	check("bad segment 2", src, errs...)
 	src, errs = badSegments(t, tr, 1, 2)
-	check("bad segments 1 and 2", src, errs[0])
+	check("bad segments 1 and 2", src, errs...)
 
 	dir := filepath.Join(t.TempDir(), "segs")
 	if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 1024}); err != nil {

@@ -104,10 +104,10 @@ func TestInstrumentsDeltas(t *testing.T) {
 	run := ins.Run()
 	// Cumulative snapshots: 100 then 250 events → counter must read 250.
 	run.OnProgress(obs.Progress{Phase: "pass1", Events: 100, Segments: 1})
-	run.OnProgress(obs.Progress{Phase: "pass1", Events: 250, Segments: 2, BytesSpilled: 512})
+	run.OnProgress(obs.Progress{Phase: "pass1", Events: 250, Segments: 2, BytesRead: 512})
 	// Phase boundary: pass3 re-reads the trace, restarting the event
 	// cursor — its 50 events add on top of pass1's 250.
-	run.OnProgress(obs.Progress{Phase: "pass3", Events: 50, Segments: 3, BytesSpilled: 512})
+	run.OnProgress(obs.Progress{Phase: "pass3", Events: 50, Segments: 3, BytesRead: 512})
 	run.PhaseDone("pass1", 5*time.Millisecond)
 
 	snap := r.Snapshot()
@@ -117,8 +117,8 @@ func TestInstrumentsDeltas(t *testing.T) {
 	if got := snap["critlock_analysis_segments_total"]; got != int64(3) {
 		t.Errorf("segments counter = %v, want 3", got)
 	}
-	if got := snap["critlock_analysis_spilled_bytes_total"]; got != int64(512) {
-		t.Errorf("spilled counter = %v, want 512", got)
+	if got := snap["critlock_analysis_read_bytes_total"]; got != int64(512) {
+		t.Errorf("read counter = %v, want 512", got)
 	}
 }
 

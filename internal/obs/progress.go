@@ -23,9 +23,6 @@ type Progress struct {
 	// Segments is the number of segment loads so far (in-memory
 	// traces count their fixed-size in-memory segments).
 	Segments int64 `json:"segments"`
-	// BytesSpilled is the number of bytes written to spill storage
-	// (annotation temp file, collector run directories).
-	BytesSpilled int64 `json:"bytes_spilled"`
 	// BytesRead is the number of encoded segment-body bytes decoded so
 	// far (0 for in-memory traces and for sources that do not
 	// report sizes). Per-pass throughput derives from its growth.
@@ -123,7 +120,6 @@ type Instruments struct {
 	reg      *Registry
 	events   *Counter
 	segments *Counter
-	spilled  *Counter
 	read     *Counter
 }
 
@@ -134,7 +130,6 @@ func NewInstruments(reg *Registry) *Instruments {
 		reg:      reg,
 		events:   reg.Counter("critlock_analysis_events_total", "Trace events processed by analysis passes.", nil),
 		segments: reg.Counter("critlock_analysis_segments_total", "Segment loads performed by streaming analyses.", nil),
-		spilled:  reg.Counter("critlock_analysis_spilled_bytes_total", "Bytes written to analysis spill storage.", nil),
 		read:     reg.Counter("critlock_analysis_read_bytes_total", "Encoded segment bytes decoded by streaming analyses.", nil),
 	}
 }
@@ -192,14 +187,12 @@ func (r *insRun) OnProgress(p Progress) {
 	r.mu.Lock()
 	// The event cursor resets at phase boundaries (each pass re-reads
 	// the trace), so a phase change restarts the event delta from zero;
-	// Segments, BytesSpilled and BytesRead stay cumulative over the
-	// whole run.
+	// Segments and BytesRead stay cumulative over the whole run.
 	if p.Phase != r.last.Phase {
 		r.last.Events = 0
 	}
 	dEvents := p.Events - r.last.Events
 	dSegments := p.Segments - r.last.Segments
-	dSpilled := p.BytesSpilled - r.last.BytesSpilled
 	dRead := p.BytesRead - r.last.BytesRead
 	r.last = p
 	r.mu.Unlock()
@@ -209,9 +202,6 @@ func (r *insRun) OnProgress(p Progress) {
 	}
 	if dSegments > 0 {
 		r.ins.segments.Add(dSegments)
-	}
-	if dSpilled > 0 {
-		r.ins.spilled.Add(dSpilled)
 	}
 	if dRead > 0 {
 		r.ins.read.Add(dRead)

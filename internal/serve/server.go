@@ -53,15 +53,9 @@ type Options struct {
 	MaxUploadBytes int64
 	// Timeout bounds one analyze request, queueing included. 0 = 60s.
 	Timeout time.Duration
-	// TmpDir hosts streaming spill files ("" = os.TempDir).
-	TmpDir string
 	// NoMmap reads segment files into buffers instead of
 	// memory-mapping them.
 	NoMmap bool
-	// AnnotationBudget is the resident waker-annotation ceiling in
-	// bytes (8 per blocked event and per thread in a segment). 0 =
-	// core default, negative = always spill.
-	AnnotationBudget int64
 	// CacheReports caps retained reports (FIFO eviction). 0 = 64.
 	CacheReports int
 }
@@ -403,8 +397,6 @@ func (s *Server) run(ctx context.Context, id, source string, in analysisInput, p
 			ClipHold: params.clip,
 			Observer: obs.Combine(s.ins.Run(), tracked),
 		},
-		TmpDir:           s.opts.TmpDir,
-		AnnotationBudget: s.opts.AnnotationBudget,
 	}
 
 	// The pipeline is not cancellable mid-pass, so a deadline abandons
